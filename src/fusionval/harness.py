@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -90,6 +91,7 @@ class ExperimentConfig:
     mu: float = 0.0
     sigma2: float = 1.0
     shared_streams: bool = False
+    _weights: LambdaWeights = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
@@ -108,15 +110,24 @@ class ExperimentConfig:
             raise ValidationError(
                 f"repetitions must be >= 1, got {self.repetitions}"
             )
+        for name in ("mu", "sigma2", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValidationError(
                 f"alpha must be in (0, 1], got {self.alpha}"
             )
-        if self.lambdas is not None and len(self.lambdas) != self.k:
+        if self.lambdas is None:
+            weights = LambdaWeights.uniform(self.k)
+        elif len(self.lambdas) != self.k:
             raise ValidationError(
                 f"lambdas must have length k={self.k}, "
                 f"got {len(self.lambdas)}"
             )
+        else:
+            weights = LambdaWeights(lambdas=np.array(self.lambdas))
+        object.__setattr__(self, "_weights", weights)
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         low, high = self.fraction_range
@@ -130,10 +141,17 @@ class ExperimentConfig:
                 f"sigma2 must be > 0, got {self.sigma2}"
             )
         for n in self.sizes:
-            if int(round(low * n)) < self.k:
+            smallest = int(round(low * n))
+            if smallest < self.k:
                 raise ValidationError(
                     f"size {n} is too small: the smallest subsample "
                     f"round({low}*{n}) holds fewer than k={self.k} points"
+                )
+            if smallest - math.ceil(smallest / self.k) < 2:
+                raise ValidationError(
+                    f"size {n} is too small: with k={self.k} folds the "
+                    f"smallest subsample of {smallest} points leaves a "
+                    "training complement of fewer than 2 points"
                 )
             if int(round(high * n)) >= n:
                 raise ValidationError(
@@ -142,9 +160,8 @@ class ExperimentConfig:
                 )
 
     def weights(self) -> LambdaWeights:
-        if self.lambdas is None:
-            return LambdaWeights.uniform(self.k)
-        return LambdaWeights(lambdas=np.array(self.lambdas))
+        """The fold-loss weights, validated and built once per config."""
+        return self._weights
 
     def to_dict(self) -> dict:
         return {
@@ -280,7 +297,12 @@ def _run_trial(
 
 def _run_trial_task(args: tuple) -> tuple[int, int, TrialOutcome]:
     config, n, t_total, trial = args
-    return n, t_total, _run_trial(config, n, t_total, trial)
+    try:
+        return n, t_total, _run_trial(config, n, t_total, trial)
+    except Exception as exc:
+        raise RuntimeError(
+            f"cell (n={n}, t={t_total}) trial {trial}: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,33 @@ one). The plain estimate averages the k fold losses; the weighted
 variant scales fold i by lambda_i / k, and keeping the weights summing
 to k preserves unbiasedness while letting the weights shift variance
 between folds.
+
+All k fold statistics come from one vectorised pass (:func:`_fold_stats`)
+rather than k fits on concatenated training complements. The sample is
+first shifted by a pilot value, its first element, so that sums stay of
+the order of the spread rather than of the mean: with mu = 1e9 and
+sigma = 1e-3 an unshifted sum would lose the spread to rounding. Per
+fold it takes the count n_i, the sum and the centred sum of squares
+M2_i. The pairwise update of Chan, Golub and LeVeque (1979) combines
+two groups a and b as
+
+    M2_ab = M2_a + M2_b + (n_a n_b / (n_a + n_b)) (mean_a - mean_b)^2,
+
+so the whole sample's M2 follows from the folds' statistics, and each
+training complement's M2 follows by running the update in reverse:
+subtract the fold's own M2 and the cross term between the fold and its
+complement from the total. The loss of fold i around the complement's
+mean is then M2_i / n_i + (mean_i - mean_complement)^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ValidationError
-from .estimator import fit, loss
 from .rng import RngStream
 from .sampling import FRACTION_RANGE, draw_partition_fraction, srs_sample
 
@@ -39,6 +55,8 @@ class FoldPlan:
 
     folds: tuple[np.ndarray, ...]
     k: int
+    # every index, fold by fold: the folds concatenated
+    _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -55,18 +73,30 @@ class FoldPlan:
                 f"fold sizes may differ by at most 1, got {sizes}"
             )
         merged = np.concatenate(self.folds)
-        if len(np.unique(merged)) != len(merged):
-            raise ValidationError("folds must be disjoint")
-        if merged.min() != 0 or merged.max() != len(merged) - 1:
+        if not np.issubdtype(merged.dtype, np.integer):
+            raise ValidationError(
+                f"fold indices must be integers, got dtype {merged.dtype}"
+            )
+        total = len(merged)
+        if merged.min() != 0 or merged.max() != total - 1:
             raise ValidationError(
                 "folds must exactly cover range(total)"
             )
+        # total indices, all in range(total): one left unmarked means
+        # another repeats. Marking booleans is cheaper than np.bincount,
+        # whose int64 counts take eight times the memory.
+        seen = np.zeros(total, dtype=bool)
+        seen[merged] = True
+        if not seen.all():
+            raise ValidationError("folds must be disjoint")
         for f in self.folds:
             f.setflags(write=False)
+        merged.setflags(write=False)
+        object.__setattr__(self, "_order", merged)
 
     @property
     def total(self) -> int:
-        return sum(len(f) for f in self.folds)
+        return len(self._order)
 
     def complement(self, i: int) -> np.ndarray:
         """All indices outside fold i (the training split)."""
@@ -93,6 +123,49 @@ def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
     return FoldPlan(folds=tuple(parts), k=k)
 
 
+def _fold_stats(
+    sample: np.ndarray, plan: FoldPlan
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-fold loss, training mean and ddof=1 training variance.
+
+    Fold i's model is fit on its training complement and scored on the
+    fold, as ``loss(fit(sample[plan.complement(i)]), sample[fold])``
+    would, but from sufficient statistics in one pass (see the module
+    docstring). ``sample`` must be a float64 vector of length
+    ``plan.total``.
+    """
+    sizes = np.array([len(f) for f in plan.folds])
+    total = plan.total
+    train_sizes = total - sizes
+    if train_sizes.min() < 2:
+        i = int(train_sizes.argmin())
+        raise ValidationError(
+            f"training complement of fold {i} has {train_sizes[i]} "
+            "points, need at least 2"
+        )
+    # in-place steps: each fresh array of m floats costs page faults
+    y = sample[plan._order]
+    pilot = y[0]
+    y -= pilot
+    starts = np.cumsum(sizes) - sizes
+    fold_sum = np.add.reduceat(y, starts)
+    fold_mean = fold_sum / sizes
+    dev = np.repeat(fold_mean, sizes)
+    np.subtract(y, dev, out=dev)
+    dev *= dev
+    fold_m2 = np.add.reduceat(dev, starts)
+    total_sum = fold_sum.sum()
+    spread = fold_mean - total_sum / total
+    total_m2 = fold_m2.sum() + (sizes * spread * spread).sum()
+    train_mean = (total_sum - fold_sum) / train_sizes
+    gap = fold_mean - train_mean
+    cross = sizes * train_sizes / total * gap * gap
+    train_m2 = total_m2 - fold_m2 - cross
+    losses = fold_m2 / sizes + gap * gap
+    train_var = np.maximum(train_m2, 0.0) / (train_sizes - 1)
+    return losses, train_mean + pilot, train_var
+
+
 def kfold_losses(sample: np.ndarray, plan: FoldPlan) -> np.ndarray:
     """Loss of the model fit on each fold's complement, scored on the fold.
 
@@ -104,16 +177,7 @@ def kfold_losses(sample: np.ndarray, plan: FoldPlan) -> np.ndarray:
             f"sample must be a length-{plan.total} vector, "
             f"got shape {sample.shape}"
         )
-    out = np.empty(plan.k, dtype=np.float64)
-    for i, fold in enumerate(plan.folds):
-        train = sample[plan.complement(i)]
-        if len(train) < 2:
-            raise ValidationError(
-                f"training complement of fold {i} has {len(train)} "
-                "points, need at least 2"
-            )
-        out[i] = loss(fit(train), sample[fold])
-    return out
+    return _fold_stats(sample, plan)[0]
 
 
 def empirical_kfold_loss(losses: np.ndarray) -> float:
@@ -148,8 +212,8 @@ class LambdaWeights:
             )
         if self.unbiased and abs(arr.sum() - len(arr)) > _SUM_TOL:
             raise ValidationError(
-                f"unbiased weights must sum to k={len(arr)}, "
-                f"got {arr.sum()!r}"
+                f"lambdas must sum to k={len(arr)} for unbiased weights, "
+                f"got {float(arr.sum())!r}"
             )
         arr.setflags(write=False)
 
@@ -222,12 +286,9 @@ def repeated_kfcv(
         view = srs_sample(data, m, stream)
         sample = data.values[view.indices]
         plan = make_folds(m, k, stream)
-        fold_losses = np.empty(k, dtype=np.float64)
-        for i, fold in enumerate(plan.folds):
-            params = fit(sample[plan.complement(i)])
-            fold_losses[i] = loss(params, sample[fold])
-            mean_acc += params.fitted_mean
-            var_acc += params.fitted_var
+        fold_losses, train_means, train_vars = _fold_stats(sample, plan)
+        mean_acc += float(train_means.sum())
+        var_acc += float(train_vars.sum())
         loss_acc += weighted_kfold_loss(fold_losses, weights)
     scale = repetitions * k
     return KfcvEstimate(

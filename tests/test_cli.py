@@ -57,6 +57,29 @@ class TestRunCommand:
         assert main(["run", *_FAST, "--alpha", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, field_name",
+        [
+            ("mu = nan", "mu"),
+            ("sigma2 = inf", "sigma2"),
+            ("alpha = nan", "alpha"),
+            ("lambdas = 1,nan", "lambdas"),
+            ("lambdas = 2.5,-0.5", "lambdas"),
+            ("lambdas = 1,1.5", "lambdas"),
+        ],
+    )
+    def test_bad_config_field_exits_two_naming_it(
+        self, tmp_path, capsys, line, field_name
+    ):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["run", *_FAST, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field_name} ")
+
+    def test_non_finite_alpha_flag_exits_two(self, capsys):
+        assert main(["run", *_FAST, "--alpha", "nan"]) == 2
+        assert capsys.readouterr().err.startswith("error: alpha ")
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--no-such-flag"])

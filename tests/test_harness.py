@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from fusionval import harness
 from fusionval.errors import ValidationError
 from fusionval.harness import (
     DEFAULT_SIZES,
@@ -27,6 +28,15 @@ _SMALL = ExperimentConfig(sizes=(100,), trials=(2, 3), k=2, repetitions=2)
 @pytest.fixture(scope="module")
 def small_report():
     return run_experiment(_SMALL, jobs=1)
+
+
+_run_trial = harness._run_trial
+
+
+def _fail_trial_one(config, n, t_total, trial):
+    if trial == 1:
+        raise ValueError("injected failure")
+    return _run_trial(config, n, t_total, trial)
 
 
 def _payload_without_timing(report):
@@ -61,11 +71,36 @@ class TestExperimentConfig:
             dict(fraction_range=(0.9, 0.6)),
             dict(sigma2=0.0),
             dict(repetitions=0),
+            # round(0.6 * 5) = 3 points in 2 folds trains on 1 point
+            dict(sizes=(5,), k=2),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(mu=float("nan")),
+            dict(mu=float("inf")),
+            dict(sigma2=float("inf")),
+            dict(sigma2=float("nan")),
+            dict(alpha=float("nan")),
+            dict(k=2, lambdas=(1.0, float("nan"))),
+            dict(k=2, lambdas=(float("inf"), 1.0)),
+            dict(k=2, lambdas=(2.5, -0.5)),
+            dict(k=2, lambdas=(1.0, 1.5)),
+        ],
+    )
+    def test_rejection_names_the_field(self, kwargs):
+        field_name = next(iter(kwargs.keys() - {"k"}))
+        with pytest.raises(ValidationError, match=f"^{field_name} "):
+            ExperimentConfig(**kwargs)
+
+    def test_weights_are_built_once(self):
+        config = ExperimentConfig(k=2, lambdas=(1.5, 0.5))
+        assert config.weights() is config.weights()
 
     def test_uniform_weights_by_default(self):
         weights = ExperimentConfig(k=4).weights()
@@ -117,6 +152,20 @@ class TestRunExperiment:
     def test_rejects_non_positive_jobs(self):
         with pytest.raises(ValidationError):
             run_experiment(_SMALL, jobs=0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_trial_names_its_cell(self, monkeypatch, jobs):
+        # pool workers are forked, so they inherit the patched module
+        monkeypatch.setattr(harness, "_run_trial", _fail_trial_one)
+        config = ExperimentConfig(
+            sizes=(100,), trials=(2,), k=2, repetitions=2
+        )
+        with pytest.raises(
+            RuntimeError, match=r"^cell \(n=100, t=2\) trial 1: injected"
+        ) as info:
+            run_experiment(config, jobs=jobs)
+        if jobs == 1:
+            assert isinstance(info.value.__cause__, ValueError)
 
     def test_cells_do_not_depend_on_grid_composition(self):
         lone = run_experiment(

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +8,11 @@ from hypothesis import strategies as st
 
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import ValidationError
+from fusionval.estimator import fit, loss
 from fusionval.kfold import (
     FoldPlan,
     LambdaWeights,
+    _fold_stats,
     empirical_kfold_loss,
     kfold_losses,
     make_folds,
@@ -90,6 +95,27 @@ class TestFoldPlanValidation:
         with pytest.raises(ValidationError):
             FoldPlan(folds=(np.array([0]), np.array([], dtype=int)), k=2)
 
+    @pytest.mark.parametrize(
+        "folds, match",
+        [
+            # min and max pass, so only the per-index mark catches it
+            (([0, 3], [3, 1]), "disjoint"),
+            (([0.0, 1.0], [2.0, 3.0]), "integers"),
+            (([0, -1], [2, 3]), "cover"),
+        ],
+        ids=["repeat-within-bounds", "float-indices", "negative-index"],
+    )
+    def test_each_index_check_on_its_own(self, folds, match):
+        with pytest.raises(ValidationError, match=match):
+            FoldPlan(folds=tuple(np.array(f) for f in folds), k=2)
+
+    def test_unsigned_indices_accepted(self):
+        plan = FoldPlan(
+            folds=(np.array([3, 1], np.uint32), np.array([0, 2], np.uint32)),
+            k=2,
+        )
+        assert plan.total == 4
+
 
 class TestKfoldLosses:
     def test_constant_sample(self):
@@ -117,6 +143,80 @@ class TestKfoldLosses:
         plan = FoldPlan(folds=(np.array([0, 1]), np.array([2, 3])), k=2)
         with pytest.raises(ValidationError):
             kfold_losses(np.array([1.0, 2.0]), plan)
+
+
+def _loop_fold_stats(sample, plan):
+    """Reference for the fold kernel: one fit and one loss per fold."""
+    rows = []
+    for i, fold in enumerate(plan.folds):
+        params = fit(sample[plan.complement(i)])
+        rows.append(
+            (loss(params, sample[fold]), params.fitted_mean, params.fitted_var)
+        )
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+class TestFoldKernel:
+    @given(
+        k=st.integers(min_value=2, max_value=10),
+        extra=st.one_of(
+            st.sampled_from([0, 1]), st.integers(min_value=2, max_value=300)
+        ),
+        mu=st.floats(min_value=-1e9, max_value=1e9),
+        log10_scale=st.floats(min_value=-3.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_fold_fit_and_loss(
+        self, k, extra, mu, log10_scale, seed
+    ):
+        m = k + extra
+        rng = np.random.default_rng(seed)
+        sample = mu + 10.0**log10_scale * rng.standard_normal(m)
+        plan = make_folds(m, k, RngStream(seed, 0))
+        if m - math.ceil(m / k) < 2:
+            # the largest fold leaves fewer than 2 training points
+            with pytest.raises(ValidationError):
+                _loop_fold_stats(sample, plan)
+            with pytest.raises(ValidationError):
+                _fold_stats(sample, plan)
+            return
+        # The benchmark's reference tolerance: relative 1e-9 plus 64 ulps
+        # of the data's magnitude, which rounding near mu can reach. Loss
+        # and variance are in squared units: a fitted mean off by that
+        # slack moves them by up to 2 sqrt(value) slack + slack**2.
+        slack = 64 * math.ulp(float(np.abs(sample).max()))
+        got = _fold_stats(sample, plan)
+        want = _loop_fold_stats(sample, plan)
+        for col, squared in enumerate((True, False, True)):
+            size = np.abs(want[col])
+            tol = 1e-9 * size + slack
+            if squared:
+                tol += slack * (2 * np.sqrt(size) + slack)
+            np.testing.assert_array_less(np.abs(got[col] - want[col]), tol)
+
+    def test_exact_at_large_mean(self):
+        # at mu = 1e9 the spread sits 12 decimal digits below the mean;
+        # compare with exact rational arithmetic on the stored doubles
+        m, k = 23, 4
+        noise = derive_stream(5, 0, 0).generator.standard_normal(m)
+        sample = 1e9 + 1e-3 * noise
+        plan = make_folds(m, k, RngStream(5, 1))
+        losses, means, variances = _fold_stats(sample, plan)
+        exact = [Fraction(float(v)) for v in sample]
+        for i, fold in enumerate(plan.folds):
+            train = [exact[j] for j in plan.complement(i)]
+            mean = sum(train) / len(train)
+            var = sum((v - mean) ** 2 for v in train) / (len(train) - 1)
+            fold_loss = sum((exact[j] - mean) ** 2 for j in fold) / len(fold)
+            for got, want in (
+                (losses[i], fold_loss),
+                (means[i], mean),
+                (variances[i], var),
+            ):
+                assert abs(Fraction(float(got)) - want) <= 4 * Fraction(
+                    math.ulp(float(want))
+                )
 
 
 class TestLossAverages:
