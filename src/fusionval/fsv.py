@@ -7,6 +7,23 @@ sampling variance by T; the alpha factor (0.95 by default) shrinks the
 headline number conservatively. Both the compounded measure and the raw
 iteration mean are exposed, since alpha < 1 trades a small downward bias
 for that conservatism.
+
+:func:`fsv_run` and :func:`sampled_kfold_trial` run on the pass kernel of
+:mod:`fusionval.kfold`. Each iteration is one draw step: the fraction,
+the subsample and the fold permutation are drawn through the public
+sampling and fold functions, in that order, and the subsample's
+per-fold counts, sums and centred sums of squares fill one row of a
+``(T x k)`` batch. One statistics step then gives every iteration's
+fold losses, subsample mean and ddof=1 variance, and its holdout loss.
+The holdout loss is the squared error of the subsample mean on the
+dataset's other points, taken from the dataset's totals (computed once
+per run) minus the subsample's rather than by gathering the holdout.
+No step uses BLAS (see the :mod:`fusionval.kfold` docstring for why).
+
+Compounding has two meanings in this package, both alpha times a mean
+of raw mean fold losses: :func:`fsv_run` compounds T iterations on one
+dataset, and the study harness compounds a cell's trials, one pass on a
+fresh dataset each, through the same :func:`compound_measure`.
 """
 
 from __future__ import annotations
@@ -18,17 +35,10 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ValidationError
-from .estimator import fit, loss
-from .kfold import kfold_losses, make_folds
-from .metrics import TrialMetrics, trial_metrics
+from .kfold import _run_passes, _trainable
+from .metrics import TrialMetrics, metric_table
 from .rng import RngStream
-from .sampling import (
-    FRACTION_RANGE,
-    draw_partition_fraction,
-    holdout_values,
-    sample_values,
-    srs_sample,
-)
+from .sampling import FRACTION_RANGE
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -50,7 +60,9 @@ class FsvConfig:
 
     ``sample_size=None`` draws a fresh partition fraction from
     ``fraction_range`` each iteration; a fixed integer pins the subsample
-    size instead.
+    size instead, and must leave every fold's training complement at
+    least 2 points. :func:`fsv_run` applies the same test to the
+    smallest size the fraction window can draw on its dataset.
     """
 
     iterations: int
@@ -79,6 +91,14 @@ class FsvConfig:
         if self.sample_size is not None and self.sample_size < self.k:
             raise ValidationError(
                 f"sample_size must be >= k, got {self.sample_size}"
+            )
+        if self.sample_size is not None and not _trainable(
+            self.sample_size, self.k
+        ):
+            raise ValidationError(
+                f"sample_size {self.sample_size} is too small: with "
+                f"k={self.k} folds it leaves a training complement of "
+                "fewer than 2 points"
             )
 
 
@@ -122,32 +142,26 @@ def sampled_kfold_trial(
     the holdout loss scores the subsample-fitted model on the rest of
     the dataset.
     """
-    fraction: float | None = None
-    if sample_size is None:
-        fraction = draw_partition_fraction(
-            fraction_stream or stream, *fraction_range
-        )
-        m = int(round(fraction * data.n))
-    else:
-        m = sample_size
-    if not k <= m <= data.n:
-        raise ValidationError(
-            f"need k <= m <= n, got m={m}, k={k}, n={data.n}"
-        )
-    view = srs_sample(data, m, stream)
-    sample = sample_values(data, view)
-    params = fit(sample)
-    rest = holdout_values(data, view)
-    holdout_mse = loss(params, rest) if len(rest) else None
-    plan = make_folds(m, k, folds_stream or stream)
-    fold_losses = kfold_losses(sample, plan)
+    passes = _run_passes(
+        data,
+        k,
+        1,
+        stream,
+        folds_stream=folds_stream,
+        fraction_stream=fraction_stream,
+        sample_size=sample_size,
+        fraction_range=fraction_range,
+        holdout=True,
+    )
+    holdout_mse = float(passes.holdout_mse[0])
+    fraction = float(passes.fractions[0])
     return SampledTrial(
-        fraction=fraction,
-        m=m,
-        sample_mean=params.fitted_mean,
-        sample_var=params.fitted_var,
-        holdout_mse=holdout_mse,
-        fold_losses=fold_losses,
+        fraction=None if sample_size is not None else fraction,
+        m=int(passes.m[0]),
+        sample_mean=float(passes.sample_mean[0]),
+        sample_var=float(passes.sample_var[0]),
+        holdout_mse=None if np.isnan(holdout_mse) else holdout_mse,
+        fold_losses=passes.fold_losses[0],
     )
 
 
@@ -213,35 +227,42 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
             "sample_size must leave a non-empty holdout, got "
             f"{config.sample_size} of n={data.n}"
         )
-    losses = np.empty(config.iterations, dtype=np.float64)
-    rows = []
-    for t in range(config.iterations):
-        trial = sampled_kfold_trial(
-            data,
-            config.k,
-            stream,
-            sample_size=config.sample_size,
-            fraction_range=config.fraction_range,
-        )
-        if trial.holdout_mse is None:
+    if config.sample_size is None:
+        smallest = int(round(config.fraction_range[0] * data.n))
+        if not _trainable(smallest, config.k):
             raise ValidationError(
-                "iteration subsample exhausted the dataset; shrink "
-                "fraction_range or sample_size"
+                f"n={data.n} is too small: the smallest subsample, "
+                f"round({config.fraction_range[0]}*{data.n}) = {smallest} "
+                f"points, cannot be split into k={config.k} folds that "
+                "each leave at least 2 training points"
             )
-        losses[t] = trial.mean_fold_loss
-        raw = trial_metrics(
-            trial.sample_mean,
-            trial.sample_var,
-            trial.holdout_mse,
-            data.true_mean,
-            data.true_var,
-            float(trial.fold_losses[0]),
+    passes = _run_passes(
+        data,
+        config.k,
+        config.iterations,
+        stream,
+        sample_size=config.sample_size,
+        fraction_range=config.fraction_range,
+        holdout=True,
+    )
+    if np.isnan(passes.holdout_mse).any():
+        raise ValidationError(
+            "iteration subsample exhausted the dataset; shrink "
+            "fraction_range or sample_size"
         )
-        rows.append(raw.scaled(config.alpha))
+    losses = passes.fold_losses.mean(axis=1)
+    table = config.alpha * metric_table(
+        passes.sample_mean,
+        passes.sample_var,
+        passes.holdout_mse,
+        data.true_mean,
+        data.true_var,
+        passes.fold_losses[:, 0],
+    )
     return FsvResult(
         compounded_measure=compound_measure(losses, config.alpha),
         iteration_losses=losses,
-        iteration_metrics=tuple(rows),
+        iteration_metrics=tuple(TrialMetrics(*r) for r in table.tolist()),
         alpha=config.alpha,
         k=config.k,
     )

@@ -25,7 +25,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from .data import generate_dataset
 from .errors import ValidationError
 from .fsv import compound_measure, sampled_kfold_trial
-from .kfold import LambdaWeights, repeated_kfcv
+from .kfold import LambdaWeights, _trainable, repeated_kfcv
 from .metrics import (
     METRIC_FIELDS,
     Aggregate,
@@ -142,16 +142,12 @@ class ExperimentConfig:
             )
         for n in self.sizes:
             smallest = int(round(low * n))
-            if smallest < self.k:
+            if not _trainable(smallest, self.k):
                 raise ValidationError(
-                    f"size {n} is too small: the smallest subsample "
-                    f"round({low}*{n}) holds fewer than k={self.k} points"
-                )
-            if smallest - math.ceil(smallest / self.k) < 2:
-                raise ValidationError(
-                    f"size {n} is too small: with k={self.k} folds the "
-                    f"smallest subsample of {smallest} points leaves a "
-                    "training complement of fewer than 2 points"
+                    f"size {n} is too small: the smallest subsample, "
+                    f"round({low}*{n}) = {smallest} points, cannot be "
+                    f"split into k={self.k} folds that each leave at "
+                    "least 2 training points"
                 )
             if int(round(high * n)) >= n:
                 raise ValidationError(
@@ -180,6 +176,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Inverse of :meth:`to_dict`; rejects keys it does not know and
+        keys it needs but does not find, naming them."""
+        known = {f.name for f in fields(cls) if f.init}
+        unknown = sorted(map(str, set(d) - known))
+        if unknown:
+            raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+        missing = sorted(known - set(d) - {"lambdas"})
+        if missing:
+            raise ValidationError(f"missing config keys: {', '.join(missing)}")
         return cls(
             sizes=tuple(d["sizes"]),
             trials=tuple(d["trials"]),
@@ -383,7 +388,10 @@ def run_experiment(
             n, t, outcome = _run_trial_task(task)
             buckets[(n, t)].append(outcome)
     else:
-        chunk = max(1, len(tasks) // (jobs * 8))
+        # A trial's cost grows with n: the largest first, in small
+        # chunks, so the pool does not end on a few long chunks.
+        tasks.sort(key=lambda task: task[1], reverse=True)
+        chunk = max(1, len(tasks) // (jobs * 32))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for n, t, outcome in pool.map(
                 _run_trial_task, tasks, chunksize=chunk
@@ -525,7 +533,17 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def report_from_dict(d: dict) -> ExperimentReport:
+    """Rebuild a report from :func:`report_to_dict` output.
+
+    The stored ``config_hash`` must be the hash of the stored config,
+    so a report whose config was edited after the run is rejected.
+    """
     config = ExperimentConfig.from_dict(d["config"])
+    if config.config_hash() != d["config_hash"]:
+        raise ValidationError(
+            f"config_hash {d['config_hash']!r} does not match the stored "
+            f"config, whose hash is {config.config_hash()!r}"
+        )
     cells = []
     for cd in d["cells"]:
         trials = {

@@ -6,27 +6,54 @@ variant scales fold i by lambda_i / k, and keeping the weights summing
 to k preserves unbiasedness while letting the weights shift variance
 between folds.
 
-All k fold statistics come from one vectorised pass (:func:`_fold_stats`)
-rather than k fits on concatenated training complements. The sample is
-first shifted by a pilot value, its first element, so that sums stay of
-the order of the spread rather than of the mean: with mu = 1e9 and
-sigma = 1e-3 an unshifted sum would lose the spread to rounding. Per
-fold it takes the count n_i, the sum and the centred sum of squares
-M2_i. The pairwise update of Chan, Golub and LeVeque (1979) combines
-two groups a and b as
+One kernel serves every subsample-and-cross-validate pass: a single
+pass through :func:`kfold_losses`, the P = 1 pass of
+``fsv.sampled_kfold_trial``, the R repetitions of :func:`repeated_kfcv`
+and the T iterations of ``fsv.fsv_run``. It works in two steps.
+
+*Draw step, once per pass, O(m).* Draw the partition fraction, the
+subsample (``sampling.srs_sample``) and the fold permutation
+(:func:`make_folds`) through the public functions, on the caller's
+streams and in that order, so the seeded draws are exactly those of a
+loop over the public API. Gather the subsample in fold order, shift it
+by a pilot value, the dataset's first element, and reduce each fold to
+its count n_i, sum and centred sum of squares M2_i with
+``np.add.reduceat``. The shift keeps sums of the order of the spread
+rather than of the mean: with mu = 1e9 and sigma = 1e-3 an unshifted
+sum would lose the spread to rounding. Fold sizes follow from
+``divmod(m, k)``, as :func:`make_folds` lays them out. Each pass fills
+one row of ``(passes x k)`` arrays.
+
+*Statistics step, once per call.* Everything else is algebra on those
+arrays, over all passes at once. The pairwise update of Chan, Golub and
+LeVeque (1979) combines two groups a and b as
 
     M2_ab = M2_a + M2_b + (n_a n_b / (n_a + n_b)) (mean_a - mean_b)^2,
 
-so the whole sample's M2 follows from the folds' statistics, and each
-training complement's M2 follows by running the update in reverse:
-subtract the fold's own M2 and the cross term between the fold and its
-complement from the total. The loss of fold i around the complement's
-mean is then M2_i / n_i + (mean_i - mean_complement)^2.
+so each subsample's mean and M2, its ddof=1 variance, follow from its
+folds, and each training complement's M2 follows by running the update
+in reverse: subtract the fold's own M2 and the cross term between the
+fold and its complement from the subsample's. The loss of fold i around
+the complement's mean is then M2_i / n_i + (mean_i - mean_complement)^2.
+The holdout, the dataset's points outside the subsample, is handled the
+same way one level up: its count, mean and M2 are the dataset's totals
+(computed once per call, with the same pilot) minus the subsample's, by
+the update in reverse, and its squared error around the subsample mean
+is M2_h / n_h + (mean_h - mean)^2. No pass gathers its holdout. That
+subtraction is exact algebra but rounds to ulps of the dataset's M2, so
+a holdout of a handful of points keeps fewer digits than a direct sum.
+
+The kernels use ufunc reductions only, never ``@`` or ``np.dot``: with a
+threaded BLAS a dot product of a few thousand elements is spread over
+every core, which costs CPU time on a process that runs alone and
+contends with the other workers of a pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +76,44 @@ __all__ = [
 _SUM_TOL = 1e-9
 
 
+def _fold_sizes(total: int, k: int) -> list[int]:
+    """Sizes of k near-equal folds of ``total`` points; earlier folds
+    take the remainder, as ``np.array_split`` lays them out."""
+    base, extra = divmod(total, k)
+    return [base + 1] * extra + [base] * (k - extra)
+
+
+def _check_sizes(sizes: list[int], k: int) -> None:
+    """k folds, none empty, sizes differing by at most one."""
+    if len(sizes) != k:
+        raise ValidationError(f"expected {k} folds, got {len(sizes)}")
+    if min(sizes) < 1:
+        raise ValidationError("every fold must be non-empty")
+    if max(sizes) - min(sizes) > 1:
+        raise ValidationError(
+            f"fold sizes may differ by at most 1, got {sizes}"
+        )
+
+
+def _check_order(order: np.ndarray) -> None:
+    """The folds laid out one after another in ``order`` are together
+    exactly a permutation of range(len(order)). O(m)."""
+    if not np.issubdtype(order.dtype, np.integer):
+        raise ValidationError(
+            f"fold indices must be integers, got dtype {order.dtype}"
+        )
+    total = len(order)
+    if order.min() != 0 or order.max() != total - 1:
+        raise ValidationError("folds must exactly cover range(total)")
+    # total indices, all in range(total): one left unmarked means
+    # another repeats. Marking booleans is cheaper than np.bincount,
+    # whose int64 counts take eight times the memory.
+    seen = np.zeros(total, dtype=bool)
+    seen[order] = True
+    if not seen.all():
+        raise ValidationError("folds must be disjoint")
+
+
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
     """A partition of range(total) into k disjoint folds."""
@@ -61,38 +126,43 @@ class FoldPlan:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValidationError(f"k must be >= 2, got {self.k}")
-        if len(self.folds) != self.k:
-            raise ValidationError(
-                f"expected {self.k} folds, got {len(self.folds)}"
-            )
-        sizes = [len(f) for f in self.folds]
-        if min(sizes) < 1:
-            raise ValidationError("every fold must be non-empty")
-        if max(sizes) - min(sizes) > 1:
-            raise ValidationError(
-                f"fold sizes may differ by at most 1, got {sizes}"
-            )
+        _check_sizes([len(f) for f in self.folds], self.k)
         merged = np.concatenate(self.folds)
-        if not np.issubdtype(merged.dtype, np.integer):
-            raise ValidationError(
-                f"fold indices must be integers, got dtype {merged.dtype}"
-            )
-        total = len(merged)
-        if merged.min() != 0 or merged.max() != total - 1:
-            raise ValidationError(
-                "folds must exactly cover range(total)"
-            )
-        # total indices, all in range(total): one left unmarked means
-        # another repeats. Marking booleans is cheaper than np.bincount,
-        # whose int64 counts take eight times the memory.
-        seen = np.zeros(total, dtype=bool)
-        seen[merged] = True
-        if not seen.all():
-            raise ValidationError("folds must be disjoint")
+        _check_order(merged)
         for f in self.folds:
             f.setflags(write=False)
         merged.setflags(write=False)
         object.__setattr__(self, "_order", merged)
+
+    @classmethod
+    def from_permutation(cls, order: np.ndarray, k: int) -> "FoldPlan":
+        """Split a permutation of range(len(order)) into k near-equal
+        folds, earlier folds taking the remainder.
+
+        Runs the same checks as the constructor; the folds are views of
+        ``order``, which becomes read-only.
+        """
+        if k < 2:
+            raise ValidationError(f"k must be >= 2, got {k}")
+        order = np.asarray(order)
+        if order.ndim != 1:
+            raise ValidationError(
+                f"order must be a vector, got shape {order.shape}"
+            )
+        sizes = _fold_sizes(len(order), k)
+        _check_sizes(sizes, k)
+        _check_order(order)
+        order.setflags(write=False)
+        ends = list(accumulate(sizes))
+        plan = object.__new__(cls)
+        object.__setattr__(
+            plan,
+            "folds",
+            tuple(order[e - s:e] for s, e in zip(sizes, ends)),
+        )
+        object.__setattr__(plan, "k", k)
+        object.__setattr__(plan, "_order", order)
+        return plan
 
     @property
     def total(self) -> int:
@@ -119,8 +189,149 @@ def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
             f"need sample_size >= k, got sample_size={sample_size}, k={k}"
         )
     perm = stream.generator.permutation(sample_size)
-    parts = np.array_split(perm, k)
-    return FoldPlan(folds=tuple(parts), k=k)
+    return FoldPlan.from_permutation(perm, k)
+
+
+def _trainable(m: int, k: int) -> bool:
+    """Whether m points split into k folds each leaving at least 2
+    training points: the largest fold holds ceil(m / k)."""
+    return m >= k and m - -(-m // k) >= 2
+
+
+def _fold_moments(
+    y: np.ndarray, sizes: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-fold sum and centred sum of squares of ``y``, whose folds lie
+    one after another with the given sizes. Overwrites nothing in ``y``."""
+    starts = [0, *accumulate(sizes[:-1])]
+    fold_sum = np.add.reduceat(y, starts)
+    # in-place steps: each fresh array of m floats costs page faults
+    dev = np.repeat(fold_sum / sizes, sizes)
+    np.subtract(y, dev, out=dev)
+    dev *= dev
+    return fold_sum, np.add.reduceat(dev, starts)
+
+
+class _Passes(NamedTuple):
+    """Statistics of P passes, one row per pass; see the module docstring.
+
+    Means are in data units (pilot added back). ``holdout_mse`` is NaN
+    where the subsample is the whole dataset, and None when not asked for.
+    """
+
+    m: np.ndarray  # (P,) subsample sizes
+    fold_losses: np.ndarray  # (P, k)
+    train_means: np.ndarray  # (P, k)
+    train_vars: np.ndarray  # (P, k), ddof=1
+    sample_mean: np.ndarray  # (P,)
+    sample_var: np.ndarray  # (P,), ddof=1
+    holdout_mse: np.ndarray | None  # (P,)
+    fractions: np.ndarray | None = None  # (P,), NaN where m was pinned
+
+
+def _combine(
+    counts: np.ndarray,
+    sums: np.ndarray,
+    m2s: np.ndarray,
+    pilot: float,
+    data: Dataset | None = None,
+) -> _Passes:
+    """The statistics step: Chan-Golub-LeVeque algebra on the
+    ``(passes x k)`` fold counts, shifted sums and M2s. With ``data``,
+    also the holdout's squared error from the dataset's totals."""
+    total = counts.sum(axis=1)
+    train = total[:, None] - counts
+    if train.min() < 2:
+        p, i = np.unravel_index(train.argmin(), train.shape)
+        raise ValidationError(
+            f"training complement of fold {i} has {int(train[p, i])} "
+            "points, need at least 2"
+        )
+    total_sum = sums.sum(axis=1)
+    mean = total_sum / total
+    fold_mean = sums / counts
+    spread = fold_mean - mean[:, None]
+    total_m2 = m2s.sum(axis=1) + (counts * spread * spread).sum(axis=1)
+    train_mean = (total_sum[:, None] - sums) / train
+    gap = fold_mean - train_mean
+    cross = counts * train / total[:, None] * gap * gap
+    train_m2 = total_m2[:, None] - m2s - cross
+    holdout = None
+    if data is not None:
+        n = data.n
+        y = data.values - pilot
+        data_sum = y.sum()
+        y -= data_sum / n
+        y *= y
+        data_m2 = y.sum()
+        rest = n - total
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rest_mean = (data_sum - total_sum) / rest
+            rest_gap = rest_mean - mean
+            rest_cross = total * rest / n * rest_gap * rest_gap
+            rest_m2 = data_m2 - total_m2 - rest_cross
+            holdout = np.maximum(rest_m2, 0.0) / rest + rest_gap * rest_gap
+        holdout[rest == 0] = np.nan
+    return _Passes(
+        m=total.astype(np.int64),
+        fold_losses=m2s / counts + gap * gap,
+        train_means=train_mean + pilot,
+        train_vars=np.maximum(train_m2, 0.0) / (train - 1),
+        sample_mean=mean + pilot,
+        sample_var=total_m2 / (total - 1),
+        holdout_mse=holdout,
+    )
+
+
+def _run_passes(
+    data: Dataset,
+    k: int,
+    passes: int,
+    stream: RngStream,
+    *,
+    folds_stream: RngStream | None = None,
+    fraction_stream: RngStream | None = None,
+    sample_size: int | None = None,
+    fraction_range: tuple[float, float] = FRACTION_RANGE,
+    holdout: bool = False,
+) -> _Passes:
+    """Draw and validate ``passes`` subsamples of ``data``; see the
+    module docstring.
+
+    Each pass draws its fraction from ``fraction_stream`` (unless
+    ``sample_size`` pins m), its subsample from ``stream`` and its fold
+    permutation from ``folds_stream``; the two optional streams fall
+    back to ``stream``. With ``holdout`` the result carries each
+    subsample's squared error on the rest of the dataset.
+    """
+    values = data.values
+    pilot = values[0]
+    fractions = np.full(passes, np.nan)
+    counts = np.empty((passes, k))
+    sums = np.empty((passes, k))
+    m2s = np.empty((passes, k))
+    for p in range(passes):
+        if sample_size is None:
+            f = draw_partition_fraction(
+                fraction_stream or stream, *fraction_range
+            )
+            fractions[p] = f
+            m = int(round(f * data.n))
+        else:
+            m = sample_size
+        if not k <= m <= data.n:
+            raise ValidationError(
+                f"need k <= m <= n, got m={m}, k={k}, n={data.n}"
+            )
+        view = srs_sample(data, m, stream)
+        plan = make_folds(m, k, folds_stream or stream)
+        y = values[view.indices[plan._order]]
+        y -= pilot
+        sizes = _fold_sizes(m, k)
+        counts[p] = sizes
+        sums[p], m2s[p] = _fold_moments(y, sizes)
+    stats = _combine(counts, sums, m2s, pilot, data if holdout else None)
+    return stats._replace(fractions=fractions)
 
 
 def _fold_stats(
@@ -130,40 +341,21 @@ def _fold_stats(
 
     Fold i's model is fit on its training complement and scored on the
     fold, as ``loss(fit(sample[plan.complement(i)]), sample[fold])``
-    would, but from sufficient statistics in one pass (see the module
-    docstring). ``sample`` must be a float64 vector of length
-    ``plan.total``.
+    would, by the kernel's statistics step on a single pass.
+    ``sample`` must be a float64 vector of length ``plan.total``.
     """
-    sizes = np.array([len(f) for f in plan.folds])
-    total = plan.total
-    train_sizes = total - sizes
-    if train_sizes.min() < 2:
-        i = int(train_sizes.argmin())
-        raise ValidationError(
-            f"training complement of fold {i} has {train_sizes[i]} "
-            "points, need at least 2"
-        )
-    # in-place steps: each fresh array of m floats costs page faults
     y = sample[plan._order]
     pilot = y[0]
     y -= pilot
-    starts = np.cumsum(sizes) - sizes
-    fold_sum = np.add.reduceat(y, starts)
-    fold_mean = fold_sum / sizes
-    dev = np.repeat(fold_mean, sizes)
-    np.subtract(y, dev, out=dev)
-    dev *= dev
-    fold_m2 = np.add.reduceat(dev, starts)
-    total_sum = fold_sum.sum()
-    spread = fold_mean - total_sum / total
-    total_m2 = fold_m2.sum() + (sizes * spread * spread).sum()
-    train_mean = (total_sum - fold_sum) / train_sizes
-    gap = fold_mean - train_mean
-    cross = sizes * train_sizes / total * gap * gap
-    train_m2 = total_m2 - fold_m2 - cross
-    losses = fold_m2 / sizes + gap * gap
-    train_var = np.maximum(train_m2, 0.0) / (train_sizes - 1)
-    return losses, train_mean + pilot, train_var
+    sizes = [len(f) for f in plan.folds]
+    fold_sum, fold_m2 = _fold_moments(y, sizes)
+    stats = _combine(
+        np.array([sizes], dtype=np.float64),
+        fold_sum[None, :],
+        fold_m2[None, :],
+        pilot,
+    )
+    return stats.fold_losses[0], stats.train_means[0], stats.train_vars[0]
 
 
 def kfold_losses(sample: np.ndarray, plan: FoldPlan) -> np.ndarray:
@@ -267,7 +459,8 @@ def repeated_kfcv(
     Each repetition draws a fresh partition fraction f, subsamples
     round(f*n) points, builds a fold plan, and records the weighted
     k-fold loss plus the per-fold training-complement mean and variance.
-    The returned estimates average over all repetitions and folds.
+    The returned estimates average over all repetitions and folds; the
+    repetitions run as one batch of the pass kernel.
     """
     if repetitions < 1:
         raise ValidationError(
@@ -277,24 +470,14 @@ def repeated_kfcv(
         raise ValidationError(
             f"weights have k={weights.k}, expected {k}"
         )
-    mean_acc = 0.0
-    var_acc = 0.0
-    loss_acc = 0.0
-    for _ in range(repetitions):
-        f = draw_partition_fraction(stream, *fraction_range)
-        m = int(round(f * data.n))
-        view = srs_sample(data, m, stream)
-        sample = data.values[view.indices]
-        plan = make_folds(m, k, stream)
-        fold_losses, train_means, train_vars = _fold_stats(sample, plan)
-        mean_acc += float(train_means.sum())
-        var_acc += float(train_vars.sum())
-        loss_acc += weighted_kfold_loss(fold_losses, weights)
-    scale = repetitions * k
+    passes = _run_passes(
+        data, k, repetitions, stream, fraction_range=fraction_range
+    )
+    # the mean over repetitions of weighted_kfold_loss, in one reduce
     return KfcvEstimate(
-        mean_estimate=mean_acc / scale,
-        var_estimate=var_acc / scale,
-        loss=loss_acc / repetitions,
+        mean_estimate=float(passes.train_means.mean()),
+        var_estimate=float(passes.train_vars.mean()),
+        loss=float((weights.lambdas * passes.fold_losses).mean()),
         repetitions=repetitions,
         k=k,
     )

@@ -29,6 +29,7 @@ __all__ = [
     "Aggregate",
     "MethodSummary",
     "trial_metrics",
+    "metric_table",
     "summarize",
 ]
 
@@ -89,6 +90,37 @@ class MethodSummary:
                 )
 
 
+def metric_table(
+    mean_est,
+    var_est,
+    mse,
+    true_mean: float,
+    true_var: float,
+    fold_loss_for_bias,
+) -> np.ndarray:
+    """Metric rows of many trials at once, against ground truth.
+
+    The per-trial inputs are scalars or equal-length vectors; the result
+    has one row per trial and one column per name in ``METRIC_FIELDS``.
+    """
+    if not true_var > 0:
+        raise ValidationError(f"true_var must be > 0, got {true_var}")
+    mean_est, var_est, mse, fold_loss = (
+        np.atleast_1d(np.asarray(a, dtype=np.float64))
+        for a in (mean_est, var_est, mse, fold_loss_for_bias)
+    )
+    return np.column_stack(
+        (
+            mean_est,
+            var_est,
+            mse,
+            np.abs(fold_loss - true_var),
+            np.abs(mean_est - true_mean),
+            np.abs(var_est - true_var),
+        )
+    )
+
+
 def trial_metrics(
     mean_est: float,
     var_est: float,
@@ -98,16 +130,10 @@ def trial_metrics(
     fold_loss_for_bias: float,
 ) -> TrialMetrics:
     """Assemble one trial's metric row against ground truth."""
-    if not true_var > 0:
-        raise ValidationError(f"true_var must be > 0, got {true_var}")
-    return TrialMetrics(
-        mean_est=float(mean_est),
-        var_est=float(var_est),
-        mse=float(mse),
-        bias=abs(float(fold_loss_for_bias) - true_var),
-        roc_me=abs(float(mean_est) - true_mean),
-        roc_ve=abs(float(var_est) - true_var),
+    row = metric_table(
+        mean_est, var_est, mse, true_mean, true_var, fold_loss_for_bias
     )
+    return TrialMetrics(*row[0].tolist())
 
 
 def summarize(

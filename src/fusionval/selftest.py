@@ -14,12 +14,25 @@ from itertools import combinations
 import numpy as np
 from scipy import stats as sps
 
-from .fsv import compound_measure
+from .estimator import fit, loss
+from .fsv import FsvConfig, compound_measure, fsv_run
 from .harness import ExperimentConfig, emit_markdown_table, report_to_dict, run_experiment
-from .kfold import LambdaWeights, empirical_kfold_loss, make_folds, weighted_kfold_loss
+from .kfold import (
+    LambdaWeights,
+    empirical_kfold_loss,
+    kfold_losses,
+    make_folds,
+    weighted_kfold_loss,
+)
 from .metrics import METRIC_FIELDS
 from .rng import RngStream, derive_stream
-from .sampling import inclusion_moments, srs_sample
+from .sampling import (
+    draw_partition_fraction,
+    holdout_values,
+    inclusion_moments,
+    sample_values,
+    srs_sample,
+)
 from .data import generate_dataset
 from .theory import (
     chebyshev_tail,
@@ -103,6 +116,53 @@ def _check_compounding() -> str:
     return "mean, shrinkage, and homogeneity identities hold"
 
 
+def _check_pass_kernel() -> str:
+    # fsv_run scores its iterations as one batch; replay each one on its
+    # own through the public per-pass functions
+    data = generate_dataset(300, 1e9, 1.0, RngStream(7, 3))
+    config = FsvConfig(iterations=20, alpha=0.95, k=5)
+    stream, ref_stream = RngStream(7, 4), RngStream(7, 4)
+    result = fsv_run(data, config, stream)
+    # relative 1e-9 plus 64 ulps of the data; squared values also move by
+    # 2 sqrt(value) times that slack; the holdout, taken from the dataset's
+    # totals, by 64 ulps of the dataset's M2 over the holdout's size
+    slack = 64 * math.ulp(float(np.abs(data.values).max()))
+    dev = data.values - data.values.mean()
+    data_m2 = float((dev * dev).sum())
+    worst = 0.0
+    for t, row in enumerate(result.iteration_metrics):
+        f = draw_partition_fraction(ref_stream, *config.fraction_range)
+        m = int(round(f * data.n))
+        view = srs_sample(data, m, ref_stream)
+        sample = sample_values(data, view)
+        params = fit(sample)
+        holdout = loss(params, holdout_values(data, view))
+        plan = make_folds(m, config.k, ref_stream)
+        fold_loss = float(kfold_losses(sample, plan).mean())
+        for got, want, squared, extra in (
+            (result.iteration_losses[t], fold_loss, True, 0.0),
+            (row.mean_est, config.alpha * params.fitted_mean, False, 0.0),
+            (row.var_est, config.alpha * params.fitted_var, True, 0.0),
+            (row.mse, config.alpha * holdout, True,
+             64 * math.ulp(data_m2) / (data.n - m)),
+        ):
+            tol = 1e-9 * abs(want) + slack + extra
+            if squared:
+                tol += slack * (2 * math.sqrt(abs(want)) + slack)
+            assert abs(got - want) <= tol, (
+                f"iteration {t}: {got!r} != {want!r}"
+            )
+            worst = max(worst, abs(got - want) / tol)
+    state = stream.generator.bit_generator.state
+    assert state == ref_stream.generator.bit_generator.state, (
+        "the batch left its stream elsewhere than the per-pass replay"
+    )
+    return (
+        f"{result.iterations} iterations at mu=1e9 match the per-pass "
+        f"replay (worst {worst:.2g} of tolerance), streams in step"
+    )
+
+
 def _check_shared_stream_identity() -> str:
     config = ExperimentConfig(
         sizes=(400,), trials=(12,), repetitions=2, shared_streams=True
@@ -150,6 +210,7 @@ CHECKS = (
     ("inclusion moments and census correction", _check_inclusion_and_fpc),
     ("weighted fold loss identities", _check_weighted_loss),
     ("compounded measure identities", _check_compounding),
+    ("batched pass kernel vs per-pass replay", _check_pass_kernel),
     ("shared-stream scaling identity", _check_shared_stream_identity),
     ("concentration bound caps and 1/T law", _check_bounds),
     ("harness determinism", _check_harness_determinism),

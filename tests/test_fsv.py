@@ -48,6 +48,16 @@ class TestFsvConfig:
         with pytest.raises(ValidationError):
             FsvConfig(iterations=1, k=5, sample_size=4)
 
+    @pytest.mark.parametrize("k, sample_size", [(2, 2), (2, 3)])
+    def test_rejects_sample_size_that_cannot_train(self, k, sample_size):
+        # the largest fold holds ceil(m / k) points; the rest must be >= 2
+        with pytest.raises(ValidationError, match="training complement"):
+            FsvConfig(iterations=1, k=k, sample_size=sample_size)
+
+    def test_smallest_trainable_sample_size_accepted(self):
+        FsvConfig(iterations=1, k=2, sample_size=4)
+        FsvConfig(iterations=1, k=3, sample_size=3)
+
 
 class TestCompoundMeasure:
     def test_plain_mean_at_alpha_one(self):
@@ -175,6 +185,17 @@ class TestFsvRun:
                 FsvConfig(iterations=1, k=5, sample_size=100),
                 RngStream(11, 7),
             )
+
+    def test_rejects_drawn_size_that_cannot_train(self):
+        # n >= 2k passes, but round(0.6 * 4) = 2 points cannot train
+        # both folds of k = 2; the run stops before drawing anything
+        data = generate_dataset(4, 0.0, 1.0, derive_stream(11, 10, 0))
+        stream = RngStream(11, 11)
+        with pytest.raises(ValidationError, match="smallest subsample"):
+            fsv_run(data, FsvConfig(iterations=1, k=2), stream)
+        assert stream.generator.bit_generator.state == (
+            RngStream(11, 11).generator.bit_generator.state
+        )
 
     def test_rejects_empty_holdout_from_wide_fraction(self):
         data = generate_dataset(10, 0.0, 1.0, derive_stream(11, 8, 0))

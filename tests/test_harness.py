@@ -288,6 +288,32 @@ class TestJsonRoundTrip:
         assert loaded.config == small_report.config
         assert loaded.config_hash == small_report.config_hash
 
+    def test_tampered_hash_is_rejected(self, small_report):
+        d = report_to_dict(small_report)
+        d["config_hash"] = "0" * 16
+        with pytest.raises(ValidationError, match="config_hash"):
+            report_from_dict(d)
+
+    def test_edited_config_is_rejected(self, small_report):
+        d = report_to_dict(small_report)
+        d["config"]["alpha"] = 0.9
+        with pytest.raises(ValidationError, match="config_hash"):
+            report_from_dict(d)
+
+    def test_unknown_config_key_is_named(self, small_report):
+        d = report_to_dict(small_report)
+        d["config"]["folds"] = 5
+        with pytest.raises(ValidationError, match="unknown config keys"):
+            report_from_dict(d)
+        with pytest.raises(ValidationError, match="folds"):
+            ExperimentConfig.from_dict(d["config"])
+
+    def test_missing_config_key_is_named(self, small_report):
+        d = report_to_dict(small_report)
+        del d["config"]["k"]
+        with pytest.raises(ValidationError, match="missing config keys: k"):
+            report_from_dict(d)
+
     def test_json_keys_are_sorted(self, small_report, tmp_path):
         path = emit_json(small_report, tmp_path / "report.json")
         text = path.read_text()

@@ -109,6 +109,51 @@ class TestFoldPlanValidation:
         with pytest.raises(ValidationError, match=match):
             FoldPlan(folds=tuple(np.array(f) for f in folds), k=2)
 
+    @pytest.mark.parametrize(
+        "order, k, match",
+        [
+            ([0, 1, 1, 2], 2, "cover"),
+            ([0, 1, 3, 4], 2, "cover"),
+            ([0], 2, "non-empty"),
+            ([0, 3, 3, 1], 2, "disjoint"),
+            ([0.0, 1.0, 2.0, 3.0], 2, "integers"),
+            ([0, -1, 2, 3], 2, "cover"),
+            ([0, 1], 1, "k must be"),
+            ([[0, 1], [2, 3]], 2, "vector"),
+        ],
+        ids=[
+            "overlap",
+            "gap-in-cover",
+            "empty-fold",
+            "repeat-within-bounds",
+            "float-indices",
+            "negative-index",
+            "k-below-2",
+            "not-a-vector",
+        ],
+    )
+    def test_permutation_constructor_rejects_each_on_its_own(
+        self, order, k, match
+    ):
+        # the hand plans above, concatenated fold by fold
+        with pytest.raises(ValidationError, match=match):
+            FoldPlan.from_permutation(np.array(order), k)
+
+    def test_permutation_constructor_always_balances(self):
+        # the unbalanced hand plan's indices come out as sizes 2, 2, 1:
+        # balance is the one check a permutation cannot fail
+        plan = FoldPlan.from_permutation(np.arange(5), 3)
+        assert [f.tolist() for f in plan.folds] == [[0, 1], [2, 3], [4]]
+
+    @pytest.mark.parametrize("m, k", [(2, 2), (7, 3), (10, 5), (23, 10)])
+    def test_permutation_constructor_matches_array_split(self, m, k):
+        order = np.random.default_rng(m).permutation(m)
+        plan = FoldPlan.from_permutation(order, k)
+        for got, want in zip(plan.folds, np.array_split(order, k)):
+            np.testing.assert_array_equal(got, want)
+        assert not plan.folds[0].flags.writeable
+        assert plan.total == m
+
     def test_unsigned_indices_accepted(self):
         plan = FoldPlan(
             folds=(np.array([3, 1], np.uint32), np.array([0, 2], np.uint32)),
