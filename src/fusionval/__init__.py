@@ -43,7 +43,6 @@ from .kfold import (
 )
 from .metrics import (
     Method,
-    MethodSummary,
     TrialMetrics,
     summarize,
     trial_metrics,
@@ -116,7 +115,6 @@ __all__ = [
     "hoeffding_tail",
     "Method",
     "TrialMetrics",
-    "MethodSummary",
     "trial_metrics",
     "summarize",
     "ExperimentConfig",

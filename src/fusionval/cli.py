@@ -37,23 +37,6 @@ from .theory import (
 
 __all__ = ["main", "build_parser", "parse_config_file"]
 
-_CONFIG_KEYS = {
-    "seed": int,
-    "alpha": float,
-    "k": int,
-    "reps": int,
-    "sizes": "int_list",
-    "trials": "int_list",
-    "mu": float,
-    "sigma2": float,
-    "lambdas": "float_list",
-    "shared_streams": "bool",
-    "jobs": int,
-    "out": str,
-    "format": str,
-}
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(",") if p.strip())
@@ -72,8 +55,33 @@ def _float_list(text: str) -> tuple[float, ...]:
         ) from None
 
 
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "1", "0"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text.lower() in ("true", "1")
+
+
+# config file key -> parser of its value
+_CONFIG_KEYS = {
+    "seed": int,
+    "alpha": float,
+    "k": int,
+    "reps": int,
+    "sizes": _int_list,
+    "trials": _int_list,
+    "mu": float,
+    "sigma2": float,
+    "lambdas": _float_list,
+    "shared_streams": _bool,
+    "jobs": int,
+    "out": str,
+    "format": str,
+}
+
+
 def parse_config_file(path: str | Path) -> dict:
-    """Parse a key=value config file; # starts a comment."""
+    """Parse a key=value config file; # starts a comment. A malformed
+    line or value raises ValidationError located as ``path:line:``."""
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -88,19 +96,10 @@ def parse_config_file(path: str | Path) -> dict:
             raise ValidationError(
                 f"{path}:{lineno}: unknown key {key!r}"
             )
-        kind = _CONFIG_KEYS[key]
-        if kind == "int_list":
-            out[key] = _int_list(value)
-        elif kind == "float_list":
-            out[key] = _float_list(value)
-        elif kind == "bool":
-            if value.lower() not in ("true", "false", "1", "0"):
-                raise ValidationError(
-                    f"{path}:{lineno}: expected true/false, got {value!r}"
-                )
-            out[key] = value.lower() in ("true", "1")
-        else:
-            out[key] = kind(value)
+        try:
+            out[key] = _CONFIG_KEYS[key](value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 

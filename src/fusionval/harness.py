@@ -22,8 +22,10 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -34,15 +36,7 @@ from .data import generate_dataset
 from .errors import ValidationError
 from .fsv import compound_measure, sampled_kfold_trial
 from .kfold import LambdaWeights, _trainable, repeated_kfcv
-from .metrics import (
-    METRIC_FIELDS,
-    Aggregate,
-    Method,
-    MethodSummary,
-    TrialMetrics,
-    summarize,
-    trial_metrics,
-)
+from .metrics import METRIC_FIELDS, Aggregate, Method, metric_table, summarize
 from .rng import Purpose, derive_stream
 from .sampling import FRACTION_RANGE
 
@@ -76,6 +70,24 @@ _METRIC_LABELS = {
 _METHOD_LABELS = {Method.SRS: "SRS", Method.KFCV: "KF", Method.FSV: "FSV"}
 
 
+def _number(name: str, value, integral: bool = False):
+    """``value``, as an int if ``integral``, or a ValidationError naming
+    the field. A float with a fractional part is rejected, not truncated."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if not integral:
+            return value
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    kind = "an integer" if integral else "a real number"
+    raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+def _numbers(name: str, values, integral: bool = False) -> tuple:
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ValidationError(f"{name} must be a sequence, got {values!r}")
+    return tuple(_number(f"{name} entry", v, integral) for v in values)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full study configuration; the defaults are the reference protocol."""
@@ -94,11 +106,30 @@ class ExperimentConfig:
     _weights: LambdaWeights = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "trials", tuple(int(t) for t in self.trials))
+        def normalise(name, value):
+            object.__setattr__(self, name, value)
+
+        for name in ("sizes", "trials"):
+            normalise(name, _numbers(name, getattr(self, name), True))
+        for name in ("k", "repetitions", "seed"):
+            normalise(name, _number(name, getattr(self, name), True))
+        for name in ("mu", "sigma2", "alpha"):
+            _number(name, getattr(self, name))
         if self.lambdas is not None:
-            object.__setattr__(
-                self, "lambdas", tuple(float(x) for x in self.lambdas)
+            normalise(
+                "lambdas", tuple(map(float, _numbers("lambdas", self.lambdas)))
+            )
+        normalise(
+            "fraction_range", _numbers("fraction_range", self.fraction_range)
+        )
+        if len(self.fraction_range) != 2:
+            raise ValidationError(
+                "fraction_range must be a pair (low, high), "
+                f"got {self.fraction_range}"
+            )
+        if not isinstance(self.shared_streams, bool):
+            raise ValidationError(
+                f"shared_streams must be a bool, got {self.shared_streams!r}"
             )
         if not self.sizes:
             raise ValidationError("sizes must be non-empty")
@@ -185,19 +216,7 @@ class ExperimentConfig:
         missing = sorted(known - set(d) - {"lambdas"})
         if missing:
             raise ValidationError(f"missing config keys: {', '.join(missing)}")
-        return cls(
-            sizes=tuple(d["sizes"]),
-            trials=tuple(d["trials"]),
-            k=d["k"],
-            repetitions=d["repetitions"],
-            alpha=d["alpha"],
-            lambdas=tuple(d["lambdas"]) if d.get("lambdas") else None,
-            seed=d["seed"],
-            fraction_range=tuple(d["fraction_range"]),
-            mu=d["mu"],
-            sigma2=d["sigma2"],
-            shared_streams=d["shared_streams"],
-        )
+        return cls(**{**d, "lambdas": d.get("lambdas") or None})
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True)
@@ -215,18 +234,11 @@ def _trial_key(n: int, t_total: int, trial: int) -> int:
     return int.from_bytes(digest[:6], "big")
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    trial: int
-    srs: TrialMetrics
-    kfcv: TrialMetrics
-    fsv: TrialMetrics
-    fsv_raw_loss: float
-
-
 def _run_trial(
     config: ExperimentConfig, n: int, t_total: int, trial: int
-) -> TrialOutcome:
+) -> tuple[np.ndarray, float]:
+    """One trial's ``(3 x 6)`` metric table, rows in ``_METHOD_ORDER``
+    and the FSV row alpha-scaled, and the FSV pass's raw mean fold loss."""
     key = _trial_key(n, t_total, trial)
 
     def stream(purpose: Purpose):
@@ -241,16 +253,6 @@ def _run_trial(
         fraction_stream=stream(Purpose.FRACTION),
         fraction_range=config.fraction_range,
     )
-    bias_fold_loss = float(primary.fold_losses[0])
-    srs_row = trial_metrics(
-        primary.sample_mean,
-        primary.sample_var,
-        primary.holdout_mse,
-        config.mu,
-        config.sigma2,
-        bias_fold_loss,
-    )
-
     kf = repeated_kfcv(
         dataset,
         config.k,
@@ -259,18 +261,8 @@ def _run_trial(
         stream(Purpose.KFCV_DRAWS),
         fraction_range=config.fraction_range,
     )
-    kf_row = trial_metrics(
-        kf.mean_estimate,
-        kf.var_estimate,
-        kf.loss,
-        config.mu,
-        config.sigma2,
-        bias_fold_loss,
-    )
-
     if config.shared_streams:
         fsv_trial = primary
-        fsv_raw = srs_row
     else:
         fsv_dataset = generate_dataset(
             n, config.mu, config.sigma2, stream(Purpose.FSV_DATA)
@@ -283,43 +275,68 @@ def _run_trial(
             fraction_stream=stream(Purpose.FSV_FRACTION),
             fraction_range=config.fraction_range,
         )
-        fsv_raw = trial_metrics(
-            fsv_trial.sample_mean,
-            fsv_trial.sample_var,
-            fsv_trial.holdout_mse,
-            config.mu,
-            config.sigma2,
-            float(fsv_trial.fold_losses[0]),
-        )
-    return TrialOutcome(
-        trial=trial,
-        srs=srs_row,
-        kfcv=kf_row,
-        fsv=fsv_raw.scaled(config.alpha),
-        fsv_raw_loss=fsv_trial.mean_fold_loss,
+    # SRS and KFCV both take their bias from the primary pass's first fold
+    table = metric_table(
+        (primary.sample_mean, kf.mean_estimate, fsv_trial.sample_mean),
+        (primary.sample_var, kf.var_estimate, fsv_trial.sample_var),
+        (primary.holdout_mse, kf.loss, fsv_trial.holdout_mse),
+        config.mu,
+        config.sigma2,
+        (
+            primary.fold_losses[0],
+            primary.fold_losses[0],
+            fsv_trial.fold_losses[0],
+        ),
     )
+    table[2] *= config.alpha
+    return table, fsv_trial.mean_fold_loss
 
 
-def _run_trial_task(args: tuple) -> tuple[int, int, TrialOutcome]:
+def _run_trial_task(args: tuple) -> tuple[np.ndarray, float]:
     config, n, t_total, trial = args
     try:
-        return n, t_total, _run_trial(config, n, t_total, trial)
+        return _run_trial(config, n, t_total, trial)
     except Exception as exc:
         raise RuntimeError(
             f"cell (n={n}, t={t_total}) trial {trial}: {exc}"
         ) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellResult:
-    """All trials and summaries of one (n, t) grid cell."""
+    """All trials of one (n, t) grid cell and what is derived from them.
+
+    ``trials[method]`` is a ``(t x 6)`` float64 table, columns in
+    ``METRIC_FIELDS`` order; ``summaries[method][metric]`` is its
+    column's :class:`Aggregate`. ``fsv_iteration_losses`` holds the FSV
+    passes' raw mean fold losses, which compound into ``fsv_compounded``.
+    """
 
     n: int
     t: int
-    trials: dict[str, list[TrialMetrics]]
-    summaries: dict[str, MethodSummary]
+    trials: dict[str, np.ndarray]
+    summaries: dict[str, dict[str, Aggregate]]
     fsv_compounded: float
-    fsv_iteration_losses: list[float]
+    fsv_iteration_losses: np.ndarray
+
+    @classmethod
+    def from_trials(
+        cls,
+        n: int,
+        t: int,
+        trials: dict[str, np.ndarray],
+        fsv_iteration_losses: np.ndarray,
+        alpha: float,
+    ) -> "CellResult":
+        """The cell whose summaries and L* are computed from its trials."""
+        return cls(
+            n=n,
+            t=t,
+            trials=trials,
+            summaries={m: summarize(table) for m, table in trials.items()},
+            fsv_compounded=compound_measure(fsv_iteration_losses, alpha),
+            fsv_iteration_losses=fsv_iteration_losses,
+        )
 
 
 @dataclass(frozen=True)
@@ -338,26 +355,16 @@ class ExperimentReport:
 
 
 def _assemble_cell(
-    config: ExperimentConfig, n: int, t: int, outcomes: list[TrialOutcome]
+    config: ExperimentConfig, n: int, t: int, outcomes: list[tuple]
 ) -> CellResult:
-    outcomes = sorted(outcomes, key=lambda o: o.trial)
-    per_method = {
-        Method.SRS.value: [o.srs for o in outcomes],
-        Method.KFCV.value: [o.kfcv for o in outcomes],
-        Method.FSV.value: [o.fsv for o in outcomes],
-    }
-    raw_losses = [o.fsv_raw_loss for o in outcomes]
-    summaries = {
-        m.value: summarize(per_method[m.value], m, n, t)
-        for m in _METHOD_ORDER
-    }
-    return CellResult(
-        n=n,
-        t=t,
-        trials=per_method,
-        summaries=summaries,
-        fsv_compounded=compound_measure(np.array(raw_losses), config.alpha),
-        fsv_iteration_losses=raw_losses,
+    """The cell of ``outcomes``, given in trial order."""
+    block = np.stack([table for table, _ in outcomes])
+    return CellResult.from_trials(
+        n,
+        t,
+        {m.value: block[:, i] for i, m in enumerate(_METHOD_ORDER)},
+        np.array([raw_loss for _, raw_loss in outcomes]),
+        config.alpha,
     )
 
 
@@ -380,23 +387,20 @@ def run_experiment(
         for t in config.trials
         for trial in range(t)
     ]
-    buckets: dict[tuple[int, int], list[TrialOutcome]] = {
-        (n, t): [] for n in config.sizes for t in config.trials
-    }
     if jobs == 1:
-        for task in tasks:
-            n, t, outcome = _run_trial_task(task)
-            buckets[(n, t)].append(outcome)
+        outcomes = list(map(_run_trial_task, tasks))
     else:
         # A trial's cost grows with n: the largest first, in small
         # chunks, so the pool does not end on a few long chunks.
         tasks.sort(key=lambda task: task[1], reverse=True)
         chunk = max(1, len(tasks) // (jobs * 32))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for n, t, outcome in pool.map(
-                _run_trial_task, tasks, chunksize=chunk
-            ):
-                buckets[(n, t)].append(outcome)
+            outcomes = list(pool.map(_run_trial_task, tasks, chunksize=chunk))
+    buckets: dict[tuple[int, int], list] = {
+        (n, t): [None] * t for n in config.sizes for t in config.trials
+    }
+    for (_, n, t, trial), outcome in zip(tasks, outcomes):
+        buckets[(n, t)][trial] = outcome
     cells = []
     for n in config.sizes:
         for t in config.trials:
@@ -419,7 +423,7 @@ def emit_markdown_table(report: ExperimentReport, n: int) -> str:
     if not cells:
         raise ValidationError(f"no cells for n={n} in report")
     for c in cells:
-        if not c.trials[Method.SRS.value]:
+        if not len(c.trials[Method.SRS.value]):
             raise ValidationError(f"cell (n={n}, t={c.t}) has no trials")
     cells = sorted(cells, key=lambda c: c.t)
     header = ["Statistical Metrics"]
@@ -437,7 +441,7 @@ def emit_markdown_table(report: ExperimentReport, n: int) -> str:
         for method in _METHOD_ORDER:
             row = [f"{_METRIC_LABELS[metric]} {_METHOD_LABELS[method]}"]
             for c in cells:
-                agg = c.summaries[method.value].stats[metric]
+                agg = c.summaries[method.value][metric]
                 row += [
                     f"{agg.mean:.4f}",
                     f"{agg.min:.4f}",
@@ -453,14 +457,12 @@ def emit_markdown_table(report: ExperimentReport, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trial_rows(report: ExperimentReport):
-    for c in report.cells:
-        for method in _METHOD_ORDER:
-            for i, row in enumerate(c.trials[method.value]):
-                for metric in METRIC_FIELDS:
-                    yield c.n, c.t, method.value, metric, i, getattr(
-                        row, metric
-                    )
+def _cell_rows(cell: CellResult):
+    """(method, metric, trial, value) of every trial value of a cell."""
+    for method in _METHOD_ORDER:
+        for i, row in enumerate(cell.trials[method.value].tolist()):
+            for metric, value in zip(METRIC_FIELDS, row):
+                yield method.value, metric, i, value
 
 
 def emit_csv(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, Path]:
@@ -471,17 +473,16 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, Path]
     with trials_path.open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["N", "T", "method", "metric", "trial", "value"])
-        for n, t, method, metric, i, v in _trial_rows(report):
-            w.writerow([n, t, method, metric, i, format(v, ".10g")])
+        for c in report.cells:
+            for method, metric, i, v in _cell_rows(c):
+                w.writerow([c.n, c.t, method, metric, i, format(v, ".10g")])
     summary_path = out / "summary.csv"
     with summary_path.open("w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["N", "T", "method", "metric", "mean", "min", "max"])
         for c in report.cells:
             for method in _METHOD_ORDER:
-                stats = c.summaries[method.value].stats
-                for metric in METRIC_FIELDS:
-                    agg = stats[metric]
+                for metric, agg in c.summaries[method.value].items():
                     w.writerow(
                         [
                             c.n,
@@ -496,47 +497,90 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, Path]
     return trials_path, summary_path
 
 
+def _stats_to_dict(stats: dict[str, Aggregate]) -> dict:
+    return {metric: agg._asdict() for metric, agg in stats.items()}
+
+
+def _cell_to_dict(c: CellResult) -> dict:
+    return {
+        "n": c.n,
+        "t": c.t,
+        "trials": {
+            method: [dict(zip(METRIC_FIELDS, row)) for row in table.tolist()]
+            for method, table in c.trials.items()
+        },
+        "summaries": {
+            method: _stats_to_dict(stats)
+            for method, stats in c.summaries.items()
+        },
+        "fsv_compounded": c.fsv_compounded,
+        "fsv_iteration_losses": c.fsv_iteration_losses.tolist(),
+    }
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
     return {
         "config": report.config.to_dict(),
         "config_hash": report.config_hash,
         "version": report.version,
         "wall_time_s": report.wall_time_s,
-        "cells": [
-            {
-                "n": c.n,
-                "t": c.t,
-                "trials": {
-                    method: [
-                        {m: getattr(row, m) for m in METRIC_FIELDS}
-                        for row in rows
-                    ]
-                    for method, rows in c.trials.items()
-                },
-                "summaries": {
-                    method: {
-                        metric: {
-                            "mean": agg.mean,
-                            "min": agg.min,
-                            "max": agg.max,
-                        }
-                        for metric, agg in s.stats.items()
-                    }
-                    for method, s in c.summaries.items()
-                },
-                "fsv_compounded": c.fsv_compounded,
-                "fsv_iteration_losses": c.fsv_iteration_losses,
-            }
-            for c in report.cells
-        ],
+        "cells": [_cell_to_dict(c) for c in report.cells],
     }
+
+
+def _cell_from_dict(config: ExperimentConfig, cd: dict) -> CellResult:
+    """Rebuild a cell from its trials, checking every stored value that
+    derives from them."""
+    n, t = cd["n"], cd["t"]
+    where = f"cell (n={n}, t={t})"
+    methods = [m.value for m in _METHOD_ORDER]
+    trials = {}
+    for method in methods:
+        rows = cd["trials"].get(method, [])
+        if len(rows) != t:
+            raise ValidationError(
+                f"{where} {method}: {len(rows)} trial rows, need {t}"
+            )
+        for i, row in enumerate(rows):
+            if row.keys() != set(METRIC_FIELDS):
+                raise ValidationError(
+                    f"{where} {method} trial {i}: metrics must be exactly "
+                    f"{list(METRIC_FIELDS)}, got {sorted(row)}"
+                )
+        trials[method] = np.array(
+            [[row[m] for m in METRIC_FIELDS] for row in rows],
+            dtype=np.float64,
+        )
+    losses = np.array(cd["fsv_iteration_losses"], dtype=np.float64)
+    if losses.shape != (t,):
+        raise ValidationError(
+            f"{where}: {losses.size} fsv_iteration_losses, need {t}"
+        )
+    cell = CellResult.from_trials(n, t, trials, losses, config.alpha)
+    for method in methods:
+        stored = cd["summaries"].get(method)
+        if stored != _stats_to_dict(cell.summaries[method]):
+            raise ValidationError(
+                f"{where} {method}: stored summaries differ from the "
+                "summaries of its trials"
+            )
+    if cd["fsv_compounded"] != cell.fsv_compounded:
+        raise ValidationError(
+            f"{where}: stored fsv_compounded {cd['fsv_compounded']!r} "
+            f"differs from {cell.fsv_compounded!r}, compounded from its "
+            "fsv_iteration_losses"
+        )
+    return cell
 
 
 def report_from_dict(d: dict) -> ExperimentReport:
     """Rebuild a report from :func:`report_to_dict` output.
 
-    The stored ``config_hash`` must be the hash of the stored config,
-    so a report whose config was edited after the run is rejected.
+    The stored ``config_hash`` must be the hash of the stored config, so
+    a report whose config was edited after the run is rejected. Each
+    cell must hold t rows of exactly the ``METRIC_FIELDS`` per method
+    and t iteration losses, and its stored summaries and
+    ``fsv_compounded`` must equal those recomputed from them.
     """
     config = ExperimentConfig.from_dict(d["config"])
     if config.config_hash() != d["config_hash"]:
@@ -544,37 +588,9 @@ def report_from_dict(d: dict) -> ExperimentReport:
             f"config_hash {d['config_hash']!r} does not match the stored "
             f"config, whose hash is {config.config_hash()!r}"
         )
-    cells = []
-    for cd in d["cells"]:
-        trials = {
-            method: [TrialMetrics(**row) for row in rows]
-            for method, rows in cd["trials"].items()
-        }
-        summaries = {
-            method: MethodSummary(
-                method=Method(method),
-                n=cd["n"],
-                t=cd["t"],
-                stats={
-                    metric: Aggregate(**agg)
-                    for metric, agg in stats.items()
-                },
-            )
-            for method, stats in cd["summaries"].items()
-        }
-        cells.append(
-            CellResult(
-                n=cd["n"],
-                t=cd["t"],
-                trials=trials,
-                summaries=summaries,
-                fsv_compounded=cd["fsv_compounded"],
-                fsv_iteration_losses=list(cd["fsv_iteration_losses"]),
-            )
-        )
     return ExperimentReport(
         config=config,
-        cells=cells,
+        cells=[_cell_from_dict(config, cd) for cd in d["cells"]],
         config_hash=d["config_hash"],
         version=d["version"],
         wall_time_s=d["wall_time_s"],
@@ -601,18 +617,9 @@ def emit_plotdata(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
         with p.open("w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["method", "metric", "trial", "value"])
-            for method in _METHOD_ORDER:
-                for i, row in enumerate(c.trials[method.value]):
-                    for metric in METRIC_FIELDS:
-                        w.writerow(
-                            [
-                                method.value,
-                                metric,
-                                i,
-                                format(getattr(row, metric), ".10g"),
-                            ]
-                        )
-            for i, v in enumerate(c.fsv_iteration_losses):
+            for method, metric, i, v in _cell_rows(c):
+                w.writerow([method, metric, i, format(v, ".10g")])
+            for i, v in enumerate(c.fsv_iteration_losses.tolist()):
                 w.writerow(["FSV", "iteration_loss", i, format(v, ".10g")])
         paths.append(p)
     return paths

@@ -14,9 +14,8 @@ Conventions, applied identically to every validation method:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "Method",
     "TrialMetrics",
     "Aggregate",
-    "MethodSummary",
     "trial_metrics",
     "metric_table",
     "summarize",
@@ -40,8 +38,9 @@ class Method(str, Enum):
     FSV = "FSV"
 
 
-@dataclass(frozen=True)
-class TrialMetrics:
+class TrialMetrics(NamedTuple):
+    """One metric row; a row of a :func:`metric_table` by name."""
+
     mean_est: float
     var_est: float
     mse: float
@@ -49,45 +48,14 @@ class TrialMetrics:
     roc_me: float
     roc_ve: float
 
-    def scaled(self, factor: float) -> "TrialMetrics":
-        """Every field multiplied by ``factor`` (must be positive)."""
-        if not factor > 0:
-            raise ValidationError(f"factor must be > 0, got {factor}")
-        return TrialMetrics(
-            *(factor * getattr(self, f) for f in METRIC_FIELDS)
-        )
 
-
-METRIC_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in fields(TrialMetrics)
-)
+METRIC_FIELDS: tuple[str, ...] = TrialMetrics._fields
 
 
 class Aggregate(NamedTuple):
     mean: float
     min: float
     max: float
-
-
-@dataclass(frozen=True)
-class MethodSummary:
-    """Mean/min/max of each metric over one cell's trials."""
-
-    method: Method
-    n: int
-    t: int
-    stats: dict[str, Aggregate]
-
-    def __post_init__(self) -> None:
-        if set(self.stats) != set(METRIC_FIELDS):
-            raise ValidationError(
-                f"stats must cover exactly {METRIC_FIELDS}"
-            )
-        for name, agg in self.stats.items():
-            if not agg.min <= agg.mean <= agg.max:
-                raise ValidationError(
-                    f"{name}: need min <= mean <= max, got {agg}"
-                )
 
 
 def metric_table(
@@ -133,22 +101,30 @@ def trial_metrics(
     row = metric_table(
         mean_est, var_est, mse, true_mean, true_var, fold_loss_for_bias
     )
-    return TrialMetrics(*row[0].tolist())
+    return TrialMetrics._make(row[0].tolist())
 
 
-def summarize(
-    trials: Iterable[TrialMetrics], method: Method, n: int, t: int
-) -> MethodSummary:
-    """Aggregate trials of one (method, cell) into mean/min/max rows."""
-    rows = list(trials)
-    if not rows:
-        raise ValidationError("need at least one trial to summarize")
-    stats: dict[str, Aggregate] = {}
-    for name in METRIC_FIELDS:
-        col = np.array([getattr(r, name) for r in rows], dtype=np.float64)
-        stats[name] = Aggregate(
-            mean=float(col.mean()),
-            min=float(col.min()),
-            max=float(col.max()),
+def summarize(table: np.ndarray) -> dict[str, Aggregate]:
+    """Mean/min/max of each column of a ``(trials x 6)`` metric table,
+    keyed by the names in ``METRIC_FIELDS``."""
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != len(METRIC_FIELDS):
+        raise ValidationError(
+            f"need a (trials x {len(METRIC_FIELDS)}) table, "
+            f"got shape {table.shape}"
         )
-    return MethodSummary(method=method, n=n, t=t, stats=stats)
+    if not len(table):
+        raise ValidationError("need at least one trial to summarize")
+    # Reduce contiguous columns: a column's mean is then summed pairwise,
+    # where table.mean(axis=0) would sum the rows in sequence and round
+    # differently in the last bit.
+    columns = np.ascontiguousarray(table.T)
+    return {
+        name: Aggregate(mean, lo, hi)
+        for name, mean, lo, hi in zip(
+            METRIC_FIELDS,
+            columns.mean(axis=1).tolist(),
+            columns.min(axis=1).tolist(),
+            columns.max(axis=1).tolist(),
+        )
+    }

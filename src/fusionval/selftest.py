@@ -16,7 +16,13 @@ from scipy import stats as sps
 
 from .estimator import fit, loss
 from .fsv import FsvConfig, compound_measure, fsv_run
-from .harness import ExperimentConfig, emit_markdown_table, report_to_dict, run_experiment
+from .harness import (
+    ExperimentConfig,
+    emit_markdown_table,
+    report_from_dict,
+    report_to_dict,
+    run_experiment,
+)
 from .kfold import (
     LambdaWeights,
     empirical_kfold_loss,
@@ -24,7 +30,6 @@ from .kfold import (
     make_folds,
     weighted_kfold_loss,
 )
-from .metrics import METRIC_FIELDS
 from .rng import RngStream, derive_stream
 from .sampling import (
     draw_partition_fraction,
@@ -169,16 +174,11 @@ def _check_shared_stream_identity() -> str:
     )
     report = run_experiment(config, jobs=1)
     cell = report.cell(400, 12)
-    srs = cell.summaries["SRS"].stats
-    fsv = cell.summaries["FSV"].stats
-    worst = 0.0
-    for metric in METRIC_FIELDS:
-        for part in ("mean", "min", "max"):
-            a = getattr(fsv[metric], part)
-            b = 0.95 * getattr(srs[metric], part)
-            worst = max(worst, abs(a - b))
-    assert worst <= 1e-12, f"worst deviation {worst:.2e}"
-    return f"all FSV summaries = 0.95 x SRS (worst {worst:.1e})"
+    fsv, srs = cell.trials["FSV"], cell.trials["SRS"]
+    assert np.array_equal(fsv, 0.95 * srs), (
+        f"worst deviation {np.abs(fsv - 0.95 * srs).max():.2e}"
+    )
+    return f"all {fsv.size} FSV trial values = 0.95 x SRS exactly"
 
 
 def _check_bounds() -> str:
@@ -197,10 +197,14 @@ def _check_harness_determinism() -> str:
     a = run_experiment(config, jobs=1)
     b = run_experiment(config, jobs=1)
     da, db = report_to_dict(a), report_to_dict(b)
+    reloaded = report_to_dict(report_from_dict(da))
+    assert json.dumps(reloaded, sort_keys=True) == json.dumps(
+        da, sort_keys=True
+    ), "the report changed on a round trip through report_from_dict"
     da.pop("wall_time_s"), db.pop("wall_time_s")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
     emit_markdown_table(a, 300)
-    return "replayed report payloads identical"
+    return "replayed report payloads identical, round trip verified"
 
 
 CHECKS = (

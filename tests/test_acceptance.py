@@ -3,8 +3,12 @@
 Each test covers one acceptance criterion and prints a single
 [PASS]/[FAIL] line (visible under ``pytest -s``) before asserting, so a
 full run reads as a checklist. Statistical bands are evaluated on the
-fixed default seed; the replicate studies derive their streams from
-reserved trial-index ranges so they never overlap the grid's draws.
+fixed default seed. The replicate studies derive their streams from
+trial indices reserved in 10 000 000-31 000 000. The grid's trial keys
+are 48-bit hashes, so one of them lands in that range with probability
+about 7.5e-8, and one of the default grid's 480 with at most 3.6e-5;
+``test_default_grid_keys_avoid_the_reserved_range`` checks that none
+does.
 """
 
 import math
@@ -17,7 +21,7 @@ from scipy.stats import chi2
 
 from fusionval.data import generate_dataset
 from fusionval.fsv import FsvConfig, fsv_run, sampled_kfold_trial
-from fusionval.harness import ExperimentConfig, run_experiment
+from fusionval.harness import ExperimentConfig, _trial_key, run_experiment
 from fusionval.kfold import (
     LambdaWeights,
     empirical_kfold_loss,
@@ -41,7 +45,7 @@ def _criterion(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_reference_grid_bands(grid_report):
     cell = grid_report.cell(10_000, 100)
-    stats = {m: cell.summaries[m].stats for m in ("SRS", "KFCV", "FSV")}
+    stats = cell.summaries
     mean_ests = {m: stats[m]["mean_est"].mean for m in stats}
     var_srs = stats["SRS"]["var_est"].mean
     var_kf = stats["KFCV"]["var_est"].mean
@@ -67,8 +71,8 @@ def test_criterion_1_reference_grid_bands(grid_report):
 def test_criterion_2_scaling_identity(shared_grid_report):
     worst = 0.0
     for cell in shared_grid_report.cells:
-        srs = cell.summaries["SRS"].stats
-        fsv = cell.summaries["FSV"].stats
+        srs = cell.summaries["SRS"]
+        fsv = cell.summaries["FSV"]
         for metric in srs:
             for side in ("mean", "min", "max"):
                 dev = abs(
@@ -85,8 +89,8 @@ def test_criterion_2_scaling_identity(shared_grid_report):
 
 
 def test_criterion_3_bias_rate_in_population_size(grid_report):
-    small = grid_report.cell(10_000, 100).summaries["SRS"].stats["bias"].mean
-    large = grid_report.cell(100_000, 100).summaries["SRS"].stats["bias"].mean
+    small = grid_report.cell(10_000, 100).summaries["SRS"]["bias"].mean
+    large = grid_report.cell(100_000, 100).summaries["SRS"]["bias"].mean
     ratio = small / large
     lo, hi = math.sqrt(10) * 0.75, math.sqrt(10) * 1.25
     _criterion(
@@ -101,7 +105,7 @@ def test_criterion_4_mean_deviation_rate(grid_report):
     details = []
     ok = True
     for n in (10_000, 50_000, 100_000):
-        got = grid_report.cell(n, 100).summaries["SRS"].stats["roc_me"].mean
+        got = grid_report.cell(n, 100).summaries["SRS"]["roc_me"].mean
         oracle = math.sqrt(2 / math.pi) / math.sqrt(0.75 * n)
         rel = abs(got - oracle) / oracle
         ok = ok and rel <= 0.15
@@ -252,6 +256,18 @@ def test_criterion_8_structural_invariants():
         f"chi2 at {draws} draws: " + "; ".join(chi_details)
         + f"; census correction exactly zero: {fpc_ok}",
     )
+
+
+def test_default_grid_keys_avoid_the_reserved_range():
+    config = ExperimentConfig()
+    keys = [
+        _trial_key(n, t, trial)
+        for n in config.sizes
+        for t in config.trials
+        for trial in range(t)
+    ]
+    assert len(keys) == 480
+    assert not [key for key in keys if 10_000_000 <= key < 31_000_000]
 
 
 def test_criterion_9_runtime_budget(grid_report):

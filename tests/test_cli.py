@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -66,6 +67,8 @@ class TestRunCommand:
             ("lambdas = 1,nan", "lambdas"),
             ("lambdas = 2.5,-0.5", "lambdas"),
             ("lambdas = 1,1.5", "lambdas"),
+            ("k = abc", "k"),
+            ("sizes = a,b", "sizes"),
         ],
     )
     def test_bad_config_field_exits_two_naming_it(
@@ -74,7 +77,11 @@ class TestRunCommand:
         cfg = tmp_path / "study.cfg"
         cfg.write_text(line + "\n")
         assert main(["run", *_FAST, "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {field_name} ")
+        # a value that does not parse is located in the file
+        assert re.match(
+            rf"error: ({re.escape(str(cfg))}:1: )?{field_name}\b",
+            capsys.readouterr().err,
+        )
 
     def test_non_finite_alpha_flag_exits_two(self, capsys):
         assert main(["run", *_FAST, "--alpha", "nan"]) == 2

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from fusionval import harness
@@ -20,7 +21,10 @@ from fusionval.harness import (
     report_to_dict,
     run_experiment,
 )
-from fusionval.metrics import METRIC_FIELDS, Method
+from fusionval.data import generate_dataset
+from fusionval.fsv import sampled_kfold_trial
+from fusionval.metrics import METRIC_FIELDS, Method, metric_table
+from fusionval.rng import Purpose, derive_stream
 
 _SMALL = ExperimentConfig(sizes=(100,), trials=(2, 3), k=2, repetitions=2)
 
@@ -91,12 +95,26 @@ class TestExperimentConfig:
             dict(k=2, lambdas=(float("inf"), 1.0)),
             dict(k=2, lambdas=(2.5, -0.5)),
             dict(k=2, lambdas=(1.0, 1.5)),
+            dict(sizes="abc"),
+            dict(k="5"),
+            dict(seed=None),
+            dict(k=5.5),
+            dict(fraction_range=[0.6]),
+            dict(trials=[1.7]),
+            dict(shared_streams="no"),
+            dict(alpha="0.9"),
         ],
     )
     def test_rejection_names_the_field(self, kwargs):
-        field_name = next(iter(kwargs.keys() - {"k"}))
+        # the field at fault is the last one given
+        field_name = list(kwargs)[-1]
         with pytest.raises(ValidationError, match=f"^{field_name} "):
             ExperimentConfig(**kwargs)
+
+    def test_integral_values_become_ints(self):
+        config = ExperimentConfig(sizes=[100.0], trials=(2,), k=2.0)
+        assert config.sizes == (100,) and config.k == 2
+        assert type(config.k) is int
 
     def test_weights_are_built_once(self):
         config = ExperimentConfig(k=2, lambdas=(1.5, 0.5))
@@ -128,8 +146,11 @@ class TestRunExperiment:
         assert len(small_report.cells) == 2
         cell = small_report.cell(100, 3)
         assert set(cell.trials) == {"SRS", "KFCV", "FSV"}
-        assert all(len(rows) == 3 for rows in cell.trials.values())
-        assert len(cell.fsv_iteration_losses) == 3
+        assert all(
+            table.shape == (3, len(METRIC_FIELDS))
+            for table in cell.trials.values()
+        )
+        assert cell.fsv_iteration_losses.shape == (3,)
         assert small_report.config_hash == _SMALL.config_hash()
         assert small_report.wall_time_s > 0
 
@@ -180,7 +201,8 @@ class TestRunExperiment:
         )
         lone_cell = lone.cell(300, 4)
         grid_cell = grid.cell(300, 4)
-        assert lone_cell.trials == grid_cell.trials
+        for method, table in lone_cell.trials.items():
+            assert np.array_equal(table, grid_cell.trials[method])
         assert lone_cell.fsv_compounded == grid_cell.fsv_compounded
 
     def test_shared_streams_scale_the_primary_rows(self):
@@ -195,8 +217,35 @@ class TestRunExperiment:
             jobs=1,
         )
         cell = report.cell(400, 5)
-        for srs_row, fsv_row in zip(cell.trials["SRS"], cell.trials["FSV"]):
-            assert fsv_row == srs_row.scaled(0.95)
+        assert np.array_equal(cell.trials["FSV"], 0.95 * cell.trials["SRS"])
+
+    def test_trial_table_scales_the_fsv_pass_by_alpha(self):
+        config = ExperimentConfig(
+            sizes=(100,), trials=(2,), k=2, repetitions=2, alpha=0.5
+        )
+        table, raw_loss = harness._run_trial(config, 100, 2, 1)
+        key = harness._trial_key(100, 2, 1)
+
+        def stream(purpose):
+            return derive_stream(config.seed, key, purpose)
+
+        data = generate_dataset(
+            100, config.mu, config.sigma2, stream(Purpose.FSV_DATA)
+        )
+        fsv = sampled_kfold_trial(
+            data,
+            2,
+            stream(Purpose.FSV_SAMPLE),
+            folds_stream=stream(Purpose.FSV_FOLDS),
+            fraction_stream=stream(Purpose.FSV_FRACTION),
+        )
+        raw = metric_table(
+            fsv.sample_mean, fsv.sample_var, fsv.holdout_mse,
+            config.mu, config.sigma2, fsv.fold_losses[0],
+        )
+        assert table.shape == (3, len(METRIC_FIELDS))
+        assert np.array_equal(table[2], 0.5 * raw[0])
+        assert raw_loss == fsv.mean_fold_loss
 
 
 class TestMarkdownTable:
@@ -268,7 +317,7 @@ class TestCsvEmission:
         n, t, method, metric, trial, value = first
         row = small_report.cell(int(n), int(t)).trials[method][int(trial)]
         assert float(value) == pytest.approx(
-            getattr(row, metric), rel=1e-9
+            row[METRIC_FIELDS.index(metric)], rel=1e-9
         )
 
     def test_empty_report_emits_headers_only(self, tmp_path):
@@ -314,6 +363,41 @@ class TestJsonRoundTrip:
         with pytest.raises(ValidationError, match="missing config keys: k"):
             report_from_dict(d)
 
+    def test_tampered_summary_is_rejected(self, small_report):
+        d = report_to_dict(small_report)
+        d["cells"][1]["summaries"]["KFCV"]["bias"]["mean"] += 1e-12
+        with pytest.raises(
+            ValidationError, match=r"^cell \(n=100, t=3\) KFCV: stored summaries"
+        ):
+            report_from_dict(d)
+
+    def test_tampered_fsv_compounded_is_rejected(self, small_report):
+        d = report_to_dict(small_report)
+        d["cells"][0]["fsv_compounded"] *= 1.5
+        with pytest.raises(
+            ValidationError, match=r"^cell \(n=100, t=2\): stored fsv_compounded"
+        ):
+            report_from_dict(d)
+
+    def test_missing_metric_key_is_named(self, small_report):
+        d = report_to_dict(small_report)
+        del d["cells"][0]["trials"]["FSV"][1]["mse"]
+        with pytest.raises(
+            ValidationError, match=r"^cell \(n=100, t=2\) FSV trial 1: metrics"
+        ):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize("field_name", ["trials", "fsv_iteration_losses"])
+    def test_wrong_trial_count_is_rejected(self, small_report, field_name):
+        d = report_to_dict(small_report)
+        cell = d["cells"][0]
+        if field_name == "trials":
+            cell["trials"]["SRS"].pop()
+        else:
+            cell["fsv_iteration_losses"].append(1.0)
+        with pytest.raises(ValidationError, match=r"^cell \(n=100, t=2\)"):
+            report_from_dict(d)
+
     def test_json_keys_are_sorted(self, small_report, tmp_path):
         path = emit_json(small_report, tmp_path / "report.json")
         text = path.read_text()
@@ -338,9 +422,7 @@ class TestPlotData:
 class TestGridOrderings:
     def test_compounding_tightens_every_cell(self, grid_report):
         for cell in grid_report.cells:
-            stats = {
-                m: cell.summaries[m].stats for m in ("SRS", "KFCV", "FSV")
-            }
+            stats = cell.summaries
             assert stats["FSV"]["mse"].mean < stats["KFCV"]["mse"].mean
             assert stats["FSV"]["mse"].mean < stats["SRS"]["mse"].mean
             assert (

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fusionval.errors import ValidationError
@@ -7,7 +8,6 @@ from fusionval.metrics import (
     METRIC_FIELDS,
     Aggregate,
     Method,
-    MethodSummary,
     TrialMetrics,
     summarize,
     trial_metrics,
@@ -20,6 +20,10 @@ def _row(**overrides):
     )
     base.update(overrides)
     return TrialMetrics(**base)
+
+
+def _table(*rows):
+    return np.array(rows, dtype=np.float64)
 
 
 class TestTrialMetrics:
@@ -56,17 +60,6 @@ class TestTrialMetrics:
         with pytest.raises(ValidationError):
             trial_metrics(0.0, 1.0, 1.0, 0.0, 0.0, 1.0)
 
-    def test_scaling_multiplies_every_field(self):
-        row = _row(mean_est=2.0, var_est=4.0, mse=6.0, bias=1.0,
-                   roc_me=0.5, roc_ve=0.25)
-        half = row.scaled(0.5)
-        for name in METRIC_FIELDS:
-            assert getattr(half, name) == getattr(row, name) * 0.5
-
-    def test_scaling_rejects_non_positive_factor(self):
-        with pytest.raises(ValidationError):
-            _row().scaled(0.0)
-
     def test_field_order_matches_report_columns(self):
         assert METRIC_FIELDS == (
             "mean_est", "var_est", "mse", "bias", "roc_me", "roc_ve"
@@ -75,54 +68,50 @@ class TestTrialMetrics:
 
 class TestSummarize:
     def test_single_trial_degenerates(self):
-        summary = summarize([_row(mse=1.3)], Method.SRS, 100, 1)
-        agg = summary.stats["mse"]
-        assert agg == Aggregate(mean=1.3, min=1.3, max=1.3)
-        assert summary.method is Method.SRS
-        assert summary.n == 100
-        assert summary.t == 1
+        summary = summarize(_table(_row(mse=1.3)))
+        assert list(summary) == list(METRIC_FIELDS)
+        assert summary["mse"] == Aggregate(mean=1.3, min=1.3, max=1.3)
 
     def test_two_trials_mean_min_max(self):
-        rows = [_row(var_est=0.9), _row(var_est=1.1)]
-        agg = summarize(rows, Method.KFCV, 50, 2).stats["var_est"]
+        agg = summarize(_table(_row(var_est=0.9), _row(var_est=1.1)))[
+            "var_est"
+        ]
         assert agg.mean == pytest.approx(1.0)
         assert agg.min == 0.9
         assert agg.max == 1.1
 
     def test_order_invariant(self):
         rows = [_row(mse=v) for v in (0.8, 1.4, 1.0, 0.9)]
-        forward = summarize(rows, Method.FSV, 10, 4)
-        backward = summarize(rows[::-1], Method.FSV, 10, 4)
+        forward = summarize(_table(*rows))
+        backward = summarize(_table(*rows[::-1]))
         for name in METRIC_FIELDS:
-            assert forward.stats[name].min == backward.stats[name].min
-            assert forward.stats[name].max == backward.stats[name].max
-            assert forward.stats[name].mean == pytest.approx(
-                backward.stats[name].mean, rel=1e-15
+            assert forward[name].min == backward[name].min
+            assert forward[name].max == backward[name].max
+            assert forward[name].mean == pytest.approx(
+                backward[name].mean, rel=1e-15
             )
+
+    def test_column_means_are_summed_pairwise(self):
+        # the column mean of a contiguous vector, not a row-by-row sum
+        rng = np.random.default_rng(3)
+        for t in (10, 50, 100):
+            table = rng.standard_normal((t, len(METRIC_FIELDS)))
+            summary = summarize(table)
+            for j, name in enumerate(METRIC_FIELDS):
+                column = np.array(table[:, j])
+                assert summary[name] == Aggregate(
+                    float(column.mean()),
+                    float(column.min()),
+                    float(column.max()),
+                )
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
-            summarize([], Method.SRS, 10, 0)
+            summarize(np.empty((0, len(METRIC_FIELDS))))
 
-
-class TestMethodSummary:
-    def _stats(self):
-        return {name: Aggregate(1.0, 0.5, 1.5) for name in METRIC_FIELDS}
-
-    def test_accepts_complete_stats(self):
-        MethodSummary(Method.SRS, 10, 1, self._stats())
-
-    def test_rejects_missing_metric(self):
-        stats = self._stats()
-        del stats["mse"]
-        with pytest.raises(ValidationError):
-            MethodSummary(Method.SRS, 10, 1, stats)
-
-    def test_rejects_mean_outside_range(self):
-        stats = self._stats()
-        stats["bias"] = Aggregate(mean=2.0, min=0.0, max=1.0)
-        with pytest.raises(ValidationError):
-            MethodSummary(Method.SRS, 10, 1, stats)
+    def test_rejects_wrong_width(self):
+        with pytest.raises(ValidationError, match="trials x 6"):
+            summarize(np.ones((3, 5)))
 
 
 class TestGridLevelBehaviour:
@@ -130,7 +119,7 @@ class TestGridLevelBehaviour:
 
     def test_plain_mean_deviation_tracks_half_normal(self, grid_report):
         cell = grid_report.cell(10_000, 100)
-        got = cell.summaries[Method.SRS.value].stats["roc_me"].mean
+        got = cell.summaries[Method.SRS.value]["roc_me"].mean
         expected = math.sqrt(2 / math.pi) / math.sqrt(0.75 * 10_000)
         assert abs(got - expected) / expected < 0.10
 
@@ -138,8 +127,8 @@ class TestGridLevelBehaviour:
         small = grid_report.cell(10_000, 100)
         large = grid_report.cell(50_000, 100)
         ratio = (
-            small.summaries[Method.SRS.value].stats["bias"].mean
-            / large.summaries[Method.SRS.value].stats["bias"].mean
+            small.summaries[Method.SRS.value]["bias"].mean
+            / large.summaries[Method.SRS.value]["bias"].mean
         )
         root5 = math.sqrt(5.0)
         assert root5 * 0.75 <= ratio <= root5 * 1.25
