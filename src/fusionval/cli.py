@@ -81,9 +81,17 @@ _CONFIG_KEYS = {
 
 def parse_config_file(path: str | Path) -> dict:
     """Parse a key=value config file; # starts a comment. A malformed
-    line or value raises ValidationError located as ``path:line:``."""
+    line or value raises ValidationError located as ``path:line:``, and
+    a file that cannot be read one located as ``path:``."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(
+            f"{path}: cannot read config file: {reason}"
+        ) from None
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

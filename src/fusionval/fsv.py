@@ -10,8 +10,9 @@ for that conservatism.
 
 :func:`fsv_run` and :func:`sampled_kfold_trial` run on the pass kernel of
 :mod:`fusionval.kfold`. Each iteration is one draw step: the fraction,
-the subsample and the fold permutation are drawn through the public
-sampling and fold functions, in that order, and the subsample's
+the subsample and the fold permutation are drawn as the public
+``draw_partition_fraction``, ``srs_sample`` and ``make_folds`` draw
+them, in that order and with the same checks, and the subsample's
 per-fold counts, sums and centred sums of squares fill one row of a
 ``(T x k)`` batch. One statistics step then gives every iteration's
 fold losses, subsample mean and ddof=1 variance, and its holdout loss.

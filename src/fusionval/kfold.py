@@ -11,16 +11,22 @@ pass through :func:`kfold_losses`, the P = 1 pass of
 ``fsv.sampled_kfold_trial``, the R repetitions of :func:`repeated_kfcv`
 and the T iterations of ``fsv.fsv_run``. It works in two steps.
 
-*Draw step, once per pass, O(m).* Draw the partition fraction, the
-subsample (``sampling.srs_sample``) and the fold permutation
-(:func:`make_folds`) through the public functions, on the caller's
-streams and in that order, so the seeded draws are exactly those of a
-loop over the public API. Gather the subsample in fold order, shift it
-by a pilot value, the dataset's first element, and reduce each fold to
-its count n_i, sum and centred sum of squares M2_i with
-``np.add.reduceat``. The shift keeps sums of the order of the spread
-rather than of the mean: with mu = 1e9 and sigma = 1e-3 an unshifted
-sum would lose the spread to rounding. Fold sizes follow from
+*Draw step, once per pass, O(m).* Make the seeded draws of a loop over
+the public API: the partition fraction
+(``sampling.draw_partition_fraction``), the subset
+``sampling.srs_sample`` draws and the permutation :func:`make_folds`
+draws, on the caller's streams and in that order. Only the work after
+the draws differs. The subset is marked in a length-n boolean mask,
+which checks it as ``sampling.SampleView`` does (m distinct indices in
+[0, n)); compressing the dataset through the mask gives the subsample
+in ascending index order, the order ``srs_sample``'s sort gives, with
+no sort. The permutation gets the checks of
+:meth:`FoldPlan.from_permutation`, and one gather puts the subsample in
+fold order. Shifted by a pilot value, the dataset's first element,
+each fold reduces to its count n_i, sum and centred sum of squares M2_i
+with ``np.add.reduceat``. The shift keeps sums of the order of the
+spread rather than of the mean: with mu = 1e9 and sigma = 1e-3 an
+unshifted sum would lose the spread to rounding. Fold sizes follow from
 ``divmod(m, k)``, as :func:`make_folds` lays them out. Each pass fills
 one row of ``(passes x k)`` arrays.
 
@@ -60,7 +66,11 @@ import numpy as np
 from .data import Dataset
 from .errors import ValidationError
 from .rng import RngStream
-from .sampling import FRACTION_RANGE, draw_partition_fraction, srs_sample
+from .sampling import (
+    FRACTION_RANGE,
+    _draw_subset_mask,
+    draw_partition_fraction,
+)
 
 __all__ = [
     "FoldPlan",
@@ -304,6 +314,8 @@ def _run_passes(
     back to ``stream``. With ``holdout`` the result carries each
     subsample's squared error on the rest of the dataset.
     """
+    if k < 2:
+        raise ValidationError(f"k must be >= 2, got {k}")
     values = data.values
     pilot = values[0]
     fractions = np.full(passes, np.nan)
@@ -323,11 +335,16 @@ def _run_passes(
             raise ValidationError(
                 f"need k <= m <= n, got m={m}, k={k}, n={data.n}"
             )
-        view = srs_sample(data, m, stream)
-        plan = make_folds(m, k, folds_stream or stream)
-        y = values[view.indices[plan._order]]
-        y -= pilot
+        # srs_sample's draw and checks, as a mask: compress gives the
+        # subsample in ascending index order with no sort
+        z = values.compress(_draw_subset_mask(data.n, m, stream))
+        z -= pilot
+        # make_folds' draw and FoldPlan.from_permutation's checks
+        order = (folds_stream or stream).generator.permutation(m)
         sizes = _fold_sizes(m, k)
+        _check_sizes(sizes, k)
+        _check_order(order)
+        y = z.take(order)
         counts[p] = sizes
         sums[p], m2s[p] = _fold_moments(y, sizes)
     stats = _combine(counts, sums, m2s, pilot, data if holdout else None)

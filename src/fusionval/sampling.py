@@ -67,9 +67,36 @@ def srs_sample(data: Dataset, m: int, stream: RngStream) -> SampleView:
         raise ValidationError(
             f"need 1 <= m <= n, got m={m}, n={data.n}"
         )
-    picked = stream.generator.choice(data.n, size=m, replace=False, shuffle=False)
-    picked.sort()
-    return SampleView(indices=picked, m=m, source_n=data.n)
+    mask = _draw_subset_mask(data.n, m, stream)
+    return SampleView(indices=np.flatnonzero(mask), m=m, source_n=data.n)
+
+
+def _draw_subset_mask(n: int, m: int, stream: RngStream) -> np.ndarray:
+    """Draw :func:`srs_sample`'s m-subset of range(n) as a length-n
+    boolean mask; ``flatnonzero`` of it is the sorted indices.
+
+    The draw is checked as :class:`SampleView` checks its indices: m
+    integers, all in [0, n), all distinct. O(n) in bytes, O(m) in
+    indices, with no sort.
+    """
+    picked = stream.generator.choice(n, size=m, replace=False, shuffle=False)
+    if picked.shape != (m,) or not np.issubdtype(picked.dtype, np.integer):
+        raise ValidationError(
+            f"subset draw must be {m} integers, got shape {picked.shape} "
+            f"of dtype {picked.dtype}"
+        )
+    # a negative index would wrap around in the scatter below
+    if picked.min() < 0:
+        raise ValidationError(f"subset indices must lie in [0, {n})")
+    mask = np.zeros(n, dtype=bool)
+    try:
+        mask[picked] = True
+    except IndexError:
+        raise ValidationError(f"subset indices must lie in [0, {n})") from None
+    # m marks in range: fewer than m set means an index repeats
+    if np.count_nonzero(mask) != m:
+        raise ValidationError("subset indices must be distinct")
+    return mask
 
 
 def sample_values(data: Dataset, view: SampleView) -> np.ndarray:

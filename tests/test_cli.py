@@ -179,6 +179,25 @@ class TestConfigFile:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (lambda d: d / "missing.cfg", "No such file or directory"),
+            (lambda d: d, "Is a directory"),
+            (lambda d: d / "binary.cfg", "can't decode"),
+        ],
+        ids=["missing", "directory", "not-text"],
+    )
+    def test_unreadable_config_file_exits_two(
+        self, tmp_path, capsys, make, reason
+    ):
+        (tmp_path / "binary.cfg").write_bytes(b"seed = \xff\xfe\n")
+        path = make(tmp_path)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: cannot read config file: " in err
+        assert reason in err
+
 
 class TestTheoryCommand:
     def test_reference_budget(self, capsys):

@@ -1,27 +1,39 @@
-"""The batched pass kernel against a loop over the public per-pass API.
+"""The batched pass kernel against references kept in this file.
 
-``fsv_run``, ``repeated_kfcv`` and ``sampled_kfold_trial`` draw every
-pass through ``draw_partition_fraction``, ``srs_sample`` and
-``make_folds`` and then compute all statistics of the batch at once. The
-reference here replays the same draws on clones of the streams and
-scores each pass on its own: ``fit`` on the subsample,
-``holdout_values`` + ``loss`` on the rest, ``kfold_losses`` on the folds
-and ``fit`` on each fold's training complement. After every call the
-streams must stand exactly where the reference left them.
+``fsv_run``, ``repeated_kfcv`` and ``sampled_kfold_trial`` run on
+``kfold._run_passes``. Per pass it makes ``srs_sample``'s subset draw
+and ``make_folds``' permutation on the same streams and in the same
+order, but marks the subset in a boolean mask, compresses the dataset
+through it and gathers once in fold order, with the checks of
+``SampleView`` and ``FoldPlan.from_permutation`` on the raw draws; one
+statistics step then scores the whole batch.
+
+Two references check it. ``TestDrawStep`` replays the sort-and-gather
+draw path through ``SampleView`` and ``make_folds`` into the same
+statistics step and requires every output bit for bit. The per-pass
+reference replays the same draws on clones of the streams and scores
+each pass on its own: ``fit`` on the subsample, ``holdout_values`` +
+``loss`` on the rest, ``kfold_losses`` on the folds and ``fit`` on each
+fold's training complement. After every call the streams must stand
+exactly where the reference left them.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fusionval.data import Dataset
+from fusionval.errors import ValidationError
 from fusionval.estimator import fit, loss
 from fusionval.fsv import FsvConfig, fsv_run, sampled_kfold_trial
 from fusionval.kfold import (
     LambdaWeights,
+    _combine,
+    _fold_moments,
     _run_passes,
     _trainable,
     kfold_losses,
@@ -31,6 +43,7 @@ from fusionval.kfold import (
 from fusionval.metrics import METRIC_FIELDS
 from fusionval.rng import RngStream
 from fusionval.sampling import (
+    SampleView,
     draw_partition_fraction,
     holdout_values,
     sample_values,
@@ -384,3 +397,166 @@ def test_holdout_from_totals_is_exact_at_large_mean():
     assert abs(got - want) <= bound
     mean_got = Fraction(float(passes.sample_mean[0]))
     assert abs(mean_got - mean) <= Fraction(math.ulp(1e9))
+
+
+def _sorted_draw_passes(
+    data, k, passes, stream, folds_stream, fraction_stream, sample_size,
+    fraction_range, holdout,
+):
+    """``_run_passes`` on the sort-and-gather draw path: ``srs_sample``'s
+    draw sorted into a ``SampleView``, ``make_folds``, then
+    ``values[view.indices[plan._order]] - pilot`` into the same
+    ``_fold_moments`` and ``_combine``."""
+    values = data.values
+    pilot = values[0]
+    fractions = np.full(passes, np.nan)
+    counts, sums, m2s = (np.empty((passes, k)) for _ in range(3))
+    for p in range(passes):
+        if sample_size is None:
+            f = draw_partition_fraction(fraction_stream, *fraction_range)
+            fractions[p] = f
+            m = int(round(f * data.n))
+        else:
+            m = sample_size
+        picked = stream.generator.choice(
+            data.n, size=m, replace=False, shuffle=False
+        )
+        picked.sort()
+        view = SampleView(indices=picked, m=m, source_n=data.n)
+        plan = make_folds(m, k, folds_stream)
+        y = values[view.indices[plan._order]] - pilot
+        sizes = [len(f) for f in plan.folds]
+        counts[p] = sizes
+        sums[p], m2s[p] = _fold_moments(y, sizes)
+    stats = _combine(counts, sums, m2s, pilot, data if holdout else None)
+    return stats._replace(fractions=fractions)
+
+
+class TestDrawStep:
+    @given(
+        k=st.integers(min_value=2, max_value=10),
+        n=st.one_of(st.integers(min_value=20, max_value=400), st.just(12_000)),
+        share=st.floats(min_value=0.0, max_value=1.0),
+        mu=st.floats(min_value=-1e9, max_value=1e9),
+        log10_scale=st.floats(min_value=-3.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+        passes=st.integers(min_value=1, max_value=4),
+        pinned=st.booleans(),
+        split_streams=st.booleans(),
+        holdout=st.booleans(),
+    )
+    @example(
+        k=5, n=12_000, share=0.5, mu=1e9, log10_scale=-3.0, seed=3,
+        passes=2, pinned=False, split_streams=True, holdout=True,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sorted_draw_path_bit_for_bit(
+        self, k, n, share, mu, log10_scale, seed, passes, pinned,
+        split_streams, holdout,
+    ):
+        data = _dataset(n, mu, 10.0**log10_scale, seed)
+        if pinned:
+            # m anywhere from k to n, the whole dataset included
+            sample_size, window = k + int(share * (n - k)), (0.6, 0.9)
+            assume(_trainable(sample_size, k))
+        else:
+            # n >= 20 and low >= 0.5 keep every draw trainable for k <= 10
+            low = 0.5 + 0.4 * share
+            sample_size, window = None, (low, min(low + 0.2, 1.0))
+
+        def streams():
+            main = RngStream(seed, 1)
+            if not split_streams:
+                return main, main, main
+            return main, RngStream(seed, 2), RngStream(seed, 3)
+
+        main, folds, fraction = streams()
+        ref_main, ref_folds, ref_fraction = streams()
+        got = _run_passes(
+            data, k, passes, main,
+            folds_stream=folds if split_streams else None,
+            fraction_stream=fraction if split_streams else None,
+            sample_size=sample_size, fraction_range=window, holdout=holdout,
+        )
+        want = _sorted_draw_passes(
+            data, k, passes, ref_main, ref_folds, ref_fraction, sample_size,
+            window, holdout,
+        )
+        for name in got._fields:
+            a, b = getattr(got, name), getattr(want, name)
+            if b is None:
+                assert a is None, name
+            else:
+                assert np.array_equal(a, b, equal_nan=True), name
+        for a, b in ((main, ref_main), (folds, ref_folds),
+                     (fraction, ref_fraction)):
+            assert _streams_equal(a, b)
+
+
+class _StubGenerator:
+    """A stream's generator whose ``method`` draw is passed through
+    ``corrupt(draw, bound)``, bound being the draw's first argument (n
+    for ``choice``, m for ``permutation``); every other method is the
+    real generator's."""
+
+    def __init__(self, real, method, corrupt):
+        self._real = real
+        draw = getattr(real, method)
+
+        def corrupted(bound, *args, **kwargs):
+            return corrupt(draw(bound, *args, **kwargs), bound)
+
+        setattr(self, method, corrupted)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+def _repeat_inside(d, bound):
+    """Value 1 replaced by 2: a repeat that keeps min 0 and max bound-1."""
+    return np.where(d == 1, 2, d)
+
+
+def _negative_wrapping_to_unused(d, bound):
+    """The smallest index replaced by a negative one that wraps around
+    to an index not drawn, so only the lower-bound check can see it."""
+    unused = np.setdiff1d(np.arange(bound), d)[0]
+    return np.where(d == d.min(), unused - bound, d)
+
+
+_BAD_DRAWS = {
+    "choice-repeat": ("choice", lambda d, n: np.r_[d[:-1], d[0]]),
+    "choice-n": ("choice", lambda d, n: np.where(d == d.max(), n, d)),
+    "choice-negative": ("choice", _negative_wrapping_to_unused),
+    "choice-short": ("choice", lambda d, n: d[:-1]),
+    "permutation-repeat": ("permutation", _repeat_inside),
+    "permutation-m": ("permutation", lambda d, m: np.where(d == m - 1, m, d)),
+    "permutation-floats": ("permutation", lambda d, m: d.astype(np.float64)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DRAWS))
+def test_bad_draws_are_rejected(case):
+    method, corrupt = _BAD_DRAWS[case]
+    n, m, k = 50, 30, 5
+    data = _dataset(n, 0.0, 1.0, 6)
+
+    def stub_stream():
+        stream = RngStream(6, 1)
+        stub = _StubGenerator(stream.generator, method, corrupt)
+        object.__setattr__(stream, "generator", stub)
+        return stream
+
+    with pytest.raises(ValidationError):
+        _run_passes(data, k, 2, stub_stream(), sample_size=m)
+    with pytest.raises(ValidationError):
+        fsv_run(data, FsvConfig(2, k=k, sample_size=m), stub_stream())
+
+
+def test_single_fold_is_rejected_before_drawing():
+    data = _dataset(50, 0.0, 1.0, 6)
+    stream = RngStream(6, 1)
+    before = stream.generator.bit_generator.state
+    with pytest.raises(ValidationError, match="k must be >= 2"):
+        repeated_kfcv(data, 1, 2, LambdaWeights.uniform(1), stream)
+    assert stream.generator.bit_generator.state == before

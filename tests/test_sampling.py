@@ -88,6 +88,11 @@ class TestSrsSample:
         assert len(np.unique(view.indices)) == m
         assert (np.diff(view.indices) > 0).all() if m > 1 else True
         assert view.indices[0] >= 0 and view.indices[-1] < n
+        # the subset of numpy's unshuffled choice, sorted
+        drawn = RngStream(seed, 0).generator.choice(
+            n, size=m, replace=False, shuffle=False
+        )
+        np.testing.assert_array_equal(view.indices, np.sort(drawn))
 
 
 class TestSampleView:
