@@ -11,17 +11,14 @@ pass through :func:`kfold_losses`, the P = 1 pass of
 ``fsv.sampled_kfold_trial``, the R repetitions of :func:`repeated_kfcv`
 and the T iterations of ``fsv.fsv_run``. It works in two steps.
 
-*Draw step, once per pass, O(m).* Make the seeded draws of a loop over
-the public API: the partition fraction
+*Draw step, once per pass.* Make the seeded draws of a loop over the
+public API: the partition fraction
 (``sampling.draw_partition_fraction``), the subset
 ``sampling.srs_sample`` draws and the permutation :func:`make_folds`
-draws, on the caller's streams and in that order. Only the work after
-the draws differs. The subset is marked in a length-n boolean mask,
-which checks it as ``sampling.SampleView`` does (m distinct indices in
-[0, n)); compressing the dataset through the mask gives the subsample
-in ascending index order, the order ``srs_sample``'s sort gives, with
-no sort. The permutation gets the checks of
-:meth:`FoldPlan.from_permutation`, and one gather puts the subsample in
+draws, on the caller's streams and in that order, with the same checks.
+The subset comes back sorted, as ``srs_sample`` returns it (from a
+third of n up through a boolean mask rather than a sort), and is taken
+from the dataset; one gather by the permutation then puts it in
 fold order. Shifted by a pilot value, the dataset's first element,
 each fold reduces to its count n_i, sum and centred sum of squares M2_i
 with ``np.add.reduceat``. The shift keeps sums of the order of the
@@ -68,7 +65,7 @@ from .errors import ValidationError
 from .rng import RngStream
 from .sampling import (
     FRACTION_RANGE,
-    _draw_subset_mask,
+    _draw_subset,
     draw_partition_fraction,
 )
 
@@ -159,10 +156,16 @@ class FoldPlan:
             raise ValidationError(
                 f"order must be a vector, got shape {order.shape}"
             )
-        sizes = _fold_sizes(len(order), k)
-        _check_sizes(sizes, k)
+        _check_sizes(_fold_sizes(len(order), k), k)
         _check_order(order)
+        return cls._from_checked_order(order, k)
+
+    @classmethod
+    def _from_checked_order(cls, order: np.ndarray, k: int) -> "FoldPlan":
+        """:meth:`from_permutation` for an ``order`` that already passed
+        its checks."""
         order.setflags(write=False)
+        sizes = _fold_sizes(len(order), k)
         ends = list(accumulate(sizes))
         plan = object.__new__(cls)
         object.__setattr__(
@@ -198,8 +201,21 @@ def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
         raise ValidationError(
             f"need sample_size >= k, got sample_size={sample_size}, k={k}"
         )
-    perm = stream.generator.permutation(sample_size)
-    return FoldPlan.from_permutation(perm, k)
+    order = _draw_fold_order(sample_size, stream)
+    return FoldPlan._from_checked_order(order, k)
+
+
+def _draw_fold_order(m: int, stream: RngStream) -> np.ndarray:
+    """Draw :func:`make_folds`' permutation of range(m) from ``stream``,
+    checked as :meth:`FoldPlan.from_permutation` checks its order. O(m)."""
+    order = stream.generator.permutation(m)
+    if order.shape != (m,):
+        raise ValidationError(
+            f"fold permutation must be a length-{m} vector, "
+            f"got shape {order.shape}"
+        )
+    _check_order(order)
+    return order
 
 
 def _trainable(m: int, k: int) -> bool:
@@ -335,16 +351,10 @@ def _run_passes(
             raise ValidationError(
                 f"need k <= m <= n, got m={m}, k={k}, n={data.n}"
             )
-        # srs_sample's draw and checks, as a mask: compress gives the
-        # subsample in ascending index order with no sort
-        z = values.compress(_draw_subset_mask(data.n, m, stream))
+        z = values.take(_draw_subset(data.n, m, stream))
         z -= pilot
-        # make_folds' draw and FoldPlan.from_permutation's checks
-        order = (folds_stream or stream).generator.permutation(m)
+        y = z.take(_draw_fold_order(m, folds_stream or stream))
         sizes = _fold_sizes(m, k)
-        _check_sizes(sizes, k)
-        _check_order(order)
-        y = z.take(order)
         counts[p] = sizes
         sums[p], m2s[p] = _fold_moments(y, sizes)
     stats = _combine(counts, sums, m2s, pilot, data if holdout else None)

@@ -2,11 +2,10 @@
 
 ``fsv_run``, ``repeated_kfcv`` and ``sampled_kfold_trial`` run on
 ``kfold._run_passes``. Per pass it makes ``srs_sample``'s subset draw
-and ``make_folds``' permutation on the same streams and in the same
-order, but marks the subset in a boolean mask, compresses the dataset
-through it and gathers once in fold order, with the checks of
-``SampleView`` and ``FoldPlan.from_permutation`` on the raw draws; one
-statistics step then scores the whole batch.
+and ``make_folds``' permutation on the same streams, in the same order
+and with the same checks, takes the subsample in index order and
+gathers it once in fold order; one statistics step then scores the
+whole batch.
 
 Two references check it. ``TestDrawStep`` replays the sort-and-gather
 draw path through ``SampleView`` and ``make_folds`` into the same
@@ -449,6 +448,10 @@ class TestDrawStep:
         k=5, n=12_000, share=0.5, mu=1e9, log10_scale=-3.0, seed=3,
         passes=2, pinned=False, split_streams=True, holdout=True,
     )
+    @example(
+        k=5, n=12_000, share=0.01, mu=1e9, log10_scale=-3.0, seed=3,
+        passes=2, pinned=True, split_streams=False, holdout=True,
+    )
     @settings(max_examples=150, deadline=None)
     def test_matches_sorted_draw_path_bit_for_bit(
         self, k, n, share, mu, log10_scale, seed, passes, pinned,
@@ -531,6 +534,8 @@ _BAD_DRAWS = {
     "choice-short": ("choice", lambda d, n: d[:-1]),
     "permutation-repeat": ("permutation", _repeat_inside),
     "permutation-m": ("permutation", lambda d, m: np.where(d == m - 1, m, d)),
+    # a permutation of range(m - 1): only the length check can see it
+    "permutation-short": ("permutation", lambda d, m: d[d != m - 1]),
     "permutation-floats": ("permutation", lambda d, m: d.astype(np.float64)),
 }
 
@@ -538,7 +543,7 @@ _BAD_DRAWS = {
 @pytest.mark.parametrize("case", sorted(_BAD_DRAWS))
 def test_bad_draws_are_rejected(case):
     method, corrupt = _BAD_DRAWS[case]
-    n, m, k = 50, 30, 5
+    n, k = 50, 5
     data = _dataset(n, 0.0, 1.0, 6)
 
     def stub_stream():
@@ -547,10 +552,18 @@ def test_bad_draws_are_rejected(case):
         object.__setattr__(stream, "generator", stub)
         return stream
 
-    with pytest.raises(ValidationError):
-        _run_passes(data, k, 2, stub_stream(), sample_size=m)
-    with pytest.raises(ValidationError):
-        fsv_run(data, FsvConfig(2, k=k, sample_size=m), stub_stream())
+    # under a third of n the subset draw is sorted, from a third up masked
+    for m in (10, 30):
+        with pytest.raises(ValidationError):
+            _run_passes(data, k, 2, stub_stream(), sample_size=m)
+        with pytest.raises(ValidationError):
+            fsv_run(data, FsvConfig(2, k=k, sample_size=m), stub_stream())
+        # the public draws share the kernel's checks
+        with pytest.raises(ValidationError):
+            if method == "choice":
+                srs_sample(data, m, stub_stream())
+            else:
+                make_folds(m, k, stub_stream())
 
 
 def test_single_fold_is_rejected_before_drawing():
