@@ -9,13 +9,13 @@ iteration mean are exposed, since alpha < 1 trades a small downward bias
 for that conservatism.
 
 :func:`fsv_run` and :func:`sampled_kfold_trial` run on the pass kernel of
-:mod:`fusionval.kfold`. Each iteration is one draw step: the fraction,
-the subsample and the fold permutation are drawn as the public
-``draw_partition_fraction``, ``srs_sample`` and ``make_folds`` draw
-them, in that order and with the same checks, and the subsample's
-per-fold counts, sums and centred sums of squares fill one row of a
-``(T x k)`` batch. One statistics step then gives every iteration's
-fold losses, subsample mean and ddof=1 variance, and its holdout loss.
+:mod:`fusionval.kfold`. Each iteration is one draw step: it consumes
+the streams as the public ``draw_partition_fraction``, ``srs_sample``
+and ``make_folds`` would, in that order, with the subset's checks, but
+shuffles the subsample itself into fold order; its per-fold counts,
+sums and centred sums of squares fill one row of a ``(T x k)`` batch.
+One statistics step then gives every iteration's fold losses,
+subsample mean and ddof=1 variance, and its holdout loss.
 The holdout loss is the squared error of the subsample mean on the
 dataset's other points, taken from the dataset's totals (computed once
 per run) minus the subsample's rather than by gathering the holdout.

@@ -11,21 +11,21 @@ pass through :func:`kfold_losses`, the P = 1 pass of
 ``fsv.sampled_kfold_trial``, the R repetitions of :func:`repeated_kfcv`
 and the T iterations of ``fsv.fsv_run``. It works in two steps.
 
-*Draw step, once per pass.* Make the seeded draws of a loop over the
-public API: the partition fraction
-(``sampling.draw_partition_fraction``), the subset
-``sampling.srs_sample`` draws and the permutation :func:`make_folds`
-draws, on the caller's streams and in that order, with the same checks.
-The subset comes back sorted, as ``srs_sample`` returns it (from a
-third of n up through a boolean mask rather than a sort), and is taken
-from the dataset; one gather by the permutation then puts it in
-fold order. Shifted by a pilot value, the dataset's first element,
-each fold reduces to its count n_i, sum and centred sum of squares M2_i
-with ``np.add.reduceat``. The shift keeps sums of the order of the
-spread rather than of the mean: with mu = 1e9 and sigma = 1e-3 an
-unshifted sum would lose the spread to rounding. Fold sizes follow from
-``divmod(m, k)``, as :func:`make_folds` lays them out. Each pass fills
-one row of ``(passes x k)`` arrays.
+*Draw step, once per pass.* Draw as a loop over the public API would,
+on the caller's streams and in the same order: the partition fraction
+(``sampling.draw_partition_fraction``), the subset ``sampling.srs_sample``
+draws, with its checks, and :func:`make_folds`' fold order. The subset
+comes back sorted (from a third of n up through a boolean mask rather
+than a sort), is taken from the dataset and is shuffled in place: numpy's
+``permutation(m)`` shuffles ``arange(m)`` with swaps that depend on m
+alone, so the subsample lands in ``make_folds``' order, with no index
+array to check or gather by. Shifted by a pilot value, the dataset's
+first element, each fold reduces to its count n_i, sum and centred sum
+of squares M2_i with ``np.add.reduceat``. The shift keeps sums of the
+order of the spread rather than of the mean: with mu = 1e9 and sigma =
+1e-3 an unshifted sum would lose the spread to rounding. Fold sizes
+follow from ``divmod(m, k)``, as :func:`make_folds` lays them out. Each
+pass fills one row of ``(passes x k)`` arrays.
 
 *Statistics step, once per call.* Everything else is algebra on those
 arrays, over all passes at once. The pairwise update of Chan, Golub and
@@ -105,7 +105,7 @@ def _check_sizes(sizes: list[int], k: int) -> None:
 def _check_order(order: np.ndarray) -> None:
     """The folds laid out one after another in ``order`` are together
     exactly a permutation of range(len(order)). O(m)."""
-    if not np.issubdtype(order.dtype, np.integer):
+    if order.dtype.kind not in "iu":
         raise ValidationError(
             f"fold indices must be integers, got dtype {order.dtype}"
         )
@@ -201,21 +201,14 @@ def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
         raise ValidationError(
             f"need sample_size >= k, got sample_size={sample_size}, k={k}"
         )
-    order = _draw_fold_order(sample_size, stream)
-    return FoldPlan._from_checked_order(order, k)
-
-
-def _draw_fold_order(m: int, stream: RngStream) -> np.ndarray:
-    """Draw :func:`make_folds`' permutation of range(m) from ``stream``,
-    checked as :meth:`FoldPlan.from_permutation` checks its order. O(m)."""
-    order = stream.generator.permutation(m)
-    if order.shape != (m,):
+    order = stream.generator.permutation(sample_size)
+    if order.shape != (sample_size,):
         raise ValidationError(
-            f"fold permutation must be a length-{m} vector, "
+            f"fold permutation must be a length-{sample_size} vector, "
             f"got shape {order.shape}"
         )
     _check_order(order)
-    return order
+    return FoldPlan._from_checked_order(order, k)
 
 
 def _trainable(m: int, k: int) -> bool:
@@ -326,9 +319,9 @@ def _run_passes(
 
     Each pass draws its fraction from ``fraction_stream`` (unless
     ``sample_size`` pins m), its subsample from ``stream`` and its fold
-    permutation from ``folds_stream``; the two optional streams fall
-    back to ``stream``. With ``holdout`` the result carries each
-    subsample's squared error on the rest of the dataset.
+    order from ``folds_stream``, by a shuffle of the subsample; the two
+    optional streams fall back to ``stream``. With ``holdout`` the result
+    carries each subsample's squared error on the rest of the dataset.
     """
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
@@ -351,9 +344,10 @@ def _run_passes(
             raise ValidationError(
                 f"need k <= m <= n, got m={m}, k={k}, n={data.n}"
             )
-        z = values.take(_draw_subset(data.n, m, stream))
-        z -= pilot
-        y = z.take(_draw_fold_order(m, folds_stream or stream))
+        y = values.take(_draw_subset(data.n, m, stream))
+        y -= pilot
+        # a fresh contiguous float64 vector: shuffle's 8-byte fast path
+        (folds_stream or stream).generator.shuffle(y)
         sizes = _fold_sizes(m, k)
         counts[p] = sizes
         sums[p], m2s[p] = _fold_moments(y, sizes)

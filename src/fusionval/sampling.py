@@ -94,7 +94,7 @@ def _draw_subset(n: int, m: int, stream: RngStream) -> np.ndarray:
     O(n), is cheaper than the sort.
     """
     picked = stream.generator.choice(n, size=m, replace=False, shuffle=False)
-    if picked.shape != (m,) or not np.issubdtype(picked.dtype, np.integer):
+    if picked.shape != (m,) or picked.dtype.kind not in "iu":
         raise ValidationError(
             f"subset draw must be {m} integers, got shape {picked.shape} "
             f"of dtype {picked.dtype}"

@@ -1,20 +1,21 @@
 """The batched pass kernel against references kept in this file.
 
 ``fsv_run``, ``repeated_kfcv`` and ``sampled_kfold_trial`` run on
-``kfold._run_passes``. Per pass it makes ``srs_sample``'s subset draw
-and ``make_folds``' permutation on the same streams, in the same order
-and with the same checks, takes the subsample in index order and
-gathers it once in fold order; one statistics step then scores the
-whole batch.
+``kfold._run_passes``. Per pass it makes ``srs_sample``'s subset draw,
+with the same checks, takes the subsample in index order and shuffles
+it in place on the stream ``make_folds`` would draw its permutation
+from; numpy's ``permutation(m)`` is the same shuffle of ``arange(m)``,
+so the subsample lands in ``make_folds``' fold order. One statistics
+step then scores the whole batch.
 
 Two references check it. ``TestDrawStep`` replays the sort-and-gather
-draw path through ``SampleView`` and ``make_folds`` into the same
-statistics step and requires every output bit for bit. The per-pass
-reference replays the same draws on clones of the streams and scores
-each pass on its own: ``fit`` on the subsample, ``holdout_values`` +
-``loss`` on the rest, ``kfold_losses`` on the folds and ``fit`` on each
-fold's training complement. After every call the streams must stand
-exactly where the reference left them.
+draw path through ``SampleView`` and ``make_folds``' permutation into
+the same statistics step and requires every output bit for bit. The
+per-pass reference replays the same draws on clones of the streams and
+scores each pass on its own: ``fit`` on the subsample,
+``holdout_values`` + ``loss`` on the rest, ``kfold_losses`` on the
+folds and ``fit`` on each fold's training complement. After every call
+the streams must stand exactly where the reference left them.
 """
 
 import math
@@ -532,6 +533,7 @@ _BAD_DRAWS = {
     "choice-n": ("choice", lambda d, n: np.where(d == d.max(), n, d)),
     "choice-negative": ("choice", _negative_wrapping_to_unused),
     "choice-short": ("choice", lambda d, n: d[:-1]),
+    "choice-floats": ("choice", lambda d, n: d.astype(np.float64)),
     "permutation-repeat": ("permutation", _repeat_inside),
     "permutation-m": ("permutation", lambda d, m: np.where(d == m - 1, m, d)),
     # a permutation of range(m - 1): only the length check can see it
@@ -555,15 +557,46 @@ def test_bad_draws_are_rejected(case):
     # under a third of n the subset draw is sorted, from a third up masked
     for m in (10, 30):
         with pytest.raises(ValidationError):
-            _run_passes(data, k, 2, stub_stream(), sample_size=m)
-        with pytest.raises(ValidationError):
-            fsv_run(data, FsvConfig(2, k=k, sample_size=m), stub_stream())
-        # the public draws share the kernel's checks
-        with pytest.raises(ValidationError):
             if method == "choice":
                 srs_sample(data, m, stub_stream())
             else:
                 make_folds(m, k, stub_stream())
+        if method == "choice":
+            # the kernel shares srs_sample's checks
+            with pytest.raises(ValidationError):
+                _run_passes(data, k, 2, stub_stream(), sample_size=m)
+            with pytest.raises(ValidationError):
+                fsv_run(data, FsvConfig(2, k=k, sample_size=m), stub_stream())
+            continue
+        # the kernel shuffles the subsample and never calls permutation,
+        # so a corrupt one changes neither its output nor its stream
+        stub, real = stub_stream(), RngStream(6, 1)
+        got = _run_passes(data, k, 2, stub, sample_size=m, holdout=True)
+        want = _run_passes(data, k, 2, real, sample_size=m, holdout=True)
+        for name in got._fields:
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, b, equal_nan=True), name
+        assert _streams_equal(stub, real)
+        config = FsvConfig(2, k=k, sample_size=m)
+        stub, real = stub_stream(), RngStream(6, 1)
+        got, want = fsv_run(data, config, stub), fsv_run(data, config, real)
+        assert got.compounded_measure == want.compounded_measure
+        assert np.array_equal(got.iteration_losses, want.iteration_losses)
+        assert got.iteration_metrics == want.iteration_metrics
+        assert _streams_equal(stub, real)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 1_500, 75_000])
+def test_numpy_shuffle_makes_permutations_swaps(m):
+    # the kernel relies on this: shuffling a vector in place orders it as
+    # taking it by permutation(len) would, and leaves the stream in the
+    # same state
+    z = np.random.default_rng(m).standard_normal(m)
+    g1, g2 = np.random.default_rng(7), np.random.default_rng(7)
+    y = z.copy()
+    g1.shuffle(y)
+    assert np.array_equal(y, z.take(g2.permutation(m)))
+    assert g1.bit_generator.state == g2.bit_generator.state
 
 
 def test_single_fold_is_rejected_before_drawing():
