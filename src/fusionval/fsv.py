@@ -20,6 +20,10 @@ The holdout loss is the squared error of the subsample mean on the
 dataset's other points, taken from the dataset's totals (computed once
 per run) minus the subsample's rather than by gathering the holdout.
 No step uses BLAS (see the :mod:`fusionval.kfold` docstring for why).
+A run keeps its alpha-scaled metrics as one read-only ``(T x 6)`` table,
+:attr:`FsvResult.metrics`; its ``TrialMetrics`` rows are built only when
+``iteration_metrics`` is read, so a caller that holds many results holds
+no per-row objects.
 
 Compounding has two meanings in this package, both alpha times a mean
 of raw mean fold losses: :func:`fsv_run` compounds T iterations on one
@@ -37,9 +41,9 @@ import numpy as np
 from .data import Dataset
 from .errors import ValidationError
 from .kfold import _run_passes, _trainable
-from .metrics import TrialMetrics, metric_table
+from .metrics import METRIC_FIELDS, TrialMetrics, metric_table
 from .rng import RngStream
-from .sampling import FRACTION_RANGE
+from .sampling import FRACTION_RANGE, _fraction_window, _number
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -64,6 +68,9 @@ class FsvConfig:
     size instead, and must leave every fold's training complement at
     least 2 points. :func:`fsv_run` applies the same test to the
     smallest size the fraction window can draw on its dataset.
+    ``iterations``, ``k`` and ``sample_size`` must be integral (5.0 is
+    taken as 5, 5.5 is refused) and ``fraction_range`` a pair with
+    0 < low < high <= 1.
     """
 
     iterations: int
@@ -73,6 +80,17 @@ class FsvConfig:
     fraction_range: tuple[float, float] = FRACTION_RANGE
 
     def __post_init__(self) -> None:
+        def normalise(name, value):
+            object.__setattr__(self, name, value)
+
+        for name in ("iterations", "k"):
+            normalise(name, _number(name, getattr(self, name), True))
+        if self.sample_size is not None:
+            normalise(
+                "sample_size", _number("sample_size", self.sample_size, True)
+            )
+        _number("alpha", self.alpha)
+        normalise("fraction_range", _fraction_window(self.fraction_range))
         if self.iterations < 1:
             raise ValidationError(
                 f"iterations must be >= 1, got {self.iterations}"
@@ -183,21 +201,25 @@ class FsvResult:
     """Outcome of one run.
 
     ``iteration_losses`` holds the raw (unscaled) mean fold loss of each
-    iteration; ``iteration_metrics`` holds the alpha-scaled metric rows
-    the summary tables report. ``compounded_measure`` always equals
-    alpha times the mean of ``iteration_losses``.
+    iteration. ``metrics`` holds the alpha-scaled metrics the summary
+    tables report, as a read-only float64 ``(T x 6)`` table with one row
+    per iteration and columns in ``METRIC_FIELDS`` order.
+    ``compounded_measure`` always equals alpha times the mean of
+    ``iteration_losses``.
     """
 
     compounded_measure: float
     iteration_losses: np.ndarray
-    iteration_metrics: tuple[TrialMetrics, ...]
+    metrics: np.ndarray
     alpha: float
     k: int
 
     def __post_init__(self) -> None:
-        if len(self.iteration_losses) != len(self.iteration_metrics):
+        shape = (len(self.iteration_losses), len(METRIC_FIELDS))
+        if self.metrics.dtype != np.float64 or self.metrics.shape != shape:
             raise ValidationError(
-                "iteration_losses and iteration_metrics lengths differ"
+                f"metrics must be a float64 table of shape {shape}, got "
+                f"{self.metrics.dtype} of shape {self.metrics.shape}"
             )
         expected = compound_measure(self.iteration_losses, self.alpha)
         if abs(self.compounded_measure - expected) > _COMPOUND_TOL:
@@ -206,6 +228,12 @@ class FsvResult:
                 f"not match alpha * mean(iteration_losses) {expected!r}"
             )
         self.iteration_losses.setflags(write=False)
+        self.metrics.setflags(write=False)
+
+    @property
+    def iteration_metrics(self) -> tuple[TrialMetrics, ...]:
+        """The rows of ``metrics`` by name; built on each read, not kept."""
+        return tuple(map(TrialMetrics._make, self.metrics.tolist()))
 
     @property
     def iterations(self) -> int:
@@ -252,7 +280,7 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
             "fraction_range or sample_size"
         )
     losses = passes.fold_losses.mean(axis=1)
-    table = config.alpha * metric_table(
+    metrics = config.alpha * metric_table(
         passes.sample_mean,
         passes.sample_var,
         passes.holdout_mse,
@@ -263,7 +291,7 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
     return FsvResult(
         compounded_measure=compound_measure(losses, config.alpha),
         iteration_losses=losses,
-        iteration_metrics=tuple(TrialMetrics(*r) for r in table.tolist()),
+        metrics=metrics,
         alpha=config.alpha,
         k=config.k,
     )

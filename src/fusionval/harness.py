@@ -22,10 +22,8 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 import time
-from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -38,7 +36,7 @@ from .fsv import compound_measure, sampled_kfold_trial
 from .kfold import LambdaWeights, _trainable, repeated_kfcv
 from .metrics import METRIC_FIELDS, Aggregate, Method, metric_table, summarize
 from .rng import Purpose, derive_stream
-from .sampling import FRACTION_RANGE
+from .sampling import FRACTION_RANGE, _fraction_window, _number, _numbers
 
 __all__ = [
     "ExperimentConfig",
@@ -68,24 +66,6 @@ _METRIC_LABELS = {
     "roc_ve": "ROC Var est.",
 }
 _METHOD_LABELS = {Method.SRS: "SRS", Method.KFCV: "KF", Method.FSV: "FSV"}
-
-
-def _number(name: str, value, integral: bool = False):
-    """``value``, as an int if ``integral``, or a ValidationError naming
-    the field. A float with a fractional part is rejected, not truncated."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if not integral:
-            return value
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    kind = "an integer" if integral else "a real number"
-    raise ValidationError(f"{name} must be {kind}, got {value!r}")
-
-
-def _numbers(name: str, values, integral: bool = False) -> tuple:
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-        raise ValidationError(f"{name} must be a sequence, got {values!r}")
-    return tuple(_number(f"{name} entry", v, integral) for v in values)
 
 
 @dataclass(frozen=True)
@@ -119,14 +99,7 @@ class ExperimentConfig:
             normalise(
                 "lambdas", tuple(map(float, _numbers("lambdas", self.lambdas)))
             )
-        normalise(
-            "fraction_range", _numbers("fraction_range", self.fraction_range)
-        )
-        if len(self.fraction_range) != 2:
-            raise ValidationError(
-                "fraction_range must be a pair (low, high), "
-                f"got {self.fraction_range}"
-            )
+        normalise("fraction_range", _fraction_window(self.fraction_range))
         if not isinstance(self.shared_streams, bool):
             raise ValidationError(
                 f"shared_streams must be a bool, got {self.shared_streams!r}"
@@ -162,11 +135,6 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         low, high = self.fraction_range
-        if not 0.0 < low < high <= 1.0:
-            raise ValidationError(
-                f"fraction_range must satisfy 0 < low < high <= 1, "
-                f"got {self.fraction_range}"
-            )
         if not self.sigma2 > 0:
             raise ValidationError(
                 f"sigma2 must be > 0, got {self.sigma2}"

@@ -66,6 +66,7 @@ from .rng import RngStream
 from .sampling import (
     FRACTION_RANGE,
     _draw_subset,
+    _fraction_window,
     draw_partition_fraction,
 )
 
@@ -322,9 +323,12 @@ def _run_passes(
     order from ``folds_stream``, by a shuffle of the subsample; the two
     optional streams fall back to ``stream``. With ``holdout`` the result
     carries each subsample's squared error on the rest of the dataset.
+    A malformed ``k`` or fraction window is rejected before any draw.
     """
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
+    if sample_size is None:
+        low, high = _fraction_window(fraction_range)
     values = data.values
     pilot = values[0]
     fractions = np.full(passes, np.nan)
@@ -333,9 +337,7 @@ def _run_passes(
     m2s = np.empty((passes, k))
     for p in range(passes):
         if sample_size is None:
-            f = draw_partition_fraction(
-                fraction_stream or stream, *fraction_range
-            )
+            f = draw_partition_fraction(fraction_stream or stream, low, high)
             fractions[p] = f
             m = int(round(f * data.n))
         else:

@@ -7,6 +7,8 @@ fraction used by the experiment protocol.
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,40 @@ __all__ = [
 
 # default partition-fraction window for all experiments
 FRACTION_RANGE = (0.60, 0.90)
+
+
+def _number(name: str, value, integral: bool = False):
+    """``value``, as an int if ``integral``, or a ValidationError naming
+    the field. A float with a fractional part is rejected, not truncated."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if not integral:
+            return value
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    kind = "an integer" if integral else "a real number"
+    raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+def _numbers(name: str, values, integral: bool = False) -> tuple:
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise ValidationError(f"{name} must be a sequence, got {values!r}")
+    return tuple(_number(f"{name} entry", v, integral) for v in values)
+
+
+def _fraction_window(value) -> tuple:
+    """``value`` as a ``fraction_range`` tuple (low, high) with
+    0 < low < high <= 1, or a ValidationError naming that field."""
+    window = _numbers("fraction_range", value)
+    if len(window) != 2:
+        raise ValidationError(
+            f"fraction_range must be a pair (low, high), got {window}"
+        )
+    low, high = window
+    if not 0.0 < low < high <= 1.0:
+        raise ValidationError(
+            f"fraction_range must satisfy 0 < low < high <= 1, got {window}"
+        )
+    return window
 
 
 @dataclass(frozen=True, eq=False)

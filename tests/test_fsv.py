@@ -58,6 +58,33 @@ class TestFsvConfig:
         FsvConfig(iterations=1, k=2, sample_size=4)
         FsvConfig(iterations=1, k=3, sample_size=3)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"fraction_range": (0.6,)}, "fraction_range"),
+            ({"fraction_range": (0.6, 0.7, 0.8)}, "fraction_range"),
+            ({"fraction_range": (0.9, 0.6)}, "fraction_range"),
+            ({"fraction_range": "ab"}, "fraction_range"),
+            ({"iterations": 2.5}, "iterations"),
+            ({"iterations": "3"}, "iterations"),
+            ({"k": 2.5}, "k"),
+            ({"sample_size": 150.5}, "sample_size"),
+            ({"alpha": "0.9"}, "alpha"),
+        ],
+    )
+    def test_rejects_malformed_fields_by_name(self, fields, name):
+        with pytest.raises(ValidationError, match=f"^{name}"):
+            FsvConfig(**{"iterations": 3, **fields})
+
+    def test_integral_floats_become_ints(self):
+        config = FsvConfig(iterations=5.0, k=5.0, sample_size=150.0)
+        assert (config.iterations, config.k, config.sample_size) == (5, 5, 150)
+        assert all(
+            type(v) is int
+            for v in (config.iterations, config.k, config.sample_size)
+        )
+        assert config.fraction_range == (0.6, 0.9)
+
 
 class TestCompoundMeasure:
     def test_plain_mean_at_alpha_one(self):
@@ -169,10 +196,37 @@ class TestFsvRun:
             FsvResult(
                 compounded_measure=1.0,
                 iteration_losses=np.array([1.0, 1.0]),
-                iteration_metrics=(),
+                metrics=np.empty((0, 6)),
                 alpha=0.95,
                 k=5,
             )
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [
+            np.zeros((2, 5)),
+            np.zeros((3, 6)),
+            np.zeros(12),
+            np.zeros((2, 6), dtype=np.float32),
+        ],
+    )
+    def test_metrics_table_shape_enforced(self, metrics):
+        with pytest.raises(ValidationError, match="metrics"):
+            FsvResult(
+                compounded_measure=0.95,
+                iteration_losses=np.array([1.0, 1.0]),
+                metrics=metrics,
+                alpha=0.95,
+                k=5,
+            )
+        result = FsvResult(
+            compounded_measure=0.95,
+            iteration_losses=np.array([1.0, 1.0]),
+            metrics=np.zeros((2, 6)),
+            alpha=0.95,
+            k=5,
+        )
+        assert not result.metrics.flags.writeable
 
     def test_rejects_small_dataset_and_exhausting_sample(self):
         data = generate_dataset(9, 0.0, 1.0, derive_stream(11, 6, 0))

@@ -40,7 +40,7 @@ from fusionval.kfold import (
     make_folds,
     repeated_kfcv,
 )
-from fusionval.metrics import METRIC_FIELDS
+from fusionval.metrics import METRIC_FIELDS, TrialMetrics, metric_table
 from fusionval.rng import RngStream
 from fusionval.sampling import (
     SampleView,
@@ -191,6 +191,7 @@ class TestFsvRun:
         stream, ref_stream = RngStream(seed, 1), RngStream(seed, 1)
         result = fsv_run(data, config, stream)
         tol = _Tolerance(data)
+        rows = result.iteration_metrics
         for t in range(iterations):
             ref = _reference_pass(
                 data, k, ref_stream, ref_stream, ref_stream,
@@ -221,7 +222,7 @@ class TestFsvRun:
                 "roc_me": tol.of(raw["roc_me"], False),
                 "roc_ve": tol.of(ref["var"], True),
             }
-            row = result.iteration_metrics[t]
+            row = rows[t]
             for field in METRIC_FIELDS:
                 _assert_close(
                     getattr(row, field),
@@ -230,6 +231,40 @@ class TestFsvRun:
                     f"iteration {t} {field}",
                 )
         assert _streams_equal(stream, ref_stream)
+
+    @pytest.mark.parametrize("sample_size", [None, 200])
+    def test_metrics_is_the_alpha_scaled_table_of_its_passes(
+        self, sample_size
+    ):
+        data = _dataset(300, 1e9, 1.0, 8)
+        config = FsvConfig(7, alpha=0.9, k=4, sample_size=sample_size)
+        stream = RngStream(8, 1)
+        passes = _run_passes(
+            data,
+            config.k,
+            config.iterations,
+            stream.clone(),
+            sample_size=sample_size,
+            fraction_range=config.fraction_range,
+            holdout=True,
+        )
+        result = fsv_run(data, config, stream)
+        want = config.alpha * metric_table(
+            passes.sample_mean,
+            passes.sample_var,
+            passes.holdout_mse,
+            data.true_mean,
+            data.true_var,
+            passes.fold_losses[:, 0],
+        )
+        table = result.metrics
+        assert table.dtype == np.float64
+        assert table.shape == (config.iterations, len(METRIC_FIELDS))
+        assert not table.flags.writeable
+        assert table.tobytes() == want.tobytes()
+        rows = result.iteration_metrics
+        assert rows == tuple(TrialMetrics._make(r) for r in table.tolist())
+        assert all(type(row) is TrialMetrics for row in rows)
 
 
 class TestRepeatedKfcv:
@@ -605,4 +640,21 @@ def test_single_fold_is_rejected_before_drawing():
     before = stream.generator.bit_generator.state
     with pytest.raises(ValidationError, match="k must be >= 2"):
         repeated_kfcv(data, 1, 2, LambdaWeights.uniform(1), stream)
+    assert stream.generator.bit_generator.state == before
+
+
+@pytest.mark.parametrize("window", [(0.6,), (0.6, 0.7, 0.8)])
+@pytest.mark.parametrize("kernel", ["repeated_kfcv", "sampled_kfold_trial"])
+def test_malformed_window_is_rejected_before_drawing(kernel, window):
+    data = _dataset(50, 0.0, 1.0, 6)
+    stream = RngStream(6, 1)
+    before = stream.generator.bit_generator.state
+    with pytest.raises(ValidationError, match="fraction_range"):
+        if kernel == "repeated_kfcv":
+            repeated_kfcv(
+                data, 5, 2, LambdaWeights.uniform(5), stream,
+                fraction_range=window,
+            )
+        else:
+            sampled_kfold_trial(data, 5, stream, fraction_range=window)
     assert stream.generator.bit_generator.state == before
