@@ -40,7 +40,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ValidationError
-from .kfold import _run_passes, _trainable
+from .kfold import _run_passes, _subsample_range
 from .metrics import METRIC_FIELDS, TrialMetrics, metric_table
 from .rng import RngStream
 from .sampling import FRACTION_RANGE, _fraction_window, _number
@@ -107,18 +107,8 @@ class FsvConfig:
             )
         if self.k < 2:
             raise ValidationError(f"k must be >= 2, got {self.k}")
-        if self.sample_size is not None and self.sample_size < self.k:
-            raise ValidationError(
-                f"sample_size must be >= k, got {self.sample_size}"
-            )
-        if self.sample_size is not None and not _trainable(
-            self.sample_size, self.k
-        ):
-            raise ValidationError(
-                f"sample_size {self.sample_size} is too small: with "
-                f"k={self.k} folds it leaves a training complement of "
-                "fewer than 2 points"
-            )
+        if self.sample_size is not None:  # before n is known: n = m
+            _subsample_range(self.sample_size, self.k, self.sample_size, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +149,13 @@ def sampled_kfold_trial(
     ``stream`` so single-stream callers stay deterministic. The sample
     statistics come from the whole subsample (mean, ddof=1 variance);
     the holdout loss scores the subsample-fitted model on the rest of
-    the dataset.
+    the dataset. ``k`` and ``sample_size`` must be integral (5.0 is
+    taken as 5). A call that can draw a size that cannot train, or a
+    pinned size over n, fails before any draw; a pinned n has no holdout.
     """
+    k = _number("k", k, True)
+    if sample_size is not None:
+        sample_size = _number("sample_size", sample_size, True)
     passes = _run_passes(
         data,
         k,
@@ -251,20 +246,14 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
         raise ValidationError(
             f"need data.n >= 2k, got n={data.n}, k={config.k}"
         )
-    if config.sample_size is not None and config.sample_size >= data.n:
+    _, m_hi = _subsample_range(
+        data.n, config.k, config.sample_size, config.fraction_range
+    )
+    if m_hi >= data.n:
         raise ValidationError(
-            "sample_size must leave a non-empty holdout, got "
-            f"{config.sample_size} of n={data.n}"
+            f"the largest subsample, {m_hi} of n={data.n} points, leaves "
+            "no holdout; shrink fraction_range or sample_size"
         )
-    if config.sample_size is None:
-        smallest = int(round(config.fraction_range[0] * data.n))
-        if not _trainable(smallest, config.k):
-            raise ValidationError(
-                f"n={data.n} is too small: the smallest subsample, "
-                f"round({config.fraction_range[0]}*{data.n}) = {smallest} "
-                f"points, cannot be split into k={config.k} folds that "
-                "each leave at least 2 training points"
-            )
     passes = _run_passes(
         data,
         config.k,
@@ -274,11 +263,6 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
         fraction_range=config.fraction_range,
         holdout=True,
     )
-    if np.isnan(passes.holdout_mse).any():
-        raise ValidationError(
-            "iteration subsample exhausted the dataset; shrink "
-            "fraction_range or sample_size"
-        )
     losses = passes.fold_losses.mean(axis=1)
     metrics = config.alpha * metric_table(
         passes.sample_mean,

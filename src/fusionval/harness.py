@@ -33,7 +33,7 @@ import numpy as np
 from .data import generate_dataset
 from .errors import ValidationError
 from .fsv import compound_measure, sampled_kfold_trial
-from .kfold import LambdaWeights, _trainable, repeated_kfcv
+from .kfold import LambdaWeights, _subsample_range, repeated_kfcv
 from .metrics import METRIC_FIELDS, Aggregate, Method, metric_table, summarize
 from .rng import Purpose, derive_stream
 from .sampling import FRACTION_RANGE, _fraction_window, _number, _numbers
@@ -134,21 +134,13 @@ class ExperimentConfig:
         object.__setattr__(self, "_weights", weights)
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        low, high = self.fraction_range
         if not self.sigma2 > 0:
             raise ValidationError(
                 f"sigma2 must be > 0, got {self.sigma2}"
             )
         for n in self.sizes:
-            smallest = int(round(low * n))
-            if not _trainable(smallest, self.k):
-                raise ValidationError(
-                    f"size {n} is too small: the smallest subsample, "
-                    f"round({low}*{n}) = {smallest} points, cannot be "
-                    f"split into k={self.k} folds that each leave at "
-                    "least 2 training points"
-                )
-            if int(round(high * n)) >= n:
+            _, m_hi = _subsample_range(n, self.k, None, self.fraction_range)
+            if m_hi >= n:
                 raise ValidationError(
                     f"size {n} is too small: the largest subsample "
                     f"leaves no holdout"

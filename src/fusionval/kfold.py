@@ -11,21 +11,23 @@ pass through :func:`kfold_losses`, the P = 1 pass of
 ``fsv.sampled_kfold_trial``, the R repetitions of :func:`repeated_kfcv`
 and the T iterations of ``fsv.fsv_run``. It works in two steps.
 
-*Draw step, once per pass.* Draw as a loop over the public API would,
-on the caller's streams and in the same order: the partition fraction
-(``sampling.draw_partition_fraction``), the subset ``sampling.srs_sample``
-draws, with its checks, and :func:`make_folds`' fold order. The subset
-comes back sorted (from a third of n up through a boolean mask rather
-than a sort), is taken from the dataset and is shuffled in place: numpy's
-``permutation(m)`` shuffles ``arange(m)`` with swaps that depend on m
-alone, so the subsample lands in ``make_folds``' order, with no index
-array to check or gather by. Shifted by a pilot value, the dataset's
-first element, each fold reduces to its count n_i, sum and centred sum
-of squares M2_i with ``np.add.reduceat``. The shift keeps sums of the
-order of the spread rather than of the mean: with mu = 1e9 and sigma =
-1e-3 an unshifted sum would lose the spread to rounding. Fold sizes
-follow from ``divmod(m, k)``, as :func:`make_folds` lays them out. Each
-pass fills one row of ``(passes x k)`` arrays.
+*Draw step, once per pass,* after one check per call of every size the
+call can draw (:func:`_subsample_range`). Draw as a loop over the public
+API would, on the caller's streams and in the same order: the partition
+fraction (``sampling.draw_partition_fraction``'s one ``uniform`` call),
+the subset ``sampling.srs_sample`` draws, with its checks, and
+:func:`make_folds`' fold order. The subset comes back sorted (from a
+third of n up through a boolean mask rather than a sort), is taken from
+the dataset and is shuffled in place: numpy's ``permutation(m)``
+shuffles ``arange(m)`` with swaps that depend on m alone, so the
+subsample lands in ``make_folds``' order, with no index array to check
+or gather by. Shifted by a pilot value, the dataset's first element,
+each fold reduces to its count n_i, sum and centred sum of squares M2_i
+with ``np.add.reduceat``. The shift keeps sums of the order of the
+spread rather than of the mean: with mu = 1e9 and sigma = 1e-3 an
+unshifted sum would lose the spread to rounding. Fold sizes follow from
+``divmod(m, k)``, as :func:`make_folds` lays them out. Each pass fills
+one row of ``(passes x k)`` arrays.
 
 *Statistics step, once per call.* Everything else is algebra on those
 arrays, over all passes at once. The pairwise update of Chan, Golub and
@@ -63,12 +65,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ValidationError
 from .rng import RngStream
-from .sampling import (
-    FRACTION_RANGE,
-    _draw_subset,
-    _fraction_window,
-    draw_partition_fraction,
-)
+from .sampling import FRACTION_RANGE, _draw_subset, _fraction_window, _number
 
 __all__ = [
     "FoldPlan",
@@ -218,6 +215,32 @@ def _trainable(m: int, k: int) -> bool:
     return m >= k and m - -(-m // k) >= 2
 
 
+def _subsample_range(
+    n: int, k: int, sample_size: int | None, fraction_range: tuple
+) -> tuple[int, int]:
+    """The least and greatest subsample size m a call on n points can
+    draw: the pinned ``sample_size`` twice, or round(low*n), round(high*n).
+    They bound every drawn m, as round is monotone, and m - ceil(m/k)
+    never falls as m grows. Raises, naming the field, unless every such
+    m is :func:`_trainable` and at most n."""
+    if sample_size is None:
+        low, high = fraction_range
+        m_lo, m_hi = int(round(low * n)), int(round(high * n))
+        what = f"fraction_range {fraction_range} on n={n} points"
+    else:
+        m_lo = m_hi = sample_size
+        what = f"sample_size {sample_size}"
+    if not _trainable(m_lo, k):
+        raise ValidationError(
+            f"{what} is too small to train k={k} folds: its smallest "
+            f"subsample, {m_lo} points, leaves some fold a training "
+            "complement of fewer than 2 points"
+        )
+    if m_hi > n:
+        raise ValidationError(f"{what} exceeds n={n}")
+    return m_lo, m_hi
+
+
 def _fold_moments(
     y: np.ndarray, sizes: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -261,12 +284,6 @@ def _combine(
     also the holdout's squared error from the dataset's totals."""
     total = counts.sum(axis=1)
     train = total[:, None] - counts
-    if train.min() < 2:
-        p, i = np.unravel_index(train.argmin(), train.shape)
-        raise ValidationError(
-            f"training complement of fold {i} has {int(train[p, i])} "
-            "points, need at least 2"
-        )
     total_sum = sums.sum(axis=1)
     mean = total_sum / total
     fold_mean = sums / counts
@@ -323,12 +340,14 @@ def _run_passes(
     order from ``folds_stream``, by a shuffle of the subsample; the two
     optional streams fall back to ``stream``. With ``holdout`` the result
     carries each subsample's squared error on the rest of the dataset.
-    A malformed ``k`` or fraction window is rejected before any draw.
+    Every size the call can draw is checked before the first draw.
     """
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
     if sample_size is None:
-        low, high = _fraction_window(fraction_range)
+        fraction_range = _fraction_window(fraction_range)
+        low, high = fraction_range
+    _subsample_range(data.n, k, sample_size, fraction_range)
     values = data.values
     pilot = values[0]
     fractions = np.full(passes, np.nan)
@@ -337,15 +356,12 @@ def _run_passes(
     m2s = np.empty((passes, k))
     for p in range(passes):
         if sample_size is None:
-            f = draw_partition_fraction(fraction_stream or stream, low, high)
+            # draw_partition_fraction's draw, less its window check
+            f = float((fraction_stream or stream).generator.uniform(low, high))
             fractions[p] = f
             m = int(round(f * data.n))
         else:
             m = sample_size
-        if not k <= m <= data.n:
-            raise ValidationError(
-                f"need k <= m <= n, got m={m}, k={k}, n={data.n}"
-            )
         y = values.take(_draw_subset(data.n, m, stream))
         y -= pilot
         # a fresh contiguous float64 vector: shuffle's 8-byte fast path
@@ -367,6 +383,9 @@ def _fold_stats(
     would, by the kernel's statistics step on a single pass.
     ``sample`` must be a float64 vector of length ``plan.total``.
     """
+    # a caller-built plan is the one way to a complement under 2 points
+    if not _trainable(plan.total, plan.k):
+        raise ValidationError("a training complement has under 2 points")
     y = sample[plan._order]
     pilot = y[0]
     y -= pilot
@@ -483,8 +502,12 @@ def repeated_kfcv(
     round(f*n) points, builds a fold plan, and records the weighted
     k-fold loss plus the per-fold training-complement mean and variance.
     The returned estimates average over all repetitions and folds; the
-    repetitions run as one batch of the pass kernel.
+    repetitions run as one batch of the pass kernel. ``k`` and
+    ``repetitions`` must be integral (5.0 is taken as 5). A call whose
+    window can draw a size that cannot train fails before any draw.
     """
+    k = _number("k", k, True)
+    repetitions = _number("repetitions", repetitions, True)
     if repetitions < 1:
         raise ValidationError(
             f"repetitions must be >= 1, got {repetitions}"

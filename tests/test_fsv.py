@@ -258,6 +258,16 @@ class TestFsvRun:
         )
         with pytest.raises(ValidationError):
             fsv_run(data, config, RngStream(11, 9))
+        # a window that reaches 1.0 can draw all n points, if rarely:
+        # the run is refused on every seed, before it draws
+        data = generate_dataset(2_000, 0.0, 1.0, derive_stream(11, 8, 1))
+        config = FsvConfig(iterations=40, fraction_range=(0.6, 1.0))
+        for seed in range(100):
+            stream = RngStream(11, seed)
+            before = stream.generator.bit_generator.state
+            with pytest.raises(ValidationError, match="no holdout"):
+                fsv_run(data, config, stream)
+            assert stream.generator.bit_generator.state == before
 
     def test_unbiasedness_with_and_without_shrinkage(self):
         runs, t, n, sample_size = 600, 10, 500, 375

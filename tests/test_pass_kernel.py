@@ -35,6 +35,7 @@ from fusionval.kfold import (
     _combine,
     _fold_moments,
     _run_passes,
+    _subsample_range,
     _trainable,
     kfold_losses,
     make_folds,
@@ -658,3 +659,107 @@ def test_malformed_window_is_rejected_before_drawing(kernel, window):
         else:
             sampled_kfold_trial(data, 5, stream, fraction_range=window)
     assert stream.generator.bit_generator.state == before
+
+
+@pytest.mark.parametrize("kernel", ["repeated_kfcv", "sampled_kfold_trial"])
+def test_window_too_low_for_n_is_rejected_before_drawing(kernel):
+    # round(0.2 * 10) = 2 points cannot train both folds of k = 2, but
+    # most draws from the window can: the call must fail on every seed,
+    # not only where a pass happens to draw a small size
+    data = _dataset(10, 0.0, 1.0, 6)
+    for seed in range(60):
+        stream = RngStream(seed, 1)
+        before = stream.generator.bit_generator.state
+        with pytest.raises(ValidationError, match="^fraction_range"):
+            if kernel == "repeated_kfcv":
+                repeated_kfcv(
+                    data, 2, 3, LambdaWeights.uniform(2), stream,
+                    fraction_range=(0.2, 0.9),
+                )
+            else:
+                sampled_kfold_trial(
+                    data, 2, stream, fraction_range=(0.2, 0.9)
+                )
+        assert stream.generator.bit_generator.state == before
+
+
+_BAD_SIZE_CALLS = {
+    # a pinned size whose folds cannot train: 3 points in 2 folds
+    "untrainable-sample_size": (
+        "sample_size",
+        lambda data, s: sampled_kfold_trial(data, 2, s, sample_size=3),
+    ),
+    "sample_size-above-n": (
+        "sample_size",
+        lambda data, s: sampled_kfold_trial(data, 5, s, sample_size=51),
+    ),
+    "fractional-sample_size": (
+        "sample_size",
+        lambda data, s: sampled_kfold_trial(data, 5, s, sample_size=30.5),
+    ),
+    "fractional-k-trial": (
+        "k", lambda data, s: sampled_kfold_trial(data, 5.5, s)
+    ),
+    "fractional-k-kfcv": (
+        "k",
+        lambda data, s: repeated_kfcv(
+            data, 5.5, 2, LambdaWeights.uniform(5), s
+        ),
+    ),
+    "fractional-repetitions": (
+        "repetitions",
+        lambda data, s: repeated_kfcv(
+            data, 5, 2.5, LambdaWeights.uniform(5), s
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SIZE_CALLS))
+def test_bad_size_is_rejected_by_name_before_drawing(case):
+    name, call = _BAD_SIZE_CALLS[case]
+    data = _dataset(50, 0.0, 1.0, 6)
+    stream = RngStream(6, 1)
+    before = stream.generator.bit_generator.state
+    with pytest.raises(ValidationError, match=f"^{name} "):
+        call(data, stream)
+    assert stream.generator.bit_generator.state == before
+
+
+def test_integral_float_sizes_are_taken_as_ints():
+    data = _dataset(50, 0.0, 1.0, 6)
+    trial = sampled_kfold_trial(data, 5.0, RngStream(6, 1), sample_size=30.0)
+    want = sampled_kfold_trial(data, 5, RngStream(6, 1), sample_size=30)
+    assert trial.m == want.m == 30
+    assert np.array_equal(trial.fold_losses, want.fold_losses)
+    weights = LambdaWeights.uniform(5)
+    est = repeated_kfcv(data, 5.0, 2.0, weights, RngStream(6, 1))
+    assert est == repeated_kfcv(data, 5, 2, weights, RngStream(6, 1))
+    assert type(est.k) is int and type(est.repetitions) is int
+
+
+@given(
+    n=st.integers(min_value=2, max_value=300),
+    k=st.integers(min_value=2, max_value=10),
+    low=st.floats(min_value=1e-3, max_value=1.0),
+    width=st.floats(min_value=1e-3, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_drawn_size_lies_in_the_checked_range(n, k, low, width, seed):
+    high = min(low + width, 1.0)
+    assume(low < high)
+    data = _dataset(n, 0.0, 1.0, seed)
+    stream = RngStream(seed, 1)
+    before = stream.generator.bit_generator.state
+    try:
+        m_lo, m_hi = _subsample_range(n, k, None, (low, high))
+    except ValidationError:
+        # a range the helper refuses is refused before any draw
+        with pytest.raises(ValidationError, match="^fraction_range"):
+            _run_passes(data, k, 8, stream, fraction_range=(low, high))
+        assert stream.generator.bit_generator.state == before
+        return
+    passes = _run_passes(data, k, 8, stream, fraction_range=(low, high))
+    assert ((m_lo <= passes.m) & (passes.m <= m_hi)).all()
+    assert all(_trainable(int(m), k) for m in passes.m)
