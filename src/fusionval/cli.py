@@ -19,8 +19,6 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .harness import (
-    DEFAULT_SIZES,
-    DEFAULT_TRIALS,
     ExperimentConfig,
     emit_csv,
     emit_json,
@@ -77,6 +75,8 @@ _CONFIG_KEYS = {
     "out": str,
     "format": str,
 }
+# the keys above that set how a study runs, not the study
+_RUN_KEYS = ("jobs", "out", "format")
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -113,10 +113,11 @@ def parse_config_file(path: str | Path) -> dict:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="key=value config file")
-    p.add_argument("--seed", type=int, help="base seed (default 42)")
-    p.add_argument("--alpha", type=float, help="compounding factor (default 0.95)")
-    p.add_argument("--k", type=int, help="fold count (default 5)")
-    p.add_argument("--reps", type=int, help="cross-validation repetitions (default 10)")
+    default = ExperimentConfig  # its fields' defaults are class attributes
+    p.add_argument("--seed", type=int, help=f"base seed (default {default.seed})")
+    p.add_argument("--alpha", type=float, help=f"compounding factor (default {default.alpha})")
+    p.add_argument("--k", type=int, help=f"fold count (default {default.k})")
+    p.add_argument("--reps", type=int, help=f"cross-validation repetitions (default {default.repetitions})")
     p.add_argument("--jobs", type=int, help="worker count (default: all cores)")
     p.add_argument(
         "--shared-streams",
@@ -210,18 +211,13 @@ def _layered_options(args: argparse.Namespace, overrides: dict) -> dict:
 
 
 def _experiment_config(layered: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        sizes=layered.get("sizes", DEFAULT_SIZES),
-        trials=layered.get("trials", DEFAULT_TRIALS),
-        k=layered.get("k", 5),
-        repetitions=layered.get("reps", 10),
-        alpha=layered.get("alpha", 0.95),
-        lambdas=layered.get("lambdas"),
-        seed=layered.get("seed", 42),
-        mu=layered.get("mu", 0.0),
-        sigma2=layered.get("sigma2", 1.0),
-        shared_streams=layered.get("shared_streams", False),
-    )
+    """The config of the given study keys; ``ExperimentConfig`` fills in
+    the rest with its defaults."""
+    return ExperimentConfig(**{
+        "repetitions" if key == "reps" else key: value
+        for key, value in layered.items()
+        if key not in _RUN_KEYS
+    })
 
 
 def _emit(report, fmt: str, out: str | None) -> int:
@@ -251,17 +247,11 @@ def _emit(report, fmt: str, out: str | None) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    layered = _layered_options(args, {})
-    report = run_experiment(
-        _experiment_config(layered), jobs=layered.get("jobs")
-    )
-    return _emit(report, layered.get("format", "md"), layered.get("out"))
-
-
-def _cmd_cell(args: argparse.Namespace) -> int:
+def _cmd_study(args: argparse.Namespace) -> int:
+    """``run``, or ``cell``: the grid narrowed to the one cell (n, t)."""
+    cell = args.command == "cell"
     layered = _layered_options(
-        args, {"sizes": (args.n,), "trials": (args.t,)}
+        args, {"sizes": (args.n,), "trials": (args.t,)} if cell else {}
     )
     report = run_experiment(
         _experiment_config(layered), jobs=layered.get("jobs")
@@ -273,14 +263,11 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     budget = hybrid_variance(
         args.sigma2, args.n, args.population, args.fold_vars, args.t
     )
+    per_iteration = budget.srs_component + budget.kfcv_component
     print(f"subsampling variance component  {budget.srs_component:.6e}")
     print(f"fold-average variance component {budget.kfcv_component:.6e}")
-    print(
-        "per-iteration total             "
-        f"{budget.srs_component + budget.kfcv_component:.6e}"
-    )
+    print(f"per-iteration total             {per_iteration:.6e}")
     print(f"total over T={args.t:<4d}              {budget.total_per_t:.6e}")
-    per_iteration = budget.srs_component + budget.kfcv_component
     print()
     print("k_dev  tail bound  deviation threshold")
     for k_dev in args.k_dev:
@@ -304,8 +291,8 @@ def _cmd_selftest(_: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
-        "run": _cmd_run,
-        "cell": _cmd_cell,
+        "run": _cmd_study,
+        "cell": _cmd_study,
         "theory": _cmd_theory,
         "selftest": _cmd_selftest,
     }[args.command]

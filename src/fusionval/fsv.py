@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 0.95
-_COMPOUND_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -199,11 +198,8 @@ class FsvResult:
     iteration. ``metrics`` holds the alpha-scaled metrics the summary
     tables report, as a read-only float64 ``(T x 6)`` table with one row
     per iteration and columns in ``METRIC_FIELDS`` order.
-    ``compounded_measure`` always equals alpha times the mean of
-    ``iteration_losses``.
     """
 
-    compounded_measure: float
     iteration_losses: np.ndarray
     metrics: np.ndarray
     alpha: float
@@ -216,14 +212,15 @@ class FsvResult:
                 f"metrics must be a float64 table of shape {shape}, got "
                 f"{self.metrics.dtype} of shape {self.metrics.shape}"
             )
-        expected = compound_measure(self.iteration_losses, self.alpha)
-        if abs(self.compounded_measure - expected) > _COMPOUND_TOL:
-            raise ValidationError(
-                f"compounded_measure {self.compounded_measure!r} does "
-                f"not match alpha * mean(iteration_losses) {expected!r}"
-            )
+        # compound_measure's checks, so that the property cannot fail
+        compound_measure(self.iteration_losses, self.alpha)
         self.iteration_losses.setflags(write=False)
         self.metrics.setflags(write=False)
+
+    @property
+    def compounded_measure(self) -> float:
+        """L*: alpha times the mean of ``iteration_losses``."""
+        return compound_measure(self.iteration_losses, self.alpha)
 
     @property
     def iteration_metrics(self) -> tuple[TrialMetrics, ...]:
@@ -241,19 +238,11 @@ class FsvResult:
 
 
 def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
-    """Run T subsample-and-validate iterations and compound the losses."""
-    if data.n < 2 * config.k:
-        raise ValidationError(
-            f"need data.n >= 2k, got n={data.n}, k={config.k}"
-        )
-    _, m_hi = _subsample_range(
-        data.n, config.k, config.sample_size, config.fraction_range
-    )
-    if m_hi >= data.n:
-        raise ValidationError(
-            f"the largest subsample, {m_hi} of n={data.n} points, leaves "
-            "no holdout; shrink fraction_range or sample_size"
-        )
+    """Run T subsample-and-validate iterations and compound the losses.
+
+    A call whose sizes cannot train, or can leave no holdout, fails
+    before any draw.
+    """
     passes = _run_passes(
         data,
         config.k,
@@ -262,8 +251,8 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
         sample_size=config.sample_size,
         fraction_range=config.fraction_range,
         holdout=True,
+        require_holdout=True,
     )
-    losses = passes.fold_losses.mean(axis=1)
     metrics = config.alpha * metric_table(
         passes.sample_mean,
         passes.sample_var,
@@ -273,8 +262,7 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
         passes.fold_losses[:, 0],
     )
     return FsvResult(
-        compounded_measure=compound_measure(losses, config.alpha),
-        iteration_losses=losses,
+        iteration_losses=passes.fold_losses.mean(axis=1),
         metrics=metrics,
         alpha=config.alpha,
         k=config.k,

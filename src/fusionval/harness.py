@@ -26,6 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -108,8 +109,10 @@ class ExperimentConfig:
             raise ValidationError("sizes must be non-empty")
         if not self.trials or any(t < 1 for t in self.trials):
             raise ValidationError("trials must be non-empty, all >= 1")
-        if self.k < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
+        for n in self.sizes:  # checks k >= 2 first
+            _subsample_range(
+                n, self.k, None, self.fraction_range, require_holdout=True
+            )
         if self.repetitions < 1:
             raise ValidationError(
                 f"repetitions must be >= 1, got {self.repetitions}"
@@ -138,13 +141,6 @@ class ExperimentConfig:
             raise ValidationError(
                 f"sigma2 must be > 0, got {self.sigma2}"
             )
-        for n in self.sizes:
-            _, m_hi = _subsample_range(n, self.k, None, self.fraction_range)
-            if m_hi >= n:
-                raise ValidationError(
-                    f"size {n} is too small: the largest subsample "
-                    f"leaves no holdout"
-                )
 
     def weights(self) -> LambdaWeights:
         """The fold-loss weights, validated and built once per config."""
@@ -533,14 +529,39 @@ def _cell_from_dict(config: ExperimentConfig, cd: dict) -> CellResult:
     return cell
 
 
+def _check_cell_grid(config: ExperimentConfig, cells: list[dict]) -> None:
+    """The stored cells must be the config's grid, (n, t) for n in
+    ``sizes`` and t in ``trials``, in run order; names the first cell
+    that is missing, extra or out of place."""
+    grid = [(n, t) for n in config.sizes for t in config.trials]
+    stored = [(cd["n"], cd["t"]) for cd in cells]
+    for i, (want, got) in enumerate(zip_longest(grid, stored)):
+        if want == got:
+            continue
+        # the cells before i match the grid: a repeat of one is extra
+        repeat = got in stored[:i]
+        if want is None or got is not None and (got not in grid or repeat):
+            what, cell = "extra", got
+        elif got is None or want not in stored:
+            what, cell = "missing", want
+        else:
+            what, cell = "out of place", got
+        raise ValidationError(
+            f"cell (n={cell[0]}, t={cell[1]}) is {what}: the cells must be "
+            f"(n, t) for n in sizes {list(config.sizes)} and t in trials "
+            f"{list(config.trials)}, in that order"
+        )
+
+
 def report_from_dict(d: dict) -> ExperimentReport:
     """Rebuild a report from :func:`report_to_dict` output.
 
     The stored ``config_hash`` must be the hash of the stored config, so
-    a report whose config was edited after the run is rejected. Each
-    cell must hold t rows of exactly the ``METRIC_FIELDS`` per method
-    and t iteration losses, and its stored summaries and
-    ``fsv_compounded`` must equal those recomputed from them.
+    a report whose config was edited after the run is rejected. The
+    cells must be the config's grid in run order. Each cell must hold t
+    rows of exactly the ``METRIC_FIELDS`` per method and t iteration
+    losses, and its stored summaries and ``fsv_compounded`` must equal
+    those recomputed from them.
     """
     config = ExperimentConfig.from_dict(d["config"])
     if config.config_hash() != d["config_hash"]:
@@ -548,6 +569,7 @@ def report_from_dict(d: dict) -> ExperimentReport:
             f"config_hash {d['config_hash']!r} does not match the stored "
             f"config, whose hash is {config.config_hash()!r}"
         )
+    _check_cell_grid(config, d["cells"])
     return ExperimentReport(
         config=config,
         cells=[_cell_from_dict(config, cd) for cd in d["cells"]],

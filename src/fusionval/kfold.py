@@ -144,8 +144,8 @@ class FoldPlan:
         """Split a permutation of range(len(order)) into k near-equal
         folds, earlier folds taking the remainder.
 
-        Runs the same checks as the constructor; the folds are views of
-        ``order``, which becomes read-only.
+        Runs the constructor's checks; the folds are views of ``order``,
+        which becomes read-only.
         """
         if k < 2:
             raise ValidationError(f"k must be >= 2, got {k}")
@@ -154,38 +154,12 @@ class FoldPlan:
             raise ValidationError(
                 f"order must be a vector, got shape {order.shape}"
             )
-        _check_sizes(_fold_sizes(len(order), k), k)
-        _check_order(order)
-        return cls._from_checked_order(order, k)
-
-    @classmethod
-    def _from_checked_order(cls, order: np.ndarray, k: int) -> "FoldPlan":
-        """:meth:`from_permutation` for an ``order`` that already passed
-        its checks."""
         order.setflags(write=False)
-        sizes = _fold_sizes(len(order), k)
-        ends = list(accumulate(sizes))
-        plan = object.__new__(cls)
-        object.__setattr__(
-            plan,
-            "folds",
-            tuple(order[e - s:e] for s, e in zip(sizes, ends)),
-        )
-        object.__setattr__(plan, "k", k)
-        object.__setattr__(plan, "_order", order)
-        return plan
+        return cls(folds=tuple(np.array_split(order, k)), k=k)
 
     @property
     def total(self) -> int:
         return len(self._order)
-
-    def complement(self, i: int) -> np.ndarray:
-        """All indices outside fold i (the training split)."""
-        if not 0 <= i < self.k:
-            raise ValidationError(f"fold index {i} out of range(0, {self.k})")
-        return np.concatenate(
-            [f for j, f in enumerate(self.folds) if j != i]
-        )
 
 
 def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
@@ -205,8 +179,7 @@ def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
             f"fold permutation must be a length-{sample_size} vector, "
             f"got shape {order.shape}"
         )
-    _check_order(order)
-    return FoldPlan._from_checked_order(order, k)
+    return FoldPlan.from_permutation(order, k)
 
 
 def _trainable(m: int, k: int) -> bool:
@@ -216,13 +189,20 @@ def _trainable(m: int, k: int) -> bool:
 
 
 def _subsample_range(
-    n: int, k: int, sample_size: int | None, fraction_range: tuple
+    n: int,
+    k: int,
+    sample_size: int | None,
+    fraction_range: tuple,
+    require_holdout: bool = False,
 ) -> tuple[int, int]:
     """The least and greatest subsample size m a call on n points can
     draw: the pinned ``sample_size`` twice, or round(low*n), round(high*n).
     They bound every drawn m, as round is monotone, and m - ceil(m/k)
-    never falls as m grows. Raises, naming the field, unless every such
-    m is :func:`_trainable` and at most n."""
+    never falls as m grows. Raises unless k >= 2 and every such m is
+    :func:`_trainable` and at most n, and, with ``require_holdout``,
+    under n, so that it leaves a holdout; a size error names the field."""
+    if k < 2:
+        raise ValidationError(f"k must be >= 2, got {k}")
     if sample_size is None:
         low, high = fraction_range
         m_lo, m_hi = int(round(low * n)), int(round(high * n))
@@ -238,6 +218,11 @@ def _subsample_range(
         )
     if m_hi > n:
         raise ValidationError(f"{what} exceeds n={n}")
+    if require_holdout and m_hi == n:
+        raise ValidationError(
+            f"{what} leaves no holdout: its largest subsample is all "
+            f"n={n} points"
+        )
     return m_lo, m_hi
 
 
@@ -331,6 +316,7 @@ def _run_passes(
     sample_size: int | None = None,
     fraction_range: tuple[float, float] = FRACTION_RANGE,
     holdout: bool = False,
+    require_holdout: bool = False,
 ) -> _Passes:
     """Draw and validate ``passes`` subsamples of ``data``; see the
     module docstring.
@@ -340,14 +326,13 @@ def _run_passes(
     order from ``folds_stream``, by a shuffle of the subsample; the two
     optional streams fall back to ``stream``. With ``holdout`` the result
     carries each subsample's squared error on the rest of the dataset.
-    Every size the call can draw is checked before the first draw.
+    Every size the call can draw is checked before the first draw, by
+    :func:`_subsample_range` with ``require_holdout``.
     """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
     if sample_size is None:
         fraction_range = _fraction_window(fraction_range)
         low, high = fraction_range
-    _subsample_range(data.n, k, sample_size, fraction_range)
+    _subsample_range(data.n, k, sample_size, fraction_range, require_holdout)
     values = data.values
     pilot = values[0]
     fractions = np.full(passes, np.nan)
@@ -378,9 +363,9 @@ def _fold_stats(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-fold loss, training mean and ddof=1 training variance.
 
-    Fold i's model is fit on its training complement and scored on the
-    fold, as ``loss(fit(sample[plan.complement(i)]), sample[fold])``
-    would, by the kernel's statistics step on a single pass.
+    Fold i's model is fit on its training complement, the other folds,
+    and scored on the fold, as ``fit`` and ``loss`` would, by the
+    kernel's statistics step on a single pass.
     ``sample`` must be a float64 vector of length ``plan.total``.
     """
     # a caller-built plan is the one way to a complement under 2 points
@@ -426,14 +411,13 @@ def empirical_kfold_loss(losses: np.ndarray) -> float:
 class LambdaWeights:
     """Per-fold loss weights lambda_1..lambda_k.
 
-    With ``unbiased=True`` (the default) the weights must sum to k, the
-    condition under which the weighted loss keeps the plain estimate's
-    expectation. Weights must be finite and non-negative; zero weights
-    are allowed and simply drop a fold from the average.
+    The weights must sum to k, the condition under which the weighted
+    loss keeps the plain estimate's expectation. Weights must be finite
+    and non-negative; zero weights are allowed and simply drop a fold
+    from the average.
     """
 
     lambdas: np.ndarray
-    unbiased: bool = True
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.lambdas, dtype=np.float64)
@@ -444,7 +428,7 @@ class LambdaWeights:
             raise ValidationError(
                 "lambdas must be finite and non-negative"
             )
-        if self.unbiased and abs(arr.sum() - len(arr)) > _SUM_TOL:
+        if abs(arr.sum() - len(arr)) > _SUM_TOL:
             raise ValidationError(
                 f"lambdas must sum to k={len(arr)} for unbiased weights, "
                 f"got {float(arr.sum())!r}"

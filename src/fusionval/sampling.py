@@ -195,9 +195,7 @@ def draw_partition_fraction(
     low: float = FRACTION_RANGE[0],
     high: float = FRACTION_RANGE[1],
 ) -> float:
-    """Draw the train-partition fraction uniformly from [low, high)."""
-    if not 0.0 < low < high <= 1.0:
-        raise ValidationError(
-            f"need 0 < low < high <= 1, got [{low}, {high}]"
-        )
+    """Draw the train-partition fraction uniformly from [low, high), a
+    window that must satisfy ``fraction_range``'s rule."""
+    low, high = _fraction_window((low, high))
     return float(stream.generator.uniform(low, high))

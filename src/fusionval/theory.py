@@ -27,8 +27,6 @@ __all__ = [
     "hoeffding_tail",
 ]
 
-_BUDGET_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class VarianceBudget:
@@ -36,7 +34,6 @@ class VarianceBudget:
 
     srs_component: float
     kfcv_component: float
-    total_per_t: float
     iterations: int
 
     def __post_init__(self) -> None:
@@ -46,14 +43,11 @@ class VarianceBudget:
             raise ValidationError(
                 f"iterations must be >= 1, got {self.iterations}"
             )
-        expected = (
-            self.srs_component + self.kfcv_component
-        ) / self.iterations
-        if abs(self.total_per_t - expected) > _BUDGET_TOL:
-            raise ValidationError(
-                f"total_per_t {self.total_per_t!r} does not match "
-                f"(srs + kfcv)/T = {expected!r}"
-            )
+
+    @property
+    def total_per_t(self) -> float:
+        """(srs + kfcv) / T: the variance of the T-iteration average."""
+        return (self.srs_component + self.kfcv_component) / self.iterations
 
 
 def srs_variance_component(sigma2: float, n: int, population_n: int) -> float:
@@ -95,16 +89,9 @@ def hybrid_variance(
     Per iteration the subsampling and fold components add; averaging T
     independent iterations divides the sum by T.
     """
-    if iterations < 1:
-        raise ValidationError(
-            f"iterations must be >= 1, got {iterations}"
-        )
-    srs = srs_variance_component(sigma2, n, population_n)
-    kf = kfcv_variance_component(fold_variances)
     return VarianceBudget(
-        srs_component=srs,
-        kfcv_component=kf,
-        total_per_t=(srs + kf) / iterations,
+        srs_component=srs_variance_component(sigma2, n, population_n),
+        kfcv_component=kfcv_variance_component(fold_variances),
         iterations=iterations,
     )
 

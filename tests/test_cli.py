@@ -3,8 +3,15 @@ import re
 
 import pytest
 
-from fusionval.cli import main, parse_config_file
+from fusionval.cli import (
+    _experiment_config,
+    _layered_options,
+    build_parser,
+    main,
+    parse_config_file,
+)
 from fusionval.errors import ValidationError
+from fusionval.harness import ExperimentConfig
 
 _FAST = [
     "--sizes", "100", "--trials", "2",
@@ -91,6 +98,23 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--no-such-flag"])
         assert exc.value.code == 2
+
+
+class TestStudyConfig:
+    def test_no_flags_give_the_default_config(self):
+        args = build_parser().parse_args(["run"])
+        config = _experiment_config(_layered_options(args, {}))
+        assert config.config_hash() == ExperimentConfig().config_hash()
+
+    def test_given_keys_override_the_defaults(self):
+        args = build_parser().parse_args(
+            ["cell", "--n", "100", "--t", "2", "--reps", "3", "--jobs", "1"]
+        )
+        overrides = {"sizes": (args.n,), "trials": (args.t,)}
+        config = _experiment_config(_layered_options(args, overrides))
+        assert config == ExperimentConfig(
+            sizes=(100,), trials=(2,), repetitions=3
+        )
 
 
 class TestCellCommand:

@@ -14,6 +14,7 @@ from fusionval.fsv import (
     fsv_run,
     sampled_kfold_trial,
 )
+from fusionval.harness import ExperimentConfig
 from fusionval.rng import RngStream, derive_stream
 
 
@@ -192,14 +193,33 @@ class TestFsvRun:
         assert result.iterations == 20
 
     def test_result_consistency_enforced(self):
-        with pytest.raises(ValidationError):
+        # L* is derived from the losses and alpha, not given
+        losses = np.array([1.0, 2.0, 4.0])
+        result = FsvResult(
+            iteration_losses=losses,
+            metrics=np.zeros((3, 6)),
+            alpha=0.9,
+            k=5,
+        )
+        assert result.compounded_measure == compound_measure(losses, 0.9)
+        assert result.compounded_measure == 0.9 * losses.mean()
+        with pytest.raises(TypeError):
             FsvResult(
                 compounded_measure=1.0,
-                iteration_losses=np.array([1.0, 1.0]),
-                metrics=np.empty((0, 6)),
-                alpha=0.95,
+                iteration_losses=losses,
+                metrics=np.zeros((3, 6)),
+                alpha=0.9,
                 k=5,
             )
+        # and the checks that make it well defined stay in the constructor
+        for bad_losses, alpha in ((np.array([]), 0.9), (losses, 0.0)):
+            with pytest.raises(ValidationError):
+                FsvResult(
+                    iteration_losses=bad_losses,
+                    metrics=np.zeros((len(bad_losses), 6)),
+                    alpha=alpha,
+                    k=5,
+                )
 
     @pytest.mark.parametrize(
         "metrics",
@@ -213,14 +233,12 @@ class TestFsvRun:
     def test_metrics_table_shape_enforced(self, metrics):
         with pytest.raises(ValidationError, match="metrics"):
             FsvResult(
-                compounded_measure=0.95,
                 iteration_losses=np.array([1.0, 1.0]),
                 metrics=metrics,
                 alpha=0.95,
                 k=5,
             )
         result = FsvResult(
-            compounded_measure=0.95,
             iteration_losses=np.array([1.0, 1.0]),
             metrics=np.zeros((2, 6)),
             alpha=0.95,
@@ -229,8 +247,9 @@ class TestFsvRun:
         assert not result.metrics.flags.writeable
 
     def test_rejects_small_dataset_and_exhausting_sample(self):
-        data = generate_dataset(9, 0.0, 1.0, derive_stream(11, 6, 0))
-        with pytest.raises(ValidationError):
+        # round(0.6 * 7) = 4 points cannot fill k = 5 folds
+        data = generate_dataset(7, 0.0, 1.0, derive_stream(11, 6, 0))
+        with pytest.raises(ValidationError, match="too small"):
             fsv_run(data, FsvConfig(iterations=1, k=5), RngStream(11, 7))
         big = generate_dataset(100, 0.0, 1.0, derive_stream(11, 6, 1))
         with pytest.raises(ValidationError):
@@ -241,8 +260,8 @@ class TestFsvRun:
             )
 
     def test_rejects_drawn_size_that_cannot_train(self):
-        # n >= 2k passes, but round(0.6 * 4) = 2 points cannot train
-        # both folds of k = 2; the run stops before drawing anything
+        # round(0.6 * 4) = 2 points cannot train both folds of k = 2;
+        # the run stops before drawing anything
         data = generate_dataset(4, 0.0, 1.0, derive_stream(11, 10, 0))
         stream = RngStream(11, 11)
         with pytest.raises(ValidationError, match="smallest subsample"):
@@ -268,6 +287,24 @@ class TestFsvRun:
             with pytest.raises(ValidationError, match="no holdout"):
                 fsv_run(data, config, stream)
             assert stream.generator.bit_generator.state == before
+
+    def test_holdout_rule_is_shared_with_the_study_config(self):
+        # round(0.97 * 10) = 10: the window can draw the whole dataset
+        window = (0.97, 1.0)
+        data = generate_dataset(10, 0.0, 1.0, derive_stream(11, 12, 0))
+        stream = RngStream(11, 13)
+        with pytest.raises(ValidationError, match="no holdout") as run:
+            fsv_run(
+                data,
+                FsvConfig(iterations=1, k=5, fraction_range=window),
+                stream,
+            )
+        assert stream.generator.bit_generator.state == (
+            RngStream(11, 13).generator.bit_generator.state
+        )
+        with pytest.raises(ValidationError) as study:
+            ExperimentConfig(sizes=(10,), k=5, fraction_range=window)
+        assert str(run.value) == str(study.value)
 
     def test_unbiasedness_with_and_without_shrinkage(self):
         runs, t, n, sample_size = 600, 10, 500, 375

@@ -398,6 +398,25 @@ class TestJsonRoundTrip:
         with pytest.raises(ValidationError, match=r"^cell \(n=100, t=2\)"):
             report_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda cells: cells.pop(0), r"\(n=100, t=2\) is missing"),
+            (lambda cells: cells.insert(1, cells[0]), r"\(n=100, t=2\) is extra"),
+            (
+                lambda cells: cells[1].update(n=999),
+                r"\(n=999, t=3\) is extra",
+            ),
+            (lambda cells: cells.reverse(), r"\(n=100, t=3\) is out of place"),
+        ],
+        ids=["dropped", "duplicated", "relabelled", "reordered"],
+    )
+    def test_cells_must_be_the_config_grid(self, small_report, edit, match):
+        d = report_to_dict(small_report)
+        edit(d["cells"])
+        with pytest.raises(ValidationError, match=rf"^cell {match}: "):
+            report_from_dict(d)
+
     def test_json_keys_are_sorted(self, small_report, tmp_path):
         path = emit_json(small_report, tmp_path / "report.json")
         text = path.read_text()

@@ -190,11 +190,16 @@ class TestKfoldLosses:
             kfold_losses(np.array([1.0, 2.0]), plan)
 
 
+def _complement(plan, i):
+    """All indices outside fold i of ``plan``: its training split."""
+    return np.concatenate([f for j, f in enumerate(plan.folds) if j != i])
+
+
 def _loop_fold_stats(sample, plan):
     """Reference for the fold kernel: one fit and one loss per fold."""
     rows = []
     for i, fold in enumerate(plan.folds):
-        params = fit(sample[plan.complement(i)])
+        params = fit(sample[_complement(plan, i)])
         rows.append(
             (loss(params, sample[fold]), params.fitted_mean, params.fitted_var)
         )
@@ -250,7 +255,7 @@ class TestFoldKernel:
         losses, means, variances = _fold_stats(sample, plan)
         exact = [Fraction(float(v)) for v in sample]
         for i, fold in enumerate(plan.folds):
-            train = [exact[j] for j in plan.complement(i)]
+            train = [exact[j] for j in _complement(plan, i)]
             mean = sum(train) / len(train)
             var = sum((v - mean) ** 2 for v in train) / (len(train) - 1)
             fold_loss = sum((exact[j] - mean) ** 2 for j in fold) / len(fold)
@@ -289,18 +294,16 @@ class TestLossAverages:
         assert weighted_kfold_loss(np.full(4, 1.0), weights) == 1.0
 
     def test_unbiased_constraint_enforced(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="sum to k=2"):
             LambdaWeights(np.array([1.0, 1.5]))
-        relaxed = LambdaWeights(np.array([1.0, 1.5]), unbiased=False)
-        assert weighted_kfold_loss(
-            np.array([2.0, 2.0]), relaxed
-        ) == pytest.approx(2.5)
+        weights = LambdaWeights(np.array([0.5, 1.5]))
+        assert weighted_kfold_loss(np.array([2.0, 2.0]), weights) == 2.0
 
     def test_rejects_negative_or_non_finite_weights(self):
         with pytest.raises(ValidationError):
             LambdaWeights(np.array([-0.5, 2.5]))
-        with pytest.raises(ValidationError):
-            LambdaWeights(np.array([np.nan, 2.0]), unbiased=False)
+        with pytest.raises(ValidationError, match="finite"):
+            LambdaWeights(np.array([np.nan, 2.0]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):

@@ -79,7 +79,7 @@ def _reference_pass(
     params = fit(sample)
     rest = holdout_values(data, view)
     plan = make_folds(m, k, folds_stream)
-    train = [fit(sample[plan.complement(i)]) for i in range(k)]
+    train = [fit(np.delete(sample, fold)) for fold in plan.folds]
     return {
         "fraction": fraction,
         "m": m,
@@ -172,66 +172,72 @@ def _pinning_window(m, n):
     return ((m - 0.4) / n, (m + 0.4) / n)
 
 
+def _check_fsv_run(data, config, seed):
+    """``fsv_run`` against the per-pass reference, iteration by iteration."""
+    k, alpha = config.k, config.alpha
+    stream, ref_stream = RngStream(seed, 1), RngStream(seed, 1)
+    result = fsv_run(data, config, stream)
+    tol = _Tolerance(data)
+    rows = result.iteration_metrics
+    for t in range(config.iterations):
+        ref = _reference_pass(
+            data, k, ref_stream, ref_stream, ref_stream,
+            config.sample_size, config.fraction_range,
+        )
+        losses = ref["fold_losses"]
+        _assert_close(
+            result.iteration_losses[t],
+            float(np.mean(losses)),
+            tol.mean_of(losses, True),
+            f"iteration {t} loss",
+        )
+        raw = {
+            "mean_est": ref["mean"],
+            "var_est": ref["var"],
+            "mse": ref["holdout"],
+            "bias": abs(losses[0] - data.true_var),
+            "roc_me": abs(ref["mean"] - data.true_mean),
+            "roc_ve": abs(ref["var"] - data.true_var),
+        }
+        # an absolute difference inherits the error of what it
+        # subtracts from: the fold loss, the mean, the variance
+        tols = {
+            "mean_est": tol.of(ref["mean"], False),
+            "var_est": tol.of(ref["var"], True),
+            "mse": tol.holdout(ref["holdout"], data.n - ref["m"]),
+            "bias": tol.of(losses[0], True),
+            "roc_me": tol.of(raw["roc_me"], False),
+            "roc_ve": tol.of(ref["var"], True),
+        }
+        row = rows[t]
+        for field in METRIC_FIELDS:
+            _assert_close(
+                getattr(row, field),
+                alpha * raw[field],
+                tols[field] + math.ulp(alpha * raw[field]),
+                f"iteration {t} {field}",
+            )
+    assert _streams_equal(stream, ref_stream)
+
+
 class TestFsvRun:
     @given(params=_sizes, iterations=st.integers(1, 4), pinned=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_matches_per_pass_reference(self, params, iterations, pinned):
         data, k, m = _unpack(params)
-        assume(data.n >= 2 * k)
-        alpha = 0.95
         if pinned:
-            config = FsvConfig(iterations, alpha=alpha, k=k, sample_size=m)
+            config = FsvConfig(iterations, k=k, sample_size=m)
         else:
             config = FsvConfig(
-                iterations,
-                alpha=alpha,
-                k=k,
-                fraction_range=_pinning_window(m, data.n),
+                iterations, k=k, fraction_range=_pinning_window(m, data.n)
             )
-        seed = params["seed"]
-        stream, ref_stream = RngStream(seed, 1), RngStream(seed, 1)
-        result = fsv_run(data, config, stream)
-        tol = _Tolerance(data)
-        rows = result.iteration_metrics
-        for t in range(iterations):
-            ref = _reference_pass(
-                data, k, ref_stream, ref_stream, ref_stream,
-                config.sample_size, config.fraction_range,
-            )
-            losses = ref["fold_losses"]
-            _assert_close(
-                result.iteration_losses[t],
-                float(np.mean(losses)),
-                tol.mean_of(losses, True),
-                f"iteration {t} loss",
-            )
-            raw = {
-                "mean_est": ref["mean"],
-                "var_est": ref["var"],
-                "mse": ref["holdout"],
-                "bias": abs(losses[0] - data.true_var),
-                "roc_me": abs(ref["mean"] - data.true_mean),
-                "roc_ve": abs(ref["var"] - data.true_var),
-            }
-            # an absolute difference inherits the error of what it
-            # subtracts from: the fold loss, the mean, the variance
-            tols = {
-                "mean_est": tol.of(ref["mean"], False),
-                "var_est": tol.of(ref["var"], True),
-                "mse": tol.holdout(ref["holdout"], data.n - ref["m"]),
-                "bias": tol.of(losses[0], True),
-                "roc_me": tol.of(raw["roc_me"], False),
-                "roc_ve": tol.of(ref["var"], True),
-            }
-            row = rows[t]
-            for field in METRIC_FIELDS:
-                _assert_close(
-                    getattr(row, field),
-                    alpha * raw[field],
-                    tols[field] + math.ulp(alpha * raw[field]),
-                    f"iteration {t} {field}",
-                )
-        assert _streams_equal(stream, ref_stream)
+        _check_fsv_run(data, config, params["seed"])
+
+    def test_dataset_under_2k_points_runs(self):
+        # n = 9 < 2k: every size the default window draws, 5 to 8,
+        # trains k = 5 folds and leaves a holdout
+        data = _dataset(9, 3.0, 2.0, 9)
+        _check_fsv_run(data, FsvConfig(40, k=5), 9)
 
     @pytest.mark.parametrize("sample_size", [None, 200])
     def test_metrics_is_the_alpha_scaled_table_of_its_passes(

@@ -97,13 +97,22 @@ class TestHybridVariance:
             hybrid_variance(1.0, 750, 1000, [0.002], 0)
 
     def test_budget_checks_its_own_arithmetic(self):
-        with pytest.raises(ValidationError):
+        # the total is derived from the components, not given
+        budget = VarianceBudget(
+            srs_component=1.0, kfcv_component=0.5, iterations=4
+        )
+        assert budget.total_per_t == (1.0 + 0.5) / 4
+        with pytest.raises(TypeError):
             VarianceBudget(
                 srs_component=1.0,
                 kfcv_component=1.0,
                 total_per_t=0.5,
                 iterations=1,
             )
+        with pytest.raises(ValidationError):
+            VarianceBudget(srs_component=-1.0, kfcv_component=1.0, iterations=1)
+        with pytest.raises(ValidationError):
+            VarianceBudget(srs_component=1.0, kfcv_component=1.0, iterations=0)
 
     @given(t=st.integers(1, 10_000))
     def test_total_scales_inversely_with_iterations(self, t):
