@@ -118,7 +118,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, help=f"compounding factor (default {default.alpha})")
     p.add_argument("--k", type=int, help=f"fold count (default {default.k})")
     p.add_argument("--reps", type=int, help=f"cross-validation repetitions (default {default.repetitions})")
-    p.add_argument("--jobs", type=int, help="worker count (default: all cores)")
+    p.add_argument("--jobs", type=int, help="worker count (default: the cores this process may use)")
     p.add_argument(
         "--shared-streams",
         action="store_const",

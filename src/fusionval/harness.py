@@ -24,7 +24,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import zip_longest
 from pathlib import Path
@@ -109,6 +108,14 @@ class ExperimentConfig:
             raise ValidationError("sizes must be non-empty")
         if not self.trials or any(t < 1 for t in self.trials):
             raise ValidationError("trials must be non-empty, all >= 1")
+        for name in ("sizes", "trials"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValidationError(
+                        f"{name} must not repeat an entry, "
+                        f"got {value} more than once"
+                    )
         for n in self.sizes:  # checks k >= 2 first
             _subsample_range(
                 n, self.k, None, self.fraction_range, require_holdout=True
@@ -324,16 +331,26 @@ def _assemble_cell(
     )
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on (its CPU affinity) where the
+    platform reports them, else every core of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(
     config: ExperimentConfig, jobs: int | None = None
 ) -> ExperimentReport:
     """Run the full grid and assemble the report.
 
-    ``jobs`` sizes the worker pool; 1 runs inline, None uses all cores.
-    The report is identical for every jobs value.
+    ``jobs`` sizes the worker pool; 1 runs inline, None uses
+    :func:`_usable_cores`. The process pool is loaded on first use, so
+    a run at ``jobs == 1`` never loads it. The report is identical for
+    every jobs value.
     """
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = _usable_cores()
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
@@ -346,6 +363,8 @@ def run_experiment(
     if jobs == 1:
         outcomes = list(map(_run_trial_task, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # A trial's cost grows with n: the largest first, in small
         # chunks, so the pool does not end on a few long chunks.
         tasks.sort(key=lambda task: task[1], reverse=True)

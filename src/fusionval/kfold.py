@@ -16,18 +16,17 @@ call can draw (:func:`_subsample_range`). Draw as a loop over the public
 API would, on the caller's streams and in the same order: the partition
 fraction (``sampling.draw_partition_fraction``'s one ``uniform`` call),
 the subset ``sampling.srs_sample`` draws, with its checks, and
-:func:`make_folds`' fold order. The subset comes back sorted (from a
-third of n up through a boolean mask rather than a sort), is taken from
-the dataset and is shuffled in place: numpy's ``permutation(m)``
-shuffles ``arange(m)`` with swaps that depend on m alone, so the
-subsample lands in ``make_folds``' order, with no index array to check
-or gather by. Shifted by a pilot value, the dataset's first element,
-each fold reduces to its count n_i, sum and centred sum of squares M2_i
-with ``np.add.reduceat``. The shift keeps sums of the order of the
-spread rather than of the mean: with mu = 1e9 and sigma = 1e-3 an
-unshifted sum would lose the spread to rounding. Fold sizes follow from
-``divmod(m, k)``, as :func:`make_folds` lays them out. Each pass fills
-one row of ``(passes x k)`` arrays.
+:func:`make_folds`' fold order. The subset comes back sorted (by
+``sampling._draw_subset``), is taken from the dataset and is shuffled in
+place: numpy's ``permutation(m)`` shuffles ``arange(m)`` with swaps that
+depend on m alone, so the subsample lands in ``make_folds``' order, with
+no index array to check or gather by. Shifted by a pilot value, the
+dataset's first element, each fold reduces to its count n_i, sum and
+centred sum of squares M2_i with ``np.add.reduceat``. The shift keeps
+sums of the order of the spread rather than of the mean: with mu = 1e9
+and sigma = 1e-3 an unshifted sum would lose the spread to rounding.
+Fold sizes follow from ``divmod(m, k)``, as :func:`make_folds` lays them
+out. Each pass fills one row of ``(passes x k)`` arrays.
 
 *Statistics step, once per call.* Everything else is algebra on those
 arrays, over all passes at once. The pairwise update of Chan, Golub and

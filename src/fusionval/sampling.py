@@ -120,14 +120,18 @@ def srs_sample(data: Dataset, m: int, stream: RngStream) -> SampleView:
     return SampleView._from_checked(picked, m, data.n)
 
 
+_MASK_MIN_N = 512
+
+
 def _draw_subset(n: int, m: int, stream: RngStream) -> np.ndarray:
     """Draw :func:`srs_sample`'s m-subset of range(n) from ``stream`` and
     return it sorted ascending, checked as :class:`SampleView` checks
     its indices: m integers, all in [0, n), all distinct.
 
-    Below a third of n the draw is sorted, O(m log m). From a third up,
-    marking it in a length-n boolean mask and reading the mask back,
-    O(n), is cheaper than the sort.
+    The draw is sorted, O(m log m), when m is below a third of n or n
+    is below ``_MASK_MIN_N``. Otherwise it is marked in a length-n
+    boolean mask that is read back, O(n), which then costs less than
+    the sort; on fewer points the mask's fixed cost outweighs the sort.
     """
     picked = stream.generator.choice(n, size=m, replace=False, shuffle=False)
     if picked.shape != (m,) or picked.dtype.kind not in "iu":
@@ -135,7 +139,7 @@ def _draw_subset(n: int, m: int, stream: RngStream) -> np.ndarray:
             f"subset draw must be {m} integers, got shape {picked.shape} "
             f"of dtype {picked.dtype}"
         )
-    if 3 * m < n:
+    if 3 * m < n or n < _MASK_MIN_N:
         picked.sort()
         if picked[0] < 0 or picked[-1] >= n:
             raise ValidationError(f"subset indices must lie in [0, {n})")

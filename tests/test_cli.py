@@ -90,6 +90,13 @@ class TestRunCommand:
             capsys.readouterr().err,
         )
 
+    def test_repeated_size_exits_two_naming_it(self, capsys):
+        argv = ["run", *_FAST, "--sizes", "100,100"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: sizes must not repeat an entry, got 100 more than once\n"
+        )
+
     def test_non_finite_alpha_flag_exits_two(self, capsys):
         assert main(["run", *_FAST, "--alpha", "nan"]) == 2
         assert capsys.readouterr().err.startswith("error: alpha ")

@@ -1,6 +1,11 @@
+import concurrent.futures
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +116,22 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match=f"^{field_name} "):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field_name, values, repeated",
+        [
+            ("sizes", (100, 200, 100), 100),
+            ("sizes", (100, 100.0), 100),
+            ("trials", (2, 3, 3), 3),
+        ],
+    )
+    def test_rejects_repeated_grid_entries(self, field_name, values, repeated):
+        message = (
+            f"{field_name} must not repeat an entry, "
+            f"got {repeated} more than once"
+        )
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ExperimentConfig(**{field_name: values})
+
     def test_integral_values_become_ints(self):
         config = ExperimentConfig(sizes=[100.0], trials=(2,), k=2.0)
         assert config.sizes == (100,) and config.k == 2
@@ -169,6 +190,49 @@ class TestRunExperiment:
         assert _payload_without_timing(pooled) == _payload_without_timing(
             small_report
         )
+
+    def test_default_jobs_are_the_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3}, raising=False
+        )
+        assert harness._usable_cores() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert harness._usable_cores() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._usable_cores() == 1
+
+    def test_one_usable_core_runs_inline(self, monkeypatch, small_report):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert _payload_without_timing(
+            run_experiment(_SMALL)
+        ) == _payload_without_timing(small_report)
+
+    def test_imports_and_serial_runs_do_not_load_the_pool(self):
+        script = (
+            "import sys\n"
+            "import fusionval, fusionval.cli\n"
+            "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+            "print([m for m in pool if m in sys.modules])\n"
+            "fusionval.run_experiment(fusionval.ExperimentConfig("
+            "sizes=(100,), trials=(2,), k=2, repetitions=2), jobs=1)\n"
+            "print([m for m in pool if m in sys.modules])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines() == ["[]", "[]"]
 
     def test_rejects_non_positive_jobs(self):
         with pytest.raises(ValidationError):

@@ -596,7 +596,8 @@ def test_bad_draws_are_rejected(case):
         object.__setattr__(stream, "generator", stub)
         return stream
 
-    # under a third of n the subset draw is sorted, from a third up masked
+    # n = 50 is below the size at which the subset draw is masked, so
+    # both sizes take the sorted branch; the mask is checked below
     for m in (10, 30):
         with pytest.raises(ValidationError):
             if method == "choice":
@@ -626,6 +627,26 @@ def test_bad_draws_are_rejected(case):
         assert np.array_equal(got.iteration_losses, want.iteration_losses)
         assert got.iteration_metrics == want.iteration_metrics
         assert _streams_equal(stub, real)
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c in _BAD_DRAWS if c.startswith("choice"))
+)
+def test_bad_draws_are_rejected_by_the_mask_branch(case):
+    method, corrupt = _BAD_DRAWS[case]
+    n, k, m = 2_000, 5, 1_500
+    data = _dataset(n, 0.0, 1.0, 6)
+
+    def stub_stream():
+        stream = RngStream(6, 1)
+        stub = _StubGenerator(stream.generator, method, corrupt)
+        object.__setattr__(stream, "generator", stub)
+        return stream
+
+    with pytest.raises(ValidationError):
+        srs_sample(data, m, stub_stream())
+    with pytest.raises(ValidationError):
+        _run_passes(data, k, 2, stub_stream(), sample_size=m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 1_500, 75_000])
