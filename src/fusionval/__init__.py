@@ -9,7 +9,7 @@ concentration bounds, and the harness reruns the whole comparison grid
 deterministically from a single seed.
 """
 
-from .data import Dataset, dataset_to_csv, generate_dataset
+from .data import Dataset, generate_dataset
 from .errors import ValidationError
 from .estimator import ModelParams, fit, loss
 from .fsv import (
@@ -79,7 +79,6 @@ __all__ = [
     "standard_normal",
     "Dataset",
     "generate_dataset",
-    "dataset_to_csv",
     "FRACTION_RANGE",
     "SampleView",
     "srs_sample",

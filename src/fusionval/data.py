@@ -7,16 +7,14 @@ estimation error against ground truth instead of plug-in estimates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .rng import RngStream, standard_normal
 
-__all__ = ["Dataset", "generate_dataset", "dataset_to_csv"]
+__all__ = ["Dataset", "generate_dataset"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,14 +63,3 @@ def generate_dataset(
         seed=stream.seed,
         stream_id=stream.stream_id,
     )
-
-
-def dataset_to_csv(dataset: Dataset, path: str | Path) -> Path:
-    """Write the dataset to CSV with a single ``value`` column."""
-    out = Path(path)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value"])
-        for v in dataset.values:
-            writer.writerow([repr(float(v))])
-    return out

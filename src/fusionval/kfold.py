@@ -44,8 +44,10 @@ same way one level up: its count, mean and M2 are the dataset's totals
 (computed once per call, with the same pilot) minus the subsample's, by
 the update in reverse, and its squared error around the subsample mean
 is M2_h / n_h + (mean_h - mean)^2. No pass gathers its holdout. That
-subtraction is exact algebra but rounds to ulps of the dataset's M2, so
-a holdout of a handful of points keeps fewer digits than a direct sum.
+subtraction is exact algebra but rounds to the precision of the
+dataset's M2, so a holdout of a handful of points keeps fewer digits
+than a direct sum; ``selftest._tolerance``, the rule the kernel's checks
+hold it to, has a term for this.
 
 The kernels use ufunc reductions only, never ``@`` or ``np.dot``: with a
 threaded BLAS a dot product of a few thousand elements is spread over

@@ -26,10 +26,10 @@ from .harness import (
 from .kfold import (
     LambdaWeights,
     empirical_kfold_loss,
-    kfold_losses,
     make_folds,
     weighted_kfold_loss,
 )
+from .metrics import METRIC_FIELDS
 from .rng import RngStream, derive_stream
 from .sampling import (
     draw_partition_fraction,
@@ -121,49 +121,154 @@ def _check_compounding() -> str:
     return "mean, shrinkage, and homogeneity identities hold"
 
 
+def _fold_fits(sample, plan):
+    """Every fold of ``plan`` fitted and scored on its own: ``fit`` on
+    its training complement, ``loss`` on the fold. Returns the fold
+    losses, training means and training variances, as ``kfold._fold_stats``
+    does, without its statistics step."""
+    rows = []
+    for fold in plan.folds:
+        params = fit(np.delete(sample, fold))
+        rows.append(
+            (loss(params, sample[fold]), params.fitted_mean, params.fitted_var)
+        )
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _replay_pass(
+    data, k, stream, folds_stream, fraction_stream, sample_size, fraction_range
+):
+    """One pass of the kernel made through the public per-step functions,
+    drawing from the same streams in the same order, and scored on its
+    own. ``holdout`` is None when the subsample is the whole dataset."""
+    fraction = None
+    if sample_size is None:
+        fraction = draw_partition_fraction(fraction_stream, *fraction_range)
+        m = int(round(fraction * data.n))
+    else:
+        m = sample_size
+    view = srs_sample(data, m, stream)
+    sample = sample_values(data, view)
+    params = fit(sample)
+    rest = holdout_values(data, view)
+    fold_losses, train_means, train_vars = _fold_fits(
+        sample, make_folds(m, k, folds_stream)
+    )
+    return {
+        "fraction": fraction,
+        "m": m,
+        "mean": params.fitted_mean,
+        "var": params.fitted_var,
+        "holdout": loss(params, rest) if len(rest) else None,
+        "fold_losses": fold_losses,
+        "train_means": train_means,
+        "train_vars": train_vars,
+    }
+
+
+def _slacks(values):
+    """64 ulps of max|x| and 64 ulps of the centred sum of squares M2 of
+    ``values``: the rounding that summing near the data's magnitude, and
+    subtracting from the dataset's M2, may leave."""
+    dev = values - values.mean()
+    scales = (np.abs(values).max(), (dev * dev).sum())
+    return tuple(64 * math.ulp(float(x)) for x in scales)
+
+
+def _tolerance(want, slack, squared, holdout_m2_over_n=0.0):
+    """How far the kernel may be from the per-pass reference ``want``
+    (a value or an array): relative 1e-9 plus ``slack``, the first of
+    :func:`_slacks`. Squared quantities, a variance or a loss, also move
+    by 2 sqrt(value) slack + slack**2, the shift that slack in a fitted
+    mean causes.
+
+    The kernel takes a holdout's loss from the dataset's totals minus the
+    subsample's. That difference rounds to ulps of the dataset's M2, so
+    the loss of n_h points gets ``holdout_m2_over_n``, the second of
+    :func:`_slacks` over n_h. Without it a holdout of one point within
+    about 1e-2 standard deviations of the subsample mean fails the
+    relative test: its loss is near 0 while M2 is about n sigma**2.
+    """
+    size = np.abs(want)
+    tol = 1e-9 * size + slack + holdout_m2_over_n
+    if squared:
+        tol = tol + slack * (2 * np.sqrt(size) + slack)
+    return tol
+
+
+def _check_fsv_run(data, config, stream) -> float:
+    """``fsv_run`` on ``stream`` against :func:`_replay_pass` on a clone,
+    column by column of its metrics; returns the worst deviation as a
+    share of its tolerance. The streams must end in the same state."""
+    ref_stream = stream.clone()
+    result = fsv_run(data, config, stream)
+    refs = [
+        _replay_pass(
+            data, config.k, ref_stream, ref_stream, ref_stream,
+            config.sample_size, config.fraction_range,
+        )
+        for _ in range(config.iterations)
+    ]
+    assert (
+        stream.generator.bit_generator.state
+        == ref_stream.generator.bit_generator.state
+    ), "the batch left its stream elsewhere than the per-pass replay"
+    slack, m2_slack = _slacks(data.values)
+    mean, var, holdout, m = (
+        np.array([ref[key] for ref in refs])
+        for key in ("mean", "var", "holdout", "m")
+    )
+    losses = np.array([ref["fold_losses"] for ref in refs])
+    roc_me = np.abs(mean - data.true_mean)
+    # an absolute difference inherits the error of what it subtracts
+    # from: the fold loss, the mean, the variance
+    columns = {
+        "mean_est": (mean, _tolerance(mean, slack, False)),
+        "var_est": (var, _tolerance(var, slack, True)),
+        "mse": (
+            holdout,
+            _tolerance(holdout, slack, True, m2_slack / (data.n - m)),
+        ),
+        "bias": (
+            np.abs(losses[:, 0] - data.true_var),
+            _tolerance(losses[:, 0], slack, True),
+        ),
+        "roc_me": (roc_me, _tolerance(roc_me, slack, False)),
+        "roc_ve": (np.abs(var - data.true_var), _tolerance(var, slack, True)),
+    }
+    # the tolerance of an average is the average of the tolerances
+    checks = [(
+        "loss",
+        result.iteration_losses,
+        losses.mean(axis=1),
+        _tolerance(losses, slack, True).mean(axis=1),
+    )]
+    for j, field in enumerate(METRIC_FIELDS):
+        raw, tol = columns[field]
+        want = config.alpha * raw
+        # plus one ulp for the scaling by alpha
+        tol = tol + np.spacing(np.abs(want))
+        checks.append((field, result.metrics[:, j], want, tol))
+    worst = 0.0
+    for label, got, want, tol in checks:
+        dev = np.abs(got - want)
+        t = int((dev - tol).argmax())
+        assert dev[t] <= tol[t], (
+            f"iteration {t} {label}: {float(got[t])!r} != {float(want[t])!r} "
+            f"(tol {tol[t]:.2g})"
+        )
+        worst = max(worst, float((dev / tol).max()))
+    return worst
+
+
 def _check_pass_kernel() -> str:
     # fsv_run scores its iterations as one batch; replay each one on its
     # own through the public per-pass functions
     data = generate_dataset(300, 1e9, 1.0, RngStream(7, 3))
     config = FsvConfig(iterations=20, alpha=0.95, k=5)
-    stream, ref_stream = RngStream(7, 4), RngStream(7, 4)
-    result = fsv_run(data, config, stream)
-    # relative 1e-9 plus 64 ulps of the data; squared values also move by
-    # 2 sqrt(value) times that slack; the holdout, taken from the dataset's
-    # totals, by 64 ulps of the dataset's M2 over the holdout's size
-    slack = 64 * math.ulp(float(np.abs(data.values).max()))
-    dev = data.values - data.values.mean()
-    data_m2 = float((dev * dev).sum())
-    worst = 0.0
-    for t, row in enumerate(result.iteration_metrics):
-        f = draw_partition_fraction(ref_stream, *config.fraction_range)
-        m = int(round(f * data.n))
-        view = srs_sample(data, m, ref_stream)
-        sample = sample_values(data, view)
-        params = fit(sample)
-        holdout = loss(params, holdout_values(data, view))
-        plan = make_folds(m, config.k, ref_stream)
-        fold_loss = float(kfold_losses(sample, plan).mean())
-        for got, want, squared, extra in (
-            (result.iteration_losses[t], fold_loss, True, 0.0),
-            (row.mean_est, config.alpha * params.fitted_mean, False, 0.0),
-            (row.var_est, config.alpha * params.fitted_var, True, 0.0),
-            (row.mse, config.alpha * holdout, True,
-             64 * math.ulp(data_m2) / (data.n - m)),
-        ):
-            tol = 1e-9 * abs(want) + slack + extra
-            if squared:
-                tol += slack * (2 * math.sqrt(abs(want)) + slack)
-            assert abs(got - want) <= tol, (
-                f"iteration {t}: {got!r} != {want!r}"
-            )
-            worst = max(worst, abs(got - want) / tol)
-    state = stream.generator.bit_generator.state
-    assert state == ref_stream.generator.bit_generator.state, (
-        "the batch left its stream elsewhere than the per-pass replay"
-    )
+    worst = _check_fsv_run(data, config, RngStream(7, 4))
     return (
-        f"{result.iterations} iterations at mu=1e9 match the per-pass "
+        f"{config.iterations} iterations at mu=1e9 match the per-pass "
         f"replay (worst {worst:.2g} of tolerance), streams in step"
     )
 

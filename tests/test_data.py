@@ -1,9 +1,7 @@
-import csv
-
 import numpy as np
 import pytest
 
-from fusionval.data import Dataset, dataset_to_csv, generate_dataset
+from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import ValidationError
 from fusionval.rng import RngStream, derive_stream
 
@@ -65,13 +63,3 @@ def test_length_mismatch_rejected():
             stream_id=0,
         )
 
-
-def test_csv_export_round_trip(tmp_path):
-    d = generate_dataset(50, 0.0, 1.0, derive_stream(11, 0, 0))
-    path = dataset_to_csv(d, tmp_path / "data.csv")
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["value"]
-    assert len(rows) == 51
-    parsed = np.array([float(r[0]) for r in rows[1:]])
-    np.testing.assert_array_equal(parsed, d.values)

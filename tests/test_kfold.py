@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import ValidationError
-from fusionval.estimator import fit, loss
 from fusionval.kfold import (
     FoldPlan,
     LambdaWeights,
@@ -20,6 +19,7 @@ from fusionval.kfold import (
     weighted_kfold_loss,
 )
 from fusionval.rng import RngStream, derive_stream
+from fusionval.selftest import _fold_fits, _slacks, _tolerance
 
 
 def _constant_dataset(n, value=5.0):
@@ -190,22 +190,6 @@ class TestKfoldLosses:
             kfold_losses(np.array([1.0, 2.0]), plan)
 
 
-def _complement(plan, i):
-    """All indices outside fold i of ``plan``: its training split."""
-    return np.concatenate([f for j, f in enumerate(plan.folds) if j != i])
-
-
-def _loop_fold_stats(sample, plan):
-    """Reference for the fold kernel: one fit and one loss per fold."""
-    rows = []
-    for i, fold in enumerate(plan.folds):
-        params = fit(sample[_complement(plan, i)])
-        rows.append(
-            (loss(params, sample[fold]), params.fitted_mean, params.fitted_var)
-        )
-    return tuple(np.array(col) for col in zip(*rows))
-
-
 class TestFoldKernel:
     @given(
         k=st.integers(min_value=2, max_value=10),
@@ -227,22 +211,17 @@ class TestFoldKernel:
         if m - math.ceil(m / k) < 2:
             # the largest fold leaves fewer than 2 training points
             with pytest.raises(ValidationError):
-                _loop_fold_stats(sample, plan)
+                _fold_fits(sample, plan)
             with pytest.raises(ValidationError):
                 _fold_stats(sample, plan)
             return
-        # The benchmark's reference tolerance: relative 1e-9 plus 64 ulps
-        # of the data's magnitude, which rounding near mu can reach. Loss
-        # and variance are in squared units: a fitted mean off by that
-        # slack moves them by up to 2 sqrt(value) slack + slack**2.
-        slack = 64 * math.ulp(float(np.abs(sample).max()))
+        # the rule of every pass-kernel check (bench/reference.py keeps
+        # its own); loss and variance are squared quantities
+        slack, _ = _slacks(sample)
         got = _fold_stats(sample, plan)
-        want = _loop_fold_stats(sample, plan)
+        want = _fold_fits(sample, plan)
         for col, squared in enumerate((True, False, True)):
-            size = np.abs(want[col])
-            tol = 1e-9 * size + slack
-            if squared:
-                tol += slack * (2 * np.sqrt(size) + slack)
+            tol = _tolerance(want[col], slack, squared)
             np.testing.assert_array_less(np.abs(got[col] - want[col]), tol)
 
     def test_exact_at_large_mean(self):
@@ -255,7 +234,7 @@ class TestFoldKernel:
         losses, means, variances = _fold_stats(sample, plan)
         exact = [Fraction(float(v)) for v in sample]
         for i, fold in enumerate(plan.folds):
-            train = [exact[j] for j in _complement(plan, i)]
+            train = [v for j, v in enumerate(exact) if j not in fold]
             mean = sum(train) / len(train)
             var = sum((v - mean) ** 2 for v in train) / (len(train) - 1)
             fold_loss = sum((exact[j] - mean) ** 2 for j in fold) / len(fold)

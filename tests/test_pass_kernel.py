@@ -1,4 +1,4 @@
-"""The batched pass kernel against references kept in this file.
+"""The batched pass kernel against two references.
 
 ``fsv_run``, ``repeated_kfcv`` and ``sampled_kfold_trial`` run on
 ``kfold._run_passes``. Per pass it makes ``srs_sample``'s subset draw,
@@ -11,11 +11,13 @@ step then scores the whole batch.
 Two references check it. ``TestDrawStep`` replays the sort-and-gather
 draw path through ``SampleView`` and ``make_folds``' permutation into
 the same statistics step and requires every output bit for bit. The
-per-pass reference replays the same draws on clones of the streams and
-scores each pass on its own: ``fit`` on the subsample,
-``holdout_values`` + ``loss`` on the rest, ``kfold_losses`` on the
-folds and ``fit`` on each fold's training complement. After every call
-the streams must stand exactly where the reference left them.
+per-pass reference, ``selftest._replay_pass``, replays the same draws on
+clones of the streams through the public per-step functions and scores
+each pass on its own: ``fit`` on the subsample, ``holdout_values`` +
+``loss`` on the rest, and ``fit`` on each fold's training complement
+with ``loss`` on the fold, never the kernel's statistics step. Its
+results must lie within ``selftest._tolerance``. After every call the
+streams must stand exactly where the reference left them.
 """
 
 import math
@@ -26,9 +28,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fusionval import kfold, selftest
 from fusionval.data import Dataset
 from fusionval.errors import ValidationError
-from fusionval.estimator import fit, loss
 from fusionval.fsv import FsvConfig, fsv_run, sampled_kfold_trial
 from fusionval.kfold import (
     LambdaWeights,
@@ -37,19 +39,13 @@ from fusionval.kfold import (
     _run_passes,
     _subsample_range,
     _trainable,
-    kfold_losses,
     make_folds,
     repeated_kfcv,
 )
 from fusionval.metrics import METRIC_FIELDS, TrialMetrics, metric_table
 from fusionval.rng import RngStream
-from fusionval.sampling import (
-    SampleView,
-    draw_partition_fraction,
-    holdout_values,
-    sample_values,
-    srs_sample,
-)
+from fusionval.sampling import SampleView, draw_partition_fraction, srs_sample
+from fusionval.selftest import _replay_pass, _slacks, _tolerance
 
 
 def _dataset(n, mu, scale, seed):
@@ -62,71 +58,6 @@ def _dataset(n, mu, scale, seed):
         seed=seed,
         stream_id=0,
     )
-
-
-def _reference_pass(
-    data, k, stream, folds_stream, fraction_stream, sample_size, fraction_range
-):
-    """One pass scored on its own, drawing as the kernel must."""
-    fraction = None
-    if sample_size is None:
-        fraction = draw_partition_fraction(fraction_stream, *fraction_range)
-        m = int(round(fraction * data.n))
-    else:
-        m = sample_size
-    view = srs_sample(data, m, stream)
-    sample = sample_values(data, view)
-    params = fit(sample)
-    rest = holdout_values(data, view)
-    plan = make_folds(m, k, folds_stream)
-    train = [fit(np.delete(sample, fold)) for fold in plan.folds]
-    return {
-        "fraction": fraction,
-        "m": m,
-        "mean": params.fitted_mean,
-        "var": params.fitted_var,
-        "holdout": loss(params, rest) if len(rest) else None,
-        "fold_losses": kfold_losses(sample, plan),
-        "train_means": np.array([t.fitted_mean for t in train]),
-        "train_vars": np.array([t.fitted_var for t in train]),
-    }
-
-
-class _Tolerance:
-    """The rule of ``test_kfold.TestFoldKernel``: relative 1e-9 plus 64
-    ulps of the data's magnitude, and for squared quantities the shift
-    that slack in a fitted mean causes, 2 sqrt(value) slack + slack**2.
-
-    One term is added for the holdout loss, which the kernel takes from
-    the dataset's totals minus the subsample's: that difference is
-    rounded to ulps of the dataset's centred sum of squares M2, so the
-    loss of a holdout of n_h points may be off by 64 ulps of M2 / n_h.
-    Without it a holdout of one point whose value lies within about 1e-2
-    standard deviations of the subsample mean fails the relative test
-    (the loss is near 0 while M2 is about n sigma**2).
-    """
-
-    def __init__(self, data):
-        self.slack = 64 * math.ulp(float(np.abs(data.values).max()))
-        dev = data.values - data.values.mean()
-        self.data_m2 = float((dev * dev).sum())
-
-    def of(self, want, squared):
-        size = abs(want)
-        tol = 1e-9 * size + self.slack
-        if squared:
-            tol += self.slack * (2 * math.sqrt(size) + self.slack)
-        return tol
-
-    def holdout(self, want, rest):
-        return self.of(want, True) + 64 * math.ulp(self.data_m2) / rest
-
-    def mean_of(self, wants, squared, weights=None):
-        """Tolerance of an average: the average of the tolerances."""
-        tols = np.array([self.of(w, squared) for w in np.ravel(wants)])
-        if weights is not None:
-            tols = tols * np.ravel(weights)
-        return float(tols.mean())
 
 
 def _assert_close(got, want, tol, label):
@@ -172,54 +103,6 @@ def _pinning_window(m, n):
     return ((m - 0.4) / n, (m + 0.4) / n)
 
 
-def _check_fsv_run(data, config, seed):
-    """``fsv_run`` against the per-pass reference, iteration by iteration."""
-    k, alpha = config.k, config.alpha
-    stream, ref_stream = RngStream(seed, 1), RngStream(seed, 1)
-    result = fsv_run(data, config, stream)
-    tol = _Tolerance(data)
-    rows = result.iteration_metrics
-    for t in range(config.iterations):
-        ref = _reference_pass(
-            data, k, ref_stream, ref_stream, ref_stream,
-            config.sample_size, config.fraction_range,
-        )
-        losses = ref["fold_losses"]
-        _assert_close(
-            result.iteration_losses[t],
-            float(np.mean(losses)),
-            tol.mean_of(losses, True),
-            f"iteration {t} loss",
-        )
-        raw = {
-            "mean_est": ref["mean"],
-            "var_est": ref["var"],
-            "mse": ref["holdout"],
-            "bias": abs(losses[0] - data.true_var),
-            "roc_me": abs(ref["mean"] - data.true_mean),
-            "roc_ve": abs(ref["var"] - data.true_var),
-        }
-        # an absolute difference inherits the error of what it
-        # subtracts from: the fold loss, the mean, the variance
-        tols = {
-            "mean_est": tol.of(ref["mean"], False),
-            "var_est": tol.of(ref["var"], True),
-            "mse": tol.holdout(ref["holdout"], data.n - ref["m"]),
-            "bias": tol.of(losses[0], True),
-            "roc_me": tol.of(raw["roc_me"], False),
-            "roc_ve": tol.of(ref["var"], True),
-        }
-        row = rows[t]
-        for field in METRIC_FIELDS:
-            _assert_close(
-                getattr(row, field),
-                alpha * raw[field],
-                tols[field] + math.ulp(alpha * raw[field]),
-                f"iteration {t} {field}",
-            )
-    assert _streams_equal(stream, ref_stream)
-
-
 class TestFsvRun:
     @given(params=_sizes, iterations=st.integers(1, 4), pinned=st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -231,13 +114,13 @@ class TestFsvRun:
             config = FsvConfig(
                 iterations, k=k, fraction_range=_pinning_window(m, data.n)
             )
-        _check_fsv_run(data, config, params["seed"])
+        selftest._check_fsv_run(data, config, RngStream(params["seed"], 1))
 
     def test_dataset_under_2k_points_runs(self):
         # n = 9 < 2k: every size the default window draws, 5 to 8,
         # trains k = 5 folds and leaves a holdout
         data = _dataset(9, 3.0, 2.0, 9)
-        _check_fsv_run(data, FsvConfig(40, k=5), 9)
+        selftest._check_fsv_run(data, FsvConfig(40, k=5), RngStream(9, 1))
 
     @pytest.mark.parametrize("sample_size", [None, 200])
     def test_metrics_is_the_alpha_scaled_table_of_its_passes(
@@ -292,33 +175,33 @@ class TestRepeatedKfcv:
             dataset, k, repetitions, weights, stream, fraction_range=window
         )
         refs = [
-            _reference_pass(
+            _replay_pass(
                 dataset, k, ref_stream, ref_stream, ref_stream, None, window
             )
             for _ in range(repetitions)
         ]
         assert all(ref["m"] == m for ref in refs)
-        tol = _Tolerance(dataset)
+        slack, _ = _slacks(dataset.values)
         means = np.array([ref["train_means"] for ref in refs])
         variances = np.array([ref["train_vars"] for ref in refs])
         losses = np.array([ref["fold_losses"] for ref in refs])
-        lambdas = np.broadcast_to(weights.lambdas, losses.shape)
+        # the tolerance of an average is the average of the tolerances
         _assert_close(
             est.mean_estimate,
             float(means.mean()),
-            tol.mean_of(means, False),
+            float(_tolerance(means, slack, False).mean()),
             "mean_estimate",
         )
         _assert_close(
             est.var_estimate,
             float(variances.mean()),
-            tol.mean_of(variances, True),
+            float(_tolerance(variances, slack, True).mean()),
             "var_estimate",
         )
         _assert_close(
             est.loss,
             float(np.mean([(weights.lambdas * row).mean() for row in losses])),
-            tol.mean_of(losses, True, lambdas),
+            float((_tolerance(losses, slack, True) * weights.lambdas).mean()),
             "loss",
         )
         assert _streams_equal(stream, ref_stream)
@@ -363,31 +246,32 @@ class TestSampledKfoldTrial:
             sample_size=sample_size,
             fraction_range=window,
         )
-        ref = _reference_pass(
+        ref = _replay_pass(
             data, k, ref_main, ref_folds, ref_fraction, sample_size, window
         )
-        tol = _Tolerance(data)
+        slack, m2_slack = _slacks(data.values)
         assert trial.m == ref["m"] == m
         assert trial.fraction == ref["fraction"]
-        _assert_close(
-            trial.sample_mean, ref["mean"], tol.of(ref["mean"], False), "mean"
-        )
-        _assert_close(
-            trial.sample_var, ref["var"], tol.of(ref["var"], True), "var"
-        )
+        for got, key, squared in ((trial.sample_mean, "mean", False),
+                                  (trial.sample_var, "var", True)):
+            want = ref[key]
+            _assert_close(got, want, _tolerance(want, slack, squared), key)
         if whole:
             assert trial.holdout_mse is None and ref["holdout"] is None
         else:
+            holdout_slack = m2_slack / (data.n - m)
             _assert_close(
                 trial.holdout_mse,
                 ref["holdout"],
-                tol.holdout(ref["holdout"], data.n - m),
+                _tolerance(ref["holdout"], slack, True, holdout_slack),
                 "holdout",
             )
         for i, (got, want) in enumerate(
             zip(trial.fold_losses, ref["fold_losses"])
         ):
-            _assert_close(got, want, tol.of(want, True), f"fold {i} loss")
+            _assert_close(
+                got, want, _tolerance(want, slack, True), f"fold {i} loss"
+            )
         for got, want in ((main, ref_main), (folds, ref_folds),
                           (fraction, ref_fraction)):
             assert _streams_equal(got, want)
@@ -396,7 +280,7 @@ class TestSampledKfoldTrial:
 def test_one_point_holdout_at_the_subsample_mean():
     # the one holdout point a thousandth of sigma from the subsample
     # mean: its loss is about 1e-6 sigma**2, the dataset's M2 about
-    # n sigma**2. Fails without the holdout term of _Tolerance.
+    # n sigma**2. Fails without the holdout term of selftest._tolerance.
     n, m, k, seed = 301, 300, 5, 12
     values = 1e3 * np.random.default_rng(seed).standard_normal(n)
     probe = Dataset(values.copy(), n, 0.0, 1e6, seed, 0)
@@ -406,12 +290,30 @@ def test_one_point_holdout_at_the_subsample_mean():
     data = Dataset(values, n, 0.0, 1e6, seed, 0)
     trial = sampled_kfold_trial(data, k, RngStream(seed, 1), sample_size=m)
     ref_stream = RngStream(seed, 1)
-    ref = _reference_pass(data, k, ref_stream, ref_stream, None, m, None)
-    tol = _Tolerance(data)
+    ref = _replay_pass(data, k, ref_stream, ref_stream, None, m, None)
+    slack, m2_slack = _slacks(data.values)
     _assert_close(
-        trial.holdout_mse, ref["holdout"], tol.holdout(ref["holdout"], 1),
+        trial.holdout_mse,
+        ref["holdout"],
+        _tolerance(ref["holdout"], slack, True, m2_slack),
         "holdout",
     )
+
+
+def test_reference_does_not_run_the_statistics_step(monkeypatch):
+    # fold losses off by one part in a thousand, about 40 times the
+    # tolerance on selftest's data (sigma 1 at mu = 1e9, where the slack
+    # is 8e-6): a reference that scored its folds through the kernel's
+    # own statistics step would be off by as much and would pass
+    combine = kfold._combine
+
+    def skewed(*args, **kwargs):
+        stats = combine(*args, **kwargs)
+        return stats._replace(fold_losses=stats.fold_losses * (1 + 1e-3))
+
+    monkeypatch.setattr(kfold, "_combine", skewed)
+    with pytest.raises(AssertionError):
+        selftest._check_pass_kernel()
 
 
 def test_holdout_from_totals_is_exact_at_large_mean():
@@ -625,7 +527,7 @@ def test_bad_draws_are_rejected(case):
         got, want = fsv_run(data, config, stub), fsv_run(data, config, real)
         assert got.compounded_measure == want.compounded_measure
         assert np.array_equal(got.iteration_losses, want.iteration_losses)
-        assert got.iteration_metrics == want.iteration_metrics
+        assert np.array_equal(got.metrics, want.metrics)
         assert _streams_equal(stub, real)
 
 
