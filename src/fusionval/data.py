@@ -3,6 +3,8 @@
 A dataset is an immutable vector of i.i.d. Gaussian draws together with
 the true distribution parameters, so downstream metrics can measure
 estimation error against ground truth instead of plug-in estimates.
+It stores only the values and the two true parameters; its size ``n``
+is the length of the values.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _number
 from .rng import RngStream, standard_normal
 
 __all__ = ["Dataset", "generate_dataset"]
@@ -19,28 +21,28 @@ __all__ = ["Dataset", "generate_dataset"]
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """An i.i.d. Gaussian sample with known ground truth.
+    """An i.i.d. Gaussian sample with known ground truth; ``n`` is the
+    length of ``values``.
 
-    ``values`` is write-protected after construction; treat it as
-    read-only everywhere.
+    ``values`` must be a non-empty vector. It is write-protected after
+    construction; treat it as read-only everywhere.
     """
 
     values: np.ndarray
-    n: int
     true_mean: float
     true_var: float
-    seed: int
-    stream_id: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.values.ndim != 1 or len(self.values) != self.n:
+        if self.values.ndim != 1 or len(self.values) < 1:
             raise ValidationError(
-                f"values must be a length-{self.n} vector, "
+                "values must be a non-empty vector, "
                 f"got shape {self.values.shape}"
             )
         self.values.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.values)
 
 
 def generate_dataset(
@@ -48,18 +50,13 @@ def generate_dataset(
 ) -> Dataset:
     """Generate ``n`` i.i.d. draws from Normal(mu, sigma2).
 
-    sigma2 is a variance, not a standard deviation, and must be positive.
+    ``n`` must be integral (5.0 is taken as 5). sigma2 is a variance,
+    not a standard deviation, and must be positive.
     """
+    n = _number("n", n, True)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if not sigma2 > 0:
         raise ValidationError(f"sigma2 must be > 0, got {sigma2}")
     values = mu + np.sqrt(sigma2) * standard_normal(stream, n)
-    return Dataset(
-        values=values,
-        n=n,
-        true_mean=float(mu),
-        true_var=float(sigma2),
-        seed=stream.seed,
-        stream_id=stream.stream_id,
-    )
+    return Dataset(values=values, true_mean=float(mu), true_var=float(sigma2))

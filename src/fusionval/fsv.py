@@ -23,7 +23,9 @@ No step uses BLAS (see the :mod:`fusionval.kfold` docstring for why).
 A run keeps its alpha-scaled metrics as one read-only ``(T x 6)`` table,
 :attr:`FsvResult.metrics`; its ``TrialMetrics`` rows are built only when
 ``iteration_metrics`` is read, so a caller that holds many results holds
-no per-row objects.
+no per-row objects. A result stores only the raw iteration losses, that
+table and alpha; the other run parameters, k among them, stay with the
+caller's :class:`FsvConfig`.
 
 Compounding has two meanings in this package, both alpha times a mean
 of raw mean fold losses: :func:`fsv_run` compounds T iterations on one
@@ -203,7 +205,6 @@ class FsvResult:
     iteration_losses: np.ndarray
     metrics: np.ndarray
     alpha: float
-    k: int
 
     def __post_init__(self) -> None:
         shape = (len(self.iteration_losses), len(METRIC_FIELDS))
@@ -265,5 +266,4 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
         iteration_losses=passes.fold_losses.mean(axis=1),
         metrics=metrics,
         alpha=config.alpha,
-        k=config.k,
     )

@@ -345,12 +345,12 @@ def run_experiment(
     """Run the full grid and assemble the report.
 
     ``jobs`` sizes the worker pool; 1 runs inline, None uses
-    :func:`_usable_cores`. The process pool is loaded on first use, so
-    a run at ``jobs == 1`` never loads it. The report is identical for
-    every jobs value.
+    :func:`_usable_cores`; any other value must be integral (2.0 is
+    taken as 2). The process pool is loaded on first use, so a run at
+    ``jobs == 1`` never loads it. The report is identical for every
+    jobs value.
     """
-    if jobs is None:
-        jobs = _usable_cores()
+    jobs = _usable_cores() if jobs is None else _number("jobs", jobs, True)
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()

@@ -1,10 +1,13 @@
 """K-fold cross-validation with per-fold loss weighting.
 
 Folds are disjoint, exhaustive, and near-equal (sizes differ by at most
-one). The plain estimate averages the k fold losses; the weighted
-variant scales fold i by lambda_i / k, and keeping the weights summing
-to k preserves unbiasedness while letting the weights shift variance
-between folds.
+one). A :class:`FoldPlan` stores one checked permutation ``order`` and
+k; its folds are views of the contiguous runs of ``order`` that
+:func:`_fold_sizes` lays out, so the layout is stated once and balance
+holds by construction. The plain estimate averages the k fold losses;
+the weighted variant scales fold i by lambda_i / k, and keeping the
+weights summing to k preserves unbiasedness while letting the weights
+shift variance between folds.
 
 One kernel serves every subsample-and-cross-validate pass: a single
 pass through :func:`kfold_losses`, the P = 1 pass of
@@ -25,8 +28,8 @@ dataset's first element, each fold reduces to its count n_i, sum and
 centred sum of squares M2_i with ``np.add.reduceat``. The shift keeps
 sums of the order of the spread rather than of the mean: with mu = 1e9
 and sigma = 1e-3 an unshifted sum would lose the spread to rounding.
-Fold sizes follow from ``divmod(m, k)``, as :func:`make_folds` lays them
-out. Each pass fills one row of ``(passes x k)`` arrays.
+Fold sizes follow from :func:`_fold_sizes`, as in every
+:class:`FoldPlan`. Each pass fills one row of ``(passes x k)`` arrays.
 
 *Statistics step, once per call.* Everything else is algebra on those
 arrays, over all passes at once. The pairwise update of Chan, Golub and
@@ -57,7 +60,7 @@ contends with the other workers of a pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -89,21 +92,22 @@ def _fold_sizes(total: int, k: int) -> list[int]:
     return [base + 1] * extra + [base] * (k - extra)
 
 
-def _check_sizes(sizes: list[int], k: int) -> None:
-    """k folds, none empty, sizes differing by at most one."""
-    if len(sizes) != k:
-        raise ValidationError(f"expected {k} folds, got {len(sizes)}")
-    if min(sizes) < 1:
-        raise ValidationError("every fold must be non-empty")
-    if max(sizes) - min(sizes) > 1:
+def _fold_count(total: int, k) -> int:
+    """``k`` as an int, or a ValidationError naming it: k must be
+    integral and at least 2, and ``total`` points must fill k folds."""
+    k = _number("k", k, True)
+    if k < 2:
+        raise ValidationError(f"k must be >= 2, got {k}")
+    if total < k:
         raise ValidationError(
-            f"fold sizes may differ by at most 1, got {sizes}"
+            f"every fold must be non-empty: need at least k={k} points, "
+            f"got {total}"
         )
+    return k
 
 
 def _check_order(order: np.ndarray) -> None:
-    """The folds laid out one after another in ``order`` are together
-    exactly a permutation of range(len(order)). O(m)."""
+    """``order`` is exactly a permutation of range(len(order)). O(m)."""
     if order.dtype.kind not in "iu":
         raise ValidationError(
             f"fold indices must be integers, got dtype {order.dtype}"
@@ -122,65 +126,58 @@ def _check_order(order: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
-    """A partition of range(total) into k disjoint folds."""
+    """A partition of range(total) into k near-equal folds.
 
-    folds: tuple[np.ndarray, ...]
+    ``order`` is a permutation of range(total), ``total`` its length; it
+    becomes read-only. Fold i is the i-th of k contiguous runs of
+    ``order``, earlier runs taking the remainder (sizes differ by at
+    most one), as ``np.array_split(order, k)`` cuts it. ``k`` must be
+    integral (2.0 is taken as 2), at least 2 and at most ``total``.
+    """
+
+    order: np.ndarray
     k: int
-    # every index, fold by fold: the folds concatenated
-    _order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
-        _check_sizes([len(f) for f in self.folds], self.k)
-        merged = np.concatenate(self.folds)
-        _check_order(merged)
-        for f in self.folds:
-            f.setflags(write=False)
-        merged.setflags(write=False)
-        object.__setattr__(self, "_order", merged)
-
-    @classmethod
-    def from_permutation(cls, order: np.ndarray, k: int) -> "FoldPlan":
-        """Split a permutation of range(len(order)) into k near-equal
-        folds, earlier folds taking the remainder.
-
-        Runs the constructor's checks; the folds are views of ``order``,
-        which becomes read-only.
-        """
-        if k < 2:
-            raise ValidationError(f"k must be >= 2, got {k}")
-        order = np.asarray(order)
+        order = np.asarray(self.order)
         if order.ndim != 1:
             raise ValidationError(
                 f"order must be a vector, got shape {order.shape}"
             )
+        object.__setattr__(self, "k", _fold_count(len(order), self.k))
+        _check_order(order)
         order.setflags(write=False)
-        return cls(folds=tuple(np.array_split(order, k)), k=k)
+        object.__setattr__(self, "order", order)
 
     @property
     def total(self) -> int:
-        return len(self._order)
+        return len(self.order)
+
+    @property
+    def folds(self) -> tuple[np.ndarray, ...]:
+        """The k folds, as read-only views of ``order``."""
+        ends = list(accumulate(_fold_sizes(self.total, self.k)))
+        return tuple(
+            self.order[start:end] for start, end in zip([0, *ends], ends)
+        )
 
 
 def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
     """Shuffle range(sample_size) and split it into k near-equal folds.
 
     Earlier folds take the remainder, so sizes are ceil then floor.
+    ``sample_size`` and ``k`` must be integral (5.0 is taken as 5); bad
+    sizes are refused before the draw.
     """
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
-    if sample_size < k:
-        raise ValidationError(
-            f"need sample_size >= k, got sample_size={sample_size}, k={k}"
-        )
+    sample_size = _number("sample_size", sample_size, True)
+    k = _fold_count(sample_size, k)
     order = stream.generator.permutation(sample_size)
     if order.shape != (sample_size,):
         raise ValidationError(
             f"fold permutation must be a length-{sample_size} vector, "
             f"got shape {order.shape}"
         )
-    return FoldPlan.from_permutation(order, k)
+    return FoldPlan(order, k)
 
 
 def _trainable(m: int, k: int) -> bool:
@@ -372,10 +369,10 @@ def _fold_stats(
     # a caller-built plan is the one way to a complement under 2 points
     if not _trainable(plan.total, plan.k):
         raise ValidationError("a training complement has under 2 points")
-    y = sample[plan._order]
+    y = sample[plan.order]
     pilot = y[0]
     y -= pilot
-    sizes = [len(f) for f in plan.folds]
+    sizes = _fold_sizes(plan.total, plan.k)
     fold_sum, fold_m2 = _fold_moments(y, sizes)
     stats = _combine(
         np.array([sizes], dtype=np.float64),
@@ -469,8 +466,6 @@ class KfcvEstimate:
     mean_estimate: float
     var_estimate: float
     loss: float
-    repetitions: int
-    k: int
 
 
 def repeated_kfcv(
@@ -509,6 +504,4 @@ def repeated_kfcv(
         mean_estimate=float(passes.train_means.mean()),
         var_estimate=float(passes.train_vars.mean()),
         loss=float((weights.lambdas * passes.fold_losses).mean()),
-        repetitions=repetitions,
-        k=k,
     )

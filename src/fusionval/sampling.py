@@ -2,19 +2,21 @@
 
 Draws a uniform size-m subset of a dataset's indices, exposes the
 inclusion-count moments of the scheme, and draws the random partition
-fraction used by the experiment protocol.
+fraction used by the experiment protocol. A :class:`SampleView` stores
+the subset's sorted indices and the dataset size ``source_n``; m is the
+number of indices. One check, :func:`_check_subset`, states what a
+sorted subset must be, for the view's constructor and for the draw.
 """
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError
+from .errors import ValidationError, _number
 from .rng import RngStream
 
 __all__ = [
@@ -29,18 +31,6 @@ __all__ = [
 
 # default partition-fraction window for all experiments
 FRACTION_RANGE = (0.60, 0.90)
-
-
-def _number(name: str, value, integral: bool = False):
-    """``value``, as an int if ``integral``, or a ValidationError naming
-    the field. A float with a fractional part is rejected, not truncated."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if not integral:
-            return value
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
-    kind = "an integer" if integral else "a real number"
-    raise ValidationError(f"{name} must be {kind}, got {value!r}")
 
 
 def _numbers(name: str, values, integral: bool = False) -> tuple:
@@ -65,59 +55,65 @@ def _fraction_window(value) -> tuple:
     return window
 
 
+def _check_subset(indices: np.ndarray, n: int) -> None:
+    """``indices`` is a non-empty subset of range(n) in canonical form:
+    strictly increasing, so distinct, and in [0, n)."""
+    if indices[0] < 0 or indices[-1] >= n:
+        raise ValidationError(f"subset indices must lie in [0, {n})")
+    if not (indices[1:] > indices[:-1]).all():
+        raise ValidationError(
+            "subset indices must be strictly increasing, so distinct"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class SampleView:
-    """Indices of one drawn subset, in canonical sorted order."""
+    """Indices of one drawn subset of range(source_n), in canonical
+    sorted order; ``m`` is their count."""
 
     indices: np.ndarray
-    m: int
     source_n: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= self.source_n:
+        indices, n = self.indices, self.source_n
+        if (
+            indices.ndim != 1
+            or indices.dtype.kind not in "iu"
+            or not 1 <= len(indices) <= n
+        ):
             raise ValidationError(
-                f"need 1 <= m <= source_n, got m={self.m}, "
-                f"source_n={self.source_n}"
+                f"indices must be an integer vector of 1 to source_n={n} "
+                f"entries, got {indices.dtype} of shape {indices.shape}"
             )
-        if self.indices.ndim != 1 or len(self.indices) != self.m:
-            raise ValidationError(
-                f"indices must be a length-{self.m} vector"
-            )
-        diffs = np.diff(self.indices)
-        if len(diffs) and not (diffs > 0).all():
-            raise ValidationError("indices must be strictly increasing")
-        if self.indices[0] < 0 or self.indices[-1] >= self.source_n:
-            raise ValidationError(
-                f"indices must lie in [0, {self.source_n})"
-            )
-        self.indices.setflags(write=False)
+        _check_subset(indices, n)
+        indices.setflags(write=False)
 
     @classmethod
-    def _from_checked(
-        cls, indices: np.ndarray, m: int, source_n: int
-    ) -> "SampleView":
+    def _from_checked(cls, indices: np.ndarray, source_n: int) -> "SampleView":
         """A view of ``indices`` that already passed the constructor's
         checks."""
         indices.setflags(write=False)
         view = object.__new__(cls)
         object.__setattr__(view, "indices", indices)
-        object.__setattr__(view, "m", m)
         object.__setattr__(view, "source_n", source_n)
         return view
+
+    @property
+    def m(self) -> int:
+        return len(self.indices)
 
 
 def srs_sample(data: Dataset, m: int, stream: RngStream) -> SampleView:
     """Draw a uniform random m-subset of ``data``'s indices.
 
     Every index has inclusion probability m/n and every size-m subset is
-    equally likely. Indices are returned sorted ascending.
+    equally likely. Indices are returned sorted ascending. ``m`` must be
+    integral (5.0 is taken as 5).
     """
-    if not 1 <= m <= data.n:
-        raise ValidationError(
-            f"need 1 <= m <= n, got m={m}, n={data.n}"
-        )
-    picked = _draw_subset(data.n, m, stream)
-    return SampleView._from_checked(picked, m, data.n)
+    m, n = _number("m", m, True), data.n
+    if not 1 <= m <= n:
+        raise ValidationError(f"need 1 <= m <= n, got m={m}, n={n}")
+    return SampleView._from_checked(_draw_subset(n, m, stream), n)
 
 
 _MASK_MIN_N = 512
@@ -126,7 +122,8 @@ _MASK_MIN_N = 512
 def _draw_subset(n: int, m: int, stream: RngStream) -> np.ndarray:
     """Draw :func:`srs_sample`'s m-subset of range(n) from ``stream`` and
     return it sorted ascending, checked as :class:`SampleView` checks
-    its indices: m integers, all in [0, n), all distinct.
+    its indices: m integers, all in [0, n), all distinct. The sorted
+    branch runs the view's own check, :func:`_check_subset`.
 
     The draw is sorted, O(m log m), when m is below a third of n or n
     is below ``_MASK_MIN_N``. Otherwise it is marked in a length-n
@@ -141,10 +138,7 @@ def _draw_subset(n: int, m: int, stream: RngStream) -> np.ndarray:
         )
     if 3 * m < n or n < _MASK_MIN_N:
         picked.sort()
-        if picked[0] < 0 or picked[-1] >= n:
-            raise ValidationError(f"subset indices must lie in [0, {n})")
-        if not (picked[1:] > picked[:-1]).all():
-            raise ValidationError("subset indices must be distinct")
+        _check_subset(picked, n)
         return picked
     # a negative index would wrap around in the scatter below
     if picked.min() < 0:

@@ -12,7 +12,6 @@ import math
 from itertools import combinations
 
 import numpy as np
-from scipy import stats as sps
 
 from .estimator import fit, loss
 from .fsv import FsvConfig, compound_measure, fsv_run
@@ -49,12 +48,19 @@ from .theory import (
 __all__ = ["run_selftest", "CHECKS"]
 
 
+def _require(ok, message: str) -> None:
+    """Raise AssertionError, a failed check, unless ``ok``. Every check
+    states its conditions this way: ``python -O`` strips ``assert``."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check_stream_replay() -> str:
     a = derive_stream(42, 3, 1).generator.random(1000)
     b = derive_stream(42, 3, 1).generator.random(1000)
-    assert np.array_equal(a, b), "replay of one stream diverged"
+    _require(np.array_equal(a, b), "replay of one stream diverged")
     c = derive_stream(42, 4, 1).generator.random(1000)
-    assert not np.array_equal(a, c), "distinct trials produced equal draws"
+    _require(not np.array_equal(a, c), "distinct trials produced equal draws")
     return "replay identical, distinct trials differ"
 
 
@@ -65,9 +71,9 @@ def _check_fold_invariants() -> str:
         for k in range(2, size + 1):
             plan = make_folds(size, k, stream)
             merged = np.sort(np.concatenate(plan.folds))
-            assert np.array_equal(merged, np.arange(size))
+            _require(np.array_equal(merged, np.arange(size)), "not a cover")
             sizes = [len(f) for f in plan.folds]
-            assert max(sizes) - min(sizes) <= 1
+            _require(max(sizes) - min(sizes) <= 1, f"fold sizes {sizes}")
             count += 1
     return f"{count} (size, k) plans disjoint, covering, balanced"
 
@@ -82,42 +88,47 @@ def _check_srs_uniformity() -> str:
         cells[tuple(view.indices)] += 1
     expected = draws / len(cells)
     chi2 = sum((c - expected) ** 2 / expected for c in cells.values())
+    # imported here: scipy.stats takes longer to load than most checks run
+    from scipy import stats as sps
+
     cutoff = float(sps.chi2.ppf(0.999, len(cells) - 1))
-    assert chi2 < cutoff, f"chi2 {chi2:.1f} >= cutoff {cutoff:.1f}"
+    _require(chi2 < cutoff, f"chi2 {chi2:.1f} >= cutoff {cutoff:.1f}")
     return f"chi2 {chi2:.1f} < {cutoff:.1f} over {len(cells)} subsets"
 
 
 def _check_inclusion_and_fpc() -> str:
-    assert inclusion_moments(100, 100) == (100.0, 0.0)
+    _require(inclusion_moments(100, 100) == (100.0, 0.0), "census moments")
     e, v = inclusion_moments(10_000, 7_500)
-    assert (e, v) == (7500.0, 1875.0)
-    assert srs_variance_component(1.0, 200, 200) == 0.0
+    _require((e, v) == (7500.0, 1875.0), f"moments {(e, v)}")
+    _require(srs_variance_component(1.0, 200, 200) == 0.0, "census term")
     return "moments exact, correction 0 at full census"
 
 
 def _check_weighted_loss() -> str:
     losses = np.array([0.91, 1.07, 1.02, 0.98, 1.01])
     uniform = LambdaWeights.uniform(5)
-    assert weighted_kfold_loss(losses, uniform) == empirical_kfold_loss(
-        losses
-    ), "uniform weights changed the plain mean"
+    _require(
+        weighted_kfold_loss(losses, uniform) == empirical_kfold_loss(losses),
+        "uniform weights changed the plain mean",
+    )
     two_fold = weighted_kfold_loss(
         np.array([2.0, 0.0]), LambdaWeights(np.array([2.0, 0.0]))
     )
-    assert two_fold == 2.0
+    _require(two_fold == 2.0, f"zero-weight loss {two_fold}")
     equal = weighted_kfold_loss(
         np.full(4, 1.0), LambdaWeights(np.array([0.5, 1.5, 1.25, 0.75]))
     )
-    assert equal == 1.0
+    _require(equal == 1.0, f"equal-loss mean {equal}")
     return "uniform, zero-weight, and equal-loss identities hold"
 
 
 def _check_compounding() -> str:
     losses = np.array([3.0, 5.0])
-    assert compound_measure(losses, 1.0) == 4.0
-    assert compound_measure(np.ones(3), 0.95) == 0.95
+    _require(compound_measure(losses, 1.0) == 4.0, "plain mean")
+    _require(compound_measure(np.ones(3), 0.95) == 0.95, "shrinkage")
     scaled = compound_measure(2.5 * losses, 0.5)
-    assert math.isclose(scaled, 2.5 * compound_measure(losses, 0.5), rel_tol=1e-12)
+    want = 2.5 * compound_measure(losses, 0.5)
+    _require(math.isclose(scaled, want, rel_tol=1e-12), "homogeneity")
     return "mean, shrinkage, and homogeneity identities hold"
 
 
@@ -209,10 +220,11 @@ def _check_fsv_run(data, config, stream) -> float:
         )
         for _ in range(config.iterations)
     ]
-    assert (
+    _require(
         stream.generator.bit_generator.state
-        == ref_stream.generator.bit_generator.state
-    ), "the batch left its stream elsewhere than the per-pass replay"
+        == ref_stream.generator.bit_generator.state,
+        "the batch left its stream elsewhere than the per-pass replay",
+    )
     slack, m2_slack = _slacks(data.values)
     mean, var, holdout, m = (
         np.array([ref[key] for ref in refs])
@@ -253,9 +265,10 @@ def _check_fsv_run(data, config, stream) -> float:
     for label, got, want, tol in checks:
         dev = np.abs(got - want)
         t = int((dev - tol).argmax())
-        assert dev[t] <= tol[t], (
+        _require(
+            dev[t] <= tol[t],
             f"iteration {t} {label}: {float(got[t])!r} != {float(want[t])!r} "
-            f"(tol {tol[t]:.2g})"
+            f"(tol {tol[t]:.2g})",
         )
         worst = max(worst, float((dev / tol).max()))
     return worst
@@ -280,20 +293,24 @@ def _check_shared_stream_identity() -> str:
     report = run_experiment(config, jobs=1)
     cell = report.cell(400, 12)
     fsv, srs = cell.trials["FSV"], cell.trials["SRS"]
-    assert np.array_equal(fsv, 0.95 * srs), (
-        f"worst deviation {np.abs(fsv - 0.95 * srs).max():.2e}"
+    _require(
+        np.array_equal(fsv, 0.95 * srs),
+        f"worst deviation {np.abs(fsv - 0.95 * srs).max():.2e}",
     )
     return f"all {fsv.size} FSV trial values = 0.95 x SRS exactly"
 
 
 def _check_bounds() -> str:
-    assert chebyshev_tail(0.5) == 1.0
-    assert chebyshev_tail(2.0) == 0.25
+    _require(chebyshev_tail(0.5) == 1.0, "Chebyshev cap")
+    _require(chebyshev_tail(2.0) == 0.25, "Chebyshev at 2 sigma")
     bound = hoeffding_tail(0.0, 10, 0.0, 1.0)
-    assert bound.raw == 2.0 and bound.capped == 1.0
+    _require(bound.raw == 2.0 and bound.capped == 1.0, f"Hoeffding {bound}")
     b1 = hybrid_variance(1.0, 7_500, 10_000, [0.0013] * 5, 10)
     b2 = hybrid_variance(1.0, 7_500, 10_000, [0.0013] * 5, 20)
-    assert math.isclose(b1.total_per_t, 2 * b2.total_per_t, rel_tol=1e-12)
+    _require(
+        math.isclose(b1.total_per_t, 2 * b2.total_per_t, rel_tol=1e-12),
+        "the budget per T does not halve when T doubles",
+    )
     return "caps and the 1/T law hold"
 
 
@@ -303,11 +320,15 @@ def _check_harness_determinism() -> str:
     b = run_experiment(config, jobs=1)
     da, db = report_to_dict(a), report_to_dict(b)
     reloaded = report_to_dict(report_from_dict(da))
-    assert json.dumps(reloaded, sort_keys=True) == json.dumps(
-        da, sort_keys=True
-    ), "the report changed on a round trip through report_from_dict"
+    _require(
+        json.dumps(reloaded, sort_keys=True) == json.dumps(da, sort_keys=True),
+        "the report changed on a round trip through report_from_dict",
+    )
     da.pop("wall_time_s"), db.pop("wall_time_s")
-    assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+    _require(
+        json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True),
+        "a replayed run gave another report",
+    )
     emit_markdown_table(a, 300)
     return "replayed report payloads identical, round trip verified"
 

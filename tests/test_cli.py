@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,3 +271,29 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    def test_a_broken_kernel_fails_under_python_optimize(self):
+        # python -O strips assert statements, so a check stated as one
+        # would pass whatever the program does
+        script = (
+            "import sys\n"
+            "from fusionval import kfold, selftest\n"
+            "print(sys.flags.optimize)\n"
+            "selftest.CHECKS = (('kernel', selftest._check_pass_kernel),)\n"
+            "print(selftest.run_selftest(echo=lambda line: None))\n"
+            "combine = kfold._combine\n"
+            "def doubled(*args, **kwargs):\n"
+            "    stats = combine(*args, **kwargs)\n"
+            "    return stats._replace(fold_losses=2 * stats.fold_losses)\n"
+            "kfold._combine = doubled\n"
+            "print(selftest.run_selftest(echo=lambda line: None))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines() == ["1", "True", "False"]

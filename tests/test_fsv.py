@@ -19,14 +19,7 @@ from fusionval.rng import RngStream, derive_stream
 
 
 def _constant_dataset(n, value=2.0):
-    return Dataset(
-        values=np.full(n, value),
-        n=n,
-        true_mean=value,
-        true_var=1.0,
-        seed=0,
-        stream_id=0,
-    )
+    return Dataset(values=np.full(n, value), true_mean=value, true_var=1.0)
 
 
 class TestFsvConfig:
@@ -199,7 +192,6 @@ class TestFsvRun:
             iteration_losses=losses,
             metrics=np.zeros((3, 6)),
             alpha=0.9,
-            k=5,
         )
         assert result.compounded_measure == compound_measure(losses, 0.9)
         assert result.compounded_measure == 0.9 * losses.mean()
@@ -209,7 +201,6 @@ class TestFsvRun:
                 iteration_losses=losses,
                 metrics=np.zeros((3, 6)),
                 alpha=0.9,
-                k=5,
             )
         # and the checks that make it well defined stay in the constructor
         for bad_losses, alpha in ((np.array([]), 0.9), (losses, 0.0)):
@@ -218,7 +209,6 @@ class TestFsvRun:
                     iteration_losses=bad_losses,
                     metrics=np.zeros((len(bad_losses), 6)),
                     alpha=alpha,
-                    k=5,
                 )
 
     @pytest.mark.parametrize(
@@ -236,13 +226,11 @@ class TestFsvRun:
                 iteration_losses=np.array([1.0, 1.0]),
                 metrics=metrics,
                 alpha=0.95,
-                k=5,
             )
         result = FsvResult(
             iteration_losses=np.array([1.0, 1.0]),
             metrics=np.zeros((2, 6)),
             alpha=0.95,
-            k=5,
         )
         assert not result.metrics.flags.writeable
 

@@ -238,6 +238,18 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             run_experiment(_SMALL, jobs=0)
 
+    @pytest.mark.parametrize(
+        "jobs", [2.0, 2.5, "2", True], ids=["2.0", "2.5", "str", "bool"]
+    )
+    def test_jobs_follow_the_integral_rule(self, small_report, jobs):
+        if jobs == 2.0:  # integral, so taken as 2
+            assert _payload_without_timing(
+                run_experiment(_SMALL, jobs=jobs)
+            ) == _payload_without_timing(small_report)
+            return
+        with pytest.raises(ValidationError, match="^jobs "):
+            run_experiment(_SMALL, jobs=jobs)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_trial_names_its_cell(self, monkeypatch, jobs):
         # pool workers are forked, so they inherit the patched module

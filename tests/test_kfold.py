@@ -23,14 +23,7 @@ from fusionval.selftest import _fold_fits, _slacks, _tolerance
 
 
 def _constant_dataset(n, value=5.0):
-    return Dataset(
-        values=np.full(n, value),
-        n=n,
-        true_mean=value,
-        true_var=1.0,
-        seed=0,
-        stream_id=0,
-    )
+    return Dataset(values=np.full(n, value), true_mean=value, true_var=1.0)
 
 
 class TestMakeFolds:
@@ -71,43 +64,8 @@ class TestMakeFolds:
 
 class TestFoldPlanValidation:
     def test_hand_plan_accepted(self):
-        plan = FoldPlan(
-            folds=(np.array([0, 1]), np.array([2, 3])), k=2
-        )
+        plan = FoldPlan(np.array([0, 1, 2, 3]), k=2)
         assert plan.total == 4
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValidationError):
-            FoldPlan(folds=(np.array([0, 1]), np.array([1, 2])), k=2)
-
-    def test_rejects_gap_in_cover(self):
-        with pytest.raises(ValidationError):
-            FoldPlan(folds=(np.array([0, 1]), np.array([3, 4])), k=2)
-
-    def test_rejects_unbalanced_sizes(self):
-        with pytest.raises(ValidationError):
-            FoldPlan(
-                folds=(np.array([0, 1, 2]), np.array([3]), np.array([4])),
-                k=3,
-            )
-
-    def test_rejects_empty_fold(self):
-        with pytest.raises(ValidationError):
-            FoldPlan(folds=(np.array([0]), np.array([], dtype=int)), k=2)
-
-    @pytest.mark.parametrize(
-        "folds, match",
-        [
-            # min and max pass, so only the per-index mark catches it
-            (([0, 3], [3, 1]), "disjoint"),
-            (([0.0, 1.0], [2.0, 3.0]), "integers"),
-            (([0, -1], [2, 3]), "cover"),
-        ],
-        ids=["repeat-within-bounds", "float-indices", "negative-index"],
-    )
-    def test_each_index_check_on_its_own(self, folds, match):
-        with pytest.raises(ValidationError, match=match):
-            FoldPlan(folds=tuple(np.array(f) for f in folds), k=2)
 
     @pytest.mark.parametrize(
         "order, k, match",
@@ -115,6 +73,7 @@ class TestFoldPlanValidation:
             ([0, 1, 1, 2], 2, "cover"),
             ([0, 1, 3, 4], 2, "cover"),
             ([0], 2, "non-empty"),
+            # min and max pass, so only the per-index mark catches it
             ([0, 3, 3, 1], 2, "disjoint"),
             ([0.0, 1.0, 2.0, 3.0], 2, "integers"),
             ([0, -1, 2, 3], 2, "cover"),
@@ -135,41 +94,39 @@ class TestFoldPlanValidation:
     def test_permutation_constructor_rejects_each_on_its_own(
         self, order, k, match
     ):
-        # the hand plans above, concatenated fold by fold
         with pytest.raises(ValidationError, match=match):
-            FoldPlan.from_permutation(np.array(order), k)
+            FoldPlan(np.array(order), k)
 
     def test_permutation_constructor_always_balances(self):
-        # the unbalanced hand plan's indices come out as sizes 2, 2, 1:
-        # balance is the one check a permutation cannot fail
-        plan = FoldPlan.from_permutation(np.arange(5), 3)
+        # no order cuts into unbalanced folds: 5 points in 3 folds are
+        # always sizes 2, 2, 1
+        plan = FoldPlan(np.arange(5), 3)
         assert [f.tolist() for f in plan.folds] == [[0, 1], [2, 3], [4]]
 
     @pytest.mark.parametrize("m, k", [(2, 2), (7, 3), (10, 5), (23, 10)])
     def test_permutation_constructor_matches_array_split(self, m, k):
         order = np.random.default_rng(m).permutation(m)
-        plan = FoldPlan.from_permutation(order, k)
-        for got, want in zip(plan.folds, np.array_split(order, k)):
+        plan = FoldPlan(order, k)
+        assert len(plan.folds) == k
+        for got, want in zip(plan.folds, np.array_split(plan.order, k)):
             np.testing.assert_array_equal(got, want)
+        assert not plan.order.flags.writeable
         assert not plan.folds[0].flags.writeable
         assert plan.total == m
 
     def test_unsigned_indices_accepted(self):
-        plan = FoldPlan(
-            folds=(np.array([3, 1], np.uint32), np.array([0, 2], np.uint32)),
-            k=2,
-        )
+        plan = FoldPlan(np.array([3, 1, 0, 2], np.uint32), k=2)
         assert plan.total == 4
 
 
 class TestKfoldLosses:
     def test_constant_sample(self):
-        plan = FoldPlan(folds=(np.array([0, 1]), np.array([2, 3])), k=2)
+        plan = FoldPlan(np.arange(4), k=2)
         losses = kfold_losses(np.array([5.0, 5.0, 5.0, 5.0]), plan)
         np.testing.assert_array_equal(losses, [0.0, 0.0])
 
     def test_hand_computation(self):
-        plan = FoldPlan(folds=(np.array([0, 1]), np.array([2, 3])), k=2)
+        plan = FoldPlan(np.arange(4), k=2)
         losses = kfold_losses(np.array([0.0, 0.0, 2.0, 2.0]), plan)
         np.testing.assert_array_equal(losses, [4.0, 4.0])
 
@@ -180,12 +137,12 @@ class TestKfoldLosses:
         assert np.all((0.85 < losses) & (losses < 1.15))
 
     def test_rejects_tiny_training_complement(self):
-        plan = FoldPlan(folds=(np.array([0]), np.array([1])), k=2)
+        plan = FoldPlan(np.arange(2), k=2)
         with pytest.raises(ValidationError):
             kfold_losses(np.array([1.0, 2.0]), plan)
 
     def test_rejects_length_mismatch(self):
-        plan = FoldPlan(folds=(np.array([0, 1]), np.array([2, 3])), k=2)
+        plan = FoldPlan(np.arange(4), k=2)
         with pytest.raises(ValidationError):
             kfold_losses(np.array([1.0, 2.0]), plan)
 

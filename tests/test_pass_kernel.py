@@ -9,13 +9,14 @@ so the subsample lands in ``make_folds``' fold order. One statistics
 step then scores the whole batch.
 
 Two references check it. ``TestDrawStep`` replays the sort-and-gather
-draw path through ``SampleView`` and ``make_folds``' permutation into
-the same statistics step and requires every output bit for bit. The
-per-pass reference, ``selftest._replay_pass``, replays the same draws on
-clones of the streams through the public per-step functions and scores
-each pass on its own: ``fit`` on the subsample, ``holdout_values`` +
-``loss`` on the rest, and ``fit`` on each fold's training complement
-with ``loss`` on the fold, never the kernel's statistics step. Its
+draw path, a ``SampleView`` of the sorted subset taken in the order of
+``make_folds``' plan (``plan.order``), into the same statistics step
+and requires every output bit for bit. The per-pass reference,
+``selftest._replay_pass``, replays the same draws on clones of the
+streams through the public per-step functions and scores each pass on
+its own: ``fit`` on the subsample, ``holdout_values`` + ``loss`` on the
+rest, and ``fit`` on each fold's training complement with ``loss`` on
+the fold, never the kernel's statistics step. Its
 results must lie within ``selftest._tolerance``. After every call the
 streams must stand exactly where the reference left them.
 """
@@ -29,10 +30,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fusionval import kfold, selftest
-from fusionval.data import Dataset
+from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import ValidationError
 from fusionval.fsv import FsvConfig, fsv_run, sampled_kfold_trial
 from fusionval.kfold import (
+    FoldPlan,
     LambdaWeights,
     _combine,
     _fold_moments,
@@ -50,14 +52,7 @@ from fusionval.selftest import _replay_pass, _slacks, _tolerance
 
 def _dataset(n, mu, scale, seed):
     values = mu + scale * np.random.default_rng(seed).standard_normal(n)
-    return Dataset(
-        values=values,
-        n=n,
-        true_mean=mu,
-        true_var=scale * scale,
-        seed=seed,
-        stream_id=0,
-    )
+    return Dataset(values=values, true_mean=mu, true_var=scale * scale)
 
 
 def _assert_close(got, want, tol, label):
@@ -283,11 +278,11 @@ def test_one_point_holdout_at_the_subsample_mean():
     # n sigma**2. Fails without the holdout term of selftest._tolerance.
     n, m, k, seed = 301, 300, 5, 12
     values = 1e3 * np.random.default_rng(seed).standard_normal(n)
-    probe = Dataset(values.copy(), n, 0.0, 1e6, seed, 0)
+    probe = Dataset(values.copy(), 0.0, 1e6)
     inside = srs_sample(probe, m, RngStream(seed, 1)).indices
     outside = np.setdiff1d(np.arange(n), inside)
     values[outside] = values[inside].mean() + 1.0
-    data = Dataset(values, n, 0.0, 1e6, seed, 0)
+    data = Dataset(values, 0.0, 1e6)
     trial = sampled_kfold_trial(data, k, RngStream(seed, 1), sample_size=m)
     ref_stream = RngStream(seed, 1)
     ref = _replay_pass(data, k, ref_stream, ref_stream, None, m, None)
@@ -349,7 +344,7 @@ def _sorted_draw_passes(
 ):
     """``_run_passes`` on the sort-and-gather draw path: ``srs_sample``'s
     draw sorted into a ``SampleView``, ``make_folds``, then
-    ``values[view.indices[plan._order]] - pilot`` into the same
+    ``values[view.indices[plan.order]] - pilot`` into the same
     ``_fold_moments`` and ``_combine``."""
     values = data.values
     pilot = values[0]
@@ -366,9 +361,9 @@ def _sorted_draw_passes(
             data.n, size=m, replace=False, shuffle=False
         )
         picked.sort()
-        view = SampleView(indices=picked, m=m, source_n=data.n)
+        view = SampleView(indices=picked, source_n=data.n)
         plan = make_folds(m, k, folds_stream)
-        y = values[view.indices[plan._order]] - pilot
+        y = values[view.indices[plan.order]] - pilot
         sizes = [len(f) for f in plan.folds]
         counts[p] = sizes
         sums[p], m2s[p] = _fold_moments(y, sizes)
@@ -641,6 +636,22 @@ _BAD_SIZE_CALLS = {
             data, 5, 2.5, LambdaWeights.uniform(5), s
         ),
     ),
+    # the per-step functions follow the same integral rule
+    "fractional-n-dataset": (
+        "n", lambda data, s: generate_dataset(10.5, 0.0, 1.0, s)
+    ),
+    "string-n-dataset": (
+        "n", lambda data, s: generate_dataset("10", 0.0, 1.0, s)
+    ),
+    "bool-n-dataset": (
+        "n", lambda data, s: generate_dataset(True, 0.0, 1.0, s)
+    ),
+    "fractional-m-srs": ("m", lambda data, s: srs_sample(data, 5.5, s)),
+    "fractional-sample_size-folds": (
+        "sample_size", lambda data, s: make_folds(10.5, 2, s)
+    ),
+    "fractional-k-folds": ("k", lambda data, s: make_folds(10, 2.5, s)),
+    "fractional-k-plan": ("k", lambda data, s: FoldPlan(np.arange(4), 2.5)),
 }
 
 
@@ -664,7 +675,20 @@ def test_integral_float_sizes_are_taken_as_ints():
     weights = LambdaWeights.uniform(5)
     est = repeated_kfcv(data, 5.0, 2.0, weights, RngStream(6, 1))
     assert est == repeated_kfcv(data, 5, 2, weights, RngStream(6, 1))
-    assert type(est.k) is int and type(est.repetitions) is int
+    # and the per-step functions
+    drawn = generate_dataset(50.0, 0.0, 1.0, RngStream(6, 2))
+    assert np.array_equal(
+        drawn.values, generate_dataset(50, 0.0, 1.0, RngStream(6, 2)).values
+    )
+    view = srs_sample(data, 5.0, RngStream(6, 3))
+    assert view.m == 5
+    assert np.array_equal(
+        view.indices, srs_sample(data, 5, RngStream(6, 3)).indices
+    )
+    plan = make_folds(10.0, 2.0, RngStream(6, 4))
+    assert type(plan.k) is int and plan.total == 10
+    assert np.array_equal(plan.order, make_folds(10, 2, RngStream(6, 4)).order)
+    assert type(FoldPlan(np.arange(4), 2.0).k) is int
 
 
 @given(

@@ -98,15 +98,18 @@ class TestSrsSample:
 class TestSampleView:
     def test_rejects_duplicates_and_disorder(self):
         with pytest.raises(ValidationError):
-            SampleView(indices=np.array([1, 1]), m=2, source_n=5)
+            SampleView(indices=np.array([1, 1]), source_n=5)
         with pytest.raises(ValidationError):
-            SampleView(indices=np.array([3, 2]), m=2, source_n=5)
+            SampleView(indices=np.array([3, 2]), source_n=5)
         with pytest.raises(ValidationError):
-            SampleView(indices=np.array([0, 5]), m=2, source_n=5)
+            SampleView(indices=np.array([0, 5]), source_n=5)
+        # sorted and in range, but no gather can take float indices
+        with pytest.raises(ValidationError, match="integer"):
+            SampleView(indices=np.array([0.0, 2.0]), source_n=5)
 
     def test_gather_and_complement(self):
         d = _dataset(6)
-        view = SampleView(indices=np.array([0, 2, 5]), m=3, source_n=6)
+        view = SampleView(indices=np.array([0, 2, 5]), source_n=6)
         np.testing.assert_array_equal(
             sample_values(d, view), d.values[[0, 2, 5]]
         )
@@ -115,7 +118,7 @@ class TestSampleView:
         )
 
     def test_size_mismatch_between_view_and_dataset(self):
-        view = SampleView(indices=np.array([0]), m=1, source_n=3)
+        view = SampleView(indices=np.array([0]), source_n=3)
         with pytest.raises(ValidationError):
             sample_values(_dataset(6), view)
         with pytest.raises(ValidationError):
