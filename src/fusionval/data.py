@@ -9,6 +9,7 @@ is the length of the values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ class Dataset:
     length of ``values``.
 
     ``values`` must be a non-empty vector. It is write-protected after
-    construction; treat it as read-only everywhere.
+    construction; treat it as read-only everywhere. ``true_mean`` must
+    be finite and ``true_var`` finite and > 0.
     """
 
     values: np.ndarray
@@ -37,6 +39,13 @@ class Dataset:
             raise ValidationError(
                 "values must be a non-empty vector, "
                 f"got shape {self.values.shape}"
+            )
+        mean = _number("true_mean", self.true_mean)
+        var = _number("true_var", self.true_var)
+        if not (-math.inf < mean < math.inf and 0 < var < math.inf):
+            raise ValidationError(
+                "true_mean must be finite and true_var finite and > 0, "
+                f"got {mean} and {var}"
             )
         self.values.setflags(write=False)
 

@@ -43,7 +43,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ValidationError
 from .kfold import _run_passes, _subsample_range
-from .metrics import METRIC_FIELDS, TrialMetrics, metric_table
+from .metrics import METRIC_FIELDS, TrialMetrics, _frozen_array, metric_table
 from .rng import RngStream
 from .sampling import FRACTION_RANGE, _fraction_window, _number
 
@@ -197,9 +197,10 @@ class FsvResult:
     """Outcome of one run.
 
     ``iteration_losses`` holds the raw (unscaled) mean fold loss of each
-    iteration. ``metrics`` holds the alpha-scaled metrics the summary
-    tables report, as a read-only float64 ``(T x 6)`` table with one row
-    per iteration and columns in ``METRIC_FIELDS`` order.
+    iteration, as a non-empty float64 vector. ``metrics`` holds the
+    alpha-scaled metrics the summary tables report, as a float64
+    ``(T x 6)`` table with one row per iteration and columns in
+    ``METRIC_FIELDS`` order. Both arrays are made read-only.
     """
 
     iteration_losses: np.ndarray
@@ -207,16 +208,11 @@ class FsvResult:
     alpha: float
 
     def __post_init__(self) -> None:
-        shape = (len(self.iteration_losses), len(METRIC_FIELDS))
-        if self.metrics.dtype != np.float64 or self.metrics.shape != shape:
-            raise ValidationError(
-                f"metrics must be a float64 table of shape {shape}, got "
-                f"{self.metrics.dtype} of shape {self.metrics.shape}"
-            )
         # compound_measure's checks, so that the property cannot fail
         compound_measure(self.iteration_losses, self.alpha)
-        self.iteration_losses.setflags(write=False)
-        self.metrics.setflags(write=False)
+        t = len(self.iteration_losses)
+        _frozen_array("iteration_losses", self.iteration_losses, (t,))
+        _frozen_array("metrics", self.metrics, (t, len(METRIC_FIELDS)))
 
     @property
     def compounded_measure(self) -> float:

@@ -14,6 +14,14 @@ key, purpose), so trials are order-independent and the report is
 byte-identical under any worker count. The trial key hashes the cell
 coordinates, which keeps cells independent of grid composition: running
 one cell alone reproduces its slice of the full grid.
+
+Results store only their inputs. A :class:`CellResult` holds n, its
+trial tables, its FSV iteration losses and alpha; t, the summaries and
+L* derive from them. An :class:`ExperimentReport` holds the config, the
+cells and the wall time; its config hash and version derive from them.
+Each type has one constructor, which checks its inputs. A saved report
+loads by one rule: the report built from its inputs must dump back to
+exactly what was saved.
 """
 
 from __future__ import annotations
@@ -23,8 +31,10 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import zip_longest
 from pathlib import Path
 
@@ -34,7 +44,9 @@ from .data import generate_dataset
 from .errors import ValidationError
 from .fsv import compound_measure, sampled_kfold_trial
 from .kfold import LambdaWeights, _subsample_range, repeated_kfcv
-from .metrics import METRIC_FIELDS, Aggregate, Method, metric_table, summarize
+from .metrics import (
+    METRIC_FIELDS, Aggregate, Method, _frozen_array, metric_table, summarize
+)
 from .rng import Purpose, derive_stream
 from .sampling import FRACTION_RANGE, _fraction_window, _number, _numbers
 
@@ -56,7 +68,7 @@ REPORT_VERSION = "0.1.0"
 DEFAULT_SIZES = (10_000, 50_000, 100_000)
 DEFAULT_TRIALS = (10, 50, 100)
 
-_METHOD_ORDER = (Method.SRS, Method.KFCV, Method.FSV)
+_METHODS = tuple(m.value for m in Method)  # SRS, KFCV, FSV
 _METRIC_LABELS = {
     "mean_est": "Mean est.",
     "var_est": "Var est.",
@@ -65,7 +77,7 @@ _METRIC_LABELS = {
     "roc_me": "ROC Mean est.",
     "roc_ve": "ROC Var est.",
 }
-_METHOD_LABELS = {Method.SRS: "SRS", Method.KFCV: "KF", Method.FSV: "FSV"}
+_METHOD_LABELS = {"SRS": "SRS", "KFCV": "KF", "FSV": "FSV"}
 
 
 @dataclass(frozen=True)
@@ -154,18 +166,10 @@ class ExperimentConfig:
         return self._weights
 
     def to_dict(self) -> dict:
+        """The init fields in order, tuples as lists."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
         return {
-            "sizes": list(self.sizes),
-            "trials": list(self.trials),
-            "k": self.k,
-            "repetitions": self.repetitions,
-            "alpha": self.alpha,
-            "lambdas": list(self.lambdas) if self.lambdas else None,
-            "seed": self.seed,
-            "fraction_range": list(self.fraction_range),
-            "mu": self.mu,
-            "sigma2": self.sigma2,
-            "shared_streams": self.shared_streams,
+            k: list(v) if isinstance(v, tuple) else v for k, v in d.items()
         }
 
     @classmethod
@@ -200,7 +204,7 @@ def _trial_key(n: int, t_total: int, trial: int) -> int:
 def _run_trial(
     config: ExperimentConfig, n: int, t_total: int, trial: int
 ) -> tuple[np.ndarray, float]:
-    """One trial's ``(3 x 6)`` metric table, rows in ``_METHOD_ORDER``
+    """One trial's ``(3 x 6)`` metric table, rows in ``_METHODS`` order
     and the FSV row alpha-scaled, and the FSV pass's raw mean fold loss."""
     key = _trial_key(n, t_total, trial)
 
@@ -267,48 +271,77 @@ def _run_trial_task(args: tuple) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True, eq=False)
 class CellResult:
-    """All trials of one (n, t) grid cell and what is derived from them.
+    """All trials of one (n, t) grid cell; t and the rest are derived.
 
-    ``trials[method]`` is a ``(t x 6)`` float64 table, columns in
-    ``METRIC_FIELDS`` order; ``summaries[method][metric]`` is its
-    column's :class:`Aggregate`. ``fsv_iteration_losses`` holds the FSV
-    passes' raw mean fold losses, which compound into ``fsv_compounded``.
+    ``trials[method]`` is a float64 ``(t x 6)`` table for exactly SRS,
+    KFCV and FSV, columns in ``METRIC_FIELDS`` order, and
+    ``fsv_iteration_losses`` the FSV passes' t >= 1 raw mean fold
+    losses; the arrays are made read-only. ``summaries[method][metric]``
+    is a column's :class:`Aggregate`, computed on first read, and
+    ``fsv_compounded`` compounds the losses with ``alpha``.
     """
 
     n: int
-    t: int
     trials: dict[str, np.ndarray]
-    summaries: dict[str, dict[str, Aggregate]]
-    fsv_compounded: float
     fsv_iteration_losses: np.ndarray
+    alpha: float
 
-    @classmethod
-    def from_trials(
-        cls,
-        n: int,
-        t: int,
-        trials: dict[str, np.ndarray],
-        fsv_iteration_losses: np.ndarray,
-        alpha: float,
-    ) -> "CellResult":
-        """The cell whose summaries and L* are computed from its trials."""
-        return cls(
-            n=n,
-            t=t,
-            trials=trials,
-            summaries={m: summarize(table) for m, table in trials.items()},
-            fsv_compounded=compound_measure(fsv_iteration_losses, alpha),
-            fsv_iteration_losses=fsv_iteration_losses,
-        )
+    def __post_init__(self) -> None:
+        losses = self.fsv_iteration_losses
+        t = np.size(losses)
+        where = f"cell (n={self.n!r}, t={t})"
+        object.__setattr__(self, "n", _number(f"{where} n", self.n, True))
+        if t < 1 or sorted(self.trials) != sorted(_METHODS):
+            raise ValidationError(
+                f"{where}: need t >= 1 fsv_iteration_losses and trials for "
+                f"exactly {list(_METHODS)}, got {sorted(self.trials)}"
+            )
+        _frozen_array(f"{where} fsv_iteration_losses", losses, (t,))
+        for method, table in self.trials.items():
+            _frozen_array(f"{where} {method}", table, (t, len(METRIC_FIELDS)))
+        compound_measure(losses, self.alpha)  # alpha > 0
+
+    @property
+    def t(self) -> int:
+        return len(self.fsv_iteration_losses)
+
+    @cached_property
+    def summaries(self) -> dict[str, dict[str, Aggregate]]:
+        return {m: summarize(table) for m, table in self.trials.items()}
+
+    @property
+    def fsv_compounded(self) -> float:
+        """L*: alpha times the mean of ``fsv_iteration_losses``."""
+        return compound_measure(self.fsv_iteration_losses, self.alpha)
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """A run's cells, which must be ``config``'s grid in run order, each
+    compounded with ``config.alpha``; ``cells`` is stored as a tuple."""
+
     config: ExperimentConfig
-    cells: list[CellResult] = field(default_factory=list)
-    config_hash: str = ""
-    version: str = REPORT_VERSION
-    wall_time_s: float = 0.0
+    cells: tuple[CellResult, ...]
+    wall_time_s: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", tuple(self.cells))
+        _number("wall_time_s", self.wall_time_s)
+        _check_cell_grid(self.config, [(c.n, c.t) for c in self.cells])
+        for c in self.cells:
+            if c.alpha != self.config.alpha:
+                raise ValidationError(
+                    f"cell (n={c.n}, t={c.t}): alpha {c.alpha!r} is not "
+                    f"the config's alpha {self.config.alpha!r}"
+                )
+
+    @property
+    def config_hash(self) -> str:
+        return self.config.config_hash()
+
+    @property
+    def version(self) -> str:
+        return REPORT_VERSION
 
     def cell(self, n: int, t: int) -> CellResult:
         for c in self.cells:
@@ -317,15 +350,39 @@ class ExperimentReport:
         raise ValidationError(f"no cell (n={n}, t={t}) in report")
 
 
+def _check_cell_grid(
+    config: ExperimentConfig, cells: list[tuple[int, int]]
+) -> None:
+    """``cells`` must be the config's grid, (n, t) for n in ``sizes`` and
+    t in ``trials``, in run order; names the first cell that is missing,
+    extra or out of place."""
+    grid = [(n, t) for n in config.sizes for t in config.trials]
+    for i, (want, got) in enumerate(zip_longest(grid, cells)):
+        if want == got:
+            continue
+        # the cells before i match the grid: a repeat of one is extra
+        repeat = got in cells[:i]
+        if want is None or got is not None and (got not in grid or repeat):
+            what, cell = "extra", got
+        elif got is None or want not in cells:
+            what, cell = "missing", want
+        else:
+            what, cell = "out of place", got
+        raise ValidationError(
+            f"cell (n={cell[0]}, t={cell[1]}) is {what}: the cells must be "
+            f"(n, t) for n in sizes {list(config.sizes)} and t in trials "
+            f"{list(config.trials)}, in that order"
+        )
+
+
 def _assemble_cell(
-    config: ExperimentConfig, n: int, t: int, outcomes: list[tuple]
+    config: ExperimentConfig, n: int, outcomes: list[tuple]
 ) -> CellResult:
     """The cell of ``outcomes``, given in trial order."""
     block = np.stack([table for table, _ in outcomes])
-    return CellResult.from_trials(
+    return CellResult(
         n,
-        t,
-        {m.value: block[:, i] for i, m in enumerate(_METHOD_ORDER)},
+        {m: block[:, i] for i, m in enumerate(_METHODS)},
         np.array([raw_loss for _, raw_loss in outcomes]),
         config.alpha,
     )
@@ -380,16 +437,10 @@ def run_experiment(
     for n in config.sizes:
         for t in config.trials:
             try:
-                cells.append(_assemble_cell(config, n, t, buckets[(n, t)]))
+                cells.append(_assemble_cell(config, n, buckets[(n, t)]))
             except Exception as exc:
                 raise RuntimeError(f"cell (n={n}, t={t}): {exc}") from exc
-    return ExperimentReport(
-        config=config,
-        cells=cells,
-        config_hash=config.config_hash(),
-        version=REPORT_VERSION,
-        wall_time_s=time.perf_counter() - started,
-    )
+    return ExperimentReport(config, cells, time.perf_counter() - started)
 
 
 def emit_markdown_table(report: ExperimentReport, n: int) -> str:
@@ -397,9 +448,6 @@ def emit_markdown_table(report: ExperimentReport, n: int) -> str:
     cells = [c for c in report.cells if c.n == n]
     if not cells:
         raise ValidationError(f"no cells for n={n} in report")
-    for c in cells:
-        if not len(c.trials[Method.SRS.value]):
-            raise ValidationError(f"cell (n={n}, t={c.t}) has no trials")
     cells = sorted(cells, key=lambda c: c.t)
     header = ["Statistical Metrics"]
     align = [":--"]
@@ -413,15 +461,10 @@ def emit_markdown_table(report: ExperimentReport, n: int) -> str:
         "| " + " | ".join(align) + " |",
     ]
     for metric in METRIC_FIELDS:
-        for method in _METHOD_ORDER:
+        for method in _METHODS:
             row = [f"{_METRIC_LABELS[metric]} {_METHOD_LABELS[method]}"]
             for c in cells:
-                agg = c.summaries[method.value][metric]
-                row += [
-                    f"{agg.mean:.4f}",
-                    f"{agg.min:.4f}",
-                    f"{agg.max:.4f}",
-                ]
+                row += [f"{v:.4f}" for v in c.summaries[method][metric]]
             lines.append("| " + " | ".join(row) + " |")
     lines.append("")
     for c in cells:
@@ -434,10 +477,10 @@ def emit_markdown_table(report: ExperimentReport, n: int) -> str:
 
 def _cell_rows(cell: CellResult):
     """(method, metric, trial, value) of every trial value of a cell."""
-    for method in _METHOD_ORDER:
-        for i, row in enumerate(cell.trials[method.value].tolist()):
+    for method in _METHODS:
+        for i, row in enumerate(cell.trials[method].tolist()):
             for metric, value in zip(METRIC_FIELDS, row):
-                yield method.value, metric, i, value
+                yield method, metric, i, value
 
 
 def emit_csv(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, Path]:
@@ -456,24 +499,11 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, Path]
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["N", "T", "method", "metric", "mean", "min", "max"])
         for c in report.cells:
-            for method in _METHOD_ORDER:
-                for metric, agg in c.summaries[method.value].items():
-                    w.writerow(
-                        [
-                            c.n,
-                            c.t,
-                            method.value,
-                            metric,
-                            format(agg.mean, ".10g"),
-                            format(agg.min, ".10g"),
-                            format(agg.max, ".10g"),
-                        ]
-                    )
+            for method in _METHODS:
+                for metric, agg in c.summaries[method].items():
+                    values = (format(v, ".10g") for v in agg)
+                    w.writerow([c.n, c.t, method, metric, *values])
     return trials_path, summary_path
-
-
-def _stats_to_dict(stats: dict[str, Aggregate]) -> dict:
-    return {metric: agg._asdict() for metric, agg in stats.items()}
 
 
 def _cell_to_dict(c: CellResult) -> dict:
@@ -485,7 +515,7 @@ def _cell_to_dict(c: CellResult) -> dict:
             for method, table in c.trials.items()
         },
         "summaries": {
-            method: _stats_to_dict(stats)
+            method: {metric: agg._asdict() for metric, agg in stats.items()}
             for method, stats in c.summaries.items()
         },
         "fsv_compounded": c.fsv_compounded,
@@ -503,99 +533,70 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
-def _cell_from_dict(config: ExperimentConfig, cd: dict) -> CellResult:
-    """Rebuild a cell from its trials, checking every stored value that
-    derives from them."""
-    n, t = cd["n"], cd["t"]
-    where = f"cell (n={n}, t={t})"
-    methods = [m.value for m in _METHOD_ORDER]
-    trials = {}
-    for method in methods:
-        rows = cd["trials"].get(method, [])
-        if len(rows) != t:
-            raise ValidationError(
-                f"{where} {method}: {len(rows)} trial rows, need {t}"
-            )
-        for i, row in enumerate(rows):
-            if row.keys() != set(METRIC_FIELDS):
-                raise ValidationError(
-                    f"{where} {method} trial {i}: metrics must be exactly "
-                    f"{list(METRIC_FIELDS)}, got {sorted(row)}"
-                )
-        trials[method] = np.array(
-            [[row[m] for m in METRIC_FIELDS] for row in rows],
-            dtype=np.float64,
-        )
-    losses = np.array(cd["fsv_iteration_losses"], dtype=np.float64)
-    if losses.shape != (t,):
-        raise ValidationError(
-            f"{where}: {losses.size} fsv_iteration_losses, need {t}"
-        )
-    cell = CellResult.from_trials(n, t, trials, losses, config.alpha)
-    for method in methods:
-        stored = cd["summaries"].get(method)
-        if stored != _stats_to_dict(cell.summaries[method]):
-            raise ValidationError(
-                f"{where} {method}: stored summaries differ from the "
-                "summaries of its trials"
-            )
-    if cd["fsv_compounded"] != cell.fsv_compounded:
-        raise ValidationError(
-            f"{where}: stored fsv_compounded {cd['fsv_compounded']!r} "
-            f"differs from {cell.fsv_compounded!r}, compounded from its "
-            "fsv_iteration_losses"
-        )
-    return cell
+def _first_difference(want: dict, got: dict) -> str:
+    """The first leaf at which ``got`` differs from ``want``: its path,
+    like ``report['cells'][1]['t']``, and both values. Paths are taken
+    in ``want``'s order, so a report's top-level keys come before its
+    cells; an empty dict or list counts as a leaf."""
 
+    def leaves(value, path):
+        if not isinstance(value, (dict, list)) or not value:
+            return [(path, value)]
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [leaf for k, v in items for leaf in leaves(v, f"{path}[{k!r}]")]
 
-def _check_cell_grid(config: ExperimentConfig, cells: list[dict]) -> None:
-    """The stored cells must be the config's grid, (n, t) for n in
-    ``sizes`` and t in ``trials``, in run order; names the first cell
-    that is missing, extra or out of place."""
-    grid = [(n, t) for n in config.sizes for t in config.trials]
-    stored = [(cd["n"], cd["t"]) for cd in cells]
-    for i, (want, got) in enumerate(zip_longest(grid, stored)):
-        if want == got:
-            continue
-        # the cells before i match the grid: a repeat of one is extra
-        repeat = got in stored[:i]
-        if want is None or got is not None and (got not in grid or repeat):
-            what, cell = "extra", got
-        elif got is None or want not in stored:
-            what, cell = "missing", want
-        else:
-            what, cell = "out of place", got
-        raise ValidationError(
-            f"cell (n={cell[0]}, t={cell[1]}) is {what}: the cells must be "
-            f"(n, t) for n in sizes {list(config.sizes)} and t in trials "
-            f"{list(config.trials)}, in that order"
-        )
+    want, got = dict(leaves(want, "report")), dict(leaves(got, "report"))
+    path = next(
+        p for p in [*want, *got] if want.get(p, ...) != got.get(p, ...)
+    )
+    got, want = (
+        "nothing" if v is ... else reprlib.repr(v)
+        for v in (got.get(path, ...), want.get(path, ...))
+    )
+    return f"{path}: stored {got}, but the report's inputs give {want}"
 
 
 def report_from_dict(d: dict) -> ExperimentReport:
     """Rebuild a report from :func:`report_to_dict` output.
 
-    The stored ``config_hash`` must be the hash of the stored config, so
-    a report whose config was edited after the run is rejected. The
-    cells must be the config's grid in run order. Each cell must hold t
-    rows of exactly the ``METRIC_FIELDS`` per method and t iteration
-    losses, and its stored summaries and ``fsv_compounded`` must equal
-    those recomputed from them.
+    Only the inputs are read: the config, each cell's ``n``, trial rows
+    and ``fsv_iteration_losses``, and ``wall_time_s``. The report is
+    built from them through the constructors, which check the grid and
+    each cell, and :func:`report_to_dict` of it must then equal ``d``.
+    So every derived value (the config hash, the version, each cell's t,
+    summaries and ``fsv_compounded``) must be the one its inputs give,
+    and no key may be missing or extra; a report whose config was edited
+    after the run fails on its ``config_hash``. The error names the
+    first path that differs, or the cell whose inputs are missing or
+    mistyped.
     """
-    config = ExperimentConfig.from_dict(d["config"])
-    if config.config_hash() != d["config_hash"]:
+    where = "report"
+    try:
+        config = ExperimentConfig.from_dict(d["config"])
+        wall_time_s = d["wall_time_s"]
+        cells = []
+        for i, cd in enumerate(d["cells"]):
+            where = f"report['cells'][{i}]"
+            trials = {
+                method: np.array(
+                    [[row[m] for m in METRIC_FIELDS] for row in rows],
+                    dtype=np.float64,
+                )
+                for method, rows in cd["trials"].items()
+            }
+            losses = np.array(cd["fsv_iteration_losses"], dtype=np.float64)
+            cells.append(CellResult(cd["n"], trials, losses, config.alpha))
+    except ValidationError:
+        raise
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise ValidationError(
-            f"config_hash {d['config_hash']!r} does not match the stored "
-            f"config, whose hash is {config.config_hash()!r}"
-        )
-    _check_cell_grid(config, d["cells"])
-    return ExperimentReport(
-        config=config,
-        cells=[_cell_from_dict(config, cd) for cd in d["cells"]],
-        config_hash=d["config_hash"],
-        version=d["version"],
-        wall_time_s=d["wall_time_s"],
-    )
+            f"{where}: an input is missing or mistyped: {exc!r}"
+        ) from exc
+    report = ExperimentReport(config, cells, wall_time_s)
+    want = report_to_dict(report)
+    if want != d:
+        raise ValidationError(_first_difference(want, d))
+    return report
 
 
 def emit_json(report: ExperimentReport, path: str | Path) -> Path:

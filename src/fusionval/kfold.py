@@ -435,6 +435,7 @@ class LambdaWeights:
 
     @classmethod
     def uniform(cls, k: int) -> "LambdaWeights":
+        k = _number("k", k, True)
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         return cls(lambdas=np.ones(k))

@@ -181,8 +181,10 @@ def inclusion_moments(n: int, m: int) -> tuple[float, float]:
     inclusion total is m and the summed marginal indicator variance is
     m(1 - m/n). The variance term vanishes at m = n, where inclusion is
     certain; it is the finite-population correction factor the variance
-    budget builds on.
+    budget builds on. ``n`` and ``m`` must be integral (5.0 is taken
+    as 5).
     """
+    n, m = _number("n", n, True), _number("m", m, True)
     if not 1 <= m <= n:
         raise ValidationError(f"need 1 <= m <= n, got m={m}, n={n}")
     return float(m), float(m) * (1.0 - m / n)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, _number
 
 __all__ = [
     "VarianceBudget",
@@ -30,13 +30,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VarianceBudget:
-    """Per-iteration variance split and its per-T total."""
+    """Per-iteration variance split and its per-T total; ``iterations``
+    must be integral (5.0 is taken as 5)."""
 
     srs_component: float
     kfcv_component: float
     iterations: int
 
     def __post_init__(self) -> None:
+        iterations = _number("iterations", self.iterations, True)
+        object.__setattr__(self, "iterations", iterations)
         if self.srs_component < 0 or self.kfcv_component < 0:
             raise ValidationError("variance components must be >= 0")
         if self.iterations < 1:
@@ -54,8 +57,11 @@ def srs_variance_component(sigma2: float, n: int, population_n: int) -> float:
     """Variance of a size-n subsample mean: (sigma2/n)(1 - n/N).
 
     The finite population correction (1 - n/N) vanishes at n = N, where
-    the subsample is the whole population.
+    the subsample is the whole population. ``n`` and ``population_n``
+    must be integral.
     """
+    n = _number("n", n, True)
+    population_n = _number("population_n", population_n, True)
     if not sigma2 > 0:
         raise ValidationError(f"sigma2 must be > 0, got {sigma2}")
     if not 1 <= n <= population_n:
@@ -106,7 +112,9 @@ def chebyshev_tail(k_dev: float) -> float:
 def chebyshev_threshold(
     sigma_hyb2: float, iterations: int, k_dev: float
 ) -> float:
-    """Deviation threshold k_dev * sqrt(sigma_hyb2 / T) for the T-average."""
+    """Deviation threshold k_dev * sqrt(sigma_hyb2 / T) for the T-average;
+    ``iterations`` must be integral."""
+    iterations = _number("iterations", iterations, True)
     if not sigma_hyb2 >= 0:
         raise ValidationError(
             f"sigma_hyb2 must be >= 0, got {sigma_hyb2}"
@@ -134,8 +142,10 @@ def hoeffding_tail(
 
     P(|mean - E mean| >= epsilon) <= 2 exp(-2 T epsilon^2 / (b-a)^2).
     The raw value exceeds 1 for loose epsilon (it is 2 at epsilon = 0);
-    ``capped`` clamps it to 1 for use as a probability.
+    ``capped`` clamps it to 1 for use as a probability. ``iterations``
+    must be integral.
     """
+    iterations = _number("iterations", iterations, True)
     if not epsilon >= 0:
         raise ValidationError(
             f"epsilon must be >= 0, got {epsilon}"

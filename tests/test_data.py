@@ -58,3 +58,22 @@ def test_rejects_empty_or_non_vector_values():
             Dataset(values=values, true_mean=0.0, true_var=1.0)
     # n is the length of the values, so it cannot disagree with them
     assert Dataset(np.zeros(3), 0.0, 1.0).n == 3
+
+
+@pytest.mark.parametrize(
+    "true_mean, true_var",
+    [
+        (float("nan"), 1.0),
+        (float("inf"), 1.0),
+        (0.0, float("nan")),
+        (0.0, float("inf")),
+        (0.0, 0.0),
+        (0.0, -1.0),
+        (float("nan"), -1.0),
+    ],
+)
+def test_rejects_bad_ground_truth(true_mean, true_var):
+    with pytest.raises(
+        ValidationError, match="^true_mean must be finite and true_var"
+    ):
+        Dataset(np.zeros(3), true_mean, true_var)

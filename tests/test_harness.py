@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -27,8 +28,8 @@ from fusionval.harness import (
     run_experiment,
 )
 from fusionval.data import generate_dataset
-from fusionval.fsv import sampled_kfold_trial
-from fusionval.metrics import METRIC_FIELDS, Method, metric_table
+from fusionval.fsv import compound_measure, sampled_kfold_trial
+from fusionval.metrics import METRIC_FIELDS, metric_table, summarize
 from fusionval.rng import Purpose, derive_stream
 
 _SMALL = ExperimentConfig(sizes=(100,), trials=(2, 3), k=2, repetitions=2)
@@ -324,6 +325,103 @@ class TestRunExperiment:
         assert raw_loss == fsv.mean_fold_loss
 
 
+def _cell_inputs(cell):
+    return dict(
+        n=cell.n,
+        trials=dict(cell.trials),
+        fsv_iteration_losses=cell.fsv_iteration_losses,
+        alpha=cell.alpha,
+    )
+
+
+class TestResultConstructors:
+    def test_cell_derives_t_summaries_and_compounded(self, small_report):
+        cell = small_report.cell(100, 3)
+        rebuilt = CellResult(**_cell_inputs(cell))
+        assert rebuilt.t == 3
+        assert rebuilt.summaries == {
+            m: summarize(table) for m, table in cell.trials.items()
+        }
+        assert rebuilt.fsv_compounded == compound_measure(
+            cell.fsv_iteration_losses, 0.95
+        )
+        assert not cell.trials["SRS"].flags.writeable
+        assert not cell.fsv_iteration_losses.flags.writeable
+        # derived values are not constructor arguments
+        with pytest.raises(TypeError):
+            CellResult(
+                n=1, t=5, trials={}, summaries={}, fsv_compounded=0.0,
+                fsv_iteration_losses=np.zeros(0),
+            )
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (
+                lambda d: d["trials"].pop("KFCV"),
+                r": need t >= 1 fsv_iteration_losses and trials for exactly",
+            ),
+            (
+                lambda d: d["trials"].update(SRS=np.zeros((2, 6))),
+                r" SRS must be a float64 array of shape \(3, 6\), "
+                r"got float64 of shape \(2, 6\)",
+            ),
+            (
+                lambda d: d["trials"].update(
+                    FSV=np.zeros((3, 6), dtype=np.float32)
+                ),
+                r" FSV must be a float64 array of shape \(3, 6\), got float32",
+            ),
+            (
+                lambda d: d.update(fsv_iteration_losses=[1.0, 2.0, 3.0]),
+                r" fsv_iteration_losses must be a float64 array of shape "
+                r"\(3,\), got list",
+            ),
+            (lambda d: d.update(n=100.5), r" n must be an integer"),
+        ],
+        ids=["missing-method", "short-table", "float32", "list-losses", "n"],
+    )
+    def test_cell_refuses_a_wrong_input(self, small_report, edit, match):
+        inputs = _cell_inputs(small_report.cell(100, 3))
+        edit(inputs)
+        with pytest.raises(
+            ValidationError, match=rf"^cell \(n=100(\.5)?, t=3\){match}"
+        ):
+            CellResult(**inputs)
+
+    def test_report_derives_hash_and_version(self, small_report):
+        assert small_report.config_hash == _SMALL.config_hash()
+        assert small_report.version == harness.REPORT_VERSION
+        assert isinstance(small_report.cells, tuple)
+        with pytest.raises(TypeError):
+            ExperimentReport(_SMALL, small_report.cells, 0.0, config_hash="x")
+
+    @pytest.mark.parametrize(
+        "pick, match",
+        [
+            (lambda cells: cells[::-1], r"\(n=100, t=3\) is out of place"),
+            (lambda cells: cells[:1], r"\(n=100, t=3\) is missing"),
+            (lambda cells: cells + cells[:1], r"\(n=100, t=2\) is extra"),
+        ],
+        ids=["reordered", "dropped", "duplicated"],
+    )
+    def test_report_cells_must_be_the_config_grid(
+        self, small_report, pick, match
+    ):
+        with pytest.raises(ValidationError, match=rf"^cell {match}: "):
+            ExperimentReport(_SMALL, pick(small_report.cells), 0.0)
+
+    def test_report_cell_alpha_must_be_the_config_alpha(self, small_report):
+        first, second = small_report.cells
+        cells = [first, dataclasses.replace(second, alpha=0.5)]
+        with pytest.raises(
+            ValidationError,
+            match=r"^cell \(n=100, t=3\): alpha 0\.5 is not the config's "
+            r"alpha 0\.95$",
+        ):
+            ExperimentReport(_SMALL, cells, 0.0)
+
+
 class TestMarkdownTable:
     def test_block_layout(self, small_report):
         block = emit_markdown_table(small_report, 100)
@@ -368,13 +466,13 @@ class TestMarkdownTable:
             emit_markdown_table(small_report, 12_345)
 
     def test_empty_cell_raises(self, small_report):
+        # a cell without trials cannot be built, so it never reaches a table
         cell = small_report.cells[0]
-        gutted = dataclasses.replace(
-            cell, trials={**cell.trials, "SRS": []}
-        )
-        broken = dataclasses.replace(small_report, cells=[gutted])
-        with pytest.raises(ValidationError):
-            emit_markdown_table(broken, 100)
+        with pytest.raises(ValidationError, match=r"^cell \(n=100, t=2\) SRS"):
+            dataclasses.replace(cell, trials={**cell.trials, "SRS": []})
+        empty = {m: np.zeros((0, 6)) for m in cell.trials}
+        with pytest.raises(ValidationError, match="need t >= 1"):
+            CellResult(100, empty, np.zeros(0), 0.95)
 
 
 class TestCsvEmission:
@@ -394,14 +492,6 @@ class TestCsvEmission:
         row = small_report.cell(int(n), int(t)).trials[method][int(trial)]
         assert float(value) == pytest.approx(
             row[METRIC_FIELDS.index(metric)], rel=1e-9
-        )
-
-    def test_empty_report_emits_headers_only(self, tmp_path):
-        empty = ExperimentReport(config=_SMALL, cells=[], config_hash="x")
-        trials_path, summary_path = emit_csv(empty, tmp_path)
-        assert trials_path.read_text() == "N,T,method,metric,trial,value\n"
-        assert (
-            summary_path.read_text() == "N,T,method,metric,mean,min,max\n"
         )
 
 
@@ -442,16 +532,16 @@ class TestJsonRoundTrip:
     def test_tampered_summary_is_rejected(self, small_report):
         d = report_to_dict(small_report)
         d["cells"][1]["summaries"]["KFCV"]["bias"]["mean"] += 1e-12
-        with pytest.raises(
-            ValidationError, match=r"^cell \(n=100, t=3\) KFCV: stored summaries"
-        ):
+        path = r"\['cells'\]\[1\]\['summaries'\]\['KFCV'\]\['bias'\]\['mean'\]"
+        with pytest.raises(ValidationError, match=rf"^report{path}: stored"):
             report_from_dict(d)
 
     def test_tampered_fsv_compounded_is_rejected(self, small_report):
         d = report_to_dict(small_report)
         d["cells"][0]["fsv_compounded"] *= 1.5
         with pytest.raises(
-            ValidationError, match=r"^cell \(n=100, t=2\): stored fsv_compounded"
+            ValidationError,
+            match=r"^report\['cells'\]\[0\]\['fsv_compounded'\]: stored",
         ):
             report_from_dict(d)
 
@@ -459,7 +549,8 @@ class TestJsonRoundTrip:
         d = report_to_dict(small_report)
         del d["cells"][0]["trials"]["FSV"][1]["mse"]
         with pytest.raises(
-            ValidationError, match=r"^cell \(n=100, t=2\) FSV trial 1: metrics"
+            ValidationError,
+            match=r"^report\['cells'\]\[0\]: .*KeyError\('mse'\)",
         ):
             report_from_dict(d)
 
@@ -471,7 +562,86 @@ class TestJsonRoundTrip:
             cell["trials"]["SRS"].pop()
         else:
             cell["fsv_iteration_losses"].append(1.0)
-        with pytest.raises(ValidationError, match=r"^cell \(n=100, t=2\)"):
+        # t is the number of iteration losses; the SRS table must match it
+        t = len(cell["fsv_iteration_losses"])
+        with pytest.raises(
+            ValidationError, match=rf"^cell \(n=100, t={t}\) SRS must be"
+        ):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (
+                lambda d: d.update(version="9.9"),
+                r"report\['version'\]: stored '9\.9', but the report's "
+                r"inputs give '0\.1\.0'",
+            ),
+            (
+                lambda d: d.update(notes="x"),
+                r"report\['notes'\]: stored 'x', but the report's inputs "
+                "give nothing",
+            ),
+            (
+                lambda d: d["cells"][1].update(extra=1),
+                r"report\['cells'\]\[1\]\['extra'\]: stored 1,",
+            ),
+            (
+                lambda d: d["cells"][1]["trials"].update(
+                    LOO=d["cells"][1]["trials"]["SRS"]
+                ),
+                r"cell \(n=100, t=3\): need t >= 1 fsv_iteration_losses and "
+                r"trials for exactly \['SRS', 'KFCV', 'FSV'\], got "
+                r"\['FSV', 'KFCV', 'LOO', 'SRS'\]",
+            ),
+            (
+                lambda d: d["cells"][1].pop("summaries"),
+                r"report\['cells'\]\[1\]\['summaries'\]\['SRS'\]"
+                r"\['mean_est'\]\['mean'\]: stored nothing,",
+            ),
+            (
+                lambda d: d.pop("wall_time_s"),
+                r"report: an input is missing or mistyped: "
+                r"KeyError\('wall_time_s'\)",
+            ),
+            (
+                lambda d: d.update(cells=None),
+                r"report: an input is missing or mistyped: TypeError",
+            ),
+            (
+                lambda d: d["cells"][1].pop("n"),
+                r"report\['cells'\]\[1\]: an input is missing or mistyped: "
+                r"KeyError\('n'\)",
+            ),
+            (
+                lambda d: d["cells"][1].update(fsv_iteration_losses="abc"),
+                r"report\['cells'\]\[1\]: an input is missing or mistyped: "
+                "ValueError",
+            ),
+            (
+                lambda d: d.update(wall_time_s="1 s"),
+                r"wall_time_s must be a real number, got '1 s'",
+            ),
+        ],
+        ids=[
+            "version",
+            "unknown-key",
+            "unknown-cell-key",
+            "fourth-method",
+            "missing-summaries",
+            "missing-wall-time",
+            "null-cells",
+            "missing-n",
+            "mistyped-losses",
+            "mistyped-wall-time",
+        ],
+    )
+    def test_report_must_equal_what_its_inputs_derive(
+        self, small_report, edit, match
+    ):
+        d = report_to_dict(small_report)
+        edit(d)
+        with pytest.raises(ValidationError, match=f"^{match}"):
             report_from_dict(d)
 
     @pytest.mark.parametrize(
@@ -526,6 +696,15 @@ class TestGridOrderings:
             assert (
                 stats["FSV"]["var_est"].mean < stats["SRS"]["var_est"].mean
             )
+
+    def test_default_grid_report_digest(self, grid_report):
+        # the report's bytes, as bench/workloads.report_digest takes them
+        body = _payload_without_timing(grid_report)
+        digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "0adb3c9b70a2b0c01982522682e1de67"
+            "056815f7a44caa8e314bfc7fc5f77ab2"
+        )
 
     def test_default_grid_summary_row_count(self, grid_report, tmp_path):
         _, summary_path = emit_csv(grid_report, tmp_path)

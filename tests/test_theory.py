@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fusionval.errors import ValidationError
+from fusionval.kfold import LambdaWeights
+from fusionval.sampling import inclusion_moments
 from fusionval.theory import (
     TailBound,
     VarianceBudget,
@@ -193,3 +195,29 @@ class TestHoeffding:
         assert bound.capped <= bound.raw
         # the exponential underflows to exactly 0.0 for sharp deviations
         assert bound.raw >= 0.0
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: LambdaWeights.uniform(2.5), "k"),
+        (lambda: LambdaWeights.uniform(True), "k"),
+        (lambda: inclusion_moments(10, 2.5), "m"),
+        (lambda: inclusion_moments(10.5, 2), "n"),
+        (lambda: srs_variance_component(1.0, 2.5, 10), "n"),
+        (lambda: srs_variance_component(1.0, 2, 10.5), "population_n"),
+        (lambda: hybrid_variance(1.0, 5, 10, [0.1], 2.5), "iterations"),
+        (lambda: VarianceBudget(0.1, 0.1, 2.5), "iterations"),
+        (lambda: chebyshev_threshold(1.0, 2.5, 2.0), "iterations"),
+        (lambda: hoeffding_tail(0.1, 2.5, 0.0, 1.0), "iterations"),
+    ],
+    ids=[
+        "uniform-2.5", "uniform-bool", "inclusion-m", "inclusion-n",
+        "srs-n", "srs-population", "hybrid", "budget", "chebyshev",
+        "hoeffding",
+    ],
+)
+def test_integral_arguments_follow_the_integral_rule(call, name):
+    # the rule of errors._number: a fractional or boolean count is refused
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+        call()
