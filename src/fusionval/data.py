@@ -25,8 +25,10 @@ class Dataset:
     """An i.i.d. Gaussian sample with known ground truth; ``n`` is the
     length of ``values``.
 
-    ``values`` must be a non-empty vector. It is write-protected after
-    construction; treat it as read-only everywhere. ``true_mean`` must
+    ``values`` must be a non-empty vector of finite numbers; it is held
+    as float64 (a float64 array as given, anything else as a copy) and
+    write-protected after construction; treat it as read-only
+    everywhere. ``true_mean`` must
     be finite and ``true_var`` finite and > 0.
     """
 
@@ -35,11 +37,13 @@ class Dataset:
     true_var: float
 
     def __post_init__(self) -> None:
-        if self.values.ndim != 1 or len(self.values) < 1:
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 1 or len(values) < 1:
             raise ValidationError(
-                "values must be a non-empty vector, "
-                f"got shape {self.values.shape}"
+                f"values must be a non-empty vector, got shape {values.shape}"
             )
+        if not np.isfinite(values).all():
+            raise ValidationError("values must be finite")
         mean = _number("true_mean", self.true_mean)
         var = _number("true_var", self.true_var)
         if not (-math.inf < mean < math.inf and 0 < var < math.inf):
@@ -47,7 +51,8 @@ class Dataset:
                 "true_mean must be finite and true_var finite and > 0, "
                 f"got {mean} and {var}"
             )
-        self.values.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:

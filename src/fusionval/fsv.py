@@ -12,10 +12,12 @@ for that conservatism.
 :mod:`fusionval.kfold`. Each iteration is one draw step: it consumes
 the streams as the public ``draw_partition_fraction``, ``srs_sample``
 and ``make_folds`` would, in that order, with the subset's checks, but
-shuffles the subsample itself into fold order; its per-fold counts,
-sums and centred sums of squares fill one row of a ``(T x k)`` batch.
-One statistics step then gives every iteration's fold losses,
-subsample mean and ddof=1 variance, and its holdout loss.
+gathers the subsample into a bounded per-run buffer and shuffles it
+there into fold order. Each time the buffer fills, one call reduces the
+iterations in it to their per-fold counts, sums and centred sums of
+squares, one row of a ``(T x k)`` table each. One statistics step then
+gives every iteration's fold losses, subsample mean and ddof=1
+variance, and its holdout loss.
 The holdout loss is the squared error of the subsample mean on the
 dataset's other points, taken from the dataset's totals (computed once
 per run) minus the subsample's rather than by gathering the holdout.

@@ -12,7 +12,7 @@ shift variance between folds.
 One kernel serves every subsample-and-cross-validate pass: a single
 pass through :func:`kfold_losses`, the P = 1 pass of
 ``fsv.sampled_kfold_trial``, the R repetitions of :func:`repeated_kfcv`
-and the T iterations of ``fsv.fsv_run``. It works in two steps.
+and the T iterations of ``fsv.fsv_run``. It works in three steps.
 
 *Draw step, once per pass,* after one check per call of every size the
 call can draw (:func:`_subsample_range`). Draw as a loop over the public
@@ -20,16 +20,26 @@ API would, on the caller's streams and in the same order: the partition
 fraction (``sampling.draw_partition_fraction``'s one ``uniform`` call),
 the subset ``sampling.srs_sample`` draws, with its checks, and
 :func:`make_folds`' fold order. The subset comes back sorted (by
-``sampling._draw_subset``), is taken from the dataset and is shuffled in
-place: numpy's ``permutation(m)`` shuffles ``arange(m)`` with swaps that
-depend on m alone, so the subsample lands in ``make_folds``' order, with
-no index array to check or gather by. Shifted by a pilot value, the
-dataset's first element, each fold reduces to its count n_i, sum and
-centred sum of squares M2_i with ``np.add.reduceat``. The shift keeps
+``sampling._draw_subset``), is gathered from the dataset into the next
+segment of one per-call buffer and is shuffled there in place: numpy's
+``permutation(m)`` shuffles ``arange(m)`` with swaps that depend on m
+alone, so the subsample lands in ``make_folds``' order, with no index
+array to check or gather by. A pass does nothing else.
+
+*Fold moments, once per batch.* The buffer holds ``max(m_hi,
+_BATCH_FLOATS)`` floats, m_hi being the largest size the call can draw,
+so that any one pass fits. When the next subsample would not fit, and
+after the last pass, one :func:`_fold_moments` call scores every pass in
+the buffer. Shifted by a pilot value, the dataset's first element, each
+fold reduces to its count n_i, sum and centred sum of squares M2_i with
+``np.add.reduceat``, written straight into its pass's row of
+``(passes x k)`` arrays. Each fold is reduced on its own, so a batch
+gives the bits that scoring its passes one by one gives. The shift keeps
 sums of the order of the spread rather than of the mean: with mu = 1e9
 and sigma = 1e-3 an unshifted sum would lose the spread to rounding.
 Fold sizes follow from :func:`_fold_sizes`, as in every
-:class:`FoldPlan`. Each pass fills one row of ``(passes x k)`` arrays.
+:class:`FoldPlan`. The buffer is bounded because a fresh buffer for all
+of a call's points pages in new memory on every call.
 
 *Statistics step, once per call.* Everything else is algebra on those
 arrays, over all passes at once. The pairwise update of Chan, Golub and
@@ -46,11 +56,12 @@ The holdout, the dataset's points outside the subsample, is handled the
 same way one level up: its count, mean and M2 are the dataset's totals
 (computed once per call, with the same pilot) minus the subsample's, by
 the update in reverse, and its squared error around the subsample mean
-is M2_h / n_h + (mean_h - mean)^2. No pass gathers its holdout. That
-subtraction is exact algebra but rounds to the precision of the
-dataset's M2, so a holdout of a handful of points keeps fewer digits
-than a direct sum; ``selftest._tolerance``, the rule the kernel's checks
-hold it to, has a term for this.
+is M2_h / n_h + (mean_h - mean)^2; a pass that leaves no holdout takes
+NaN for n_h, which carries through to a NaN loss. No pass gathers its
+holdout. That subtraction is exact algebra but rounds to the precision
+of the dataset's M2, so a holdout of a handful of points keeps fewer
+digits than a direct sum; ``selftest._tolerance``, the rule the
+kernel's checks hold it to, has a term for this.
 
 The kernels use ufunc reductions only, never ``@`` or ``np.dot``: with a
 threaded BLAS a dot product of a few thousand elements is spread over
@@ -83,6 +94,8 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
+# floats a pass-kernel call gathers before it scores them, at the least
+_BATCH_FLOATS = 8192
 
 
 def _fold_sizes(total: int, k: int) -> list[int]:
@@ -225,17 +238,24 @@ def _subsample_range(
 
 
 def _fold_moments(
-    y: np.ndarray, sizes: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-fold sum and centred sum of squares of ``y``, whose folds lie
-    one after another with the given sizes. Overwrites nothing in ``y``."""
+    y: np.ndarray,
+    sizes: list[int],
+    pilot: float,
+    sums: np.ndarray,
+    m2s: np.ndarray,
+) -> None:
+    """Shift ``y`` by ``pilot`` in place, then write the sum and centred
+    sum of squares of each of its folds to ``sums`` and ``m2s``. The
+    folds lie one after another with the given sizes; they may be the
+    folds of several passes, one pass after another."""
+    y -= pilot
     starts = [0, *accumulate(sizes[:-1])]
-    fold_sum = np.add.reduceat(y, starts)
+    np.add.reduceat(y, starts, out=sums)
     # in-place steps: each fresh array of m floats costs page faults
-    dev = np.repeat(fold_sum / sizes, sizes)
+    dev = np.repeat(sums / sizes, sizes)
     np.subtract(y, dev, out=dev)
     dev *= dev
-    return fold_sum, np.add.reduceat(dev, starts)
+    np.add.reduceat(dev, starts, out=m2s)
 
 
 class _Passes(NamedTuple):
@@ -285,13 +305,15 @@ def _combine(
         y *= y
         data_m2 = y.sum()
         rest = n - total
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rest_mean = (data_sum - total_sum) / rest
-            rest_gap = rest_mean - mean
-            rest_cross = total * rest / n * rest_gap * rest_gap
-            rest_m2 = data_m2 - total_m2 - rest_cross
-            holdout = np.maximum(rest_m2, 0.0) / rest + rest_gap * rest_gap
-        holdout[rest == 0] = np.nan
+        if not rest.all():
+            # a pass with no holdout: NaN for its size carries through
+            # to its loss without a 0/0
+            rest[rest == 0] = np.nan
+        rest_mean = (data_sum - total_sum) / rest
+        rest_gap = rest_mean - mean
+        rest_cross = total * rest / n * rest_gap * rest_gap
+        rest_m2 = data_m2 - total_m2 - rest_cross
+        holdout = np.maximum(rest_m2, 0.0) / rest + rest_gap * rest_gap
     return _Passes(
         m=total.astype(np.int64),
         fold_losses=m2s / counts + gap * gap,
@@ -330,29 +352,57 @@ def _run_passes(
     if sample_size is None:
         fraction_range = _fraction_window(fraction_range)
         low, high = fraction_range
-    _subsample_range(data.n, k, sample_size, fraction_range, require_holdout)
+    n = data.n
+    _, m_hi = _subsample_range(
+        n, k, sample_size, fraction_range, require_holdout
+    )
     values = data.values
     pilot = values[0]
+    draws = stream.generator
+    fold_draws = (folds_stream or stream).generator
+    fraction_draws = (fraction_stream or stream).generator
     fractions = np.full(passes, np.nan)
-    counts = np.empty((passes, k))
-    sums = np.empty((passes, k))
-    m2s = np.empty((passes, k))
+    # per fold of every pass, pass after pass
+    sums = np.empty(passes * k)
+    m2s = np.empty(passes * k)
+    # every pass's fold sizes; those from ``scored`` on lie in the buffer
+    sizes: list[int] = []
+    buffer = np.empty(max(m_hi, _BATCH_FLOATS))
+    used = scored = 0
+
+    def score() -> None:
+        nonlocal used, scored
+        rows = slice(scored, len(sizes))
+        _fold_moments(
+            buffer[:used], sizes[rows], pilot, sums[rows], m2s[rows]
+        )
+        used, scored = 0, len(sizes)
+
     for p in range(passes):
         if sample_size is None:
             # draw_partition_fraction's draw, less its window check
-            f = float((fraction_stream or stream).generator.uniform(low, high))
+            f = float(fraction_draws.uniform(low, high))
             fractions[p] = f
-            m = int(round(f * data.n))
+            m = int(round(f * n))
         else:
             m = sample_size
-        y = values.take(_draw_subset(data.n, m, stream))
-        y -= pilot
-        # a fresh contiguous float64 vector: shuffle's 8-byte fast path
-        (folds_stream or stream).generator.shuffle(y)
-        sizes = _fold_sizes(m, k)
-        counts[p] = sizes
-        sums[p], m2s[p] = _fold_moments(y, sizes)
-    stats = _combine(counts, sums, m2s, pilot, data if holdout else None)
+        if used + m > len(buffer):
+            score()
+        segment = buffer[used:used + m]
+        # "clip" gathers unbuffered; _draw_subset put every index in [0, n)
+        values.take(_draw_subset(n, m, draws), out=segment, mode="clip")
+        # a contiguous float64 vector: shuffle's 8-byte fast path
+        fold_draws.shuffle(segment)
+        sizes += _fold_sizes(m, k)
+        used += m
+    score()
+    stats = _combine(
+        np.array(sizes, dtype=np.float64).reshape(passes, k),
+        sums.reshape(passes, k),
+        m2s.reshape(passes, k),
+        pilot,
+        data if holdout else None,
+    )
     return stats._replace(fractions=fractions)
 
 
@@ -371,15 +421,10 @@ def _fold_stats(
         raise ValidationError("a training complement has under 2 points")
     y = sample[plan.order]
     pilot = y[0]
-    y -= pilot
     sizes = _fold_sizes(plan.total, plan.k)
-    fold_sum, fold_m2 = _fold_moments(y, sizes)
-    stats = _combine(
-        np.array([sizes], dtype=np.float64),
-        fold_sum[None, :],
-        fold_m2[None, :],
-        pilot,
-    )
+    sums, m2s = np.empty((2, 1, plan.k))
+    _fold_moments(y, sizes, pilot, sums[0], m2s[0])
+    stats = _combine(np.array([sizes], dtype=np.float64), sums, m2s, pilot)
     return stats.fold_losses[0], stats.train_means[0], stats.train_vars[0]
 
 

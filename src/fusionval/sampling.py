@@ -113,24 +113,26 @@ def srs_sample(data: Dataset, m: int, stream: RngStream) -> SampleView:
     m, n = _number("m", m, True), data.n
     if not 1 <= m <= n:
         raise ValidationError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return SampleView._from_checked(_draw_subset(n, m, stream), n)
+    return SampleView._from_checked(_draw_subset(n, m, stream.generator), n)
 
 
 _MASK_MIN_N = 512
 
 
-def _draw_subset(n: int, m: int, stream: RngStream) -> np.ndarray:
-    """Draw :func:`srs_sample`'s m-subset of range(n) from ``stream`` and
-    return it sorted ascending, checked as :class:`SampleView` checks
-    its indices: m integers, all in [0, n), all distinct. The sorted
-    branch runs the view's own check, :func:`_check_subset`.
+def _draw_subset(
+    n: int, m: int, generator: np.random.Generator
+) -> np.ndarray:
+    """Draw :func:`srs_sample`'s m-subset of range(n) from ``generator``
+    and return it sorted ascending, checked as :class:`SampleView`
+    checks its indices: m integers, all in [0, n), all distinct. The
+    sorted branch runs the view's own check, :func:`_check_subset`.
 
     The draw is sorted, O(m log m), when m is below a third of n or n
     is below ``_MASK_MIN_N``. Otherwise it is marked in a length-n
     boolean mask that is read back, O(n), which then costs less than
     the sort; on fewer points the mask's fixed cost outweighs the sort.
     """
-    picked = stream.generator.choice(n, size=m, replace=False, shuffle=False)
+    picked = generator.choice(n, size=m, replace=False, shuffle=False)
     if picked.shape != (m,) or picked.dtype.kind not in "iu":
         raise ValidationError(
             f"subset draw must be {m} integers, got shape {picked.shape} "
@@ -151,7 +153,7 @@ def _draw_subset(n: int, m: int, stream: RngStream) -> np.ndarray:
     # m marks in range: fewer than m set means an index repeats
     if np.count_nonzero(mask) != m:
         raise ValidationError("subset indices must be distinct")
-    return np.flatnonzero(mask)
+    return mask.nonzero()[0]
 
 
 def sample_values(data: Dataset, view: SampleView) -> np.ndarray:

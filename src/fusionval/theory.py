@@ -30,8 +30,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VarianceBudget:
-    """Per-iteration variance split and its per-T total; ``iterations``
-    must be integral (5.0 is taken as 5)."""
+    """Per-iteration variance split and its per-T total. Both components
+    must be finite and >= 0, and ``iterations`` integral (5.0 is taken
+    as 5)."""
 
     srs_component: float
     kfcv_component: float
@@ -40,8 +41,12 @@ class VarianceBudget:
     def __post_init__(self) -> None:
         iterations = _number("iterations", self.iterations, True)
         object.__setattr__(self, "iterations", iterations)
-        if self.srs_component < 0 or self.kfcv_component < 0:
-            raise ValidationError("variance components must be >= 0")
+        for name in ("srs_component", "kfcv_component"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValidationError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
         if self.iterations < 1:
             raise ValidationError(
                 f"iterations must be >= 1, got {self.iterations}"
@@ -57,13 +62,13 @@ def srs_variance_component(sigma2: float, n: int, population_n: int) -> float:
     """Variance of a size-n subsample mean: (sigma2/n)(1 - n/N).
 
     The finite population correction (1 - n/N) vanishes at n = N, where
-    the subsample is the whole population. ``n`` and ``population_n``
-    must be integral.
+    the subsample is the whole population. ``sigma2`` must be finite and
+    > 0, ``n`` and ``population_n`` integral.
     """
     n = _number("n", n, True)
     population_n = _number("population_n", population_n, True)
-    if not sigma2 > 0:
-        raise ValidationError(f"sigma2 must be > 0, got {sigma2}")
+    if not 0 < sigma2 < math.inf:
+        raise ValidationError(f"sigma2 must be finite and > 0, got {sigma2}")
     if not 1 <= n <= population_n:
         raise ValidationError(
             f"need 1 <= n <= N, got n={n}, N={population_n}"

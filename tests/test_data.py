@@ -60,6 +60,22 @@ def test_rejects_empty_or_non_vector_values():
     assert Dataset(np.zeros(3), 0.0, 1.0).n == 3
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_rejects_non_finite_values(bad):
+    with pytest.raises(ValidationError, match="^values must be finite"):
+        Dataset(np.array([bad, 1.0]), 0.0, 1.0)
+
+
+def test_values_are_held_as_float64():
+    given = np.arange(5)
+    data = Dataset(given, 2.0, 2.0)
+    assert data.values.dtype == np.float64
+    assert np.array_equal(data.values, given)
+    floats = np.arange(5.0)
+    # a float64 array is held as given, not copied
+    assert Dataset(floats, 2.0, 2.0).values is floats
+
+
 @pytest.mark.parametrize(
     "true_mean, true_var",
     [

@@ -5,13 +5,16 @@
 with the same checks, takes the subsample in index order and shuffles
 it in place on the stream ``make_folds`` would draw its permutation
 from; numpy's ``permutation(m)`` is the same shuffle of ``arange(m)``,
-so the subsample lands in ``make_folds``' fold order. One statistics
-step then scores the whole batch.
+so the subsample lands in ``make_folds``' fold order, in a bounded
+per-call buffer. Each time the buffer fills, one ``_fold_moments`` call
+reduces the passes in it; one statistics step then scores them all.
 
 Two references check it. ``TestDrawStep`` replays the sort-and-gather
 draw path, a ``SampleView`` of the sorted subset taken in the order of
-``make_folds``' plan (``plan.order``), into the same statistics step
-and requires every output bit for bit. The per-pass reference,
+``make_folds``' plan (``plan.order``), pass by pass into
+``_fold_moments`` and then into the same statistics step, and requires
+every output bit for bit; its batch cases fill the buffer several
+times or draw passes larger than its least size. The per-pass reference,
 ``selftest._replay_pass``, replays the same draws on clones of the
 streams through the public per-step functions and scores each pass on
 its own: ``fit`` on the subsample, ``holdout_values`` + ``loss`` on the
@@ -311,6 +314,28 @@ def test_reference_does_not_run_the_statistics_step(monkeypatch):
         selftest._check_pass_kernel()
 
 
+@pytest.fixture
+def scored_batches(monkeypatch):
+    """The size of every buffer the pass kernel scores, in order."""
+    scored = []
+    fold_moments = kfold._fold_moments
+
+    def recording(y, *args):
+        scored.append(len(y))
+        fold_moments(y, *args)
+
+    monkeypatch.setattr(kfold, "_fold_moments", recording)
+    return scored
+
+
+def test_selftest_kernel_check_crosses_a_batch_boundary(scored_batches):
+    # the built-in check, also run under python -O, must score a batch
+    # in the middle of a call, not only at its end
+    selftest._check_pass_kernel()
+    assert len(scored_batches) >= 2
+    assert all(size <= kfold._BATCH_FLOATS for size in scored_batches)
+
+
 def test_holdout_from_totals_is_exact_at_large_mean():
     # at mu = 1e9 the spread sits 12 decimal digits below the mean;
     # compare with exact rational arithmetic on the stored doubles
@@ -342,10 +367,10 @@ def _sorted_draw_passes(
     data, k, passes, stream, folds_stream, fraction_stream, sample_size,
     fraction_range, holdout,
 ):
-    """``_run_passes`` on the sort-and-gather draw path: ``srs_sample``'s
-    draw sorted into a ``SampleView``, ``make_folds``, then
-    ``values[view.indices[plan.order]] - pilot`` into the same
-    ``_fold_moments`` and ``_combine``."""
+    """``_run_passes`` on the sort-and-gather draw path, one pass at a
+    time: ``srs_sample``'s draw sorted into a ``SampleView``,
+    ``make_folds``, then ``values[view.indices[plan.order]]`` into the
+    same ``_fold_moments``, then all passes into ``_combine``."""
     values = data.values
     pilot = values[0]
     fractions = np.full(passes, np.nan)
@@ -363,18 +388,75 @@ def _sorted_draw_passes(
         picked.sort()
         view = SampleView(indices=picked, source_n=data.n)
         plan = make_folds(m, k, folds_stream)
-        y = values[view.indices[plan.order]] - pilot
+        y = values[view.indices[plan.order]]
         sizes = [len(f) for f in plan.folds]
         counts[p] = sizes
-        sums[p], m2s[p] = _fold_moments(y, sizes)
+        _fold_moments(y, sizes, pilot, sums[p], m2s[p])
     stats = _combine(counts, sums, m2s, pilot, data if holdout else None)
     return stats._replace(fractions=fractions)
+
+
+def _compare_with_sorted_draw_path(
+    data, k, passes, seed, sample_size, window, split_streams, holdout
+):
+    """``_run_passes`` against :func:`_sorted_draw_passes` on the same
+    streams: every output bit for bit, every stream left in step.
+    Returns the kernel's passes."""
+
+    def streams():
+        main = RngStream(seed, 1)
+        if not split_streams:
+            return main, main, main
+        return main, RngStream(seed, 2), RngStream(seed, 3)
+
+    main, folds, fraction = streams()
+    ref_main, ref_folds, ref_fraction = streams()
+    got = _run_passes(
+        data, k, passes, main,
+        folds_stream=folds if split_streams else None,
+        fraction_stream=fraction if split_streams else None,
+        sample_size=sample_size, fraction_range=window, holdout=holdout,
+    )
+    want = _sorted_draw_passes(
+        data, k, passes, ref_main, ref_folds, ref_fraction, sample_size,
+        window, holdout,
+    )
+    for name in got._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert np.array_equal(a, b, equal_nan=True), name
+    for a, b in ((main, ref_main), (folds, ref_folds),
+                 (fraction, ref_fraction)):
+        assert _streams_equal(a, b)
+    return got
+
+
+# n, k, passes, sample_size, window, split_streams, holdout
+_BATCH_CASES = {
+    # subsamples of 3 000 to 4 500 points: the buffer of 8 192 floats
+    # holds at most two, so one call fills it several times
+    "buffer-refilled": (5_000, 5, 8, None, (0.6, 0.9), False, True),
+    # each pass alone exceeds 8 192 points and is scored on its own
+    "pinned-pass-over-the-bound": (
+        12_000, 5, 3, 9_000, (0.6, 0.9), True, True
+    ),
+    "drawn-passes-over-the-bound": (
+        12_000, 7, 3, None, (0.7, 0.9), True, False
+    ),
+    # 2 000 to 12 000 points: some batches hold one pass, some several
+    "mixed-batches": (20_000, 4, 6, None, (0.1, 0.6), False, True),
+}
 
 
 class TestDrawStep:
     @given(
         k=st.integers(min_value=2, max_value=10),
-        n=st.one_of(st.integers(min_value=20, max_value=400), st.just(12_000)),
+        n=st.one_of(
+            st.integers(min_value=20, max_value=400),
+            st.sampled_from([5_000, 12_000]),
+        ),
         share=st.floats(min_value=0.0, max_value=1.0),
         mu=st.floats(min_value=-1e9, max_value=1e9),
         log10_scale=st.floats(min_value=-3.0, max_value=3.0),
@@ -406,34 +488,29 @@ class TestDrawStep:
             # n >= 20 and low >= 0.5 keep every draw trainable for k <= 10
             low = 0.5 + 0.4 * share
             sample_size, window = None, (low, min(low + 0.2, 1.0))
-
-        def streams():
-            main = RngStream(seed, 1)
-            if not split_streams:
-                return main, main, main
-            return main, RngStream(seed, 2), RngStream(seed, 3)
-
-        main, folds, fraction = streams()
-        ref_main, ref_folds, ref_fraction = streams()
-        got = _run_passes(
-            data, k, passes, main,
-            folds_stream=folds if split_streams else None,
-            fraction_stream=fraction if split_streams else None,
-            sample_size=sample_size, fraction_range=window, holdout=holdout,
+        _compare_with_sorted_draw_path(
+            data, k, passes, seed, sample_size, window, split_streams,
+            holdout,
         )
-        want = _sorted_draw_passes(
-            data, k, passes, ref_main, ref_folds, ref_fraction, sample_size,
-            window, holdout,
+
+    @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+    def test_batch_boundaries_bit_for_bit(self, case, scored_batches):
+        n, k, passes, sample_size, window, split, holdout = _BATCH_CASES[case]
+        data = _dataset(n, 1e9, 1e-3, 11)
+        got = _compare_with_sorted_draw_path(
+            data, k, passes, 11, sample_size, window, split, holdout
         )
-        for name in got._fields:
-            a, b = getattr(got, name), getattr(want, name)
-            if b is None:
-                assert a is None, name
-            else:
-                assert np.array_equal(a, b, equal_nan=True), name
-        for a, b in ((main, ref_main), (folds, ref_folds),
-                     (fraction, ref_fraction)):
-            assert _streams_equal(a, b)
+        # the buffer is scored only when the next pass would not fit
+        _, m_hi = _subsample_range(n, k, sample_size, window)
+        bound = max(m_hi, kfold._BATCH_FLOATS)
+        want, used = [], 0
+        for m in got.m.tolist():
+            if used + m > bound:
+                want.append(used)
+                used = 0
+            used += m
+        assert scored_batches == [*want, used]
+        assert len(scored_batches) >= 3
 
 
 class _StubGenerator:
@@ -557,6 +634,38 @@ def test_numpy_shuffle_makes_permutations_swaps(m):
     g1.shuffle(y)
     assert np.array_equal(y, z.take(g2.permutation(m)))
     assert g1.bit_generator.state == g2.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 1_500, 9_000])
+def test_numpy_shuffles_a_buffer_slice_as_a_fresh_array(m):
+    # the kernel shuffles each subsample as a contiguous slice of one
+    # larger buffer: the same order and the same stream state as a
+    # shuffle of a fresh array
+    z = np.random.default_rng(m).standard_normal(m)
+    buffer = np.full(m + 20, np.nan)
+    segment = buffer[7:7 + m]
+    segment[:] = z
+    fresh = z.copy()
+    g1, g2 = np.random.default_rng(7), np.random.default_rng(7)
+    g1.shuffle(segment)
+    g2.shuffle(fresh)
+    assert np.array_equal(segment, fresh)
+    assert g1.bit_generator.state == g2.bit_generator.state
+    # and nothing outside the slice moves
+    assert np.isnan(buffer[:7]).all() and np.isnan(buffer[7 + m:]).all()
+
+
+def test_numpy_take_into_a_slice_with_clip_equals_take():
+    # the kernel gathers with take(out=, mode="clip"): for indices in
+    # range it is the plain gather
+    values = np.random.default_rng(3).standard_normal(1_000)
+    idx = np.random.default_rng(4).choice(1_000, 600, replace=False)
+    idx = np.r_[idx, 0, 999]
+    buffer = np.full(700, np.nan)
+    segment = buffer[50:50 + len(idx)]
+    values.take(idx, out=segment, mode="clip")
+    assert np.array_equal(segment, values.take(idx))
+    assert np.isnan(buffer[:50]).all() and np.isnan(buffer[652:]).all()
 
 
 def test_single_fold_is_rejected_before_drawing():

@@ -40,6 +40,12 @@ class TestSrsComponent:
         with pytest.raises(ValidationError):
             srs_variance_component(sigma2, n, pop)
 
+    @pytest.mark.parametrize("sigma2", [math.inf, math.nan])
+    def test_rejects_non_finite_variance_by_name(self, sigma2):
+        # inf used to give inf * 0 = nan at a census
+        with pytest.raises(ValidationError, match="^sigma2 must be finite"):
+            srs_variance_component(sigma2, 10, 10)
+
     @given(
         sigma2=st.floats(0.01, 100),
         pop=st.integers(2, 10_000),
@@ -115,6 +121,15 @@ class TestHybridVariance:
             VarianceBudget(srs_component=-1.0, kfcv_component=1.0, iterations=1)
         with pytest.raises(ValidationError):
             VarianceBudget(srs_component=1.0, kfcv_component=1.0, iterations=0)
+
+    @pytest.mark.parametrize("field", ["srs_component", "kfcv_component"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_budget_refuses_a_bad_component_by_name(self, field, value):
+        parts = {"srs_component": 0.1, "kfcv_component": 0.1, field: value}
+        with pytest.raises(
+            ValidationError, match=f"^{field} must be finite and >= 0"
+        ):
+            VarianceBudget(**parts, iterations=3)
 
     @given(t=st.integers(1, 10_000))
     def test_total_scales_inversely_with_iterations(self, t):
