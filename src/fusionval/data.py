@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _number
+from .errors import ValidationError, _count, _finite, _number, _positive
 from .rng import RngStream, standard_normal
 
 __all__ = ["Dataset", "generate_dataset"]
@@ -64,13 +64,11 @@ def generate_dataset(
 ) -> Dataset:
     """Generate ``n`` i.i.d. draws from Normal(mu, sigma2).
 
-    ``n`` must be integral (5.0 is taken as 5). sigma2 is a variance,
-    not a standard deviation, and must be positive.
+    ``n`` must be integral (5.0 is taken as 5) and >= 1, and ``mu``
+    finite. sigma2 is a variance, not a standard deviation, and must be
+    finite and > 0.
     """
-    n = _number("n", n, True)
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if not sigma2 > 0:
-        raise ValidationError(f"sigma2 must be > 0, got {sigma2}")
+    n = _count("n", n, 1)
+    mu, sigma2 = _finite("mu", mu), _positive("sigma2", sigma2)
     values = mu + np.sqrt(sigma2) * standard_normal(stream, n)
     return Dataset(values=values, true_mean=float(mu), true_var=float(sigma2))

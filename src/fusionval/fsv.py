@@ -43,11 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError
+from .errors import ValidationError, _count, _number, _positive
 from .kfold import _run_passes, _subsample_range
 from .metrics import METRIC_FIELDS, TrialMetrics, _frozen_array, metric_table
 from .rng import RngStream
-from .sampling import FRACTION_RANGE, _fraction_window, _number
+from .sampling import FRACTION_RANGE, _fraction_window
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -62,6 +62,22 @@ __all__ = [
 DEFAULT_ALPHA = 0.95
 
 
+def _check_alpha(alpha) -> None:
+    """The alpha rule of :class:`FsvConfig` and the study's config: a
+    real number in (0, 1]. Below 0.8 it warns, from the constructor's
+    caller, that the compounded measure will be strongly shrunk."""
+    alpha = _number("alpha", alpha)
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
+    if alpha < 0.8:
+        # this rule, __post_init__, __init__, then the caller
+        warnings.warn(
+            f"alpha={alpha} is far below 1; the compounded "
+            "measure will be strongly shrunk",
+            stacklevel=4,
+        )
+
+
 @dataclass(frozen=True)
 class FsvConfig:
     """Run parameters.
@@ -71,8 +87,9 @@ class FsvConfig:
     size instead, and must leave every fold's training complement at
     least 2 points. :func:`fsv_run` applies the same test to the
     smallest size the fraction window can draw on its dataset.
-    ``iterations``, ``k`` and ``sample_size`` must be integral (5.0 is
-    taken as 5, 5.5 is refused) and ``fraction_range`` a pair with
+    ``iterations`` (>= 1), ``k`` (>= 2) and ``sample_size`` must be
+    integral (5.0 is taken as 5, 5.5 is refused), ``alpha`` in (0, 1]
+    (below 0.8 warns) and ``fraction_range`` a pair with
     0 < low < high <= 1.
     """
 
@@ -86,30 +103,14 @@ class FsvConfig:
         def normalise(name, value):
             object.__setattr__(self, name, value)
 
-        for name in ("iterations", "k"):
-            normalise(name, _number(name, getattr(self, name), True))
+        normalise("iterations", _count("iterations", self.iterations, 1))
+        normalise("k", _count("k", self.k, 2))
         if self.sample_size is not None:
             normalise(
                 "sample_size", _number("sample_size", self.sample_size, True)
             )
-        _number("alpha", self.alpha)
+        _check_alpha(self.alpha)
         normalise("fraction_range", _fraction_window(self.fraction_range))
-        if self.iterations < 1:
-            raise ValidationError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError(
-                f"alpha must be in (0, 1], got {self.alpha}"
-            )
-        if self.alpha < 0.8:
-            warnings.warn(
-                f"alpha={self.alpha} is far below 1; the compounded "
-                "measure will be strongly shrunk",
-                stacklevel=2,
-            )
-        if self.k < 2:
-            raise ValidationError(f"k must be >= 2, got {self.k}")
         if self.sample_size is not None:  # before n is known: n = m
             _subsample_range(self.sample_size, self.k, self.sample_size, None)
 
@@ -152,11 +153,11 @@ def sampled_kfold_trial(
     ``stream`` so single-stream callers stay deterministic. The sample
     statistics come from the whole subsample (mean, ddof=1 variance);
     the holdout loss scores the subsample-fitted model on the rest of
-    the dataset. ``k`` and ``sample_size`` must be integral (5.0 is
-    taken as 5). A call that can draw a size that cannot train, or a
+    the dataset. ``k`` (>= 2) and ``sample_size`` must be integral (5.0
+    is taken as 5). A call that can draw a size that cannot train, or a
     pinned size over n, fails before any draw; a pinned n has no holdout.
     """
-    k = _number("k", k, True)
+    k = _count("k", k, 2)
     if sample_size is not None:
         sample_size = _number("sample_size", sample_size, True)
     passes = _run_passes(
@@ -183,15 +184,14 @@ def sampled_kfold_trial(
 
 
 def compound_measure(iteration_losses: np.ndarray, alpha: float) -> float:
-    """alpha times the mean of the per-iteration losses."""
+    """alpha times the mean of the per-iteration losses; ``alpha`` must
+    be finite and > 0."""
     losses = np.asarray(iteration_losses, dtype=np.float64)
     if losses.ndim != 1 or len(losses) < 1:
         raise ValidationError(
             "iteration_losses must be a non-empty vector"
         )
-    if not alpha > 0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    return float(alpha * losses.mean())
+    return float(_positive("alpha", alpha) * losses.mean())
 
 
 @dataclass(frozen=True, eq=False)

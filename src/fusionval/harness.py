@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import reprlib
 import time
@@ -41,14 +40,16 @@ from pathlib import Path
 import numpy as np
 
 from .data import generate_dataset
-from .errors import ValidationError
-from .fsv import compound_measure, sampled_kfold_trial
+from .errors import (
+    ValidationError, _count, _finite, _number, _numbers, _positive
+)
+from .fsv import _check_alpha, compound_measure, sampled_kfold_trial
 from .kfold import LambdaWeights, _subsample_range, repeated_kfcv
 from .metrics import (
     METRIC_FIELDS, Aggregate, Method, _frozen_array, metric_table, summarize
 )
 from .rng import Purpose, derive_stream
-from .sampling import FRACTION_RANGE, _fraction_window, _number, _numbers
+from .sampling import FRACTION_RANGE, _fraction_window
 
 __all__ = [
     "ExperimentConfig",
@@ -82,7 +83,15 @@ _METHOD_LABELS = {"SRS": "SRS", "KFCV": "KF", "FSV": "FSV"}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full study configuration; the defaults are the reference protocol."""
+    """Full study configuration; the defaults are the reference protocol.
+
+    ``sizes`` and ``trials`` are non-empty sequences of distinct counts
+    >= 1 (5.0 is taken as 5), and ``k`` (>= 2), ``repetitions`` (>= 1)
+    and ``seed`` (>= 0) are counts too. ``mu`` must be finite, ``sigma2``
+    finite and > 0, and ``alpha`` follows :class:`~fusionval.FsvConfig`'s
+    rule: in (0, 1], with a warning below 0.8. Every size must train k
+    folds and leave a holdout at either end of ``fraction_range``.
+    """
 
     sizes: tuple[int, ...] = DEFAULT_SIZES
     trials: tuple[int, ...] = DEFAULT_TRIALS
@@ -102,11 +111,21 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
 
         for name in ("sizes", "trials"):
-            normalise(name, _numbers(name, getattr(self, name), True))
-        for name in ("k", "repetitions", "seed"):
-            normalise(name, _number(name, getattr(self, name), True))
-        for name in ("mu", "sigma2", "alpha"):
-            _number(name, getattr(self, name))
+            values = _numbers(name, getattr(self, name), 1)
+            if not values:
+                raise ValidationError(f"{name} must be non-empty")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValidationError(
+                        f"{name} must not repeat an entry, "
+                        f"got {value} more than once"
+                    )
+            normalise(name, values)
+        for name, least in (("k", 2), ("repetitions", 1), ("seed", 0)):
+            normalise(name, _count(name, getattr(self, name), least))
+        _finite("mu", self.mu)
+        _positive("sigma2", self.sigma2)
+        _check_alpha(self.alpha)
         if self.lambdas is not None:
             normalise(
                 "lambdas", tuple(map(float, _numbers("lambdas", self.lambdas)))
@@ -116,33 +135,9 @@ class ExperimentConfig:
             raise ValidationError(
                 f"shared_streams must be a bool, got {self.shared_streams!r}"
             )
-        if not self.sizes:
-            raise ValidationError("sizes must be non-empty")
-        if not self.trials or any(t < 1 for t in self.trials):
-            raise ValidationError("trials must be non-empty, all >= 1")
-        for name in ("sizes", "trials"):
-            values = getattr(self, name)
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise ValidationError(
-                        f"{name} must not repeat an entry, "
-                        f"got {value} more than once"
-                    )
-        for n in self.sizes:  # checks k >= 2 first
+        for n in self.sizes:
             _subsample_range(
                 n, self.k, None, self.fraction_range, require_holdout=True
-            )
-        if self.repetitions < 1:
-            raise ValidationError(
-                f"repetitions must be >= 1, got {self.repetitions}"
-            )
-        for name in ("mu", "sigma2", "alpha"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError(
-                f"alpha must be in (0, 1], got {self.alpha}"
             )
         if self.lambdas is None:
             weights = LambdaWeights.uniform(self.k)
@@ -154,12 +149,6 @@ class ExperimentConfig:
         else:
             weights = LambdaWeights(lambdas=np.array(self.lambdas))
         object.__setattr__(self, "_weights", weights)
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not self.sigma2 > 0:
-            raise ValidationError(
-                f"sigma2 must be > 0, got {self.sigma2}"
-            )
 
     def weights(self) -> LambdaWeights:
         """The fold-loss weights, validated and built once per config."""
@@ -299,7 +288,7 @@ class CellResult:
         _frozen_array(f"{where} fsv_iteration_losses", losses, (t,))
         for method, table in self.trials.items():
             _frozen_array(f"{where} {method}", table, (t, len(METRIC_FIELDS)))
-        compound_measure(losses, self.alpha)  # alpha > 0
+        compound_measure(losses, self.alpha)  # alpha finite and > 0
 
     @property
     def t(self) -> int:
@@ -403,13 +392,11 @@ def run_experiment(
 
     ``jobs`` sizes the worker pool; 1 runs inline, None uses
     :func:`_usable_cores`; any other value must be integral (2.0 is
-    taken as 2). The process pool is loaded on first use, so a run at
-    ``jobs == 1`` never loads it. The report is identical for every
-    jobs value.
+    taken as 2) and >= 1. The process pool is loaded on first use, so a
+    run at ``jobs == 1`` never loads it. The report is identical for
+    every jobs value.
     """
-    jobs = _usable_cores() if jobs is None else _number("jobs", jobs, True)
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    jobs = _usable_cores() if jobs is None else _count("jobs", jobs, 1)
     started = time.perf_counter()
     tasks = [
         (config, n, t, trial)

@@ -78,9 +78,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError
+from .errors import ValidationError, _count, _number
 from .rng import RngStream
-from .sampling import FRACTION_RANGE, _draw_subset, _fraction_window, _number
+from .sampling import FRACTION_RANGE, _draw_subset, _fraction_window
 
 __all__ = [
     "FoldPlan",
@@ -108,9 +108,7 @@ def _fold_sizes(total: int, k: int) -> list[int]:
 def _fold_count(total: int, k) -> int:
     """``k`` as an int, or a ValidationError naming it: k must be
     integral and at least 2, and ``total`` points must fill k folds."""
-    k = _number("k", k, True)
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    k = _count("k", k, 2)
     if total < k:
         raise ValidationError(
             f"every fold must be non-empty: need at least k={k} points, "
@@ -209,11 +207,10 @@ def _subsample_range(
     """The least and greatest subsample size m a call on n points can
     draw: the pinned ``sample_size`` twice, or round(low*n), round(high*n).
     They bound every drawn m, as round is monotone, and m - ceil(m/k)
-    never falls as m grows. Raises unless k >= 2 and every such m is
-    :func:`_trainable` and at most n, and, with ``require_holdout``,
-    under n, so that it leaves a holdout; a size error names the field."""
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    never falls as m grows. ``k`` must already be a count >= 2. Raises
+    unless every such m is :func:`_trainable` and at most n, and, with
+    ``require_holdout``, under n, so that it leaves a holdout; a size
+    error names the field."""
     if sample_size is None:
         low, high = fraction_range
         m_lo, m_hi = int(round(low * n)), int(round(high * n))
@@ -480,10 +477,7 @@ class LambdaWeights:
 
     @classmethod
     def uniform(cls, k: int) -> "LambdaWeights":
-        k = _number("k", k, True)
-        if k < 1:
-            raise ValidationError(f"k must be >= 1, got {k}")
-        return cls(lambdas=np.ones(k))
+        return cls(lambdas=np.ones(_count("k", k, 1)))
 
     @property
     def k(self) -> int:
@@ -528,16 +522,12 @@ def repeated_kfcv(
     round(f*n) points, builds a fold plan, and records the weighted
     k-fold loss plus the per-fold training-complement mean and variance.
     The returned estimates average over all repetitions and folds; the
-    repetitions run as one batch of the pass kernel. ``k`` and
-    ``repetitions`` must be integral (5.0 is taken as 5). A call whose
-    window can draw a size that cannot train fails before any draw.
+    repetitions run as one batch of the pass kernel. ``k`` (>= 2) and
+    ``repetitions`` (>= 1) must be integral (5.0 is taken as 5). A call
+    whose window can draw a size that cannot train fails before any draw.
     """
-    k = _number("k", k, True)
-    repetitions = _number("repetitions", repetitions, True)
-    if repetitions < 1:
-        raise ValidationError(
-            f"repetitions must be >= 1, got {repetitions}"
-        )
+    k = _count("k", k, 2)
+    repetitions = _count("repetitions", repetitions, 1)
     if weights.k != k:
         raise ValidationError(
             f"weights have k={weights.k}, expected {k}"

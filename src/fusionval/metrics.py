@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _finite, _positive
 
 __all__ = [
     "METRIC_FIELDS",
@@ -82,9 +82,10 @@ def metric_table(
 
     The per-trial inputs are scalars or equal-length vectors; the result
     has one row per trial and one column per name in ``METRIC_FIELDS``.
+    ``true_mean`` must be finite, ``true_var`` finite and > 0.
     """
-    if not true_var > 0:
-        raise ValidationError(f"true_var must be > 0, got {true_var}")
+    true_mean = _finite("true_mean", true_mean)
+    true_var = _positive("true_var", true_var)
     mean_est, var_est, mse, fold_loss = (
         np.atleast_1d(np.asarray(a, dtype=np.float64))
         for a in (mean_est, var_est, mse, fold_loss_for_bias)

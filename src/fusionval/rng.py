@@ -19,7 +19,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _count
 
 __all__ = [
     "MAX_PURPOSE",
@@ -58,6 +58,8 @@ class RngStream:
         Base seed shared by every stream of one experiment.
     stream_id : int
         Non-negative stream address; see :func:`derive_stream`.
+
+    Both must be integral (5.0 is taken as 5) and >= 0.
     """
 
     seed: int
@@ -67,12 +69,8 @@ class RngStream:
     )
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.stream_id < 0:
-            raise ValidationError(
-                f"stream_id must be >= 0, got {self.stream_id}"
-            )
+        self.seed = _count("seed", self.seed, 0)
+        self.stream_id = _count("stream_id", self.stream_id, 0)
         seq = np.random.SeedSequence(
             entropy=self.seed, spawn_key=(self.stream_id,)
         )
@@ -88,11 +86,12 @@ def derive_stream(base_seed: int, trial_index: int, purpose_tag: int) -> RngStre
 
     The address is ``trial_index * 2**16 + purpose_tag``, so purposes of
     the same trial occupy one contiguous block and no two (trial, purpose)
-    pairs collide.
+    pairs collide. Both must be integral, so a :class:`Purpose` member
+    is a purpose tag.
     """
-    if trial_index < 0:
-        raise ValidationError(f"trial_index must be >= 0, got {trial_index}")
-    if not 0 <= purpose_tag < MAX_PURPOSE:
+    trial_index = _count("trial_index", trial_index, 0)
+    purpose_tag = _count("purpose_tag", purpose_tag, 0)
+    if purpose_tag >= MAX_PURPOSE:
         raise ValidationError(
             f"purpose_tag must be in [0, {MAX_PURPOSE}), got {purpose_tag}"
         )
@@ -100,7 +99,6 @@ def derive_stream(base_seed: int, trial_index: int, purpose_tag: int) -> RngStre
 
 
 def standard_normal(stream: RngStream, count: int) -> np.ndarray:
-    """Draw ``count`` i.i.d. standard normal variates from ``stream``."""
-    if count < 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
-    return stream.generator.standard_normal(count)
+    """Draw ``count`` i.i.d. standard normal variates from ``stream``;
+    ``count`` must be integral."""
+    return stream.generator.standard_normal(_count("count", count, 0))

@@ -10,13 +10,12 @@ sorted subset must be, for the view's constructor and for the draw.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _number
+from .errors import ValidationError, _number, _numbers
 from .rng import RngStream
 
 __all__ = [
@@ -31,12 +30,6 @@ __all__ = [
 
 # default partition-fraction window for all experiments
 FRACTION_RANGE = (0.60, 0.90)
-
-
-def _numbers(name: str, values, integral: bool = False) -> tuple:
-    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
-        raise ValidationError(f"{name} must be a sequence, got {values!r}")
-    return tuple(_number(f"{name} entry", v, integral) for v in values)
 
 
 def _fraction_window(value) -> tuple:

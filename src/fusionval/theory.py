@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import ValidationError, _number
+from .errors import ValidationError, _count, _number, _positive
 
 __all__ = [
     "VarianceBudget",
@@ -32,14 +32,14 @@ __all__ = [
 class VarianceBudget:
     """Per-iteration variance split and its per-T total. Both components
     must be finite and >= 0, and ``iterations`` integral (5.0 is taken
-    as 5)."""
+    as 5) and >= 1."""
 
     srs_component: float
     kfcv_component: float
     iterations: int
 
     def __post_init__(self) -> None:
-        iterations = _number("iterations", self.iterations, True)
+        iterations = _count("iterations", self.iterations, 1)
         object.__setattr__(self, "iterations", iterations)
         for name in ("srs_component", "kfcv_component"):
             value = getattr(self, name)
@@ -47,10 +47,6 @@ class VarianceBudget:
                 raise ValidationError(
                     f"{name} must be finite and >= 0, got {value}"
                 )
-        if self.iterations < 1:
-            raise ValidationError(
-                f"iterations must be >= 1, got {self.iterations}"
-            )
 
     @property
     def total_per_t(self) -> float:
@@ -67,8 +63,7 @@ def srs_variance_component(sigma2: float, n: int, population_n: int) -> float:
     """
     n = _number("n", n, True)
     population_n = _number("population_n", population_n, True)
-    if not 0 < sigma2 < math.inf:
-        raise ValidationError(f"sigma2 must be finite and > 0, got {sigma2}")
+    sigma2 = _positive("sigma2", sigma2)
     if not 1 <= n <= population_n:
         raise ValidationError(
             f"need 1 <= n <= N, got n={n}, N={population_n}"
@@ -108,9 +103,9 @@ def hybrid_variance(
 
 
 def chebyshev_tail(k_dev: float) -> float:
-    """P(|X - EX| >= k_dev * sd) <= min(1, 1/k_dev^2)."""
-    if not k_dev > 0:
-        raise ValidationError(f"k_dev must be > 0, got {k_dev}")
+    """P(|X - EX| >= k_dev * sd) <= min(1, 1/k_dev^2); ``k_dev`` must be
+    finite and > 0."""
+    k_dev = _positive("k_dev", k_dev)
     return min(1.0, 1.0 / (k_dev * k_dev))
 
 
@@ -118,18 +113,13 @@ def chebyshev_threshold(
     sigma_hyb2: float, iterations: int, k_dev: float
 ) -> float:
     """Deviation threshold k_dev * sqrt(sigma_hyb2 / T) for the T-average;
-    ``iterations`` must be integral."""
-    iterations = _number("iterations", iterations, True)
+    ``iterations`` must be integral and >= 1, ``k_dev`` finite and > 0."""
+    iterations = _count("iterations", iterations, 1)
     if not sigma_hyb2 >= 0:
         raise ValidationError(
             f"sigma_hyb2 must be >= 0, got {sigma_hyb2}"
         )
-    if iterations < 1:
-        raise ValidationError(
-            f"iterations must be >= 1, got {iterations}"
-        )
-    if not k_dev > 0:
-        raise ValidationError(f"k_dev must be > 0, got {k_dev}")
+    k_dev = _positive("k_dev", k_dev)
     return k_dev * math.sqrt(sigma_hyb2 / iterations)
 
 
@@ -148,16 +138,12 @@ def hoeffding_tail(
     P(|mean - E mean| >= epsilon) <= 2 exp(-2 T epsilon^2 / (b-a)^2).
     The raw value exceeds 1 for loose epsilon (it is 2 at epsilon = 0);
     ``capped`` clamps it to 1 for use as a probability. ``iterations``
-    must be integral.
+    must be integral and >= 1.
     """
-    iterations = _number("iterations", iterations, True)
+    iterations = _count("iterations", iterations, 1)
     if not epsilon >= 0:
         raise ValidationError(
             f"epsilon must be >= 0, got {epsilon}"
-        )
-    if iterations < 1:
-        raise ValidationError(
-            f"iterations must be >= 1, got {iterations}"
         )
     if not b > a:
         raise ValidationError(f"need b > a, got [{a}, {b}]")

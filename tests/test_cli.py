@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fusionval import kfold, selftest
 from fusionval.cli import (
     _experiment_config,
     _layered_options,
@@ -271,6 +272,25 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+    def test_a_check_that_raises_fails_and_the_rest_still_run(
+        self, monkeypatch
+    ):
+        # a broken kernel may raise numpy's ValueError, not a failed
+        # condition's AssertionError: its check fails, and only it
+        def broken(*args):
+            raise ValueError("operands could not be broadcast")
+
+        monkeypatch.setattr(kfold, "_fold_moments", broken)
+        lines = []
+        assert selftest.run_selftest(echo=lines.append) is False
+        assert len(lines) == len(selftest.CHECKS)
+        for line, (name, _) in zip(lines, selftest.CHECKS):
+            assert re.match(rf"\[(PASS|FAIL)\] {re.escape(name)}: ", line)
+        assert (
+            "[FAIL] batched pass kernel vs per-pass replay: ValueError: "
+            "operands could not be broadcast"
+        ) in lines
 
     def test_a_broken_kernel_fails_under_python_optimize(self):
         # python -O strips assert statements, so a check stated as one

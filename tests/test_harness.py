@@ -28,7 +28,7 @@ from fusionval.harness import (
     run_experiment,
 )
 from fusionval.data import generate_dataset
-from fusionval.fsv import compound_measure, sampled_kfold_trial
+from fusionval.fsv import FsvConfig, compound_measure, sampled_kfold_trial
 from fusionval.metrics import METRIC_FIELDS, metric_table, summarize
 from fusionval.rng import Purpose, derive_stream
 
@@ -132,6 +132,15 @@ class TestExperimentConfig:
         )
         with pytest.raises(ValidationError, match=f"^{message}$"):
             ExperimentConfig(**{field_name: values})
+
+    def test_low_alpha_warns_as_fsv_config_does(self):
+        with pytest.warns(UserWarning) as study:
+            ExperimentConfig(alpha=0.5)
+        with pytest.warns(UserWarning) as fsv:
+            FsvConfig(1, alpha=0.5)
+        assert [
+            (w.category, str(w.message), w.filename) for w in study
+        ] == [(w.category, str(w.message), w.filename) for w in fsv]
 
     def test_integral_values_become_ints(self):
         config = ExperimentConfig(sizes=[100.0], trials=(2,), k=2.0)

@@ -35,7 +35,9 @@ from hypothesis import strategies as st
 from fusionval import kfold, selftest
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import ValidationError
-from fusionval.fsv import FsvConfig, fsv_run, sampled_kfold_trial
+from fusionval.fsv import (
+    FsvConfig, compound_measure, fsv_run, sampled_kfold_trial
+)
 from fusionval.kfold import (
     FoldPlan,
     LambdaWeights,
@@ -48,9 +50,10 @@ from fusionval.kfold import (
     repeated_kfcv,
 )
 from fusionval.metrics import METRIC_FIELDS, TrialMetrics, metric_table
-from fusionval.rng import RngStream
+from fusionval.rng import RngStream, derive_stream, standard_normal
 from fusionval.sampling import SampleView, draw_partition_fraction, srs_sample
 from fusionval.selftest import _replay_pass, _slacks, _tolerance
+from fusionval.theory import chebyshev_tail
 
 
 def _dataset(n, mu, scale, seed):
@@ -761,6 +764,44 @@ _BAD_SIZE_CALLS = {
     ),
     "fractional-k-folds": ("k", lambda data, s: make_folds(10, 2.5, s)),
     "fractional-k-plan": ("k", lambda data, s: FoldPlan(np.arange(4), 2.5)),
+    # and the stream addresses and draw count, a bool not taken as 0 or 1
+    "fractional-seed": ("seed", lambda data, s: RngStream(4.5, 0)),
+    "bool-seed": ("seed", lambda data, s: RngStream(True, 0)),
+    "fractional-stream_id": ("stream_id", lambda data, s: RngStream(4, 0.5)),
+    "bool-stream_id": ("stream_id", lambda data, s: RngStream(4, True)),
+    "fractional-trial_index": (
+        "trial_index", lambda data, s: derive_stream(42, 2.5, 1)
+    ),
+    "bool-trial_index": (
+        "trial_index", lambda data, s: derive_stream(42, True, 1)
+    ),
+    "fractional-purpose_tag": (
+        "purpose_tag", lambda data, s: derive_stream(42, 0, 1.5)
+    ),
+    "bool-purpose_tag": (
+        "purpose_tag", lambda data, s: derive_stream(1, 0, True)
+    ),
+    "fractional-count": ("count", lambda data, s: standard_normal(s, 2.5)),
+    "bool-count": ("count", lambda data, s: standard_normal(s, True)),
+    # a real argument refuses a non-number and a non-finite value by name
+    "string-alpha-compound": (
+        "alpha", lambda data, s: compound_measure([1.0], "0.9")
+    ),
+    "infinite-alpha-compound": (
+        "alpha", lambda data, s: compound_measure([1.0], math.inf)
+    ),
+    "string-k_dev": ("k_dev", lambda data, s: chebyshev_tail("2")),
+    "string-mu-dataset": (
+        "mu", lambda data, s: generate_dataset(3, "0", 1.0, s)
+    ),
+    "string-true_mean": (
+        "true_mean",
+        lambda data, s: metric_table(0.0, 1.0, 1.0, "0", 1.0, 1.0),
+    ),
+    "infinite-true_var": (
+        "true_var",
+        lambda data, s: metric_table(0.0, 1.0, 1.0, 0.0, math.inf, 1.0),
+    ),
 }
 
 

@@ -44,6 +44,18 @@ class TestDeriveStream:
         with pytest.raises(ValidationError):
             RngStream(-1, 0)
 
+    def test_integral_addresses_are_taken_as_ints(self):
+        want = derive_stream(42, 3, 1)
+        for got in (
+            derive_stream(np.int64(42), np.uint32(3), Purpose.SAMPLE),
+            derive_stream(42.0, 3.0, 1.0),
+        ):
+            assert (got.seed, got.stream_id) == (want.seed, want.stream_id)
+            assert type(got.seed) is type(got.stream_id) is int
+        assert np.array_equal(
+            standard_normal(got, np.int64(3)), standard_normal(want, 3)
+        )
+
     @given(
         seed=st.integers(min_value=0, max_value=2**32),
         trial=st.integers(min_value=0, max_value=2**30),
