@@ -16,12 +16,11 @@ from fusionval.kfold import (
     weighted_kfold_loss,
 )
 from fusionval.rng import derive_stream
-from fusionval.sampling import srs_sample, sample_values
+from fusionval.sampling import srs_sample
 
 
 def one_round(data, k, stream, weights):
-    view = srs_sample(data, 1500, stream)
-    sample = sample_values(data, view)
+    sample = data.values[srs_sample(data, 1500, stream).indices]
     plan = make_folds(len(sample), k, stream)
     losses = kfold_losses(sample, plan)
     return losses, weighted_kfold_loss(losses, weights)

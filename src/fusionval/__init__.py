@@ -54,7 +54,6 @@ from .sampling import (
     draw_partition_fraction,
     holdout_values,
     inclusion_moments,
-    sample_values,
     srs_sample,
 )
 from .theory import (
@@ -82,7 +81,6 @@ __all__ = [
     "FRACTION_RANGE",
     "SampleView",
     "srs_sample",
-    "sample_values",
     "holdout_values",
     "inclusion_moments",
     "draw_partition_fraction",

@@ -1,10 +1,11 @@
 """The exception type and the argument rules shared across the package.
 
 Each rule is stated once here, with its message: :func:`_number` what a
-number is, :func:`_count` what a count is, :func:`_finite` and
-:func:`_positive` what a finite and a positive real are, and
-:func:`_numbers` what a sequence of either is. Every public boundary
-applies them rather than a copy.
+number is, :func:`_count` what a count is, :func:`_finite`,
+:func:`_positive` and :func:`_nonnegative` what a finite, a positive
+and a non-negative real are, and :func:`_numbers` what a sequence of
+numbers or counts is. Every public boundary applies them rather than a
+copy.
 """
 
 import math
@@ -59,6 +60,15 @@ def _positive(name: str, value):
     value = _number(name, value)
     if not 0 < value < math.inf:
         raise ValidationError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def _nonnegative(name: str, value):
+    """``value``, a real number per :func:`_number` that is finite and
+    >= 0, or a ValidationError naming the field."""
+    value = _number(name, value)
+    if not 0 <= value < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
     return value
 
 

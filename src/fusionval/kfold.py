@@ -403,16 +403,19 @@ def _run_passes(
     return stats._replace(fractions=fractions)
 
 
-def _fold_stats(
-    sample: np.ndarray, plan: FoldPlan
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-fold loss, training mean and ddof=1 training variance.
+def kfold_losses(sample: np.ndarray, plan: FoldPlan) -> np.ndarray:
+    """Loss of the model fit on each fold's complement, scored on the fold.
 
-    Fold i's model is fit on its training complement, the other folds,
-    and scored on the fold, as ``fit`` and ``loss`` would, by the
-    kernel's statistics step on a single pass.
-    ``sample`` must be a float64 vector of length ``plan.total``.
+    Computed as ``fit`` and ``loss`` would, by the kernel's statistics
+    step on a single pass. Requires every training complement to hold at
+    least 2 points.
     """
+    sample = np.asarray(sample, dtype=np.float64)
+    if sample.ndim != 1 or len(sample) != plan.total:
+        raise ValidationError(
+            f"sample must be a length-{plan.total} vector, "
+            f"got shape {sample.shape}"
+        )
     # a caller-built plan is the one way to a complement under 2 points
     if not _trainable(plan.total, plan.k):
         raise ValidationError("a training complement has under 2 points")
@@ -421,22 +424,8 @@ def _fold_stats(
     sizes = _fold_sizes(plan.total, plan.k)
     sums, m2s = np.empty((2, 1, plan.k))
     _fold_moments(y, sizes, pilot, sums[0], m2s[0])
-    stats = _combine(np.array([sizes], dtype=np.float64), sums, m2s, pilot)
-    return stats.fold_losses[0], stats.train_means[0], stats.train_vars[0]
-
-
-def kfold_losses(sample: np.ndarray, plan: FoldPlan) -> np.ndarray:
-    """Loss of the model fit on each fold's complement, scored on the fold.
-
-    Requires every training complement to hold at least 2 points.
-    """
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.ndim != 1 or len(sample) != plan.total:
-        raise ValidationError(
-            f"sample must be a length-{plan.total} vector, "
-            f"got shape {sample.shape}"
-        )
-    return _fold_stats(sample, plan)[0]
+    counts = np.array([sizes], dtype=np.float64)
+    return _combine(counts, sums, m2s, pilot).fold_losses[0]
 
 
 def empirical_kfold_loss(losses: np.ndarray) -> float:

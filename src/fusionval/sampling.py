@@ -22,7 +22,6 @@ __all__ = [
     "FRACTION_RANGE",
     "SampleView",
     "srs_sample",
-    "sample_values",
     "holdout_values",
     "inclusion_moments",
     "draw_partition_fraction",
@@ -147,15 +146,6 @@ def _draw_subset(
     if np.count_nonzero(mask) != m:
         raise ValidationError("subset indices must be distinct")
     return mask.nonzero()[0]
-
-
-def sample_values(data: Dataset, view: SampleView) -> np.ndarray:
-    """Values of the sampled subset."""
-    if view.source_n != data.n:
-        raise ValidationError(
-            f"view was drawn from n={view.source_n}, dataset has n={data.n}"
-        )
-    return data.values[view.indices]
 
 
 def holdout_values(data: Dataset, view: SampleView) -> np.ndarray:

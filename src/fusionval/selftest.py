@@ -30,13 +30,7 @@ from .kfold import (
 )
 from .metrics import METRIC_FIELDS
 from .rng import RngStream, derive_stream
-from .sampling import (
-    draw_partition_fraction,
-    holdout_values,
-    inclusion_moments,
-    sample_values,
-    srs_sample,
-)
+from .sampling import inclusion_moments, srs_sample
 from .data import generate_dataset
 from .theory import (
     chebyshev_tail,
@@ -46,6 +40,10 @@ from .theory import (
 )
 
 __all__ = ["run_selftest", "CHECKS"]
+
+# scipy.stats.chi2.ppf(0.999, 9): the uniformity check's cutoff, for the
+# 10 subsets of 2 of 5 points; a literal, so no check loads scipy
+_CHI2_999_DF9 = 27.877164871256568
 
 
 def _require(ok, message: str) -> None:
@@ -88,10 +86,7 @@ def _check_srs_uniformity() -> str:
         cells[tuple(view.indices)] += 1
     expected = draws / len(cells)
     chi2 = sum((c - expected) ** 2 / expected for c in cells.values())
-    # imported here: scipy.stats takes longer to load than most checks run
-    from scipy import stats as sps
-
-    cutoff = float(sps.chi2.ppf(0.999, len(cells) - 1))
+    cutoff = _CHI2_999_DF9
     _require(chi2 < cutoff, f"chi2 {chi2:.1f} >= cutoff {cutoff:.1f}")
     return f"chi2 {chi2:.1f} < {cutoff:.1f} over {len(cells)} subsets"
 
@@ -132,13 +127,13 @@ def _check_compounding() -> str:
     return "mean, shrinkage, and homogeneity identities hold"
 
 
-def _fold_fits(sample, plan):
-    """Every fold of ``plan`` fitted and scored on its own: ``fit`` on
-    its training complement, ``loss`` on the fold. Returns the fold
-    losses, training means and training variances, as ``kfold._fold_stats``
-    does, without its statistics step."""
+def _fold_fits(sample, folds):
+    """Every fold, a vector of positions in ``sample``, fitted and scored
+    on its own: ``fit`` on its training complement, ``loss`` on the
+    fold. Returns the fold losses, training means and training
+    variances."""
     rows = []
-    for fold in plan.folds:
+    for fold in folds:
         params = fit(np.delete(sample, fold))
         rows.append(
             (loss(params, sample[fold]), params.fitted_mean, params.fitted_var)
@@ -149,22 +144,27 @@ def _fold_fits(sample, plan):
 def _replay_pass(
     data, k, stream, folds_stream, fraction_stream, sample_size, fraction_range
 ):
-    """One pass of the kernel made through the public per-step functions,
-    drawing from the same streams in the same order, and scored on its
-    own. ``holdout`` is None when the subsample is the whole dataset."""
+    """One pass of the kernel made with plain numpy draws on the same
+    streams in the same order, and scored on its own: the fraction by
+    ``uniform``, the subset by a sorted ``choice``, the fold order by
+    ``permutation(m)`` cut as ``np.array_split`` cuts it, and the
+    holdout as the subset's complement. ``holdout`` is None when the
+    subsample is the whole dataset."""
+    n = data.n
     fraction = None
     if sample_size is None:
-        fraction = draw_partition_fraction(fraction_stream, *fraction_range)
-        m = int(round(fraction * data.n))
+        fraction = float(fraction_stream.generator.uniform(*fraction_range))
+        m = int(round(fraction * n))
     else:
         m = sample_size
-    view = srs_sample(data, m, stream)
-    sample = sample_values(data, view)
-    params = fit(sample)
-    rest = holdout_values(data, view)
-    fold_losses, train_means, train_vars = _fold_fits(
-        sample, make_folds(m, k, folds_stream)
+    subset = np.sort(
+        stream.generator.choice(n, size=m, replace=False, shuffle=False)
     )
+    sample = data.values[subset]
+    params = fit(sample)
+    rest = np.delete(data.values, subset)
+    folds = np.array_split(folds_stream.generator.permutation(m), k)
+    fold_losses, train_means, train_vars = _fold_fits(sample, folds)
     return {
         "fraction": fraction,
         "m": m,
@@ -276,7 +276,7 @@ def _check_fsv_run(data, config, stream) -> float:
 
 def _check_pass_kernel() -> str:
     # fsv_run scores its iterations in batches; replay each one on its
-    # own through the public per-pass functions. Every iteration draws
+    # own with plain numpy draws, fit and loss. Every iteration draws
     # at least 180 of the 300 points, so the 60 fill more than one of
     # the kernel's 8 192-float batches, and a batch is scored mid-call.
     data = generate_dataset(300, 1e9, 1.0, RngStream(7, 3))

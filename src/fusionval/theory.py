@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import ValidationError, _count, _number, _positive
+from .errors import (
+    ValidationError, _count, _finite, _nonnegative, _number, _positive
+)
 
 __all__ = [
     "VarianceBudget",
@@ -42,11 +44,7 @@ class VarianceBudget:
         iterations = _count("iterations", self.iterations, 1)
         object.__setattr__(self, "iterations", iterations)
         for name in ("srs_component", "kfcv_component"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValidationError(
-                    f"{name} must be finite and >= 0, got {value}"
-                )
+            _nonnegative(name, getattr(self, name))
 
     @property
     def total_per_t(self) -> float:
@@ -72,14 +70,14 @@ def srs_variance_component(sigma2: float, n: int, population_n: int) -> float:
 
 
 def kfcv_variance_component(fold_variances: Iterable[float]) -> float:
-    """Mean of the per-fold loss variances: (1/k) sum_i Var(L_i)."""
-    vals = [float(v) for v in fold_variances]
+    """Mean of the per-fold loss variances: (1/k) sum_i Var(L_i); each
+    entry must be finite and >= 0."""
+    vals = [
+        float(_nonnegative("fold_variances entry", v))
+        for v in fold_variances
+    ]
     if not vals:
         raise ValidationError("fold_variances must be non-empty")
-    if any(not math.isfinite(v) or v < 0 for v in vals):
-        raise ValidationError(
-            "fold_variances must be finite and >= 0"
-        )
     return sum(vals) / len(vals)
 
 
@@ -113,12 +111,10 @@ def chebyshev_threshold(
     sigma_hyb2: float, iterations: int, k_dev: float
 ) -> float:
     """Deviation threshold k_dev * sqrt(sigma_hyb2 / T) for the T-average;
-    ``iterations`` must be integral and >= 1, ``k_dev`` finite and > 0."""
+    ``sigma_hyb2`` must be finite and >= 0, ``iterations`` integral and
+    >= 1, ``k_dev`` finite and > 0."""
     iterations = _count("iterations", iterations, 1)
-    if not sigma_hyb2 >= 0:
-        raise ValidationError(
-            f"sigma_hyb2 must be >= 0, got {sigma_hyb2}"
-        )
+    sigma_hyb2 = _nonnegative("sigma_hyb2", sigma_hyb2)
     k_dev = _positive("k_dev", k_dev)
     return k_dev * math.sqrt(sigma_hyb2 / iterations)
 
@@ -137,14 +133,13 @@ def hoeffding_tail(
 
     P(|mean - E mean| >= epsilon) <= 2 exp(-2 T epsilon^2 / (b-a)^2).
     The raw value exceeds 1 for loose epsilon (it is 2 at epsilon = 0);
-    ``capped`` clamps it to 1 for use as a probability. ``iterations``
-    must be integral and >= 1.
+    ``capped`` clamps it to 1 for use as a probability. ``epsilon`` must
+    be finite and >= 0, ``iterations`` integral and >= 1, and ``a`` and
+    ``b`` finite with b > a.
     """
     iterations = _count("iterations", iterations, 1)
-    if not epsilon >= 0:
-        raise ValidationError(
-            f"epsilon must be >= 0, got {epsilon}"
-        )
+    epsilon = _nonnegative("epsilon", epsilon)
+    a, b = _finite("a", a), _finite("b", b)
     if not b > a:
         raise ValidationError(f"need b > a, got [{a}, {b}]")
     width = b - a

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from scipy.stats import chi2
 
 from fusionval import kfold, selftest
 from fusionval.cli import (
@@ -317,3 +318,27 @@ class TestSelftestCommand:
             check=True,
         )
         assert done.stdout.splitlines() == ["1", "True", "False"]
+
+    def test_uniformity_cutoff_is_the_chi2_quantile(self):
+        # the 0.999 quantile of chi2 with 9 degrees of freedom, for the
+        # check's 10 subsets of 2 of 5 points
+        assert selftest._CHI2_999_DF9 == chi2.ppf(0.999, 9)
+
+    def test_uniformity_check_does_not_load_scipy(self):
+        # scipy is a test dependency only: the installed check must run
+        # on numpy alone
+        script = (
+            "import sys\n"
+            "from fusionval import selftest\n"
+            "print(selftest._check_srs_uniformity().startswith('chi2'))\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines() == ["True", "False"]

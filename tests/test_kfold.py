@@ -1,6 +1,3 @@
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +8,6 @@ from fusionval.errors import ValidationError
 from fusionval.kfold import (
     FoldPlan,
     LambdaWeights,
-    _fold_stats,
     empirical_kfold_loss,
     kfold_losses,
     make_folds,
@@ -19,7 +15,6 @@ from fusionval.kfold import (
     weighted_kfold_loss,
 )
 from fusionval.rng import RngStream, derive_stream
-from fusionval.selftest import _fold_fits, _slacks, _tolerance
 
 
 def _constant_dataset(n, value=5.0):
@@ -145,64 +140,6 @@ class TestKfoldLosses:
         plan = FoldPlan(np.arange(4), k=2)
         with pytest.raises(ValidationError):
             kfold_losses(np.array([1.0, 2.0]), plan)
-
-
-class TestFoldKernel:
-    @given(
-        k=st.integers(min_value=2, max_value=10),
-        extra=st.one_of(
-            st.sampled_from([0, 1]), st.integers(min_value=2, max_value=300)
-        ),
-        mu=st.floats(min_value=-1e9, max_value=1e9),
-        log10_scale=st.floats(min_value=-3.0, max_value=3.0),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_per_fold_fit_and_loss(
-        self, k, extra, mu, log10_scale, seed
-    ):
-        m = k + extra
-        rng = np.random.default_rng(seed)
-        sample = mu + 10.0**log10_scale * rng.standard_normal(m)
-        plan = make_folds(m, k, RngStream(seed, 0))
-        if m - math.ceil(m / k) < 2:
-            # the largest fold leaves fewer than 2 training points
-            with pytest.raises(ValidationError):
-                _fold_fits(sample, plan)
-            with pytest.raises(ValidationError):
-                _fold_stats(sample, plan)
-            return
-        # the rule of every pass-kernel check (bench/reference.py keeps
-        # its own); loss and variance are squared quantities
-        slack, _ = _slacks(sample)
-        got = _fold_stats(sample, plan)
-        want = _fold_fits(sample, plan)
-        for col, squared in enumerate((True, False, True)):
-            tol = _tolerance(want[col], slack, squared)
-            np.testing.assert_array_less(np.abs(got[col] - want[col]), tol)
-
-    def test_exact_at_large_mean(self):
-        # at mu = 1e9 the spread sits 12 decimal digits below the mean;
-        # compare with exact rational arithmetic on the stored doubles
-        m, k = 23, 4
-        noise = derive_stream(5, 0, 0).generator.standard_normal(m)
-        sample = 1e9 + 1e-3 * noise
-        plan = make_folds(m, k, RngStream(5, 1))
-        losses, means, variances = _fold_stats(sample, plan)
-        exact = [Fraction(float(v)) for v in sample]
-        for i, fold in enumerate(plan.folds):
-            train = [v for j, v in enumerate(exact) if j not in fold]
-            mean = sum(train) / len(train)
-            var = sum((v - mean) ** 2 for v in train) / (len(train) - 1)
-            fold_loss = sum((exact[j] - mean) ** 2 for j in fold) / len(fold)
-            for got, want in (
-                (losses[i], fold_loss),
-                (means[i], mean),
-                (variances[i], var),
-            ):
-                assert abs(Fraction(float(got)) - want) <= 4 * Fraction(
-                    math.ulp(float(want))
-                )
 
 
 class TestLossAverages:

@@ -16,12 +16,14 @@ draw path, a ``SampleView`` of the sorted subset taken in the order of
 every output bit for bit; its batch cases fill the buffer several
 times or draw passes larger than its least size. The per-pass reference,
 ``selftest._replay_pass``, replays the same draws on clones of the
-streams through the public per-step functions and scores each pass on
-its own: ``fit`` on the subsample, ``holdout_values`` + ``loss`` on the
-rest, and ``fit`` on each fold's training complement with ``loss`` on
-the fold, never the kernel's statistics step. Its
-results must lie within ``selftest._tolerance``. After every call the
-streams must stand exactly where the reference left them.
+streams with plain numpy calls (``uniform``, a sorted ``choice``,
+``permutation`` cut as ``np.array_split`` cuts it) and scores each pass
+on its own: ``fit`` on the subsample, ``loss`` on its complement, and
+``fit`` on each fold's training complement with ``loss`` on the fold,
+never the kernel's draw or statistics step. Its results must lie within
+``selftest._tolerance``. After every call the streams must stand
+exactly where the reference left them. ``TestFoldKernel`` holds one
+plan's statistics step to the same per-fold reference.
 """
 
 import math
@@ -32,7 +34,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fusionval import kfold, selftest
+from fusionval import kfold, sampling, selftest
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import ValidationError
 from fusionval.fsv import (
@@ -46,14 +48,17 @@ from fusionval.kfold import (
     _run_passes,
     _subsample_range,
     _trainable,
+    kfold_losses,
     make_folds,
     repeated_kfcv,
 )
 from fusionval.metrics import METRIC_FIELDS, TrialMetrics, metric_table
 from fusionval.rng import RngStream, derive_stream, standard_normal
 from fusionval.sampling import SampleView, draw_partition_fraction, srs_sample
-from fusionval.selftest import _replay_pass, _slacks, _tolerance
-from fusionval.theory import chebyshev_tail
+from fusionval.selftest import _fold_fits, _replay_pass, _slacks, _tolerance
+from fusionval.theory import (
+    VarianceBudget, chebyshev_tail, chebyshev_threshold, hoeffding_tail
+)
 
 
 def _dataset(n, mu, scale, seed):
@@ -317,6 +322,20 @@ def test_reference_does_not_run_the_statistics_step(monkeypatch):
         selftest._check_pass_kernel()
 
 
+def test_reference_does_not_share_the_subset_draw(monkeypatch):
+    # the kernel's subset readback returning numpy's draw unsorted: the
+    # subsample, and so every fold, holds other points than the sorted
+    # draw gives. A reference that drew through the same function would
+    # take the same points and pass
+    def unsorted(n, m, generator):
+        return generator.choice(n, size=m, replace=False, shuffle=False)
+
+    monkeypatch.setattr(sampling, "_draw_subset", unsorted)
+    monkeypatch.setattr(kfold, "_draw_subset", unsorted)
+    with pytest.raises(AssertionError):
+        selftest._check_pass_kernel()
+
+
 @pytest.fixture
 def scored_batches(monkeypatch):
     """The size of every buffer the pass kernel scores, in order."""
@@ -514,6 +533,79 @@ class TestDrawStep:
             used += m
         assert scored_batches == [*want, used]
         assert len(scored_batches) >= 3
+
+
+def _plan_stats(sample, plan):
+    """Fold losses, training means and ddof=1 training variances of one
+    plan: ``plan.order`` into ``_fold_moments`` and then ``_combine``, as
+    :func:`_sorted_draw_passes` scores a pass. The losses must be
+    ``kfold_losses``' bit for bit."""
+    y = sample[plan.order]
+    pilot = y[0]
+    sizes = [len(f) for f in plan.folds]
+    sums, m2s = np.empty((2, 1, plan.k))
+    _fold_moments(y, sizes, pilot, sums[0], m2s[0])
+    stats = _combine(np.array([sizes], dtype=np.float64), sums, m2s, pilot)
+    assert np.array_equal(stats.fold_losses[0], kfold_losses(sample, plan))
+    return stats.fold_losses[0], stats.train_means[0], stats.train_vars[0]
+
+
+class TestFoldKernel:
+    @given(
+        k=st.integers(min_value=2, max_value=10),
+        extra=st.one_of(
+            st.sampled_from([0, 1]), st.integers(min_value=2, max_value=300)
+        ),
+        mu=st.floats(min_value=-1e9, max_value=1e9),
+        log10_scale=st.floats(min_value=-3.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_fold_fit_and_loss(
+        self, k, extra, mu, log10_scale, seed
+    ):
+        m = k + extra
+        rng = np.random.default_rng(seed)
+        sample = mu + 10.0**log10_scale * rng.standard_normal(m)
+        plan = make_folds(m, k, RngStream(seed, 0))
+        if m - math.ceil(m / k) < 2:
+            # the largest fold leaves fewer than 2 training points
+            with pytest.raises(ValidationError):
+                _fold_fits(sample, plan.folds)
+            with pytest.raises(ValidationError):
+                kfold_losses(sample, plan)
+            return
+        # the rule of every pass-kernel check (bench/reference.py keeps
+        # its own); loss and variance are squared quantities
+        slack, _ = _slacks(sample)
+        got = _plan_stats(sample, plan)
+        want = _fold_fits(sample, plan.folds)
+        for col, squared in enumerate((True, False, True)):
+            tol = _tolerance(want[col], slack, squared)
+            np.testing.assert_array_less(np.abs(got[col] - want[col]), tol)
+
+    def test_exact_at_large_mean(self):
+        # at mu = 1e9 the spread sits 12 decimal digits below the mean;
+        # compare with exact rational arithmetic on the stored doubles
+        m, k = 23, 4
+        noise = derive_stream(5, 0, 0).generator.standard_normal(m)
+        sample = 1e9 + 1e-3 * noise
+        plan = make_folds(m, k, RngStream(5, 1))
+        losses, means, variances = _plan_stats(sample, plan)
+        exact = [Fraction(float(v)) for v in sample]
+        for i, fold in enumerate(plan.folds):
+            train = [v for j, v in enumerate(exact) if j not in fold]
+            mean = sum(train) / len(train)
+            var = sum((v - mean) ** 2 for v in train) / (len(train) - 1)
+            fold_loss = sum((exact[j] - mean) ** 2 for j in fold) / len(fold)
+            for got, want in (
+                (losses[i], fold_loss),
+                (means[i], mean),
+                (variances[i], var),
+            ):
+                assert abs(Fraction(float(got)) - want) <= 4 * Fraction(
+                    math.ulp(float(want))
+                )
 
 
 class _StubGenerator:
@@ -791,6 +883,21 @@ _BAD_SIZE_CALLS = {
         "alpha", lambda data, s: compound_measure([1.0], math.inf)
     ),
     "string-k_dev": ("k_dev", lambda data, s: chebyshev_tail("2")),
+    "string-sigma_hyb2": (
+        "sigma_hyb2", lambda data, s: chebyshev_threshold("1", 2, 1.0)
+    ),
+    "infinite-sigma_hyb2": (
+        "sigma_hyb2", lambda data, s: chebyshev_threshold(math.inf, 2, 1.0)
+    ),
+    "string-srs_component": (
+        "srs_component", lambda data, s: VarianceBudget("1", 0.1, 3)
+    ),
+    "infinite-epsilon": (
+        "epsilon", lambda data, s: hoeffding_tail(math.inf, 2, 0.0, 1.0)
+    ),
+    "infinite-b": (
+        "b", lambda data, s: hoeffding_tail(0.1, 2, 0.0, math.inf)
+    ),
     "string-mu-dataset": (
         "mu", lambda data, s: generate_dataset(3, "0", 1.0, s)
     ),
