@@ -9,12 +9,11 @@ is the length of the values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _count, _finite, _number, _positive
+from .errors import ValidationError, _count, _finite, _positive
 from .rng import RngStream, standard_normal
 
 __all__ = ["Dataset", "generate_dataset"]
@@ -44,13 +43,8 @@ class Dataset:
             )
         if not np.isfinite(values).all():
             raise ValidationError("values must be finite")
-        mean = _number("true_mean", self.true_mean)
-        var = _number("true_var", self.true_var)
-        if not (-math.inf < mean < math.inf and 0 < var < math.inf):
-            raise ValidationError(
-                "true_mean must be finite and true_var finite and > 0, "
-                f"got {mean} and {var}"
-            )
+        _finite("true_mean", self.true_mean)
+        _positive("true_var", self.true_var)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -8,20 +8,13 @@ headline number conservatively. Both the compounded measure and the raw
 iteration mean are exposed, since alpha < 1 trades a small downward bias
 for that conservatism.
 
-:func:`fsv_run` and :func:`sampled_kfold_trial` run on the pass kernel of
-:mod:`fusionval.kfold`. Each iteration is one draw step: it consumes
-the streams as the public ``draw_partition_fraction``, ``srs_sample``
-and ``make_folds`` would, in that order, with the subset's checks, but
-gathers the subsample into a bounded per-run buffer and shuffles it
-there into fold order. Each time the buffer fills, one call reduces the
-iterations in it to their per-fold counts, sums and centred sums of
-squares, one row of a ``(T x k)`` table each. One statistics step then
-gives every iteration's fold losses, subsample mean and ddof=1
-variance, and its holdout loss.
-The holdout loss is the squared error of the subsample mean on the
-dataset's other points, taken from the dataset's totals (computed once
-per run) minus the subsample's rather than by gathering the holdout.
-No step uses BLAS (see the :mod:`fusionval.kfold` docstring for why).
+Both :func:`fsv_run` and :func:`sampled_kfold_trial` run on the pass
+kernel of :mod:`fusionval.kfold`, whose docstring describes its draw,
+fold-moment and statistics steps and its stream triple. Each iteration
+is one pass: it draws a subsample (and its fraction, unless the size is
+pinned) and a fold order, and gives its fold losses, its subsample's
+mean and ddof=1 variance, and its holdout loss.
+
 A run keeps its alpha-scaled metrics as one read-only ``(T x 6)`` table,
 :attr:`FsvResult.metrics`; its ``TrialMetrics`` rows are built only when
 ``iteration_metrics`` is read, so a caller that holds many results holds
@@ -164,9 +157,7 @@ def sampled_kfold_trial(
         data,
         k,
         1,
-        stream,
-        folds_stream=folds_stream,
-        fraction_stream=fraction_stream,
+        (fraction_stream or stream, stream, folds_stream or stream),
         sample_size=sample_size,
         fraction_range=fraction_range,
         holdout=True,
@@ -246,7 +237,7 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
         data,
         config.k,
         config.iterations,
-        stream,
+        (stream,) * 3,
         sample_size=config.sample_size,
         fraction_range=config.fraction_range,
         holdout=True,

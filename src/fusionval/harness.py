@@ -43,7 +43,9 @@ from .data import generate_dataset
 from .errors import (
     ValidationError, _count, _finite, _number, _numbers, _positive
 )
-from .fsv import _check_alpha, compound_measure, sampled_kfold_trial
+from .fsv import (
+    DEFAULT_ALPHA, _check_alpha, compound_measure, sampled_kfold_trial
+)
 from .kfold import LambdaWeights, _subsample_range, repeated_kfcv
 from .metrics import (
     METRIC_FIELDS, Aggregate, Method, _frozen_array, metric_table, summarize
@@ -91,13 +93,16 @@ class ExperimentConfig:
     finite and > 0, and ``alpha`` follows :class:`~fusionval.FsvConfig`'s
     rule: in (0, 1], with a warning below 0.8. Every size must train k
     folds and leave a holdout at either end of ``fraction_range``.
+    ``mu``, ``sigma2``, ``alpha`` and the ``fraction_range`` entries are
+    stored as floats, so a config given integers hashes like its float
+    twin.
     """
 
     sizes: tuple[int, ...] = DEFAULT_SIZES
     trials: tuple[int, ...] = DEFAULT_TRIALS
     k: int = 5
     repetitions: int = 10
-    alpha: float = 0.95
+    alpha: float = DEFAULT_ALPHA
     lambdas: tuple[float, ...] | None = None
     seed: int = 42
     fraction_range: tuple[float, float] = FRACTION_RANGE
@@ -123,14 +128,16 @@ class ExperimentConfig:
             normalise(name, values)
         for name, least in (("k", 2), ("repetitions", 1), ("seed", 0)):
             normalise(name, _count(name, getattr(self, name), least))
-        _finite("mu", self.mu)
-        _positive("sigma2", self.sigma2)
+        normalise("mu", float(_finite("mu", self.mu)))
+        normalise("sigma2", float(_positive("sigma2", self.sigma2)))
         _check_alpha(self.alpha)
+        normalise("alpha", float(self.alpha))
         if self.lambdas is not None:
             normalise(
                 "lambdas", tuple(map(float, _numbers("lambdas", self.lambdas)))
             )
-        normalise("fraction_range", _fraction_window(self.fraction_range))
+        window = _fraction_window(self.fraction_range)
+        normalise("fraction_range", tuple(map(float, window)))
         if not isinstance(self.shared_streams, bool):
             raise ValidationError(
                 f"shared_streams must be a bool, got {self.shared_streams!r}"
@@ -200,14 +207,18 @@ def _run_trial(
     def stream(purpose: Purpose):
         return derive_stream(config.seed, key, purpose)
 
-    dataset = generate_dataset(n, config.mu, config.sigma2, stream(Purpose.DATA))
-    primary = sampled_kfold_trial(
-        dataset,
-        config.k,
-        stream(Purpose.SAMPLE),
-        folds_stream=stream(Purpose.FOLDS),
-        fraction_stream=stream(Purpose.FRACTION),
-        fraction_range=config.fraction_range,
+    def sampled_pass(purposes):
+        """The dataset on the first of a (data, sample, folds, fraction)
+        purpose quadruple's streams, and its sampled pass on the rest."""
+        data, sample, folds, fraction = map(stream, purposes)
+        dataset = generate_dataset(n, config.mu, config.sigma2, data)
+        return dataset, sampled_kfold_trial(
+            dataset, config.k, sample, folds_stream=folds,
+            fraction_stream=fraction, fraction_range=config.fraction_range,
+        )
+
+    dataset, primary = sampled_pass(
+        (Purpose.DATA, Purpose.SAMPLE, Purpose.FOLDS, Purpose.FRACTION)
     )
     kf = repeated_kfcv(
         dataset,
@@ -217,20 +228,10 @@ def _run_trial(
         stream(Purpose.KFCV_DRAWS),
         fraction_range=config.fraction_range,
     )
-    if config.shared_streams:
-        fsv_trial = primary
-    else:
-        fsv_dataset = generate_dataset(
-            n, config.mu, config.sigma2, stream(Purpose.FSV_DATA)
-        )
-        fsv_trial = sampled_kfold_trial(
-            fsv_dataset,
-            config.k,
-            stream(Purpose.FSV_SAMPLE),
-            folds_stream=stream(Purpose.FSV_FOLDS),
-            fraction_stream=stream(Purpose.FSV_FRACTION),
-            fraction_range=config.fraction_range,
-        )
+    fsv_trial = primary if config.shared_streams else sampled_pass((
+        Purpose.FSV_DATA, Purpose.FSV_SAMPLE, Purpose.FSV_FOLDS,
+        Purpose.FSV_FRACTION,
+    ))[1]
     # SRS and KFCV both take their bias from the primary pass's first fold
     table = metric_table(
         (primary.sample_mean, kf.mean_estimate, fsv_trial.sample_mean),

@@ -15,10 +15,14 @@ pass through :func:`kfold_losses`, the P = 1 pass of
 and the T iterations of ``fsv.fsv_run``. It works in three steps.
 
 *Draw step, once per pass,* after one check per call of every size the
-call can draw (:func:`_subsample_range`). Draw as a loop over the public
-API would, on the caller's streams and in the same order: the partition
-fraction (``sampling.draw_partition_fraction``'s one ``uniform`` call),
-the subset ``sampling.srs_sample`` draws, with its checks, and
+call can draw (:func:`_subsample_range`). A call takes one
+``(fraction, subset, folds)`` triple of streams; :func:`repeated_kfcv`
+and ``fsv.fsv_run`` pass one stream three times, and only
+``fsv.sampled_kfold_trial`` takes them apart, falling back to its
+subset stream for the other two. Draw as a loop over the public API
+would, on those streams and in the same order: the partition fraction
+(``sampling.draw_partition_fraction``'s one ``uniform`` call), the
+subset ``sampling.srs_sample`` draws, with its checks, and
 :func:`make_folds`' fold order. The subset comes back sorted (by
 ``sampling._draw_subset``), is gathered from the dataset into the next
 segment of one per-call buffer and is shuffled there in place: numpy's
@@ -48,20 +52,23 @@ LeVeque (1979) combines two groups a and b as
     M2_ab = M2_a + M2_b + (n_a n_b / (n_a + n_b)) (mean_a - mean_b)^2,
 
 so each subsample's mean and M2, its ddof=1 variance, follow from its
-folds, and each training complement's M2 follows by running the update
-in reverse: subtract the fold's own M2 and the cross term between the
-fold and its complement from the subsample's. The loss of fold i around
-the complement's mean is then M2_i / n_i + (mean_i - mean_complement)^2.
-The holdout, the dataset's points outside the subsample, is handled the
-same way one level up: its count, mean and M2 are the dataset's totals
-(computed once per call, with the same pilot) minus the subsample's, by
-the update in reverse, and its squared error around the subsample mean
-is M2_h / n_h + (mean_h - mean)^2; a pass that leaves no holdout takes
-NaN for n_h, which carries through to a NaN loss. No pass gathers its
-holdout. That subtraction is exact algebra but rounds to the precision
-of the dataset's M2, so a holdout of a handful of points keeps fewer
-digits than a direct sum; ``selftest._tolerance``, the rule the
-kernel's checks hold it to, has a term for this.
+folds. One rule, :func:`_complement`, runs the update in reverse: given
+a part and the whole it was taken from, the rest's count is the
+difference, its mean the difference of sums over that count, and its
+M2 the whole's less the part's and less the cross term, clipped at 0.
+It serves two levels. Each fold against its subsample gives the fold's
+training complement, and the fold's loss around the complement's mean
+is M2_i / n_i + (mean_i - mean_complement)^2. The subsample against the
+dataset gives the holdout, the dataset's points outside the subsample,
+from the dataset's totals (computed once per call, with the same
+pilot), and its squared error around the subsample mean is
+M2_h / n_h + (mean_h - mean)^2. A rest of no points, a pass that leaves
+no holdout, takes NaN for its count, which carries through to a NaN
+loss without a 0/0. No pass gathers its holdout. The subtraction is
+exact algebra but rounds to the precision of the whole's M2, so a
+holdout of a handful of points keeps fewer digits than a direct sum;
+``selftest._tolerance``, the rule the kernel's checks hold it to, has a
+term for this.
 
 The kernels use ufunc reductions only, never ``@`` or ``np.dot``: with a
 threaded BLAS a dot product of a few thousand elements is spread over
@@ -272,6 +279,22 @@ class _Passes(NamedTuple):
     fractions: np.ndarray | None = None  # (P,), NaN where m was pinned
 
 
+def _complement(part_n, part_sum, part_m2, whole_n, whole_sum, whole_m2):
+    """What is left of a group when a part of it is taken out, by the
+    pairwise update in reverse: the rest's count, its mean, its M2
+    clipped at 0, and the squared gap between the part's mean and the
+    rest's. A rest of no points takes NaN for its count, which carries
+    through to NaN without a 0/0."""
+    rest_n = whole_n - part_n
+    if not rest_n.all():
+        rest_n[rest_n == 0] = np.nan
+    rest_mean = (whole_sum - part_sum) / rest_n
+    gap = part_sum / part_n - rest_mean
+    cross = part_n * rest_n / whole_n * gap * gap
+    rest_m2 = np.maximum(whole_m2 - part_m2 - cross, 0.0)
+    return rest_n, rest_mean, rest_m2, gap * gap
+
+
 def _combine(
     counts: np.ndarray,
     sums: np.ndarray,
@@ -283,39 +306,29 @@ def _combine(
     ``(passes x k)`` fold counts, shifted sums and M2s. With ``data``,
     also the holdout's squared error from the dataset's totals."""
     total = counts.sum(axis=1)
-    train = total[:, None] - counts
     total_sum = sums.sum(axis=1)
     mean = total_sum / total
-    fold_mean = sums / counts
-    spread = fold_mean - mean[:, None]
+    spread = sums / counts - mean[:, None]
     total_m2 = m2s.sum(axis=1) + (counts * spread * spread).sum(axis=1)
-    train_mean = (total_sum[:, None] - sums) / train
-    gap = fold_mean - train_mean
-    cross = counts * train / total[:, None] * gap * gap
-    train_m2 = total_m2[:, None] - m2s - cross
+    whole = (total[:, None], total_sum[:, None], total_m2[:, None])
+    train, train_mean, train_m2, gap2 = _complement(counts, sums, m2s, *whole)
     holdout = None
     if data is not None:
-        n = data.n
+        # sum, not _fold_moments: np.add.reduceat does not sum
+        # pairwise, so its totals would differ in the last bits
         y = data.values - pilot
         data_sum = y.sum()
-        y -= data_sum / n
+        y -= data_sum / data.n
         y *= y
-        data_m2 = y.sum()
-        rest = n - total
-        if not rest.all():
-            # a pass with no holdout: NaN for its size carries through
-            # to its loss without a 0/0
-            rest[rest == 0] = np.nan
-        rest_mean = (data_sum - total_sum) / rest
-        rest_gap = rest_mean - mean
-        rest_cross = total * rest / n * rest_gap * rest_gap
-        rest_m2 = data_m2 - total_m2 - rest_cross
-        holdout = np.maximum(rest_m2, 0.0) / rest + rest_gap * rest_gap
+        rest, _, rest_m2, rest_gap2 = _complement(
+            total, total_sum, total_m2, data.n, data_sum, y.sum()
+        )
+        holdout = rest_m2 / rest + rest_gap2
     return _Passes(
         m=total.astype(np.int64),
-        fold_losses=m2s / counts + gap * gap,
+        fold_losses=m2s / counts + gap2,
         train_means=train_mean + pilot,
-        train_vars=np.maximum(train_m2, 0.0) / (train - 1),
+        train_vars=train_m2 / (train - 1),
         sample_mean=mean + pilot,
         sample_var=total_m2 / (total - 1),
         holdout_mse=holdout,
@@ -326,10 +339,8 @@ def _run_passes(
     data: Dataset,
     k: int,
     passes: int,
-    stream: RngStream,
+    streams: tuple[RngStream, RngStream, RngStream],
     *,
-    folds_stream: RngStream | None = None,
-    fraction_stream: RngStream | None = None,
     sample_size: int | None = None,
     fraction_range: tuple[float, float] = FRACTION_RANGE,
     holdout: bool = False,
@@ -338,10 +349,10 @@ def _run_passes(
     """Draw and validate ``passes`` subsamples of ``data``; see the
     module docstring.
 
-    Each pass draws its fraction from ``fraction_stream`` (unless
-    ``sample_size`` pins m), its subsample from ``stream`` and its fold
-    order from ``folds_stream``, by a shuffle of the subsample; the two
-    optional streams fall back to ``stream``. With ``holdout`` the result
+    ``streams`` is the (fraction, subset, folds) triple: each pass
+    draws its fraction from the first (unless ``sample_size`` pins m),
+    its subsample from the second and its fold order, by a shuffle of
+    the subsample, from the third. With ``holdout`` the result
     carries each subsample's squared error on the rest of the dataset.
     Every size the call can draw is checked before the first draw, by
     :func:`_subsample_range` with ``require_holdout``.
@@ -355,9 +366,7 @@ def _run_passes(
     )
     values = data.values
     pilot = values[0]
-    draws = stream.generator
-    fold_draws = (folds_stream or stream).generator
-    fraction_draws = (fraction_stream or stream).generator
+    fraction_draws, draws, fold_draws = (s.generator for s in streams)
     fractions = np.full(passes, np.nan)
     # per fold of every pass, pass after pass
     sums = np.empty(passes * k)
@@ -522,7 +531,7 @@ def repeated_kfcv(
             f"weights have k={weights.k}, expected {k}"
         )
     passes = _run_passes(
-        data, k, repetitions, stream, fraction_range=fraction_range
+        data, k, repetitions, (stream,) * 3, fraction_range=fraction_range
     )
     # the mean over repetitions of weighted_kfold_loss, in one reduce
     return KfcvEstimate(

@@ -141,29 +141,27 @@ def _fold_fits(sample, folds):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def _replay_pass(
-    data, k, stream, folds_stream, fraction_stream, sample_size, fraction_range
-):
+def _replay_pass(data, k, streams, sample_size, fraction_range):
     """One pass of the kernel made with plain numpy draws on the same
-    streams in the same order, and scored on its own: the fraction by
-    ``uniform``, the subset by a sorted ``choice``, the fold order by
-    ``permutation(m)`` cut as ``np.array_split`` cuts it, and the
-    holdout as the subset's complement. ``holdout`` is None when the
-    subsample is the whole dataset."""
+    (fraction, subset, folds) stream triple in the same order, and
+    scored on its own: the fraction by ``uniform``, the subset by a
+    sorted ``choice``, the fold order by ``permutation(m)`` cut as
+    ``np.array_split`` cuts it, and the holdout as the subset's
+    complement. ``holdout`` is None when the subsample is the whole
+    dataset."""
     n = data.n
+    fraction_draws, draws, fold_draws = (s.generator for s in streams)
     fraction = None
     if sample_size is None:
-        fraction = float(fraction_stream.generator.uniform(*fraction_range))
+        fraction = float(fraction_draws.uniform(*fraction_range))
         m = int(round(fraction * n))
     else:
         m = sample_size
-    subset = np.sort(
-        stream.generator.choice(n, size=m, replace=False, shuffle=False)
-    )
+    subset = np.sort(draws.choice(n, size=m, replace=False, shuffle=False))
     sample = data.values[subset]
     params = fit(sample)
     rest = np.delete(data.values, subset)
-    folds = np.array_split(folds_stream.generator.permutation(m), k)
+    folds = np.array_split(fold_draws.permutation(m), k)
     fold_losses, train_means, train_vars = _fold_fits(sample, folds)
     return {
         "fraction": fraction,
@@ -215,8 +213,8 @@ def _check_fsv_run(data, config, stream) -> float:
     result = fsv_run(data, config, stream)
     refs = [
         _replay_pass(
-            data, config.k, ref_stream, ref_stream, ref_stream,
-            config.sample_size, config.fraction_range,
+            data, config.k, (ref_stream,) * 3, config.sample_size,
+            config.fraction_range,
         )
         for _ in range(config.iterations)
     ]

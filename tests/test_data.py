@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,10 @@ def test_values_are_held_as_float64():
     ],
 )
 def test_rejects_bad_ground_truth(true_mean, true_var):
-    with pytest.raises(
-        ValidationError, match="^true_mean must be finite and true_var"
-    ):
+    # the error names the first bad field; the mean is checked first
+    if math.isfinite(true_mean):
+        message = "^true_var must be finite and > 0"
+    else:
+        message = "^true_mean must be finite"
+    with pytest.raises(ValidationError, match=message):
         Dataset(np.zeros(3), true_mean, true_var)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,28 @@ class TestExperimentConfig:
         assert a.config_hash() == ExperimentConfig().config_hash()
         assert a.config_hash() != ExperimentConfig(seed=43).config_hash()
         assert len(a.config_hash()) == 16
+
+    @pytest.mark.parametrize(
+        "given, twin",
+        [
+            ({"mu": 0}, {"mu": 0.0}),
+            ({"mu": -3, "sigma2": 2}, {"mu": -3.0, "sigma2": 2.0}),
+            ({"alpha": 1}, {"alpha": 1.0}),
+            (
+                {"fraction_range": (Fraction(3, 5), Fraction(9, 10))},
+                {"fraction_range": (0.6, 0.9)},
+            ),
+        ],
+        ids=["mu", "mu-sigma2", "alpha", "fraction_range"],
+    )
+    def test_reals_are_stored_as_floats(self, given, twin):
+        config = ExperimentConfig(**given)
+        assert config.config_hash() == ExperimentConfig(**twin).config_hash()
+        reals = (config.mu, config.sigma2, config.alpha)
+        assert all(type(v) is float for v in (*reals, *config.fraction_range))
+
+    def test_default_hash_is_pinned(self):
+        assert ExperimentConfig().config_hash() == "ecbafb33efb2d578"
 
 
 class TestRunExperiment:
@@ -521,6 +544,17 @@ class TestJsonRoundTrip:
     def test_edited_config_is_rejected(self, small_report):
         d = report_to_dict(small_report)
         d["config"]["alpha"] = 0.9
+        with pytest.raises(ValidationError, match="config_hash"):
+            report_from_dict(d)
+
+    def test_integer_config_hash_of_an_older_report_is_rejected(
+        self, small_report
+    ):
+        # an earlier version hashed mu=0 as written, not as 0.0
+        d = report_to_dict(small_report)
+        d["config"]["mu"] = 0
+        payload = json.dumps(d["config"], sort_keys=True).encode()
+        d["config_hash"] = hashlib.sha256(payload).hexdigest()[:16]
         with pytest.raises(ValidationError, match="config_hash"):
             report_from_dict(d)
 

@@ -44,6 +44,7 @@ from fusionval.kfold import (
     FoldPlan,
     LambdaWeights,
     _combine,
+    _complement,
     _fold_moments,
     _run_passes,
     _subsample_range,
@@ -139,7 +140,7 @@ class TestFsvRun:
             data,
             config.k,
             config.iterations,
-            stream.clone(),
+            (stream.clone(),) * 3,
             sample_size=sample_size,
             fraction_range=config.fraction_range,
             holdout=True,
@@ -181,9 +182,7 @@ class TestRepeatedKfcv:
             dataset, k, repetitions, weights, stream, fraction_range=window
         )
         refs = [
-            _replay_pass(
-                dataset, k, ref_stream, ref_stream, ref_stream, None, window
-            )
+            _replay_pass(dataset, k, (ref_stream,) * 3, None, window)
             for _ in range(repetitions)
         ]
         assert all(ref["m"] == m for ref in refs)
@@ -253,7 +252,7 @@ class TestSampledKfoldTrial:
             fraction_range=window,
         )
         ref = _replay_pass(
-            data, k, ref_main, ref_folds, ref_fraction, sample_size, window
+            data, k, (ref_fraction, ref_main, ref_folds), sample_size, window
         )
         slack, m2_slack = _slacks(data.values)
         assert trial.m == ref["m"] == m
@@ -283,6 +282,25 @@ class TestSampledKfoldTrial:
             assert _streams_equal(got, want)
 
 
+    @pytest.mark.parametrize("sample_size", [None, 40])
+    def test_one_stream_stands_for_the_other_two(self, sample_size):
+        # the one place the fallback is written: omitted folds and
+        # fraction streams are the subset stream itself
+        data = _dataset(60, 5.0, 2.0, 3)
+        alone, given = RngStream(3, 1), RngStream(3, 1)
+        got = sampled_kfold_trial(data, 4, alone, sample_size=sample_size)
+        want = sampled_kfold_trial(
+            data, 4, given, folds_stream=given, fraction_stream=given,
+            sample_size=sample_size,
+        )
+        for name in ("fraction", "m", "sample_mean", "sample_var",
+                     "holdout_mse"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert type(a) is type(b) and repr(a) == repr(b), name
+        assert got.fold_losses.tobytes() == want.fold_losses.tobytes()
+        assert _streams_equal(alone, given)
+
+
 def test_one_point_holdout_at_the_subsample_mean():
     # the one holdout point a thousandth of sigma from the subsample
     # mean: its loss is about 1e-6 sigma**2, the dataset's M2 about
@@ -296,7 +314,7 @@ def test_one_point_holdout_at_the_subsample_mean():
     data = Dataset(values, 0.0, 1e6)
     trial = sampled_kfold_trial(data, k, RngStream(seed, 1), sample_size=m)
     ref_stream = RngStream(seed, 1)
-    ref = _replay_pass(data, k, ref_stream, ref_stream, None, m, None)
+    ref = _replay_pass(data, k, (ref_stream,) * 3, m, None)
     slack, m2_slack = _slacks(data.values)
     _assert_close(
         trial.holdout_mse,
@@ -365,7 +383,7 @@ def test_holdout_from_totals_is_exact_at_large_mean():
     data = _dataset(n, 1e9, 1e-3, 8)
     view_stream = RngStream(8, 1)
     passes = _run_passes(
-        data, k, 1, RngStream(8, 1), sample_size=m, holdout=True
+        data, k, 1, (RngStream(8, 1),) * 3, sample_size=m, holdout=True
     )
     inside = set(srs_sample(data, m, view_stream).indices.tolist())
     exact = [Fraction(float(v)) for v in data.values]
@@ -434,9 +452,7 @@ def _compare_with_sorted_draw_path(
     main, folds, fraction = streams()
     ref_main, ref_folds, ref_fraction = streams()
     got = _run_passes(
-        data, k, passes, main,
-        folds_stream=folds if split_streams else None,
-        fraction_stream=fraction if split_streams else None,
+        data, k, passes, (fraction, main, folds),
         sample_size=sample_size, fraction_range=window, holdout=holdout,
     )
     want = _sorted_draw_passes(
@@ -548,6 +564,52 @@ def _plan_stats(sample, plan):
     stats = _combine(np.array([sizes], dtype=np.float64), sums, m2s, pilot)
     assert np.array_equal(stats.fold_losses[0], kfold_losses(sample, plan))
     return stats.fold_losses[0], stats.train_means[0], stats.train_vars[0]
+
+
+class TestComplement:
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e3, max_value=1e3), min_size=2,
+            max_size=200,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_direct_sum_of_the_rest(self, values, data):
+        y = np.array(values)
+        n = len(y)
+        in_part = np.array(
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        )
+        assume(0 < in_part.sum() < n)
+
+        def moments(x):
+            dev = x - x.mean()
+            return float(len(x)), x.sum(), (dev * dev).sum()
+
+        part, whole, rest = (moments(x) for x in (y[in_part], y, y[~in_part]))
+        got_n, got_mean, got_m2, got_gap2 = _complement(
+            *(np.array([v]) for v in part), *whole
+        )
+        rest_mean = rest[1] / rest[0]
+        gap = part[1] / part[0] - rest_mean
+        # rounding of sums near max|y|, and of M2s near n max|y|**2
+        scale = np.abs(y).max() + 1.0
+        mean_tol = 1e-12 * n * scale
+        m2_tol = 1e-12 * n * scale * scale
+        assert got_n[0] == rest[0]
+        _assert_close(got_mean[0], rest_mean, mean_tol, "mean")
+        _assert_close(got_m2[0], rest[2], m2_tol, "M2")
+        _assert_close(got_gap2[0], gap * gap, m2_tol, "gap2")
+        assert got_m2[0] >= 0
+
+    def test_no_rest_is_nan_without_a_zero_division(self):
+        y = np.array([1.0, 4.0, 2.5, -3.0])
+        dev = y - y.mean()
+        whole = (np.array([4.0]), np.array([y.sum()]), (dev * dev).sum())
+        with np.errstate(all="raise"):
+            got = _complement(*whole, *whole)
+        assert all(np.isnan(v[0]) for v in got)
 
 
 class TestFoldKernel:
@@ -676,15 +738,19 @@ def test_bad_draws_are_rejected(case):
         if method == "choice":
             # the kernel shares srs_sample's checks
             with pytest.raises(ValidationError):
-                _run_passes(data, k, 2, stub_stream(), sample_size=m)
+                _run_passes(data, k, 2, (stub_stream(),) * 3, sample_size=m)
             with pytest.raises(ValidationError):
                 fsv_run(data, FsvConfig(2, k=k, sample_size=m), stub_stream())
             continue
         # the kernel shuffles the subsample and never calls permutation,
         # so a corrupt one changes neither its output nor its stream
         stub, real = stub_stream(), RngStream(6, 1)
-        got = _run_passes(data, k, 2, stub, sample_size=m, holdout=True)
-        want = _run_passes(data, k, 2, real, sample_size=m, holdout=True)
+        got = _run_passes(
+            data, k, 2, (stub,) * 3, sample_size=m, holdout=True
+        )
+        want = _run_passes(
+            data, k, 2, (real,) * 3, sample_size=m, holdout=True
+        )
         for name in got._fields:
             a, b = getattr(got, name), getattr(want, name)
             assert np.array_equal(a, b, equal_nan=True), name
@@ -715,7 +781,7 @@ def test_bad_draws_are_rejected_by_the_mask_branch(case):
     with pytest.raises(ValidationError):
         srs_sample(data, m, stub_stream())
     with pytest.raises(ValidationError):
-        _run_passes(data, k, 2, stub_stream(), sample_size=m)
+        _run_passes(data, k, 2, (stub_stream(),) * 3, sample_size=m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 1_500, 75_000])
@@ -967,9 +1033,11 @@ def test_every_drawn_size_lies_in_the_checked_range(n, k, low, width, seed):
     except ValidationError:
         # a range the helper refuses is refused before any draw
         with pytest.raises(ValidationError, match="^fraction_range"):
-            _run_passes(data, k, 8, stream, fraction_range=(low, high))
+            _run_passes(data, k, 8, (stream,) * 3, fraction_range=(low, high))
         assert stream.generator.bit_generator.state == before
         return
-    passes = _run_passes(data, k, 8, stream, fraction_range=(low, high))
+    passes = _run_passes(
+        data, k, 8, (stream,) * 3, fraction_range=(low, high)
+    )
     assert ((m_lo <= passes.m) & (passes.m <= m_hi)).all()
     assert all(_trainable(int(m), k) for m in passes.m)
