@@ -8,7 +8,11 @@ Subcommands:
 * ``selftest`` built-in invariant suite
 
 Configuration layers, lowest to highest precedence: built-in defaults,
-``--config`` key=value file, command line flags.
+``--config`` key=value file, command line flags. ``_OPTIONS`` states
+each config key once: the parser of its value, read by both the file
+and the key's flag, and the flag's help where the key has one.
+``_FORMATS`` maps each output format to its emitter; its keys are the
+only format values either layer accepts.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .errors import ValidationError
 from .harness import (
@@ -35,54 +40,92 @@ from .theory import (
 
 __all__ = ["main", "build_parser", "parse_config_file"]
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+def _list_of(kind: Callable, what: str) -> Callable[[str], tuple]:
+    """The parser of a comma-separated list of ``kind``s."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(p) for p in text.split(",") if p.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            ) from None
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
+_int_list = _list_of(int, "integers")
+_float_list = _list_of(float, "numbers")
 
 
 def _bool(text: str) -> bool:
     if text.lower() not in ("true", "false", "1", "0"):
-        raise ValueError(f"expected true/false, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
     return text.lower() in ("true", "1")
 
 
-# config file key -> parser of its value
-_CONFIG_KEYS = {
-    "seed": int,
-    "alpha": float,
-    "k": int,
-    "reps": int,
-    "sizes": _int_list,
-    "trials": _int_list,
-    "mu": float,
-    "sigma2": float,
-    "lambdas": _float_list,
-    "shared_streams": _bool,
-    "jobs": int,
-    "out": str,
-    "format": str,
+def _emit_markdown(report, out: str | None) -> tuple[Path, ...]:
+    """Print the report's markdown tables; given ``out``, also write
+    them to ``out/report.md``."""
+    text = "\n".join(emit_markdown_table(report, n) for n in report.config.sizes)
+    print(text, end="")
+    if out is None:
+        return ()
+    path = Path(out) / "report.md"
+    path.write_text(text)
+    return (path,)
+
+
+# format name -> emitter of (report, output directory), which returns
+# the paths it wrote; only md prints, and only md needs no directory
+_FORMATS = {
+    "md": _emit_markdown,
+    "csv": emit_csv,
+    "json": lambda report, out: (emit_json(report, Path(out) / "report.json"),),
+    "plot": emit_plotdata,
 }
-# the keys above that set how a study runs, not the study
+
+
+def _format(text: str) -> str:
+    if text not in _FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"expected one of {', '.join(_FORMATS)}, got {text!r}"
+        )
+    return text
+
+
+_DEFAULT = ExperimentConfig  # its fields' defaults are class attributes
+# config key -> (parser of its value, for a config line and the flag
+# alike; the flag's help, or None for a key with no flag). The flags are
+# --key, with - for _, in this order, and a bare boolean flag means true.
+_OPTIONS = {
+    "seed": (int, f"base seed (default {_DEFAULT.seed})"),
+    "alpha": (float, f"compounding factor (default {_DEFAULT.alpha})"),
+    "k": (int, f"fold count (default {_DEFAULT.k})"),
+    "reps": (
+        int, f"cross-validation repetitions (default {_DEFAULT.repetitions})"
+    ),
+    "jobs": (int, "worker count (default: the cores this process may use)"),
+    "shared_streams": (
+        _bool,
+        "feed the subsampling method and the compounding method identical "
+        "draws (default false)",
+    ),
+    "out": (str, "output directory"),
+    "format": (_format, f"output format: {', '.join(_FORMATS)} (default md)"),
+    "sizes": (_int_list, "dataset sizes, comma separated"),
+    "trials": (_int_list, "trial counts, comma separated"),
+    "mu": (float, None),
+    "sigma2": (float, None),
+    "lambdas": (_float_list, None),
+}
+# the keys that set how a study runs, not the study
 _RUN_KEYS = ("jobs", "out", "format")
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Parse a key=value config file; # starts a comment. A malformed
-    line or value raises ValidationError located as ``path:line:``, and
-    a file that cannot be read one located as ``path:``."""
+    line or value, or a key set twice, raises ValidationError located
+    as ``path:line:``, and a file that cannot be read one located as
+    ``path:``."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -91,6 +134,7 @@ def parse_config_file(path: str | Path) -> dict:
             f"{path}: cannot read config file: {reason}"
         ) from None
     out: dict = {}
+    set_on: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,38 +144,31 @@ def parse_config_file(path: str | Path) -> dict:
                 f"{path}:{lineno}: expected key=value, got {raw!r}"
             )
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ValidationError(
                 f"{path}:{lineno}: unknown key {key!r}"
             )
+        if key in set_on:
+            raise ValidationError(
+                f"{path}:{lineno}: {key}: already set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
         try:
-            out[key] = _CONFIG_KEYS[key](value)
+            out[key] = _OPTIONS[key][0](value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValidationError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_study_flags(p: argparse.ArgumentParser, skip=()) -> None:
     p.add_argument("--config", metavar="FILE", help="key=value config file")
-    default = ExperimentConfig  # its fields' defaults are class attributes
-    p.add_argument("--seed", type=int, help=f"base seed (default {default.seed})")
-    p.add_argument("--alpha", type=float, help=f"compounding factor (default {default.alpha})")
-    p.add_argument("--k", type=int, help=f"fold count (default {default.k})")
-    p.add_argument("--reps", type=int, help=f"cross-validation repetitions (default {default.repetitions})")
-    p.add_argument("--jobs", type=int, help="worker count (default: the cores this process may use)")
-    p.add_argument(
-        "--shared-streams",
-        action="store_const",
-        const=True,
-        default=None,
-        help="feed the subsampling method and the compounding method identical draws",
-    )
-    p.add_argument("--out", metavar="DIR", help="output directory")
-    p.add_argument(
-        "--format",
-        choices=("md", "csv", "json", "plot"),
-        help="output format (default md)",
-    )
+    for key, (parse, about) in _OPTIONS.items():
+        if about is not None and key not in skip:
+            bare = {"nargs": "?", "const": True, "metavar": "BOOL"}
+            p.add_argument(
+                "--" + key.replace("_", "-"), type=parse, help=about,
+                **(bare if parse is _bool else {}),
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,17 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the full study grid")
-    _add_common_flags(p_run)
-    p_run.add_argument(
-        "--sizes", type=_int_list, help="dataset sizes, comma separated"
-    )
-    p_run.add_argument(
-        "--trials", type=_int_list, help="trial counts, comma separated"
-    )
+    _add_study_flags(sub.add_parser("run", help="run the full study grid"))
 
     p_cell = sub.add_parser("cell", help="run a single grid cell")
-    _add_common_flags(p_cell)
+    _add_study_flags(p_cell, skip=("sizes", "trials"))  # set by --n, --t
     p_cell.add_argument("--n", type=int, required=True, help="dataset size")
     p_cell.add_argument("--t", type=int, required=True, help="trial count")
 
@@ -202,7 +232,7 @@ def _layered_options(args: argparse.Namespace, overrides: dict) -> dict:
     layered: dict = {}
     if args.config:
         layered.update(parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
             layered[key] = flag
@@ -220,43 +250,32 @@ def _experiment_config(layered: dict) -> ExperimentConfig:
     })
 
 
-def _emit(report, fmt: str, out: str | None) -> int:
-    if fmt == "md":
-        text = "\n".join(
-            emit_markdown_table(report, n) for n in report.config.sizes
-        )
-        print(text, end="")
-        if out:
-            path = Path(out) / "report.md"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-            print(f"wrote {path}", file=sys.stderr)
-        return 0
-    if out is None:
-        print(f"--format {fmt} requires --out DIR", file=sys.stderr)
-        return 2
-    if fmt == "csv":
-        for path in emit_csv(report, out):
-            print(f"wrote {path}", file=sys.stderr)
-    elif fmt == "json":
-        path = emit_json(report, Path(out) / "report.json")
-        print(f"wrote {path}", file=sys.stderr)
-    else:
-        for path in emit_plotdata(report, out):
-            print(f"wrote {path}", file=sys.stderr)
-    return 0
+def _make_output_dir(out: str) -> None:
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ValidationError(f"{out}: cannot write output: {reason}") from None
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    """``run``, or ``cell``: the grid narrowed to the one cell (n, t)."""
+    """``run``, or ``cell``: the grid narrowed to the one cell (n, t).
+    The config and the output directory are checked before the study
+    runs."""
     cell = args.command == "cell"
     layered = _layered_options(
         args, {"sizes": (args.n,), "trials": (args.t,)} if cell else {}
     )
-    report = run_experiment(
-        _experiment_config(layered), jobs=layered.get("jobs")
-    )
-    return _emit(report, layered.get("format", "md"), layered.get("out"))
+    config = _experiment_config(layered)
+    fmt, out = layered.get("format", "md"), layered.get("out")
+    if out is not None:
+        _make_output_dir(out)
+    elif fmt != "md":
+        raise ValidationError(f"--format {fmt} requires --out DIR")
+    report = run_experiment(config, jobs=layered.get("jobs"))
+    for path in _FORMATS[fmt](report, out):
+        print(f"wrote {path}", file=sys.stderr)
+    return 0
 
 
 def _cmd_theory(args: argparse.Namespace) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 from scipy.stats import chi2
 
-from fusionval import kfold, selftest
+from fusionval import cli, kfold, selftest
 from fusionval.cli import (
+    _OPTIONS,
     _experiment_config,
     _layered_options,
     build_parser,
@@ -128,6 +130,134 @@ class TestStudyConfig:
         assert config == ExperimentConfig(
             sizes=(100,), trials=(2,), repetitions=3
         )
+
+
+# config key -> (a value as written in a config line or after its flag,
+# what it parses to)
+_SAMPLES = {
+    "seed": ("7", 7),
+    "alpha": ("0.9", 0.9),
+    "k": ("3", 3),
+    "reps": ("4", 4),
+    "jobs": ("2", 2),
+    "shared_streams": ("false", False),
+    "out": ("results", "results"),
+    "format": ("json", "json"),
+    "sizes": ("100,200", (100, 200)),
+    "trials": ("2,3", (2, 3)),
+    "mu": ("1.5", 1.5),
+    "sigma2": ("2.0", 2.0),
+    "lambdas": ("0.5,1.5,1,1,1", (0.5, 1.5, 1.0, 1.0, 1.0)),
+}
+
+
+def _flags(command):
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {s for a in sub.choices[command]._actions for s in a.option_strings}
+
+
+@pytest.fixture
+def no_study(monkeypatch):
+    """Fail the test if the study runs."""
+    def study_must_not_run(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_experiment", study_must_not_run)
+
+
+class TestOptionTable:
+    def test_every_config_key_has_a_sample(self):
+        assert set(_SAMPLES) == set(_OPTIONS)
+
+    @pytest.mark.parametrize("key", list(_SAMPLES))
+    def test_flag_and_config_line_give_the_same_config(self, tmp_path, key):
+        text, value = _SAMPLES[key]
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        parser = build_parser()
+        args = parser.parse_args(["run", "--config", str(cfg)])
+        from_file = _layered_options(args, {})
+        assert from_file == {key: value}
+        flag = "--" + key.replace("_", "-")
+        if flag not in _flags("run"):
+            assert key in ("mu", "sigma2", "lambdas")
+            return
+        from_flag = _layered_options(parser.parse_args(["run", flag, text]), {})
+        assert from_flag == from_file
+        assert _experiment_config(from_flag) == _experiment_config(from_file)
+
+    def test_the_flags_of_run_and_cell(self):
+        common = {
+            "-h", "--help", "--config", "--seed", "--alpha", "--k", "--reps",
+            "--jobs", "--shared-streams", "--out", "--format",
+        }
+        assert _flags("run") == common | {"--sizes", "--trials"}
+        assert _flags("cell") == common | {"--n", "--t"}
+
+    def test_config_format_follows_the_flag_rule(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("format = xml\n")
+        out = tmp_path / "out"
+        argv = ["run", *_FAST, "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:1: format: expected one of md, csv, json, plot, "
+            "got 'xml'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "in_file, flag, want",
+        [
+            ("true", ["--shared-streams", "false"], False),
+            ("true", ["--shared-streams", "0"], False),
+            ("false", ["--shared-streams"], True),
+            ("false", ["--shared-streams", "--seed", "3"], True),
+        ],
+        ids=["false", "0", "bare", "bare-then-a-flag"],
+    )
+    def test_a_flag_overrides_the_file_either_way(
+        self, tmp_path, in_file, flag, want
+    ):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"shared_streams = {in_file}\n")
+        args = build_parser().parse_args(["run", "--config", str(cfg), *flag])
+        assert _layered_options(args, {})["shared_streams"] is want
+
+    @pytest.mark.parametrize(
+        "out, reason",
+        [("taken", "File exists"), ("taken/sub", "Not a directory")],
+        ids=["a-file", "under-a-file"],
+    )
+    def test_unwritable_out_is_refused_before_the_study_runs(
+        self, tmp_path, capsys, no_study, out, reason
+    ):
+        (tmp_path / "taken").write_text("")
+        path = tmp_path / out
+        argv = ["run", *_FAST, "--format", "json", "--out", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: cannot write output: {reason}\n"
+        )
+
+    def test_missing_out_is_refused_before_the_study_runs(
+        self, capsys, no_study
+    ):
+        assert main(["run", *_FAST, "--format", "plot"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --format plot requires --out DIR\n"
+        )
+
+    def test_a_key_set_twice_is_rejected_naming_both_lines(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("seed = 1\n# a comment\nseed = 2\n")
+        with pytest.raises(ValidationError) as exc:
+            parse_config_file(cfg)
+        assert str(exc.value) == f"{cfg}:3: seed: already set on line 1"
 
 
 class TestCellCommand:
