@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
@@ -250,18 +251,23 @@ def _experiment_config(layered: dict) -> ExperimentConfig:
     })
 
 
-def _make_output_dir(out: str) -> None:
+@contextmanager
+def _writing(out: str | None):
+    """An OSError raised inside, in making the output directory or in
+    writing the report, as the ValidationError ``path: cannot write
+    output: reason``, the path being the file it names, else ``out``."""
     try:
-        Path(out).mkdir(parents=True, exist_ok=True)
+        yield
     except OSError as exc:
-        reason = exc.strerror or exc
-        raise ValidationError(f"{out}: cannot write output: {reason}") from None
+        path, reason = exc.filename or out or "stdout", exc.strerror or exc
+        raise ValidationError(f"{path}: cannot write output: {reason}") from None
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
     """``run``, or ``cell``: the grid narrowed to the one cell (n, t).
     The config and the output directory are checked before the study
-    runs."""
+    runs, and an output it cannot write is reported by the same rule
+    after it."""
     cell = args.command == "cell"
     layered = _layered_options(
         args, {"sizes": (args.n,), "trials": (args.t,)} if cell else {}
@@ -269,11 +275,14 @@ def _cmd_study(args: argparse.Namespace) -> int:
     config = _experiment_config(layered)
     fmt, out = layered.get("format", "md"), layered.get("out")
     if out is not None:
-        _make_output_dir(out)
+        with _writing(out):
+            Path(out).mkdir(parents=True, exist_ok=True)
     elif fmt != "md":
         raise ValidationError(f"--format {fmt} requires --out DIR")
     report = run_experiment(config, jobs=layered.get("jobs"))
-    for path in _FORMATS[fmt](report, out):
+    with _writing(out):
+        paths = _FORMATS[fmt](report, out)
+    for path in paths:
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -11,9 +11,9 @@ for that conservatism.
 Both :func:`fsv_run` and :func:`sampled_kfold_trial` run on the pass
 kernel of :mod:`fusionval.kfold`, whose docstring describes its draw,
 fold-moment and statistics steps and its stream triple. Each iteration
-is one pass: it draws a subsample (and its fraction, unless the size is
-pinned) and a fold order, and gives its fold losses, its subsample's
-mean and ddof=1 variance, and its holdout loss.
+is one pass: it draws a partition fraction f, a subsample of
+m = round(f*n) points and a fold order, and gives its fold losses, its
+subsample's mean and ddof=1 variance, and its holdout loss.
 
 A run keeps its alpha-scaled metrics as one read-only ``(T x 6)`` table,
 :attr:`FsvResult.metrics`; its ``TrialMetrics`` rows are built only when
@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ValidationError, _count, _number, _positive
-from .kfold import _run_passes, _subsample_range
+from .kfold import _run_passes
 from .metrics import METRIC_FIELDS, TrialMetrics, _frozen_array, metric_table
 from .rng import RngStream
 from .sampling import FRACTION_RANGE, _fraction_window
@@ -75,21 +75,18 @@ def _check_alpha(alpha) -> None:
 class FsvConfig:
     """Run parameters.
 
-    ``sample_size=None`` draws a fresh partition fraction from
-    ``fraction_range`` each iteration; a fixed integer pins the subsample
-    size instead, and must leave every fold's training complement at
-    least 2 points. :func:`fsv_run` applies the same test to the
-    smallest size the fraction window can draw on its dataset.
-    ``iterations`` (>= 1), ``k`` (>= 2) and ``sample_size`` must be
-    integral (5.0 is taken as 5, 5.5 is refused), ``alpha`` in (0, 1]
-    (below 0.8 warns) and ``fraction_range`` a pair with
-    0 < low < high <= 1.
+    Each iteration draws a fresh partition fraction f from
+    ``fraction_range`` and subsamples m = round(f*n) points;
+    :func:`fsv_run` checks, on its dataset, that every such m leaves
+    every fold's training complement at least 2 points and leaves a
+    holdout. ``iterations`` (>= 1) and ``k`` (>= 2) must be integral
+    (5.0 is taken as 5, 5.5 is refused), ``alpha`` in (0, 1] (below 0.8
+    warns) and ``fraction_range`` a pair with 0 < low < high <= 1.
     """
 
     iterations: int
     alpha: float = DEFAULT_ALPHA
     k: int = 5
-    sample_size: int | None = None
     fraction_range: tuple[float, float] = FRACTION_RANGE
 
     def __post_init__(self) -> None:
@@ -98,26 +95,20 @@ class FsvConfig:
 
         normalise("iterations", _count("iterations", self.iterations, 1))
         normalise("k", _count("k", self.k, 2))
-        if self.sample_size is not None:
-            normalise(
-                "sample_size", _number("sample_size", self.sample_size, True)
-            )
         _check_alpha(self.alpha)
         normalise("fraction_range", _fraction_window(self.fraction_range))
-        if self.sample_size is not None:  # before n is known: n = m
-            _subsample_range(self.sample_size, self.k, self.sample_size, None)
 
 
 @dataclass(frozen=True, eq=False)
 class SampledTrial:
     """One subsample-then-cross-validate pass.
 
-    ``fraction`` is None when the subsample size was pinned rather than
-    drawn. ``holdout_mse`` is the fitted model's loss on the unsampled
+    ``fraction`` is the drawn partition fraction and ``m`` the size it
+    gave. ``holdout_mse`` is the fitted model's loss on the unsampled
     complement (None when the sample exhausts the dataset).
     """
 
-    fraction: float | None
+    fraction: float
     m: int
     sample_mean: float
     sample_var: float
@@ -136,7 +127,6 @@ def sampled_kfold_trial(
     *,
     folds_stream: RngStream | None = None,
     fraction_stream: RngStream | None = None,
-    sample_size: int | None = None,
     fraction_range: tuple[float, float] = FRACTION_RANGE,
 ) -> SampledTrial:
     """Draw one subsample, cross-validate it, score the holdout.
@@ -146,26 +136,22 @@ def sampled_kfold_trial(
     ``stream`` so single-stream callers stay deterministic. The sample
     statistics come from the whole subsample (mean, ddof=1 variance);
     the holdout loss scores the subsample-fitted model on the rest of
-    the dataset. ``k`` (>= 2) and ``sample_size`` must be integral (5.0
-    is taken as 5). A call that can draw a size that cannot train, or a
-    pinned size over n, fails before any draw; a pinned n has no holdout.
+    the dataset. ``k`` (>= 2) must be integral (5.0 is taken as 5). A
+    call whose window can draw a size that cannot train fails before any
+    draw; a window that can draw all n points may leave no holdout.
     """
     k = _count("k", k, 2)
-    if sample_size is not None:
-        sample_size = _number("sample_size", sample_size, True)
     passes = _run_passes(
         data,
         k,
         1,
         (fraction_stream or stream, stream, folds_stream or stream),
-        sample_size=sample_size,
         fraction_range=fraction_range,
         holdout=True,
     )
     holdout_mse = float(passes.holdout_mse[0])
-    fraction = float(passes.fractions[0])
     return SampledTrial(
-        fraction=None if sample_size is not None else fraction,
+        fraction=float(passes.fractions[0]),
         m=int(passes.m[0]),
         sample_mean=float(passes.sample_mean[0]),
         sample_var=float(passes.sample_var[0]),
@@ -238,7 +224,6 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
         config.k,
         config.iterations,
         (stream,) * 3,
-        sample_size=config.sample_size,
         fraction_range=config.fraction_range,
         holdout=True,
         require_holdout=True,

@@ -144,7 +144,7 @@ class ExperimentConfig:
             )
         for n in self.sizes:
             _subsample_range(
-                n, self.k, None, self.fraction_range, require_holdout=True
+                n, self.k, self.fraction_range, require_holdout=True
             )
         if self.lambdas is None:
             weights = LambdaWeights.uniform(self.k)

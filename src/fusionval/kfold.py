@@ -207,32 +207,25 @@ def _trainable(m: int, k: int) -> bool:
 def _subsample_range(
     n: int,
     k: int,
-    sample_size: int | None,
     fraction_range: tuple,
     require_holdout: bool = False,
 ) -> tuple[int, int]:
     """The least and greatest subsample size m a call on n points can
-    draw: the pinned ``sample_size`` twice, or round(low*n), round(high*n).
+    draw from the window (low, high): round(low*n), round(high*n).
     They bound every drawn m, as round is monotone, and m - ceil(m/k)
-    never falls as m grows. ``k`` must already be a count >= 2. Raises
-    unless every such m is :func:`_trainable` and at most n, and, with
-    ``require_holdout``, under n, so that it leaves a holdout; a size
-    error names the field."""
-    if sample_size is None:
-        low, high = fraction_range
-        m_lo, m_hi = int(round(low * n)), int(round(high * n))
-        what = f"fraction_range {fraction_range} on n={n} points"
-    else:
-        m_lo = m_hi = sample_size
-        what = f"sample_size {sample_size}"
+    never falls as m grows; high <= 1 keeps them at most n. ``k`` must
+    already be a count >= 2. Raises unless every such m is
+    :func:`_trainable` and, with ``require_holdout``, under n, so that
+    it leaves a holdout; a size error names the field."""
+    low, high = fraction_range
+    m_lo, m_hi = int(round(low * n)), int(round(high * n))
+    what = f"fraction_range {fraction_range} on n={n} points"
     if not _trainable(m_lo, k):
         raise ValidationError(
             f"{what} is too small to train k={k} folds: its smallest "
             f"subsample, {m_lo} points, leaves some fold a training "
             "complement of fewer than 2 points"
         )
-    if m_hi > n:
-        raise ValidationError(f"{what} exceeds n={n}")
     if require_holdout and m_hi == n:
         raise ValidationError(
             f"{what} leaves no holdout: its largest subsample is all "
@@ -276,7 +269,7 @@ class _Passes(NamedTuple):
     sample_mean: np.ndarray  # (P,)
     sample_var: np.ndarray  # (P,), ddof=1
     holdout_mse: np.ndarray | None  # (P,)
-    fractions: np.ndarray | None = None  # (P,), NaN where m was pinned
+    fractions: np.ndarray | None = None  # (P,) drawn partition fractions
 
 
 def _complement(part_n, part_sum, part_m2, whole_n, whole_sum, whole_m2):
@@ -341,7 +334,6 @@ def _run_passes(
     passes: int,
     streams: tuple[RngStream, RngStream, RngStream],
     *,
-    sample_size: int | None = None,
     fraction_range: tuple[float, float] = FRACTION_RANGE,
     holdout: bool = False,
     require_holdout: bool = False,
@@ -350,24 +342,21 @@ def _run_passes(
     module docstring.
 
     ``streams`` is the (fraction, subset, folds) triple: each pass
-    draws its fraction from the first (unless ``sample_size`` pins m),
+    draws its fraction f from the first and so its size m = round(f*n),
     its subsample from the second and its fold order, by a shuffle of
     the subsample, from the third. With ``holdout`` the result
     carries each subsample's squared error on the rest of the dataset.
     Every size the call can draw is checked before the first draw, by
     :func:`_subsample_range` with ``require_holdout``.
     """
-    if sample_size is None:
-        fraction_range = _fraction_window(fraction_range)
-        low, high = fraction_range
+    fraction_range = _fraction_window(fraction_range)
+    low, high = fraction_range
     n = data.n
-    _, m_hi = _subsample_range(
-        n, k, sample_size, fraction_range, require_holdout
-    )
+    _, m_hi = _subsample_range(n, k, fraction_range, require_holdout)
     values = data.values
     pilot = values[0]
     fraction_draws, draws, fold_draws = (s.generator for s in streams)
-    fractions = np.full(passes, np.nan)
+    fractions = np.empty(passes)
     # per fold of every pass, pass after pass
     sums = np.empty(passes * k)
     m2s = np.empty(passes * k)
@@ -385,13 +374,10 @@ def _run_passes(
         used, scored = 0, len(sizes)
 
     for p in range(passes):
-        if sample_size is None:
-            # draw_partition_fraction's draw, less its window check
-            f = float(fraction_draws.uniform(low, high))
-            fractions[p] = f
-            m = int(round(f * n))
-        else:
-            m = sample_size
+        # draw_partition_fraction's draw, less its window check
+        f = float(fraction_draws.uniform(low, high))
+        fractions[p] = f
+        m = int(round(f * n))
         if used + m > len(buffer):
             score()
         segment = buffer[used:used + m]

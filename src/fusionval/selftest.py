@@ -141,7 +141,7 @@ def _fold_fits(sample, folds):
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def _replay_pass(data, k, streams, sample_size, fraction_range):
+def _replay_pass(data, k, streams, fraction_range):
     """One pass of the kernel made with plain numpy draws on the same
     (fraction, subset, folds) stream triple in the same order, and
     scored on its own: the fraction by ``uniform``, the subset by a
@@ -151,12 +151,8 @@ def _replay_pass(data, k, streams, sample_size, fraction_range):
     dataset."""
     n = data.n
     fraction_draws, draws, fold_draws = (s.generator for s in streams)
-    fraction = None
-    if sample_size is None:
-        fraction = float(fraction_draws.uniform(*fraction_range))
-        m = int(round(fraction * n))
-    else:
-        m = sample_size
+    fraction = float(fraction_draws.uniform(*fraction_range))
+    m = int(round(fraction * n))
     subset = np.sort(draws.choice(n, size=m, replace=False, shuffle=False))
     sample = data.values[subset]
     params = fit(sample)
@@ -212,10 +208,7 @@ def _check_fsv_run(data, config, stream) -> float:
     ref_stream = stream.clone()
     result = fsv_run(data, config, stream)
     refs = [
-        _replay_pass(
-            data, config.k, (ref_stream,) * 3, config.sample_size,
-            config.fraction_range,
-        )
+        _replay_pass(data, config.k, (ref_stream,) * 3, config.fraction_range)
         for _ in range(config.iterations)
     ]
     _require(

@@ -3,6 +3,13 @@ import pytest
 from fusionval.harness import ExperimentConfig, run_experiment
 
 
+def pinning_window(m, n):
+    """A fraction window whose every draw rounds to m of n points: the
+    one way to pin a subsample's size. Its high end is capped at 1, so
+    m = n, the whole dataset, is reachable too."""
+    return ((m - 0.4) / n, min((m + 0.4) / n, 1.0))
+
+
 @pytest.fixture(scope="session")
 def grid_report():
     """One full default-protocol run, shared by statistical tests."""

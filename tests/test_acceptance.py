@@ -126,8 +126,13 @@ def test_criterion_5_loss_expectation_and_weight_identity():
             5,
             derive_stream(42, 10_000_000 + i, Purpose.SAMPLE),
             folds_stream=derive_stream(42, 10_000_000 + i, Purpose.FOLDS),
-            sample_size=7500,
+            # every draw from this window rounds to m = 7 500 of 10 000
+            fraction_stream=derive_stream(
+                42, 10_000_000 + i, Purpose.FRACTION
+            ),
+            fraction_range=(0.74996, 0.75004),
         )
+        assert trial.m == 7500
         means.append(trial.mean_fold_loss)
     arr = np.array(means)
     expected = 1.0 + 1.0 / 6000.0

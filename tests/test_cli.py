@@ -244,6 +244,28 @@ class TestOptionTable:
             f"error: {path}: cannot write output: {reason}\n"
         )
 
+    @pytest.mark.parametrize(
+        "fmt, name",
+        [
+            ("md", "report.md"),
+            ("csv", "trials.csv"),
+            ("json", "report.json"),
+            ("plot", "plot_N100_T2.csv"),
+        ],
+    )
+    def test_unwritable_report_is_refused_after_the_study_runs(
+        self, tmp_path, capsys, fmt, name
+    ):
+        # --out is a directory, but a file the report goes to is one
+        # too: the study runs, and writing its report fails by the rule
+        # of an --out that cannot be created
+        (tmp_path / name).mkdir()
+        argv = ["run", *_FAST, "--format", fmt, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / name}: cannot write output: Is a directory\n"
+        )
+
     def test_missing_out_is_refused_before_the_study_runs(
         self, capsys, no_study
     ):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import pinning_window
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import ValidationError
 from fusionval.fsv import (
@@ -39,18 +40,29 @@ class TestFsvConfig:
             FsvConfig(iterations=0)
         with pytest.raises(ValidationError):
             FsvConfig(iterations=1, k=1)
-        with pytest.raises(ValidationError):
-            FsvConfig(iterations=1, k=5, sample_size=4)
+        # 4 points cannot fill k = 5 folds: fsv_run, which knows n,
+        # refuses a window that pins them
+        config = FsvConfig(
+            iterations=1, k=5, fraction_range=pinning_window(4, 10)
+        )
+        with pytest.raises(ValidationError, match="too small"):
+            fsv_run(_constant_dataset(10), config, RngStream(11, 0))
 
-    @pytest.mark.parametrize("k, sample_size", [(2, 2), (2, 3)])
-    def test_rejects_sample_size_that_cannot_train(self, k, sample_size):
+    @pytest.mark.parametrize("k, m", [(2, 2), (2, 3)])
+    def test_rejects_sample_size_that_cannot_train(self, k, m):
         # the largest fold holds ceil(m / k) points; the rest must be >= 2
+        config = FsvConfig(
+            iterations=1, k=k, fraction_range=pinning_window(m, 10)
+        )
         with pytest.raises(ValidationError, match="training complement"):
-            FsvConfig(iterations=1, k=k, sample_size=sample_size)
+            fsv_run(_constant_dataset(10), config, RngStream(11, 0))
 
     def test_smallest_trainable_sample_size_accepted(self):
-        FsvConfig(iterations=1, k=2, sample_size=4)
-        FsvConfig(iterations=1, k=3, sample_size=3)
+        for k, m in ((2, 4), (3, 3)):
+            config = FsvConfig(
+                iterations=1, k=k, fraction_range=pinning_window(m, 10)
+            )
+            fsv_run(_constant_dataset(10), config, RngStream(11, 0))
 
     @pytest.mark.parametrize(
         "fields, name",
@@ -62,7 +74,7 @@ class TestFsvConfig:
             ({"iterations": 2.5}, "iterations"),
             ({"iterations": "3"}, "iterations"),
             ({"k": 2.5}, "k"),
-            ({"sample_size": 150.5}, "sample_size"),
+            ({"k": True}, "k"),
             ({"alpha": "0.9"}, "alpha"),
         ],
     )
@@ -71,12 +83,9 @@ class TestFsvConfig:
             FsvConfig(**{"iterations": 3, **fields})
 
     def test_integral_floats_become_ints(self):
-        config = FsvConfig(iterations=5.0, k=5.0, sample_size=150.0)
-        assert (config.iterations, config.k, config.sample_size) == (5, 5, 150)
-        assert all(
-            type(v) is int
-            for v in (config.iterations, config.k, config.sample_size)
-        )
+        config = FsvConfig(iterations=5.0, k=5.0)
+        assert (config.iterations, config.k) == (5, 5)
+        assert all(type(v) is int for v in (config.iterations, config.k))
         assert config.fraction_range == (0.6, 0.9)
 
 
@@ -117,10 +126,11 @@ class TestCompoundMeasure:
 class TestSampledTrial:
     def test_fixed_size_trial_shape(self):
         data = generate_dataset(1_000, 0.0, 1.0, derive_stream(11, 0, 0))
+        window = pinning_window(600, 1_000)
         trial = sampled_kfold_trial(
-            data, 5, derive_stream(11, 0, 1), sample_size=600
+            data, 5, derive_stream(11, 0, 1), fraction_range=window
         )
-        assert trial.fraction is None
+        assert window[0] <= trial.fraction < window[1]
         assert trial.m == 600
         assert trial.fold_losses.shape == (5,)
         assert trial.holdout_mse is not None
@@ -156,9 +166,10 @@ class TestSampledTrial:
 
     def test_rejects_sample_smaller_than_k(self):
         data = generate_dataset(100, 0.0, 1.0, derive_stream(11, 3, 0))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="too small"):
             sampled_kfold_trial(
-                data, 5, derive_stream(11, 3, 1), sample_size=3
+                data, 5, derive_stream(11, 3, 1),
+                fraction_range=pinning_window(3, 100),
             )
 
 
@@ -240,10 +251,12 @@ class TestFsvRun:
         with pytest.raises(ValidationError, match="too small"):
             fsv_run(data, FsvConfig(iterations=1, k=5), RngStream(11, 7))
         big = generate_dataset(100, 0.0, 1.0, derive_stream(11, 6, 1))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no holdout"):
             fsv_run(
                 big,
-                FsvConfig(iterations=1, k=5, sample_size=100),
+                FsvConfig(
+                    iterations=1, k=5, fraction_range=pinning_window(100, 100)
+                ),
                 RngStream(11, 7),
             )
 
@@ -295,12 +308,13 @@ class TestFsvRun:
         assert str(run.value) == str(study.value)
 
     def test_unbiasedness_with_and_without_shrinkage(self):
-        runs, t, n, sample_size = 600, 10, 500, 375
+        runs, t, n, m = 600, 10, 500, 375
         expected = 1.0 + 1.0 / 300.0
         for alpha, tag in ((1.0, 40), (0.9, 41)):
             means = np.empty(runs)
             config = FsvConfig(
-                iterations=t, alpha=alpha, k=5, sample_size=sample_size
+                iterations=t, alpha=alpha, k=5,
+                fraction_range=pinning_window(m, n),
             )
             for r in range(runs):
                 data = generate_dataset(
@@ -316,7 +330,8 @@ class TestFsvRun:
     def test_long_run_average_settles_near_shrunk_expectation(self):
         data = generate_dataset(100_000, 0.0, 1.0, derive_stream(42, 50, 0))
         config = FsvConfig(
-            iterations=10_000, alpha=0.95, k=5, sample_size=1_500
+            iterations=10_000, alpha=0.95, k=5,
+            fraction_range=pinning_window(1_500, 100_000),
         )
         result = fsv_run(data, config, derive_stream(42, 50, 1))
         sample_var = float(data.values.var(ddof=1))

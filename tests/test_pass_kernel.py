@@ -34,6 +34,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import pinning_window
 from fusionval import kfold, sampling, selftest
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import ValidationError
@@ -105,22 +106,14 @@ def _unpack(params):
     return data, k, m
 
 
-def _pinning_window(m, n):
-    """A fraction window whose every draw rounds to m of n points."""
-    return ((m - 0.4) / n, (m + 0.4) / n)
-
-
 class TestFsvRun:
-    @given(params=_sizes, iterations=st.integers(1, 4), pinned=st.booleans())
+    @given(params=_sizes, iterations=st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_pass_reference(self, params, iterations, pinned):
+    def test_matches_per_pass_reference(self, params, iterations):
         data, k, m = _unpack(params)
-        if pinned:
-            config = FsvConfig(iterations, k=k, sample_size=m)
-        else:
-            config = FsvConfig(
-                iterations, k=k, fraction_range=_pinning_window(m, data.n)
-            )
+        config = FsvConfig(
+            iterations, k=k, fraction_range=pinning_window(m, data.n)
+        )
         selftest._check_fsv_run(data, config, RngStream(params["seed"], 1))
 
     def test_dataset_under_2k_points_runs(self):
@@ -129,19 +122,18 @@ class TestFsvRun:
         data = _dataset(9, 3.0, 2.0, 9)
         selftest._check_fsv_run(data, FsvConfig(40, k=5), RngStream(9, 1))
 
-    @pytest.mark.parametrize("sample_size", [None, 200])
-    def test_metrics_is_the_alpha_scaled_table_of_its_passes(
-        self, sample_size
-    ):
+    # m: the size a window pins, or None for the default window
+    @pytest.mark.parametrize("m", [None, 200])
+    def test_metrics_is_the_alpha_scaled_table_of_its_passes(self, m):
         data = _dataset(300, 1e9, 1.0, 8)
-        config = FsvConfig(7, alpha=0.9, k=4, sample_size=sample_size)
+        window = (0.6, 0.9) if m is None else pinning_window(m, data.n)
+        config = FsvConfig(7, alpha=0.9, k=4, fraction_range=window)
         stream = RngStream(8, 1)
         passes = _run_passes(
             data,
             config.k,
             config.iterations,
             (stream.clone(),) * 3,
-            sample_size=sample_size,
             fraction_range=config.fraction_range,
             holdout=True,
         )
@@ -175,14 +167,14 @@ class TestRepeatedKfcv:
             )
         )
         weights = LambdaWeights(np.array(raw) * k / math.fsum(raw))
-        window = _pinning_window(m, dataset.n)
+        window = pinning_window(m, dataset.n)
         seed = params["seed"]
         stream, ref_stream = RngStream(seed, 4), RngStream(seed, 4)
         est = repeated_kfcv(
             dataset, k, repetitions, weights, stream, fraction_range=window
         )
         refs = [
-            _replay_pass(dataset, k, (ref_stream,) * 3, None, window)
+            _replay_pass(dataset, k, (ref_stream,) * 3, window)
             for _ in range(repetitions)
         ]
         assert all(ref["m"] == m for ref in refs)
@@ -215,22 +207,18 @@ class TestRepeatedKfcv:
 class TestSampledKfoldTrial:
     @given(
         params=_sizes,
-        pinned=st.booleans(),
         split_streams=st.booleans(),
         whole=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_pass_reference(
-        self, params, pinned, split_streams, whole
-    ):
+    def test_matches_per_pass_reference(self, params, split_streams, whole):
         data, k, m = _unpack(params)
         seed = params["seed"]
         if whole:
-            # the subsample is the whole dataset: no holdout, and no
-            # fraction window can draw it
+            # the subsample is the whole dataset, so no holdout: the
+            # window ((n - 0.4) / n, 1.0) draws all n points
             scale = 10.0 ** params["log10_scale"]
             data = _dataset(m, params["mu"], scale, seed)
-            pinned = True
 
         def streams():
             main = RngStream(seed, 1)
@@ -240,19 +228,17 @@ class TestSampledKfoldTrial:
 
         main, folds, fraction = streams()
         ref_main, ref_folds, ref_fraction = streams()
-        sample_size = m if pinned else None
-        window = (0.6, 0.9) if whole else _pinning_window(m, data.n)
+        window = pinning_window(m, data.n)
         trial = sampled_kfold_trial(
             data,
             k,
             main,
             folds_stream=folds if split_streams else None,
             fraction_stream=fraction if split_streams else None,
-            sample_size=sample_size,
             fraction_range=window,
         )
         ref = _replay_pass(
-            data, k, (ref_fraction, ref_main, ref_folds), sample_size, window
+            data, k, (ref_fraction, ref_main, ref_folds), window
         )
         slack, m2_slack = _slacks(data.values)
         assert trial.m == ref["m"] == m
@@ -282,16 +268,18 @@ class TestSampledKfoldTrial:
             assert _streams_equal(got, want)
 
 
-    @pytest.mark.parametrize("sample_size", [None, 40])
-    def test_one_stream_stands_for_the_other_two(self, sample_size):
+    # m: the size a window pins, or None for the default window
+    @pytest.mark.parametrize("m", [None, 40])
+    def test_one_stream_stands_for_the_other_two(self, m):
         # the one place the fallback is written: omitted folds and
         # fraction streams are the subset stream itself
         data = _dataset(60, 5.0, 2.0, 3)
+        window = (0.6, 0.9) if m is None else pinning_window(m, data.n)
         alone, given = RngStream(3, 1), RngStream(3, 1)
-        got = sampled_kfold_trial(data, 4, alone, sample_size=sample_size)
+        got = sampled_kfold_trial(data, 4, alone, fraction_range=window)
         want = sampled_kfold_trial(
             data, 4, given, folds_stream=given, fraction_stream=given,
-            sample_size=sample_size,
+            fraction_range=window,
         )
         for name in ("fraction", "m", "sample_mean", "sample_var",
                      "holdout_mse"):
@@ -312,9 +300,18 @@ def test_one_point_holdout_at_the_subsample_mean():
     outside = np.setdiff1d(np.arange(n), inside)
     values[outside] = values[inside].mean() + 1.0
     data = Dataset(values, 0.0, 1e6)
-    trial = sampled_kfold_trial(data, k, RngStream(seed, 1), sample_size=m)
+    # the fraction on a stream of its own, so that the subset is the
+    # one srs_sample drew above
+    window = pinning_window(m, n)
+    trial = sampled_kfold_trial(
+        data, k, RngStream(seed, 1), fraction_stream=RngStream(seed, 2),
+        fraction_range=window,
+    )
     ref_stream = RngStream(seed, 1)
-    ref = _replay_pass(data, k, (ref_stream,) * 3, m, None)
+    ref = _replay_pass(
+        data, k, (RngStream(seed, 2), ref_stream, ref_stream), window
+    )
+    assert trial.m == ref["m"] == m
     slack, m2_slack = _slacks(data.values)
     _assert_close(
         trial.holdout_mse,
@@ -382,9 +379,14 @@ def test_holdout_from_totals_is_exact_at_large_mean():
     n, m, k = 40, 29, 4
     data = _dataset(n, 1e9, 1e-3, 8)
     view_stream = RngStream(8, 1)
+    # the fraction on a stream of its own, so that the subset is the
+    # one srs_sample draws below
+    subset_and_folds = RngStream(8, 1)
     passes = _run_passes(
-        data, k, 1, (RngStream(8, 1),) * 3, sample_size=m, holdout=True
+        data, k, 1, (RngStream(8, 2), subset_and_folds, subset_and_folds),
+        fraction_range=pinning_window(m, n), holdout=True,
     )
+    assert passes.m[0] == m
     inside = set(srs_sample(data, m, view_stream).indices.tolist())
     exact = [Fraction(float(v)) for v in data.values]
     sample = [v for i, v in enumerate(exact) if i in inside]
@@ -404,8 +406,8 @@ def test_holdout_from_totals_is_exact_at_large_mean():
 
 
 def _sorted_draw_passes(
-    data, k, passes, stream, folds_stream, fraction_stream, sample_size,
-    fraction_range, holdout,
+    data, k, passes, stream, folds_stream, fraction_stream, fraction_range,
+    holdout,
 ):
     """``_run_passes`` on the sort-and-gather draw path, one pass at a
     time: ``srs_sample``'s draw sorted into a ``SampleView``,
@@ -413,15 +415,12 @@ def _sorted_draw_passes(
     same ``_fold_moments``, then all passes into ``_combine``."""
     values = data.values
     pilot = values[0]
-    fractions = np.full(passes, np.nan)
+    fractions = np.empty(passes)
     counts, sums, m2s = (np.empty((passes, k)) for _ in range(3))
     for p in range(passes):
-        if sample_size is None:
-            f = draw_partition_fraction(fraction_stream, *fraction_range)
-            fractions[p] = f
-            m = int(round(f * data.n))
-        else:
-            m = sample_size
+        f = draw_partition_fraction(fraction_stream, *fraction_range)
+        fractions[p] = f
+        m = int(round(f * data.n))
         picked = stream.generator.choice(
             data.n, size=m, replace=False, shuffle=False
         )
@@ -437,7 +436,7 @@ def _sorted_draw_passes(
 
 
 def _compare_with_sorted_draw_path(
-    data, k, passes, seed, sample_size, window, split_streams, holdout
+    data, k, passes, seed, window, split_streams, holdout
 ):
     """``_run_passes`` against :func:`_sorted_draw_passes` on the same
     streams: every output bit for bit, every stream left in step.
@@ -453,11 +452,10 @@ def _compare_with_sorted_draw_path(
     ref_main, ref_folds, ref_fraction = streams()
     got = _run_passes(
         data, k, passes, (fraction, main, folds),
-        sample_size=sample_size, fraction_range=window, holdout=holdout,
+        fraction_range=window, holdout=holdout,
     )
     want = _sorted_draw_passes(
-        data, k, passes, ref_main, ref_folds, ref_fraction, sample_size,
-        window, holdout,
+        data, k, passes, ref_main, ref_folds, ref_fraction, window, holdout,
     )
     for name in got._fields:
         a, b = getattr(got, name), getattr(want, name)
@@ -471,20 +469,18 @@ def _compare_with_sorted_draw_path(
     return got
 
 
-# n, k, passes, sample_size, window, split_streams, holdout
+# n, k, passes, window, split_streams, holdout
 _BATCH_CASES = {
     # subsamples of 3 000 to 4 500 points: the buffer of 8 192 floats
     # holds at most two, so one call fills it several times
-    "buffer-refilled": (5_000, 5, 8, None, (0.6, 0.9), False, True),
+    "buffer-refilled": (5_000, 5, 8, (0.6, 0.9), False, True),
     # each pass alone exceeds 8 192 points and is scored on its own
     "pinned-pass-over-the-bound": (
-        12_000, 5, 3, 9_000, (0.6, 0.9), True, True
+        12_000, 5, 3, pinning_window(9_000, 12_000), True, True
     ),
-    "drawn-passes-over-the-bound": (
-        12_000, 7, 3, None, (0.7, 0.9), True, False
-    ),
+    "drawn-passes-over-the-bound": (12_000, 7, 3, (0.7, 0.9), True, False),
     # 2 000 to 12 000 points: some batches hold one pass, some several
-    "mixed-batches": (20_000, 4, 6, None, (0.1, 0.6), False, True),
+    "mixed-batches": (20_000, 4, 6, (0.1, 0.6), False, True),
 }
 
 
@@ -519,27 +515,30 @@ class TestDrawStep:
     ):
         data = _dataset(n, mu, 10.0**log10_scale, seed)
         if pinned:
-            # m anywhere from k to n, the whole dataset included
-            sample_size, window = k + int(share * (n - k)), (0.6, 0.9)
-            assume(_trainable(sample_size, k))
+            # a window that pins m anywhere from k to n, the whole
+            # dataset included
+            m = k + int(share * (n - k))
+            assume(_trainable(m, k))
+            window = pinning_window(m, n)
         else:
             # n >= 20 and low >= 0.5 keep every draw trainable for k <= 10
             low = 0.5 + 0.4 * share
-            sample_size, window = None, (low, min(low + 0.2, 1.0))
-        _compare_with_sorted_draw_path(
-            data, k, passes, seed, sample_size, window, split_streams,
-            holdout,
+            window = (low, min(low + 0.2, 1.0))
+        got = _compare_with_sorted_draw_path(
+            data, k, passes, seed, window, split_streams, holdout
         )
+        if pinned:
+            assert (got.m == m).all()
 
     @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
     def test_batch_boundaries_bit_for_bit(self, case, scored_batches):
-        n, k, passes, sample_size, window, split, holdout = _BATCH_CASES[case]
+        n, k, passes, window, split, holdout = _BATCH_CASES[case]
         data = _dataset(n, 1e9, 1e-3, 11)
         got = _compare_with_sorted_draw_path(
-            data, k, passes, 11, sample_size, window, split, holdout
+            data, k, passes, 11, window, split, holdout
         )
         # the buffer is scored only when the next pass would not fit
-        _, m_hi = _subsample_range(n, k, sample_size, window)
+        _, m_hi = _subsample_range(n, k, window)
         bound = max(m_hi, kfold._BATCH_FLOATS)
         want, used = [], 0
         for m in got.m.tolist():
@@ -730,32 +729,43 @@ def test_bad_draws_are_rejected(case):
     # n = 50 is below the size at which the subset draw is masked, so
     # both sizes take the sorted branch; the mask is checked below
     for m in (10, 30):
+        window = pinning_window(m, n)
         with pytest.raises(ValidationError):
             if method == "choice":
                 srs_sample(data, m, stub_stream())
             else:
                 make_folds(m, k, stub_stream())
         if method == "choice":
-            # the kernel shares srs_sample's checks
+            # the kernel shares srs_sample's checks; its fraction comes
+            # from a real stream of its own
+            stub = stub_stream()
             with pytest.raises(ValidationError):
-                _run_passes(data, k, 2, (stub_stream(),) * 3, sample_size=m)
+                _run_passes(
+                    data, k, 2, (RngStream(6, 2), stub, stub),
+                    fraction_range=window,
+                )
             with pytest.raises(ValidationError):
-                fsv_run(data, FsvConfig(2, k=k, sample_size=m), stub_stream())
+                fsv_run(
+                    data, FsvConfig(2, k=k, fraction_range=window),
+                    stub_stream(),
+                )
             continue
         # the kernel shuffles the subsample and never calls permutation,
         # so a corrupt one changes neither its output nor its stream
         stub, real = stub_stream(), RngStream(6, 1)
         got = _run_passes(
-            data, k, 2, (stub,) * 3, sample_size=m, holdout=True
+            data, k, 2, (RngStream(6, 2), stub, stub),
+            fraction_range=window, holdout=True,
         )
         want = _run_passes(
-            data, k, 2, (real,) * 3, sample_size=m, holdout=True
+            data, k, 2, (RngStream(6, 2), real, real),
+            fraction_range=window, holdout=True,
         )
         for name in got._fields:
             a, b = getattr(got, name), getattr(want, name)
             assert np.array_equal(a, b, equal_nan=True), name
         assert _streams_equal(stub, real)
-        config = FsvConfig(2, k=k, sample_size=m)
+        config = FsvConfig(2, k=k, fraction_range=window)
         stub, real = stub_stream(), RngStream(6, 1)
         got, want = fsv_run(data, config, stub), fsv_run(data, config, real)
         assert got.compounded_measure == want.compounded_measure
@@ -780,8 +790,12 @@ def test_bad_draws_are_rejected_by_the_mask_branch(case):
 
     with pytest.raises(ValidationError):
         srs_sample(data, m, stub_stream())
+    stub = stub_stream()
     with pytest.raises(ValidationError):
-        _run_passes(data, k, 2, (stub_stream(),) * 3, sample_size=m)
+        _run_passes(
+            data, k, 2, (RngStream(6, 2), stub, stub),
+            fraction_range=pinning_window(m, n),
+        )
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 1_500, 75_000])
@@ -878,18 +892,12 @@ def test_window_too_low_for_n_is_rejected_before_drawing(kernel):
 
 
 _BAD_SIZE_CALLS = {
-    # a pinned size whose folds cannot train: 3 points in 2 folds
+    # a window that pins a size whose folds cannot train: 3 points in 2
     "untrainable-sample_size": (
-        "sample_size",
-        lambda data, s: sampled_kfold_trial(data, 2, s, sample_size=3),
-    ),
-    "sample_size-above-n": (
-        "sample_size",
-        lambda data, s: sampled_kfold_trial(data, 5, s, sample_size=51),
-    ),
-    "fractional-sample_size": (
-        "sample_size",
-        lambda data, s: sampled_kfold_trial(data, 5, s, sample_size=30.5),
+        "fraction_range",
+        lambda data, s: sampled_kfold_trial(
+            data, 2, s, fraction_range=pinning_window(3, data.n)
+        ),
     ),
     "fractional-k-trial": (
         "k", lambda data, s: sampled_kfold_trial(data, 5.5, s)
@@ -991,9 +999,9 @@ def test_bad_size_is_rejected_by_name_before_drawing(case):
 
 def test_integral_float_sizes_are_taken_as_ints():
     data = _dataset(50, 0.0, 1.0, 6)
-    trial = sampled_kfold_trial(data, 5.0, RngStream(6, 1), sample_size=30.0)
-    want = sampled_kfold_trial(data, 5, RngStream(6, 1), sample_size=30)
-    assert trial.m == want.m == 30
+    trial = sampled_kfold_trial(data, 5.0, RngStream(6, 1))
+    want = sampled_kfold_trial(data, 5, RngStream(6, 1))
+    assert trial.m == want.m
     assert np.array_equal(trial.fold_losses, want.fold_losses)
     weights = LambdaWeights.uniform(5)
     est = repeated_kfcv(data, 5.0, 2.0, weights, RngStream(6, 1))
@@ -1029,7 +1037,7 @@ def test_every_drawn_size_lies_in_the_checked_range(n, k, low, width, seed):
     stream = RngStream(seed, 1)
     before = stream.generator.bit_generator.state
     try:
-        m_lo, m_hi = _subsample_range(n, k, None, (low, high))
+        m_lo, m_hi = _subsample_range(n, k, (low, high))
     except ValidationError:
         # a range the helper refuses is refused before any draw
         with pytest.raises(ValidationError, match="^fraction_range"):
@@ -1041,3 +1049,26 @@ def test_every_drawn_size_lies_in_the_checked_range(n, k, low, width, seed):
     )
     assert ((m_lo <= passes.m) & (passes.m <= m_hi)).all()
     assert all(_trainable(int(m), k) for m in passes.m)
+
+
+@given(
+    k=st.integers(min_value=2, max_value=10),
+    n=st.integers(min_value=4, max_value=100_000),
+    share=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(k=2, n=4, share=1.0, seed=0)
+@example(k=10, n=100_000, share=1.0, seed=0)
+@settings(max_examples=200, deadline=None)
+def test_pinning_window_pins_every_size(k, n, share, seed):
+    # the tests pin a subsample's size by this window alone: for every
+    # 2k <= m <= n, the whole dataset included, it admits m and only m
+    assume(2 * k <= n)
+    m = 2 * k + int(share * (n - 2 * k))
+    window = pinning_window(m, n)
+    assert _subsample_range(n, k, window) == (m, m)
+    data = _dataset(n, 0.0, 1.0, seed)
+    passes = _run_passes(
+        data, k, 2, (RngStream(seed, 1),) * 3, fraction_range=window
+    )
+    assert passes.m.tolist() == [m, m]
