@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
@@ -243,12 +244,18 @@ def _layered_options(args: argparse.Namespace, overrides: dict) -> dict:
 
 def _experiment_config(layered: dict) -> ExperimentConfig:
     """The config of the given study keys; ``ExperimentConfig`` fills in
-    the rest with its defaults."""
-    return ExperimentConfig(**{
-        "repetitions" if key == "reps" else key: value
-        for key, value in layered.items()
-        if key not in _RUN_KEYS
-    })
+    the rest with its defaults. A warning it raises (alpha below 0.8)
+    is printed as one ``warning: …`` line on stderr, as errors are."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = ExperimentConfig(**{
+            "repetitions" if key == "reps" else key: value
+            for key, value in layered.items()
+            if key not in _RUN_KEYS
+        })
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return config
 
 
 @contextmanager

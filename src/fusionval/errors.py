@@ -12,6 +12,8 @@ import math
 import numbers
 from collections.abc import Iterable
 
+__all__ = ["ValidationError"]
+
 
 class ValidationError(ValueError):
     """Raised when an argument violates a documented contract.

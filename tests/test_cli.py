@@ -109,6 +109,16 @@ class TestRunCommand:
         assert main(["run", *_FAST, "--alpha", "nan"]) == 2
         assert capsys.readouterr().err.startswith("error: alpha ")
 
+    def test_low_alpha_warns_on_one_line_and_runs(self, capsys):
+        # reported as errors are, not as Python's file:line warning
+        assert main(["run", *_FAST, "--alpha", "0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: alpha=0.5 is far below 1; the compounded measure "
+            "will be strongly shrunk\n"
+        )
+        assert "Compounded measure L* (2 trials):" in captured.out
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--no-such-flag"])
