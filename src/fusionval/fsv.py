@@ -81,7 +81,8 @@ class FsvConfig:
     every fold's training complement at least 2 points and leaves a
     holdout. ``iterations`` (>= 1) and ``k`` (>= 2) must be integral
     (5.0 is taken as 5, 5.5 is refused), ``alpha`` in (0, 1] (below 0.8
-    warns) and ``fraction_range`` a pair with 0 < low < high <= 1.
+    warns) and ``fraction_range`` a pair with 0 < low < high <= 1,
+    stored as floats.
     """
 
     iterations: int
@@ -104,15 +105,15 @@ class SampledTrial:
     """One subsample-then-cross-validate pass.
 
     ``fraction`` is the drawn partition fraction and ``m`` the size it
-    gave. ``holdout_mse`` is the fitted model's loss on the unsampled
-    complement (None when the sample exhausts the dataset).
+    gave, always under n. ``holdout_mse`` is the fitted model's loss on
+    the unsampled complement.
     """
 
     fraction: float
     m: int
     sample_mean: float
     sample_var: float
-    holdout_mse: float | None
+    holdout_mse: float
     fold_losses: np.ndarray
 
     @property
@@ -137,8 +138,8 @@ def sampled_kfold_trial(
     statistics come from the whole subsample (mean, ddof=1 variance);
     the holdout loss scores the subsample-fitted model on the rest of
     the dataset. ``k`` (>= 2) must be integral (5.0 is taken as 5). A
-    call whose window can draw a size that cannot train fails before any
-    draw; a window that can draw all n points may leave no holdout.
+    call whose window can draw a size that cannot train, or can leave no
+    holdout, fails before any draw, as :func:`fsv_run` does.
     """
     k = _count("k", k, 2)
     passes = _run_passes(
@@ -149,13 +150,12 @@ def sampled_kfold_trial(
         fraction_range=fraction_range,
         holdout=True,
     )
-    holdout_mse = float(passes.holdout_mse[0])
     return SampledTrial(
         fraction=float(passes.fractions[0]),
         m=int(passes.m[0]),
         sample_mean=float(passes.sample_mean[0]),
         sample_var=float(passes.sample_var[0]),
-        holdout_mse=None if np.isnan(holdout_mse) else holdout_mse,
+        holdout_mse=float(passes.holdout_mse[0]),
         fold_losses=passes.fold_losses[0],
     )
 
@@ -226,7 +226,6 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
         (stream,) * 3,
         fraction_range=config.fraction_range,
         holdout=True,
-        require_holdout=True,
     )
     metrics = config.alpha * metric_table(
         passes.sample_mean,

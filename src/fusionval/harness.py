@@ -136,8 +136,7 @@ class ExperimentConfig:
             normalise(
                 "lambdas", tuple(map(float, _numbers("lambdas", self.lambdas)))
             )
-        window = _fraction_window(self.fraction_range)
-        normalise("fraction_range", tuple(map(float, window)))
+        normalise("fraction_range", _fraction_window(self.fraction_range))
         if not isinstance(self.shared_streams, bool):
             raise ValidationError(
                 f"shared_streams must be a bool, got {self.shared_streams!r}"

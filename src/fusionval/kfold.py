@@ -62,11 +62,12 @@ is M2_i / n_i + (mean_i - mean_complement)^2. The subsample against the
 dataset gives the holdout, the dataset's points outside the subsample,
 from the dataset's totals (computed once per call, with the same
 pilot), and its squared error around the subsample mean is
-M2_h / n_h + (mean_h - mean)^2. A rest of no points, a pass that leaves
-no holdout, takes NaN for its count, which carries through to a NaN
-loss without a 0/0. No pass gathers its holdout. The subtraction is
-exact algebra but rounds to the precision of the whole's M2, so a
-holdout of a handful of points keeps fewer digits than a direct sum;
+M2_h / n_h + (mean_h - mean)^2. No rest is empty: a call that scores
+holdouts draws every m under n (:func:`_subsample_range`), and every
+training complement keeps at least 2 points (:func:`_trainable`). No
+pass gathers its holdout. The subtraction is exact algebra but rounds
+to the precision of the whole's M2, so a holdout of a handful of
+points keeps fewer digits than a direct sum;
 ``selftest._tolerance``, the rule the kernel's checks hold it to, has a
 term for this.
 
@@ -258,8 +259,8 @@ def _fold_moments(
 class _Passes(NamedTuple):
     """Statistics of P passes, one row per pass; see the module docstring.
 
-    Means are in data units (pilot added back). ``holdout_mse`` is NaN
-    where the subsample is the whole dataset, and None when not asked for.
+    Means are in data units (pilot added back). ``holdout_mse`` is None
+    when not asked for.
     """
 
     m: np.ndarray  # (P,) subsample sizes
@@ -276,11 +277,8 @@ def _complement(part_n, part_sum, part_m2, whole_n, whole_sum, whole_m2):
     """What is left of a group when a part of it is taken out, by the
     pairwise update in reverse: the rest's count, its mean, its M2
     clipped at 0, and the squared gap between the part's mean and the
-    rest's. A rest of no points takes NaN for its count, which carries
-    through to NaN without a 0/0."""
+    rest's. The rest must hold at least one point."""
     rest_n = whole_n - part_n
-    if not rest_n.all():
-        rest_n[rest_n == 0] = np.nan
     rest_mean = (whole_sum - part_sum) / rest_n
     gap = part_sum / part_n - rest_mean
     cross = part_n * rest_n / whole_n * gap * gap
@@ -336,7 +334,6 @@ def _run_passes(
     *,
     fraction_range: tuple[float, float] = FRACTION_RANGE,
     holdout: bool = False,
-    require_holdout: bool = False,
 ) -> _Passes:
     """Draw and validate ``passes`` subsamples of ``data``; see the
     module docstring.
@@ -347,12 +344,13 @@ def _run_passes(
     the subsample, from the third. With ``holdout`` the result
     carries each subsample's squared error on the rest of the dataset.
     Every size the call can draw is checked before the first draw, by
-    :func:`_subsample_range` with ``require_holdout``.
+    :func:`_subsample_range`; with ``holdout``, every such size must
+    leave one.
     """
     fraction_range = _fraction_window(fraction_range)
     low, high = fraction_range
     n = data.n
-    _, m_hi = _subsample_range(n, k, fraction_range, require_holdout)
+    _, m_hi = _subsample_range(n, k, fraction_range, holdout)
     values = data.values
     pilot = values[0]
     fraction_draws, draws, fold_draws = (s.generator for s in streams)

@@ -32,7 +32,7 @@ FRACTION_RANGE = (0.60, 0.90)
 
 
 def _fraction_window(value) -> tuple:
-    """``value`` as a ``fraction_range`` tuple (low, high) with
+    """``value`` as a ``fraction_range`` pair of floats (low, high) with
     0 < low < high <= 1, or a ValidationError naming that field."""
     window = _numbers("fraction_range", value)
     if len(window) != 2:
@@ -44,7 +44,7 @@ def _fraction_window(value) -> tuple:
         raise ValidationError(
             f"fraction_range must satisfy 0 < low < high <= 1, got {window}"
         )
-    return window
+    return float(low), float(high)
 
 
 def _check_subset(indices: np.ndarray, n: int) -> None:

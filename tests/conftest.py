@@ -6,7 +6,8 @@ from fusionval.harness import ExperimentConfig, run_experiment
 def pinning_window(m, n):
     """A fraction window whose every draw rounds to m of n points: the
     one way to pin a subsample's size. Its high end is capped at 1, so
-    m = n, the whole dataset, is reachable too."""
+    m = n, the whole dataset, is reachable too, by a call that scores no
+    holdout; one that scores a holdout refuses it."""
     return ((m - 0.4) / n, min((m + 0.4) / n, 1.0))
 
 

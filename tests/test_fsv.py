@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fusionval.fsv import (
     sampled_kfold_trial,
 )
 from fusionval.harness import ExperimentConfig
+from fusionval.kfold import LambdaWeights, repeated_kfcv
 from fusionval.rng import RngStream, derive_stream
 
 
@@ -47,6 +49,17 @@ class TestFsvConfig:
         )
         with pytest.raises(ValidationError, match="too small"):
             fsv_run(_constant_dataset(10), config, RngStream(11, 0))
+
+    @pytest.mark.parametrize(
+        "window",
+        [(0.5, 1), (np.float32(0.5), 0.9), (Fraction(3, 5), Fraction(9, 10))],
+        ids=["int", "float32", "fraction"],
+    )
+    def test_window_is_stored_as_floats(self, window):
+        # as ExperimentConfig stores it: the doubles the draws use
+        config = FsvConfig(1, fraction_range=window)
+        assert config.fraction_range == tuple(map(float, window))
+        assert all(type(v) is float for v in config.fraction_range)
 
     @pytest.mark.parametrize("k, m", [(2, 2), (2, 3)])
     def test_rejects_sample_size_that_cannot_train(self, k, m):
@@ -133,7 +146,7 @@ class TestSampledTrial:
         assert window[0] <= trial.fraction < window[1]
         assert trial.m == 600
         assert trial.fold_losses.shape == (5,)
-        assert trial.holdout_mse is not None
+        assert type(trial.holdout_mse) is float
 
     def test_fraction_trial_bounds(self):
         data = generate_dataset(1_000, 0.0, 1.0, derive_stream(11, 1, 0))
@@ -300,12 +313,28 @@ class TestFsvRun:
                 FsvConfig(iterations=1, k=5, fraction_range=window),
                 stream,
             )
+        with pytest.raises(ValidationError) as trial:
+            sampled_kfold_trial(data, 5, stream, fraction_range=window)
         assert stream.generator.bit_generator.state == (
             RngStream(11, 13).generator.bit_generator.state
         )
         with pytest.raises(ValidationError) as study:
             ExperimentConfig(sizes=(10,), k=5, fraction_range=window)
-        assert str(run.value) == str(study.value)
+        assert str(run.value) == str(trial.value) == str(study.value)
+        # repeated_kfcv scores no holdout, so it takes the window and
+        # draws all 10 points
+        repeated_kfcv(
+            data, 5, 1, LambdaWeights.uniform(5), stream, fraction_range=window
+        )
+        # round(1.0 * 100) = 100, though a draw lands there rarely: the
+        # trial is refused on every seed, before it draws
+        data = generate_dataset(100, 0.0, 1.0, derive_stream(11, 14, 0))
+        for seed in range(100):
+            stream = RngStream(11, seed)
+            before = stream.generator.bit_generator.state
+            with pytest.raises(ValidationError, match="no holdout"):
+                sampled_kfold_trial(data, 5, stream, fraction_range=(0.6, 1.0))
+            assert stream.generator.bit_generator.state == before
 
     def test_unbiasedness_with_and_without_shrinkage(self):
         runs, t, n, m = 600, 10, 500, 375

@@ -215,8 +215,8 @@ class TestSampledKfoldTrial:
         data, k, m = _unpack(params)
         seed = params["seed"]
         if whole:
-            # the subsample is the whole dataset, so no holdout: the
-            # window ((n - 0.4) / n, 1.0) draws all n points
+            # the window ((n - 0.4) / n, 1.0) draws all n points, so it
+            # leaves no holdout and is refused before any draw
             scale = 10.0 ** params["log10_scale"]
             data = _dataset(m, params["mu"], scale, seed)
 
@@ -229,14 +229,25 @@ class TestSampledKfoldTrial:
         main, folds, fraction = streams()
         ref_main, ref_folds, ref_fraction = streams()
         window = pinning_window(m, data.n)
-        trial = sampled_kfold_trial(
-            data,
-            k,
-            main,
-            folds_stream=folds if split_streams else None,
-            fraction_stream=fraction if split_streams else None,
-            fraction_range=window,
-        )
+
+        def run():
+            return sampled_kfold_trial(
+                data,
+                k,
+                main,
+                folds_stream=folds if split_streams else None,
+                fraction_stream=fraction if split_streams else None,
+                fraction_range=window,
+            )
+
+        if whole:
+            with pytest.raises(ValidationError, match="leaves no holdout"):
+                run()
+            for got, want in ((main, ref_main), (folds, ref_folds),
+                              (fraction, ref_fraction)):
+                assert _streams_equal(got, want)
+            return
+        trial = run()
         ref = _replay_pass(
             data, k, (ref_fraction, ref_main, ref_folds), window
         )
@@ -247,16 +258,13 @@ class TestSampledKfoldTrial:
                                   (trial.sample_var, "var", True)):
             want = ref[key]
             _assert_close(got, want, _tolerance(want, slack, squared), key)
-        if whole:
-            assert trial.holdout_mse is None and ref["holdout"] is None
-        else:
-            holdout_slack = m2_slack / (data.n - m)
-            _assert_close(
-                trial.holdout_mse,
-                ref["holdout"],
-                _tolerance(ref["holdout"], slack, True, holdout_slack),
-                "holdout",
-            )
+        holdout_slack = m2_slack / (data.n - m)
+        _assert_close(
+            trial.holdout_mse,
+            ref["holdout"],
+            _tolerance(ref["holdout"], slack, True, holdout_slack),
+            "holdout",
+        )
         for i, (got, want) in enumerate(
             zip(trial.fold_losses, ref["fold_losses"])
         ):
@@ -462,7 +470,7 @@ def _compare_with_sorted_draw_path(
         if b is None:
             assert a is None, name
         else:
-            assert np.array_equal(a, b, equal_nan=True), name
+            assert np.array_equal(a, b), name
     for a, b in ((main, ref_main), (folds, ref_folds),
                  (fraction, ref_fraction)):
         assert _streams_equal(a, b)
@@ -516,14 +524,16 @@ class TestDrawStep:
         data = _dataset(n, mu, 10.0**log10_scale, seed)
         if pinned:
             # a window that pins m anywhere from k to n, the whole
-            # dataset included
-            m = k + int(share * (n - k))
+            # dataset included unless a holdout is scored
+            m = k + int(share * (n - k - holdout))
             assume(_trainable(m, k))
             window = pinning_window(m, n)
         else:
-            # n >= 20 and low >= 0.5 keep every draw trainable for k <= 10
+            # n >= 20 and low >= 0.5 keep every draw trainable for k <= 10;
+            # a scored holdout keeps every draw under n
             low = 0.5 + 0.4 * share
-            window = (low, min(low + 0.2, 1.0))
+            top = (n - 0.6) / n if holdout else 1.0
+            window = (low, min(low + 0.2, top))
         got = _compare_with_sorted_draw_path(
             data, k, passes, seed, window, split_streams, holdout
         )
@@ -601,14 +611,6 @@ class TestComplement:
         _assert_close(got_m2[0], rest[2], m2_tol, "M2")
         _assert_close(got_gap2[0], gap * gap, m2_tol, "gap2")
         assert got_m2[0] >= 0
-
-    def test_no_rest_is_nan_without_a_zero_division(self):
-        y = np.array([1.0, 4.0, 2.5, -3.0])
-        dev = y - y.mean()
-        whole = (np.array([4.0]), np.array([y.sum()]), (dev * dev).sum())
-        with np.errstate(all="raise"):
-            got = _complement(*whole, *whole)
-        assert all(np.isnan(v[0]) for v in got)
 
 
 class TestFoldKernel:
@@ -763,7 +765,7 @@ def test_bad_draws_are_rejected(case):
         )
         for name in got._fields:
             a, b = getattr(got, name), getattr(want, name)
-            assert np.array_equal(a, b, equal_nan=True), name
+            assert np.array_equal(a, b), name
         assert _streams_equal(stub, real)
         config = FsvConfig(2, k=k, fraction_range=window)
         stub, real = stub_stream(), RngStream(6, 1)

@@ -1,9 +1,10 @@
 """Metamorphic relations of the study harness over random small configs.
 
-Each relation compares two runs, so it needs no oracle and holds for
-every config hypothesis draws: sizes up to 2 000, one to three trial
-counts of 1-3 trials, k 2-6, 1-3 repetitions, any valid window, mu,
-sigma2 and alpha, with or without shared streams, always at ``jobs=1``.
+Each relation compares two runs, or two configs, so it needs no oracle
+and holds for every config hypothesis draws: sizes up to 2 000, one to
+three trial counts of 1-3 trials, k 2-6, 1-3 repetitions, any valid
+window, mu, sigma2 and alpha, with or without shared streams, always at
+``jobs=1``.
 """
 
 import dataclasses
@@ -105,3 +106,44 @@ def test_a_report_survives_its_dict_round_trip(config):
     assert list(map(_cell_bytes, loaded.cells)) == list(
         map(_cell_bytes, report.cells)
     )
+
+
+@_low_alpha
+@_relation
+@given(small_configs(), st.data())
+def test_reordering_sizes_only_reorders_cells(config, data):
+    sizes = data.draw(st.permutations(config.sizes))
+    reordered = dataclasses.replace(config, sizes=tuple(sizes))
+
+    def keyed(c):
+        cells = run_experiment(c, jobs=1).cells
+        return {(cell.n, cell.t): _cell_bytes(cell) for cell in cells}
+
+    assert keyed(reordered) == keyed(config)
+
+
+@_low_alpha
+@_relation
+@given(small_configs())
+def test_shared_streams_fsv_table_is_alpha_times_srs(config):
+    shared = dataclasses.replace(config, shared_streams=True)
+    for cell in run_experiment(shared, jobs=1).cells:
+        want = shared.alpha * cell.trials["SRS"]
+        assert cell.trials["FSV"].tobytes() == want.tobytes()
+
+
+@_low_alpha
+@_relation
+@given(small_configs(), st.data())
+def test_integer_reals_hash_like_their_float_twin(config, data):
+    ints = data.draw(st.fixed_dictionaries({}, optional={
+        "mu": st.integers(-10**9, 10**9),
+        "sigma2": st.integers(1, 10**6),
+        "alpha": st.just(1),
+    }))
+    assume(ints)
+    given_ints = dataclasses.replace(config, **ints)
+    twin = dataclasses.replace(
+        config, **{name: float(v) for name, v in ints.items()}
+    )
+    assert given_ints.config_hash() == twin.config_hash()
