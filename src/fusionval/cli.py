@@ -299,21 +299,24 @@ def _cmd_theory(args: argparse.Namespace) -> int:
         args.sigma2, args.n, args.population, args.fold_vars, args.t
     )
     per_iteration = budget.srs_component + budget.kfcv_component
-    print(f"subsampling variance component  {budget.srs_component:.6e}")
-    print(f"fold-average variance component {budget.kfcv_component:.6e}")
-    print(f"per-iteration total             {per_iteration:.6e}")
-    print(f"total over T={args.t:<4d}              {budget.total_per_t:.6e}")
-    print()
-    print("k_dev  tail bound  deviation threshold")
+    lines = [
+        f"subsampling variance component  {budget.srs_component:.6e}",
+        f"fold-average variance component {budget.kfcv_component:.6e}",
+        f"per-iteration total             {per_iteration:.6e}",
+        f"total over T={args.t:<4d}              {budget.total_per_t:.6e}",
+        "",
+        "k_dev  tail bound  deviation threshold",
+    ]
     for k_dev in args.k_dev:
         tail = chebyshev_tail(k_dev)
         thr = chebyshev_threshold(per_iteration, args.t, k_dev)
-        print(f"{k_dev:<5g}  {tail:<10.4f}  {thr:.6e}")
-    print()
-    print(f"epsilon  bound (raw)  bound (capped)  losses in [{args.low:g}, {args.high:g}]")
+        lines.append(f"{k_dev:<5g}  {tail:<10.4f}  {thr:.6e}")
+    lines += ["", f"epsilon  bound (raw)  bound (capped)  losses in [{args.low:g}, {args.high:g}]"]
     for eps in args.epsilon:
         bound = hoeffding_tail(eps, args.t, args.low, args.high)
-        print(f"{eps:<7g}  {bound.raw:<11.6f}  {bound.capped:.6f}")
+        lines.append(f"{eps:<7g}  {bound.raw:<11.6f}  {bound.capped:.6f}")
+    # every row is checked before any is printed
+    print("\n".join(lines))
     return 0
 
 

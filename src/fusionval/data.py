@@ -27,8 +27,8 @@ class Dataset:
     ``values`` must be a non-empty vector of finite numbers; it is held
     as float64 (a float64 array as given, anything else as a copy) and
     write-protected after construction; treat it as read-only
-    everywhere. ``true_mean`` must
-    be finite and ``true_var`` finite and > 0.
+    everywhere. ``true_mean`` must be finite and ``true_var`` finite and
+    > 0, both kept as floats.
     """
 
     values: np.ndarray
@@ -43,10 +43,10 @@ class Dataset:
             )
         if not np.isfinite(values).all():
             raise ValidationError("values must be finite")
-        _finite("true_mean", self.true_mean)
-        _positive("true_var", self.true_var)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        for name, rule in (("true_mean", _finite), ("true_var", _positive)):
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -65,4 +65,4 @@ def generate_dataset(
     n = _count("n", n, 1)
     mu, sigma2 = _finite("mu", mu), _positive("sigma2", sigma2)
     values = mu + np.sqrt(sigma2) * standard_normal(stream, n)
-    return Dataset(values=values, true_mean=float(mu), true_var=float(sigma2))
+    return Dataset(values=values, true_mean=mu, true_var=sigma2)

@@ -24,16 +24,24 @@ class ValidationError(ValueError):
 
 
 def _number(name: str, value, integral: bool = False):
-    """``value``, as an int if ``integral``, or a ValidationError naming
-    the field. A float with a fractional part is rejected, not truncated."""
-    if type(value) is int:  # the usual case, without the slower ABC checks
+    """``value`` as an int if ``integral``, else as a float, or a
+    ValidationError naming the field. A float with a fractional part is
+    refused, not truncated, as is a real no float holds (``10**400``)."""
+    if type(value) is (int if integral else float):  # the usual cases
         return value
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if not integral:
-            return value
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value)
     kind = "an integer" if integral else "a real number"
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if integral and isinstance(value, numbers.Integral):
+            return int(value)
+        try:
+            real = float(value)
+        except OverflowError:
+            kind = "a real number a float can hold"
+        else:
+            if not integral:
+                return real
+            if real.is_integer():
+                return int(value)
     raise ValidationError(f"{name} must be {kind}, got {value!r}")
 
 
@@ -48,7 +56,7 @@ def _count(name: str, value, least: int) -> int:
 
 
 def _finite(name: str, value):
-    """``value``, a real number per :func:`_number` that is finite, or a
+    """``value`` as a float per :func:`_number` that is finite, or a
     ValidationError naming the field."""
     value = _number(name, value)
     if not math.isfinite(value):
@@ -57,8 +65,8 @@ def _finite(name: str, value):
 
 
 def _positive(name: str, value):
-    """``value``, a real number per :func:`_number` that is finite and
-    > 0, or a ValidationError naming the field."""
+    """``value`` as a float per :func:`_number` that is finite and > 0,
+    or a ValidationError naming the field."""
     value = _number(name, value)
     if not 0 < value < math.inf:
         raise ValidationError(f"{name} must be finite and > 0, got {value}")
@@ -66,8 +74,8 @@ def _positive(name: str, value):
 
 
 def _nonnegative(name: str, value):
-    """``value``, a real number per :func:`_number` that is finite and
-    >= 0, or a ValidationError naming the field."""
+    """``value`` as a float per :func:`_number` that is finite and >= 0,
+    or a ValidationError naming the field."""
     value = _number(name, value)
     if not 0 <= value < math.inf:
         raise ValidationError(f"{name} must be finite and >= 0, got {value}")
@@ -75,7 +83,7 @@ def _nonnegative(name: str, value):
 
 
 def _numbers(name: str, values, least: int | None = None) -> tuple:
-    """``values`` as a tuple of real numbers per :func:`_number`, or,
+    """``values`` as a tuple of floats per :func:`_number`, or,
     given ``least``, of counts per :func:`_count`; an entry's error
     names it as ``"{name} entry"``."""
     if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):

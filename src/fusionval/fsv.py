@@ -55,10 +55,10 @@ __all__ = [
 DEFAULT_ALPHA = 0.95
 
 
-def _check_alpha(alpha) -> None:
+def _check_alpha(alpha) -> float:
     """The alpha rule of :class:`FsvConfig` and the study's config: a
-    real number in (0, 1]. Below 0.8 it warns, from the constructor's
-    caller, that the compounded measure will be strongly shrunk."""
+    float in (0, 1]. Below 0.8 it warns, from the constructor's caller,
+    that the compounded measure will be strongly shrunk."""
     alpha = _number("alpha", alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
@@ -69,6 +69,7 @@ def _check_alpha(alpha) -> None:
             "measure will be strongly shrunk",
             stacklevel=4,
         )
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class FsvConfig:
     holdout. ``iterations`` (>= 1) and ``k`` (>= 2) must be integral
     (5.0 is taken as 5, 5.5 is refused), ``alpha`` in (0, 1] (below 0.8
     warns) and ``fraction_range`` a pair with 0 < low < high <= 1,
-    stored as floats.
+    reals stored as floats.
     """
 
     iterations: int
@@ -96,7 +97,7 @@ class FsvConfig:
 
         normalise("iterations", _count("iterations", self.iterations, 1))
         normalise("k", _count("k", self.k, 2))
-        _check_alpha(self.alpha)
+        normalise("alpha", _check_alpha(self.alpha))
         normalise("fraction_range", _fraction_window(self.fraction_range))
 
 
@@ -179,7 +180,8 @@ class FsvResult:
     iteration, as a non-empty float64 vector. ``metrics`` holds the
     alpha-scaled metrics the summary tables report, as a float64
     ``(T x 6)`` table with one row per iteration and columns in
-    ``METRIC_FIELDS`` order. Both arrays are made read-only.
+    ``METRIC_FIELDS`` order. Both arrays are made read-only; ``alpha``
+    is kept as a float.
     """
 
     iteration_losses: np.ndarray
@@ -187,6 +189,7 @@ class FsvResult:
     alpha: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
         # compound_measure's checks, so that the property cannot fail
         compound_measure(self.iteration_losses, self.alpha)
         t = len(self.iteration_losses)

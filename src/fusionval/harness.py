@@ -41,7 +41,8 @@ import numpy as np
 
 from .data import generate_dataset
 from .errors import (
-    ValidationError, _count, _finite, _number, _numbers, _positive
+    ValidationError, _count, _finite, _nonnegative, _number, _numbers,
+    _positive,
 )
 from .fsv import (
     DEFAULT_ALPHA, _check_alpha, compound_measure, sampled_kfold_trial
@@ -93,9 +94,8 @@ class ExperimentConfig:
     finite and > 0, and ``alpha`` follows :class:`~fusionval.FsvConfig`'s
     rule: in (0, 1], with a warning below 0.8. Every size must train k
     folds and leave a holdout at either end of ``fraction_range``.
-    ``mu``, ``sigma2``, ``alpha`` and the ``fraction_range`` entries are
-    stored as floats, so a config given integers hashes like its float
-    twin.
+    Every real is kept as a float, so a config given integers hashes
+    like its float twin.
     """
 
     sizes: tuple[int, ...] = DEFAULT_SIZES
@@ -128,14 +128,11 @@ class ExperimentConfig:
             normalise(name, values)
         for name, least in (("k", 2), ("repetitions", 1), ("seed", 0)):
             normalise(name, _count(name, getattr(self, name), least))
-        normalise("mu", float(_finite("mu", self.mu)))
-        normalise("sigma2", float(_positive("sigma2", self.sigma2)))
-        _check_alpha(self.alpha)
-        normalise("alpha", float(self.alpha))
+        normalise("mu", _finite("mu", self.mu))
+        normalise("sigma2", _positive("sigma2", self.sigma2))
+        normalise("alpha", _check_alpha(self.alpha))
         if self.lambdas is not None:
-            normalise(
-                "lambdas", tuple(map(float, _numbers("lambdas", self.lambdas)))
-            )
+            normalise("lambdas", _numbers("lambdas", self.lambdas))
         normalise("fraction_range", _fraction_window(self.fraction_range))
         if not isinstance(self.shared_streams, bool):
             raise ValidationError(
@@ -267,7 +264,7 @@ class CellResult:
     ``fsv_iteration_losses`` the FSV passes' t >= 1 raw mean fold
     losses; the arrays are made read-only. ``summaries[method][metric]``
     is a column's :class:`Aggregate`, computed on first read, and
-    ``fsv_compounded`` compounds the losses with ``alpha``.
+    ``fsv_compounded`` compounds the losses with ``alpha``, a float > 0.
     """
 
     n: int
@@ -288,7 +285,7 @@ class CellResult:
         _frozen_array(f"{where} fsv_iteration_losses", losses, (t,))
         for method, table in self.trials.items():
             _frozen_array(f"{where} {method}", table, (t, len(METRIC_FIELDS)))
-        compound_measure(losses, self.alpha)  # alpha finite and > 0
+        object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
 
     @property
     def t(self) -> int:
@@ -307,7 +304,8 @@ class CellResult:
 @dataclass(frozen=True)
 class ExperimentReport:
     """A run's cells, which must be ``config``'s grid in run order, each
-    compounded with ``config.alpha``; ``cells`` is stored as a tuple."""
+    compounded with ``config.alpha``; ``cells`` is kept as a tuple and
+    ``wall_time_s`` (>= 0) as a float."""
 
     config: ExperimentConfig
     cells: tuple[CellResult, ...]
@@ -315,7 +313,8 @@ class ExperimentReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", tuple(self.cells))
-        _number("wall_time_s", self.wall_time_s)
+        wall = _nonnegative("wall_time_s", self.wall_time_s)
+        object.__setattr__(self, "wall_time_s", wall)
         _check_cell_grid(self.config, [(c.n, c.t) for c in self.cells])
         for c in self.cells:
             if c.alpha != self.config.alpha:
@@ -420,13 +419,11 @@ def run_experiment(
     }
     for (_, n, t, trial), outcome in zip(tasks, outcomes):
         buckets[(n, t)][trial] = outcome
-    cells = []
-    for n in config.sizes:
-        for t in config.trials:
-            try:
-                cells.append(_assemble_cell(config, n, buckets[(n, t)]))
-            except Exception as exc:
-                raise RuntimeError(f"cell (n={n}, t={t}): {exc}") from exc
+    cells = [
+        _assemble_cell(config, n, buckets[(n, t)])
+        for n in config.sizes
+        for t in config.trials
+    ]
     return ExperimentReport(config, cells, time.perf_counter() - started)
 
 

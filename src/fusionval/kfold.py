@@ -88,7 +88,9 @@ import numpy as np
 from .data import Dataset
 from .errors import ValidationError, _count, _number
 from .rng import RngStream
-from .sampling import FRACTION_RANGE, _draw_subset, _fraction_window
+from .sampling import (
+    FRACTION_RANGE, _draw_subset, _fraction_window, _index_mask
+)
 
 __all__ = [
     "FoldPlan",
@@ -125,24 +127,6 @@ def _fold_count(total: int, k) -> int:
     return k
 
 
-def _check_order(order: np.ndarray) -> None:
-    """``order`` is exactly a permutation of range(len(order)). O(m)."""
-    if order.dtype.kind not in "iu":
-        raise ValidationError(
-            f"fold indices must be integers, got dtype {order.dtype}"
-        )
-    total = len(order)
-    if order.min() != 0 or order.max() != total - 1:
-        raise ValidationError("folds must exactly cover range(total)")
-    # total indices, all in range(total): one left unmarked means
-    # another repeats. Marking booleans is cheaper than np.bincount,
-    # whose int64 counts take eight times the memory.
-    seen = np.zeros(total, dtype=bool)
-    seen[order] = True
-    if not seen.all():
-        raise ValidationError("folds must be disjoint")
-
-
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
     """A partition of range(total) into k near-equal folds.
@@ -159,12 +143,14 @@ class FoldPlan:
 
     def __post_init__(self) -> None:
         order = np.asarray(self.order)
-        if order.ndim != 1:
+        if order.ndim != 1 or order.dtype.kind not in "iu":
             raise ValidationError(
-                f"order must be a vector, got shape {order.shape}"
+                f"order must be a vector of integers, got {order.dtype} "
+                f"of shape {order.shape}"
             )
         object.__setattr__(self, "k", _fold_count(len(order), self.k))
-        _check_order(order)
+        # n distinct indices in range(n): a permutation
+        _index_mask(order, len(order), "fold indices")
         order.setflags(write=False)
         object.__setattr__(self, "order", order)
 

@@ -4,8 +4,9 @@ Draws a uniform size-m subset of a dataset's indices, exposes the
 inclusion-count moments of the scheme, and draws the random partition
 fraction used by the experiment protocol. A :class:`SampleView` stores
 the subset's sorted indices and the dataset size ``source_n``; m is the
-number of indices. One check, :func:`_check_subset`, states what a
-sorted subset must be, for the view's constructor and for the draw.
+number of indices. :func:`_check_subset` states what a sorted subset
+must be, for the view and the sorted draw, and :func:`_index_mask` what
+distinct indices in range(n) are, for the masked draw and ``FoldPlan``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _fraction_window(value) -> tuple:
         raise ValidationError(
             f"fraction_range must satisfy 0 < low < high <= 1, got {window}"
         )
-    return float(low), float(high)
+    return window
 
 
 def _check_subset(indices: np.ndarray, n: int) -> None:
@@ -56,6 +57,24 @@ def _check_subset(indices: np.ndarray, n: int) -> None:
         raise ValidationError(
             "subset indices must be strictly increasing, so distinct"
         )
+
+
+def _index_mask(indices: np.ndarray, n: int, what: str) -> np.ndarray:
+    """The length-n boolean mask marking the integer vector ``indices``,
+    or a ValidationError naming ``what`` unless they are distinct and in
+    [0, n). O(n)."""
+    # a negative index would wrap around in the scatter below
+    if indices.min() < 0:
+        raise ValidationError(f"{what} must lie in [0, {n})")
+    mask = np.zeros(n, dtype=bool)
+    try:
+        mask[indices] = True
+    except IndexError:
+        raise ValidationError(f"{what} must lie in [0, {n})") from None
+    # every mark in range: fewer marks than indices means one repeats
+    if np.count_nonzero(mask) != len(indices):
+        raise ValidationError(f"{what} must be distinct")
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,21 +127,14 @@ def srs_sample(data: Dataset, m: int, stream: RngStream) -> SampleView:
     return SampleView._from_checked(_draw_subset(n, m, stream.generator), n)
 
 
-_MASK_MIN_N = 512
-
-
 def _draw_subset(
     n: int, m: int, generator: np.random.Generator
 ) -> np.ndarray:
     """Draw :func:`srs_sample`'s m-subset of range(n) from ``generator``
-    and return it sorted ascending, checked as :class:`SampleView`
-    checks its indices: m integers, all in [0, n), all distinct. The
-    sorted branch runs the view's own check, :func:`_check_subset`.
-
-    The draw is sorted, O(m log m), when m is below a third of n or n
-    is below ``_MASK_MIN_N``. Otherwise it is marked in a length-n
-    boolean mask that is read back, O(n), which then costs less than
-    the sort; on fewer points the mask's fixed cost outweighs the sort.
+    and return it sorted ascending, checked: m distinct integers in
+    [0, n). Below a third of n the draw is sorted, O(m log m), and
+    checked by :func:`_check_subset`; from a third up, marking it with
+    :func:`_index_mask` and reading the mask back, O(n), costs less.
     """
     picked = generator.choice(n, size=m, replace=False, shuffle=False)
     if picked.shape != (m,) or picked.dtype.kind not in "iu":
@@ -130,22 +142,11 @@ def _draw_subset(
             f"subset draw must be {m} integers, got shape {picked.shape} "
             f"of dtype {picked.dtype}"
         )
-    if 3 * m < n or n < _MASK_MIN_N:
+    if 3 * m < n:
         picked.sort()
         _check_subset(picked, n)
         return picked
-    # a negative index would wrap around in the scatter below
-    if picked.min() < 0:
-        raise ValidationError(f"subset indices must lie in [0, {n})")
-    mask = np.zeros(n, dtype=bool)
-    try:
-        mask[picked] = True
-    except IndexError:
-        raise ValidationError(f"subset indices must lie in [0, {n})") from None
-    # m marks in range: fewer than m set means an index repeats
-    if np.count_nonzero(mask) != m:
-        raise ValidationError("subset indices must be distinct")
-    return mask.nonzero()[0]
+    return _index_mask(picked, n, "subset indices").nonzero()[0]
 
 
 def holdout_values(data: Dataset, view: SampleView) -> np.ndarray:

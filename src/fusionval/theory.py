@@ -33,8 +33,8 @@ __all__ = [
 @dataclass(frozen=True)
 class VarianceBudget:
     """Per-iteration variance split and its per-T total. Both components
-    must be finite and >= 0, and ``iterations`` integral (5.0 is taken
-    as 5) and >= 1."""
+    must be finite and >= 0, kept as floats, and ``iterations`` integral
+    (5.0 is taken as 5) and >= 1."""
 
     srs_component: float
     kfcv_component: float
@@ -44,7 +44,8 @@ class VarianceBudget:
         iterations = _count("iterations", self.iterations, 1)
         object.__setattr__(self, "iterations", iterations)
         for name in ("srs_component", "kfcv_component"):
-            _nonnegative(name, getattr(self, name))
+            value = _nonnegative(name, getattr(self, name))
+            object.__setattr__(self, name, value)
 
     @property
     def total_per_t(self) -> float:
@@ -72,10 +73,7 @@ def srs_variance_component(sigma2: float, n: int, population_n: int) -> float:
 def kfcv_variance_component(fold_variances: Iterable[float]) -> float:
     """Mean of the per-fold loss variances: (1/k) sum_i Var(L_i); each
     entry must be finite and >= 0."""
-    vals = [
-        float(_nonnegative("fold_variances entry", v))
-        for v in fold_variances
-    ]
+    vals = [_nonnegative("fold_variances entry", v) for v in fold_variances]
     if not vals:
         raise ValidationError("fold_variances must be non-empty")
     return sum(vals) / len(vals)

@@ -428,6 +428,25 @@ class TestTheoryCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k-dev", "2,0"], "k_dev must be finite and > 0, got 0.0"),
+            (
+                ["--epsilon", "0.01,-1"],
+                "epsilon must be finite and >= 0, got -1.0",
+            ),
+            (["--low", "1", "--high", "1"], "need b > a"),
+        ],
+        ids=["k-dev", "epsilon", "loss-interval"],
+    )
+    def test_a_bad_row_input_prints_no_table(self, capsys, flags, message):
+        code = main(["theory", "--n", "10", "--population", "100", *flags])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
 
 class TestSelftestCommand:
     def test_all_checks_pass(self, capsys):

@@ -1,0 +1,187 @@
+"""The real rule of ``fusionval.errors``: a real is checked as the float
+the package keeps, so a real that no float holds, or whose float breaks
+its rule, is refused with a ValidationError naming the field, before
+any draw, and every config stores its reals as floats."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from fusionval.data import generate_dataset
+from fusionval.errors import (
+    ValidationError, _count, _finite, _nonnegative, _number, _numbers,
+    _positive,
+)
+from fusionval.fsv import FsvConfig, FsvResult, fsv_run
+from fusionval.harness import (
+    CellResult, ExperimentConfig, ExperimentReport, run_experiment,
+)
+from fusionval.metrics import metric_table
+from fusionval.rng import RngStream
+from fusionval.theory import VarianceBudget, chebyshev_tail, hoeffding_tail
+
+_HUGE = 10**400  # past the largest float, about 1.8e308
+_TINY = Fraction(1, 10**400)  # a positive real whose float is 0.0
+# two reals that differ but round to one double, 0.6
+_ONE_DOUBLE = (Fraction(3, 5), Fraction(3, 5) + Fraction(1, 10**30))
+_SMALL = dict(sizes=(100,), trials=(2,))
+
+
+class TestNoFloatHoldsIt:
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: ExperimentConfig(mu=_HUGE), "mu"),
+            (lambda: ExperimentConfig(sigma2=_HUGE), "sigma2"),
+            (lambda: ExperimentConfig(k=2, lambdas=(_HUGE, 1)), "lambdas"),
+            (lambda: chebyshev_tail(_HUGE), "k_dev"),
+            (lambda: hoeffding_tail(_HUGE, 3, 0, 1), "epsilon"),
+            (
+                lambda: metric_table(0.0, 1.0, 1.0, _HUGE, 1.0, 1.0),
+                "true_mean",
+            ),
+        ],
+        ids=["mu", "sigma2", "lambdas", "k_dev", "epsilon", "true_mean"],
+    )
+    def test_is_refused_naming_the_field(self, build, field):
+        with pytest.raises(ValidationError, match=f"^{field} .*float"):
+            build()
+
+    def test_generate_dataset_refuses_it_before_drawing(self):
+        stream = RngStream(3, 0)
+        state = stream.generator.bit_generator.state
+        with pytest.raises(ValidationError, match="^mu .*float"):
+            generate_dataset(10, _HUGE, 1.0, stream)
+        assert stream.generator.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "rule", [_number, _finite, _positive, _nonnegative]
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [_HUGE, -_HUGE, Fraction(_HUGE, 3)],
+        ids=["huge", "minus-huge", "huge-fraction"],
+    )
+    def test_no_real_rule_lets_an_overflow_escape(self, rule, value):
+        with pytest.raises(ValidationError, match="^x must be"):
+            rule("x", value)
+        with pytest.raises(ValidationError, match="^x entry must be"):
+            _numbers("x", [1.0, value])
+
+    def test_a_count_may_exceed_every_float(self):
+        assert _count("seed", _HUGE, 0) == _HUGE
+        with pytest.raises(ValidationError, match="^k must be"):
+            _count("k", Fraction(_HUGE, 3), 2)
+
+
+class TestRefusedAtConstruction:
+    """Reals whose float breaks the rule its value keeps: each config
+    refuses them rather than storing the broken float."""
+
+    def test_alpha_whose_float_is_zero(self):
+        with pytest.raises(ValidationError, match=r"^alpha .*\(0, 1\]"):
+            ExperimentConfig(**_SMALL, alpha=_TINY)
+        with pytest.raises(ValidationError, match=r"^alpha .*\(0, 1\]"):
+            FsvConfig(3, alpha=_TINY)
+
+    def test_sigma2_whose_float_is_zero(self):
+        with pytest.raises(ValidationError, match="^sigma2 .*> 0"):
+            ExperimentConfig(**_SMALL, sigma2=_TINY)
+
+    @pytest.mark.parametrize(
+        "window",
+        [_ONE_DOUBLE, (_TINY, 0.5)],
+        ids=["entries-one-double", "low-whose-float-is-zero"],
+    )
+    def test_window_whose_floats_break_the_rule(self, window):
+        rule = "^fraction_range must satisfy 0 < low < high <= 1"
+        with pytest.raises(ValidationError, match=rule):
+            FsvConfig(3, fraction_range=window)
+        with pytest.raises(ValidationError, match=rule):
+            ExperimentConfig(**_SMALL, fraction_range=window)
+
+
+    @pytest.mark.parametrize(
+        "wall", [float("nan"), -1.0, _HUGE], ids=["nan", "negative", "huge"]
+    )
+    def test_report_wall_time(self, wall):
+        report = run_experiment(ExperimentConfig(**_SMALL, k=2), jobs=1)
+        with pytest.raises(ValidationError, match="^wall_time_s must be"):
+            ExperimentReport(report.config, report.cells, wall)
+        again = ExperimentReport(report.config, report.cells, 2)
+        assert type(again.wall_time_s) is float
+
+
+class TestStoredAsFloats:
+    def test_fsv_config_alpha(self):
+        config = FsvConfig(3, alpha=Fraction(9, 10))
+        assert type(config.alpha) is float and config.alpha == 0.9
+        assert type(FsvConfig(1, alpha=1).alpha) is float
+        data = generate_dataset(200, 0.0, 1.0, RngStream(5, 0))
+        got = fsv_run(data, config, RngStream(5, 1))
+        want = fsv_run(data, FsvConfig(3, alpha=0.9), RngStream(5, 1))
+        assert got.alpha == 0.9
+        assert got.metrics.tobytes() == want.metrics.tobytes()
+
+    def test_every_experiment_config_real(self):
+        config = ExperimentConfig(
+            **_SMALL,
+            k=2,
+            mu=Fraction(1, 3),
+            sigma2=np.float32(2.5),
+            alpha=1,
+            lambdas=(np.int64(1), Fraction(1)),
+            fraction_range=(Fraction(3, 5), np.float16(0.75)),
+        )
+        reals = (
+            config.mu, config.sigma2, config.alpha,
+            *config.lambdas, *config.fraction_range,
+        )
+        assert all(type(v) is float for v in reals)
+        assert config.mu == float(Fraction(1, 3))
+        assert config.sigma2 == 2.5
+
+    def test_a_cell_keeps_the_float_its_config_keeps(self):
+        report = run_experiment(ExperimentConfig(**_SMALL, k=2), jobs=1)
+        (cell,) = report.cells
+        trials = {m: table.copy() for m, table in cell.trials.items()}
+        again = CellResult(
+            cell.n, trials, cell.fsv_iteration_losses.copy(), Fraction(19, 20)
+        )
+        assert type(again.alpha) is float and again.alpha == 0.95
+        ExperimentReport(report.config, [again], 1.0)
+
+    def test_value_types_keep_floats(self):
+        stream = RngStream(1, 0)
+        data = generate_dataset(5, Fraction(1, 2), np.int64(2), stream)
+        assert type(data.true_mean) is float and data.true_mean == 0.5
+        assert type(data.true_var) is float and data.true_var == 2.0
+        budget = VarianceBudget(Fraction(1, 4), 1, 2)
+        assert type(budget.srs_component) is float
+        assert type(budget.kfcv_component) is float
+        assert budget.total_per_t == 0.625
+        result = FsvResult(np.ones(2), np.zeros((2, 6)), Fraction(19, 20))
+        assert type(result.alpha) is float and result.alpha == 0.95
+
+
+_reals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(-(10**300), 10**300),
+    st.integers(-(2**1000), 2**1000),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(
+        np.float32
+    ),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+)
+
+
+@given(_reals)
+def test_real_mode_returns_the_float_of_the_value(value):
+    got = _number("x", value)
+    assert type(got) is float
+    assert got == float(value)

@@ -65,13 +65,13 @@ class TestFoldPlanValidation:
     @pytest.mark.parametrize(
         "order, k, match",
         [
-            ([0, 1, 1, 2], 2, "cover"),
-            ([0, 1, 3, 4], 2, "cover"),
+            ([0, 1, 1, 2], 2, "distinct"),
+            ([0, 1, 3, 4], 2, r"lie in \[0, 4\)"),
             ([0], 2, "non-empty"),
             # min and max pass, so only the per-index mark catches it
-            ([0, 3, 3, 1], 2, "disjoint"),
+            ([0, 3, 3, 1], 2, "distinct"),
             ([0.0, 1.0, 2.0, 3.0], 2, "integers"),
-            ([0, -1, 2, 3], 2, "cover"),
+            ([0, -1, 2, 3], 2, r"lie in \[0, 4\)"),
             ([0, 1], 1, "k must be"),
             ([[0, 1], [2, 3]], 2, "vector"),
         ],

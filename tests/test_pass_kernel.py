@@ -728,8 +728,8 @@ def test_bad_draws_are_rejected(case):
         object.__setattr__(stream, "generator", stub)
         return stream
 
-    # n = 50 is below the size at which the subset draw is masked, so
-    # both sizes take the sorted branch; the mask is checked below
+    # of n = 50 points, m = 10 is under a third, so its draw is sorted,
+    # and m = 30 is masked; the mask is also checked at n = 2 000 below
     for m in (10, 30):
         window = pinning_window(m, n)
         with pytest.raises(ValidationError):

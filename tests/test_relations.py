@@ -3,15 +3,16 @@
 Each relation compares two runs, or two configs, so it needs no oracle
 and holds for every config hypothesis draws: sizes up to 2 000, one to
 three trial counts of 1-3 trials, k 2-6, 1-3 repetitions, any valid
-window, mu, sigma2 and alpha, with or without shared streams, always at
-``jobs=1``.
+window, mu, sigma2 and alpha, with or without shared streams, at
+``jobs=1`` but for the workers relation, which compares it with
+``jobs=2``.
 """
 
 import dataclasses
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fusionval.errors import ValidationError
@@ -147,3 +148,18 @@ def test_integer_reals_hash_like_their_float_twin(config, data):
         config, **{name: float(v) for name, v in ints.items()}
     )
     assert given_ints.config_hash() == twin.config_hash()
+
+
+@_low_alpha
+@settings(max_examples=3, deadline=None)  # each example spins up a pool
+@given(small_configs())
+# the pool runs the largest n first: a grid whose sizes it reorders
+@example(
+    ExperimentConfig(sizes=(100, 200), trials=(1, 2), k=2, repetitions=1)
+)
+def test_two_workers_give_the_cells_of_one(config):
+    serial = run_experiment(config, jobs=1)
+    pooled = run_experiment(config, jobs=2)
+    assert list(map(_cell_bytes, pooled.cells)) == list(
+        map(_cell_bytes, serial.cells)
+    )
