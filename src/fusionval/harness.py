@@ -34,7 +34,7 @@ import reprlib
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +182,12 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _grid(config: ExperimentConfig) -> list[tuple[int, int]]:
+    """The config's cells, (n, t) for n in ``sizes`` and t in ``trials``,
+    in run order."""
+    return [(n, t) for n in config.sizes for t in config.trials]
+
+
 def _trial_key(n: int, t_total: int, trial: int) -> int:
     """48-bit trial key hashed from the cell coordinates.
 
@@ -315,12 +321,18 @@ class ExperimentReport:
         object.__setattr__(self, "cells", tuple(self.cells))
         wall = _nonnegative("wall_time_s", self.wall_time_s)
         object.__setattr__(self, "wall_time_s", wall)
-        _check_cell_grid(self.config, [(c.n, c.t) for c in self.cells])
-        for c in self.cells:
-            if c.alpha != self.config.alpha:
+        # a name shows n, t and alpha exactly, so equal names, equal cells
+        name = "(n={}, t={}) with alpha {!r}".format
+        found = [name(c.n, c.t, c.alpha) for c in self.cells]
+        grid = [name(n, t, self.config.alpha) for n, t in _grid(self.config)]
+        for i, (want, got) in enumerate(
+            zip_longest(grid, found, fillvalue="nothing")
+        ):
+            if want != got:
                 raise ValidationError(
-                    f"cell (n={c.n}, t={c.t}): alpha {c.alpha!r} is not "
-                    f"the config's alpha {self.config.alpha!r}"
+                    f"cells[{i}] holds {got} where the grid has {want}; the "
+                    f"grid is (n, t) for n in sizes {list(self.config.sizes)}"
+                    f" and t in trials {list(self.config.trials)}"
                 )
 
     @property
@@ -336,44 +348,6 @@ class ExperimentReport:
             if c.n == n and c.t == t:
                 return c
         raise ValidationError(f"no cell (n={n}, t={t}) in report")
-
-
-def _check_cell_grid(
-    config: ExperimentConfig, cells: list[tuple[int, int]]
-) -> None:
-    """``cells`` must be the config's grid, (n, t) for n in ``sizes`` and
-    t in ``trials``, in run order; names the first cell that is missing,
-    extra or out of place."""
-    grid = [(n, t) for n in config.sizes for t in config.trials]
-    for i, (want, got) in enumerate(zip_longest(grid, cells)):
-        if want == got:
-            continue
-        # the cells before i match the grid: a repeat of one is extra
-        repeat = got in cells[:i]
-        if want is None or got is not None and (got not in grid or repeat):
-            what, cell = "extra", got
-        elif got is None or want not in cells:
-            what, cell = "missing", want
-        else:
-            what, cell = "out of place", got
-        raise ValidationError(
-            f"cell (n={cell[0]}, t={cell[1]}) is {what}: the cells must be "
-            f"(n, t) for n in sizes {list(config.sizes)} and t in trials "
-            f"{list(config.trials)}, in that order"
-        )
-
-
-def _assemble_cell(
-    config: ExperimentConfig, n: int, outcomes: list[tuple]
-) -> CellResult:
-    """The cell of ``outcomes``, given in trial order."""
-    block = np.stack([table for table, _ in outcomes])
-    return CellResult(
-        n,
-        {m: block[:, i] for i, m in enumerate(_METHODS)},
-        np.array([raw_loss for _, raw_loss in outcomes]),
-        config.alpha,
-    )
 
 
 def _usable_cores() -> int:
@@ -397,32 +371,33 @@ def run_experiment(
     """
     jobs = _usable_cores() if jobs is None else _count("jobs", jobs, 1)
     started = time.perf_counter()
-    tasks = [
-        (config, n, t, trial)
-        for n in config.sizes
-        for t in config.trials
-        for trial in range(t)
-    ]
+    grid = _grid(config)
+    tasks = [(config, n, t, trial) for n, t in grid for trial in range(t)]
     if jobs == 1:
         outcomes = list(map(_run_trial_task, tasks))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         # A trial's cost grows with n: the largest first, in small
-        # chunks, so the pool does not end on a few long chunks.
-        tasks.sort(key=lambda task: task[1], reverse=True)
+        # chunks, so the pool does not end on a few long chunks. The
+        # outcomes go back in task order.
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
         chunk = max(1, len(tasks) // (jobs * 32))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_trial_task, tasks, chunksize=chunk))
-    buckets: dict[tuple[int, int], list] = {
-        (n, t): [None] * t for n in config.sizes for t in config.trials
-    }
-    for (_, n, t, trial), outcome in zip(tasks, outcomes):
-        buckets[(n, t)][trial] = outcome
+            done = pool.map(
+                _run_trial_task, [tasks[i] for i in order], chunksize=chunk
+            )
+            outcomes = [outcome for _, outcome in sorted(zip(order, done))]
+    tables = np.stack([table for table, _ in outcomes])
+    losses = np.array([raw_loss for _, raw_loss in outcomes])
     cells = [
-        _assemble_cell(config, n, buckets[(n, t)])
-        for n in config.sizes
-        for t in config.trials
+        CellResult(
+            n,
+            {m: tables[end - t:end, i] for i, m in enumerate(_METHODS)},
+            losses[end - t:end],
+            config.alpha,
+        )
+        for (n, t), end in zip(grid, accumulate(t for _, t in grid))
     ]
     return ExperimentReport(config, cells, time.perf_counter() - started)
 

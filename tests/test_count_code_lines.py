@@ -38,8 +38,21 @@ def test_counts_code_lines_only():
 
 def test_prints_each_module_and_the_totals(tmp_path, capsys):
     (tmp_path / "a.py").write_text(_SNIPPET)
-    (tmp_path / "b.py").write_text("x = 1\n")
+    # 9 bytes in 8 characters: the accented letter is two bytes in UTF-8
+    (tmp_path / "b.py").write_text('x = "\u00e9"\n', encoding="utf-8")
     count_code_lines.main([str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["8", "1", "9"]
-    assert lines[-1].split()[1] == "total"
+    size = len(_SNIPPET.encode())
+    assert [line.split()[:2] for line in lines] == [
+        ["8", str(size)], ["1", "9"], ["9", str(size + 9)],
+    ]
+    assert lines[-1].split()[2] == "total"
+
+
+def test_prints_the_grand_total_of_several_trees(tmp_path, capsys):
+    for name in ("one", "two"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "m.py").write_text("x = 1\n")
+    count_code_lines.main([str(tmp_path / "one"), str(tmp_path / "two")])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].split() == ["2", "12", "total"]

@@ -7,10 +7,13 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionval import harness
 from fusionval.errors import ValidationError
@@ -431,16 +434,28 @@ class TestResultConstructors:
     @pytest.mark.parametrize(
         "pick, match",
         [
-            (lambda cells: cells[::-1], r"\(n=100, t=3\) is out of place"),
-            (lambda cells: cells[:1], r"\(n=100, t=3\) is missing"),
-            (lambda cells: cells + cells[:1], r"\(n=100, t=2\) is extra"),
+            (
+                lambda cells: cells[::-1],
+                r"cells\[0\] holds \(n=100, t=3\) with alpha 0\.95 where "
+                r"the grid has \(n=100, t=2\) with alpha 0\.95",
+            ),
+            (
+                lambda cells: cells[:1],
+                r"cells\[1\] holds nothing where the grid has "
+                r"\(n=100, t=3\) with alpha 0\.95",
+            ),
+            (
+                lambda cells: cells + cells[:1],
+                r"cells\[2\] holds \(n=100, t=2\) with alpha 0\.95 where "
+                r"the grid has nothing",
+            ),
         ],
         ids=["reordered", "dropped", "duplicated"],
     )
     def test_report_cells_must_be_the_config_grid(
         self, small_report, pick, match
     ):
-        with pytest.raises(ValidationError, match=rf"^cell {match}: "):
+        with pytest.raises(ValidationError, match=rf"^{match}; "):
             ExperimentReport(_SMALL, pick(small_report.cells), 0.0)
 
     def test_report_cell_alpha_must_be_the_config_alpha(self, small_report):
@@ -448,10 +463,75 @@ class TestResultConstructors:
         cells = [first, dataclasses.replace(second, alpha=0.5)]
         with pytest.raises(
             ValidationError,
-            match=r"^cell \(n=100, t=3\): alpha 0\.5 is not the config's "
-            r"alpha 0\.95$",
+            match=r"^cells\[1\] holds \(n=100, t=3\) with alpha 0\.5 where "
+            r"the grid has \(n=100, t=3\) with alpha 0\.95; the grid is "
+            r"\(n, t\) for n in sizes \[100\] and t in trials \[2, 3\]$",
         ):
             ExperimentReport(_SMALL, cells, 0.0)
+
+
+_SIX = ExperimentConfig(sizes=(100, 120), trials=(1, 2, 3), k=2, repetitions=1)
+
+
+@pytest.fixture(scope="module")
+def six_cell_report():
+    return run_experiment(_SIX, jobs=1)
+
+
+def _grid_edits(n):
+    """Edits of an n-cell report, as (the indices of the cells kept, in
+    their new order; the position whose cell gets another alpha, or
+    None): any reordering but the identity, a cell dropped, a cell
+    repeated anywhere, or one cell's alpha changed."""
+    every = list(range(n))
+    position = st.integers(0, n - 1)
+    return st.one_of(
+        st.permutations(every).filter(lambda p: p != every).map(
+            lambda p: (p, None)
+        ),
+        position.map(lambda i: (every[:i] + every[i + 1:], None)),
+        st.tuples(position, st.integers(0, n)).map(
+            lambda jp: (every[:jp[1]] + [jp[0]] + every[jp[1]:], None)
+        ),
+        position.map(lambda i: (every, i)),
+    )
+
+
+class TestGridRule:
+    """The report's cells must be the config's grid, in order, each with
+    the config's alpha: any edit is refused at the first index it
+    changes, by the constructor and by the loader alike."""
+
+    def test_the_unedited_cells_are_accepted(self, six_cell_report):
+        cells = six_cell_report.cells
+        assert ExperimentReport(_SIX, cells, 0.0).cells == cells
+        loaded = report_from_dict(report_to_dict(six_cell_report))
+        assert report_to_dict(loaded) == report_to_dict(six_cell_report)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_an_edit_is_refused_at_its_first_index(
+        self, six_cell_report, data
+    ):
+        cells = six_cell_report.cells
+        kept, changed = data.draw(_grid_edits(len(cells)))
+        edited = [cells[i] for i in kept]
+        if changed is not None:
+            alpha = data.draw(st.floats(0.05, 0.9))
+            edited[changed] = dataclasses.replace(cells[changed], alpha=alpha)
+        first = next(
+            i for i, (cell, edit) in enumerate(zip_longest(cells, edited))
+            if cell is not edit
+        )
+        with pytest.raises(ValidationError, match=rf"^cells\[{first}\] "):
+            ExperimentReport(_SIX, edited, 0.0)
+        d = report_to_dict(six_cell_report)
+        d["cells"] = [harness._cell_to_dict(c) for c in edited]
+        # an alpha is not stored: it shows in the cell's fsv_compounded
+        with pytest.raises(
+            ValidationError, match=rf"^(report\['cells'\]|cells)\[{first}\]"
+        ):
+            report_from_dict(d)
 
 
 class TestMarkdownTable:
@@ -690,20 +770,33 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (lambda cells: cells.pop(0), r"\(n=100, t=2\) is missing"),
-            (lambda cells: cells.insert(1, cells[0]), r"\(n=100, t=2\) is extra"),
+            (
+                lambda cells: cells.pop(0),
+                r"cells\[0\] holds \(n=100, t=3\) with alpha 0\.95 where "
+                r"the grid has \(n=100, t=2\) with alpha 0\.95",
+            ),
+            (
+                lambda cells: cells.insert(1, cells[0]),
+                r"cells\[1\] holds \(n=100, t=2\) with alpha 0\.95 where "
+                r"the grid has \(n=100, t=3\) with alpha 0\.95",
+            ),
             (
                 lambda cells: cells[1].update(n=999),
-                r"\(n=999, t=3\) is extra",
+                r"cells\[1\] holds \(n=999, t=3\) with alpha 0\.95 where "
+                r"the grid has \(n=100, t=3\) with alpha 0\.95",
             ),
-            (lambda cells: cells.reverse(), r"\(n=100, t=3\) is out of place"),
+            (
+                lambda cells: cells.reverse(),
+                r"cells\[0\] holds \(n=100, t=3\) with alpha 0\.95 where "
+                r"the grid has \(n=100, t=2\) with alpha 0\.95",
+            ),
         ],
         ids=["dropped", "duplicated", "relabelled", "reordered"],
     )
     def test_cells_must_be_the_config_grid(self, small_report, edit, match):
         d = report_to_dict(small_report)
         edit(d["cells"])
-        with pytest.raises(ValidationError, match=rf"^cell {match}: "):
+        with pytest.raises(ValidationError, match=rf"^{match}; "):
             report_from_dict(d)
 
     def test_json_keys_are_sorted(self, small_report, tmp_path):

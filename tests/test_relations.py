@@ -5,24 +5,30 @@ and holds for every config hypothesis draws: sizes up to 2 000, one to
 three trial counts of 1-3 trials, k 2-6, 1-3 repetitions, any valid
 window, mu, sigma2 and alpha, with or without shared streams, at
 ``jobs=1`` but for the workers relation, which compares it with
-``jobs=2``.
+``jobs=2``. All hold bit for bit but location, which moves the data
+by a sum that rounds, and so holds within ``selftest._tolerance``.
 """
 
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fusionval.data import generate_dataset
 from fusionval.errors import ValidationError
 from fusionval.harness import (
     ExperimentConfig,
+    _trial_key,
     report_from_dict,
     report_to_dict,
     run_experiment,
 )
 from fusionval.kfold import _subsample_range
+from fusionval.rng import Purpose, derive_stream
+from fusionval.selftest import _slacks, _tolerance
 
 _MAX_N = 2_000
 
@@ -163,3 +169,84 @@ def test_two_workers_give_the_cells_of_one(config):
     assert list(map(_cell_bytes, pooled.cells)) == list(
         map(_cell_bytes, serial.cells)
     )
+
+
+# the power of the data's scale in each metric, in METRIC_FIELDS order:
+# mean_est, var_est, mse, bias, roc_me, roc_ve
+_SCALE_POWERS = np.array([1, 2, 2, 2, 1, 2])
+
+
+@_low_alpha
+@_relation
+@given(small_configs(), st.integers(-2, 3))
+def test_scaling_the_data_scales_every_metric(config, power):
+    # scaling by a power of two is exact while nothing underflows; the
+    # FSV row is alpha times a pass's metrics, so alpha must not be tiny
+    assume(config.alpha > 1e-200)
+    s = 2.0**power
+    scaled = dataclasses.replace(
+        config, mu=config.mu * s, sigma2=config.sigma2 * s * s
+    )
+    base = run_experiment(config, jobs=1)
+    for cell, moved in zip(base.cells, run_experiment(scaled, jobs=1).cells):
+        for method, table in cell.trials.items():
+            want = table * s**_SCALE_POWERS
+            assert moved.trials[method].tobytes() == want.tobytes()
+        want = cell.fsv_iteration_losses * (s * s)
+        assert moved.fsv_iteration_losses.tobytes() == want.tobytes()
+
+
+def _cell_slacks(config, cell):
+    """:func:`selftest._slacks` of every dataset a cell's trials draw, at
+    its worst: the cell's passes round within them."""
+    return np.max([
+        _slacks(generate_dataset(
+            cell.n, config.mu, config.sigma2, derive_stream(
+                config.seed, _trial_key(cell.n, cell.t, trial), purpose
+            ),
+        ).values)
+        for trial in range(cell.t)
+        for purpose in (Purpose.DATA, Purpose.FSV_DATA)
+    ], axis=0)
+
+
+# how each metric, in METRIC_FIELDS order, rounds at a location shift:
+# (squared, a quantity or a loss; an absolute difference from sigma2,
+# which rounds like what it subtracts from, at most itself plus sigma2;
+# a holdout's loss, of as few as one point)
+_LOCATION_ROUNDING = [
+    (False, False, False),  # mean_est
+    (True, False, False),  # var_est
+    (True, False, True),  # mse
+    (True, True, False),  # bias
+    (False, False, False),  # roc_me
+    (True, True, False),  # roc_ve
+]
+
+
+@_low_alpha
+@_relation
+@given(small_configs(), st.floats(-1e9, 1e9))
+def test_shifting_the_mean_moves_only_mean_est(config, c):
+    shifted = dataclasses.replace(config, mu=config.mu + c)
+    base = run_experiment(config, jobs=1)
+    for cell, moved in zip(base.cells, run_experiment(shifted, jobs=1).cells):
+        slack, m2_slack = np.maximum(
+            _cell_slacks(config, cell), _cell_slacks(shifted, cell)
+        )
+        # the FSV row is alpha-scaled, which only shrinks its rounding
+        shifts = {"SRS": c, "KFCV": c, "FSV": config.alpha * c}
+        for method, shift in shifts.items():
+            want = cell.trials[method].copy()
+            want[:, 0] += shift
+            tol = np.column_stack([
+                _tolerance(
+                    np.abs(want[:, j]) + from_sigma2 * config.sigma2,
+                    slack,
+                    squared,
+                    holdout * m2_slack,
+                )
+                for j, (squared, from_sigma2, holdout)
+                in enumerate(_LOCATION_ROUNDING)
+            ])
+            assert (np.abs(moved.trials[method] - want) <= tol).all()

@@ -1,5 +1,5 @@
-"""Count the code lines of Python modules: lines that hold a token that
-is not a comment, a blank or a docstring.
+"""Count the code lines and source bytes of Python modules. A code line
+holds a token that is not a comment, a blank or a docstring.
 
 A token that spans several lines, such as a triple-quoted string that
 is not a docstring, counts every line it spans. Docstrings are the
@@ -12,7 +12,7 @@ Run from the root of a checkout::
     python tools/count_code_lines.py src tests  # each tree, then the total
 
 It prints one line per module, a total per tree and, for more than one
-tree, the grand total.
+tree, the grand total: code lines, then source bytes, then the name.
 """
 
 from __future__ import annotations
@@ -76,18 +76,21 @@ def count_code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     roots = [Path(p) for p in argv] or [Path("src")]
-    grand = 0
+    grand_lines = grand_bytes = 0
     for root in roots:
         files = [root] if root.is_file() else sorted(root.rglob("*.py"))
-        total = 0
+        lines = size = 0
         for path in files:
-            count = count_code_lines(path.read_text(encoding="utf-8"))
-            print(f"{count:6d}  {path}")
-            total += count
-        print(f"{total:6d}  total {root}")
-        grand += total
+            source = path.read_bytes()
+            count = count_code_lines(source.decode("utf-8"))
+            print(f"{count:6d} {len(source):8d}  {path}")
+            lines += count
+            size += len(source)
+        print(f"{lines:6d} {size:8d}  total {root}")
+        grand_lines += lines
+        grand_bytes += size
     if len(roots) > 1:
-        print(f"{grand:6d}  total")
+        print(f"{grand_lines:6d} {grand_bytes:8d}  total")
     return 0
 
 
