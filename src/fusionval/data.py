@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _count, _finite, _positive
+from .errors import ValidationError, _count, _finite, _positive, _vector
 from .rng import RngStream, standard_normal
 
 __all__ = ["Dataset", "generate_dataset"]
@@ -24,7 +24,7 @@ class Dataset:
     """An i.i.d. Gaussian sample with known ground truth; ``n`` is the
     length of ``values``.
 
-    ``values`` must be a non-empty vector of finite numbers; it is held
+    ``values`` must be a non-empty vector of finite reals; it is held
     as float64 (a float64 array as given, anything else as a copy) and
     write-protected after construction; treat it as read-only
     everywhere. ``true_mean`` must be finite and ``true_var`` finite and
@@ -36,11 +36,7 @@ class Dataset:
     true_var: float
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or len(values) < 1:
-            raise ValidationError(
-                f"values must be a non-empty vector, got shape {values.shape}"
-            )
+        values = _vector("values", self.values)
         if not np.isfinite(values).all():
             raise ValidationError("values must be finite")
         values.setflags(write=False)

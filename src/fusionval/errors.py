@@ -3,14 +3,16 @@
 Each rule is stated once here, with its message: :func:`_number` what a
 number is, :func:`_count` what a count is, :func:`_finite`,
 :func:`_positive` and :func:`_nonnegative` what a finite, a positive
-and a non-negative real are, and :func:`_numbers` what a sequence of
-numbers or counts is. Every public boundary applies them rather than a
-copy.
+and a non-negative real are, :func:`_numbers` what a sequence of
+numbers or counts is, and :func:`_vector` what an array argument is.
+Every public boundary applies them rather than a copy.
 """
 
 import math
 import numbers
 from collections.abc import Iterable
+
+import numpy as np
 
 __all__ = ["ValidationError"]
 
@@ -92,3 +94,35 @@ def _numbers(name: str, values, least: int | None = None) -> tuple:
     if least is None:
         return tuple(_number(entry, v) for v in values)
     return tuple(_count(entry, v, least) for v in values)
+
+
+def _vector(
+    name: str, values, least: int = 1, most: int | None = None,
+    integral: bool = False,
+) -> np.ndarray:
+    """``values`` as a 1-D array of ``least`` to ``most`` entries (no
+    bound if None), or a ValidationError naming the field. Reals come
+    back as float64, a float64 array as given; ``integral`` takes
+    integers only, in their own dtype. Bool, str, complex, object and
+    ragged entries are refused."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy's refusal of a ragged nesting
+        got = "a ragged sequence"
+    else:
+        if (
+            array.ndim == 1
+            and array.dtype.kind in ("iu" if integral else "iuf")
+            and least <= len(array)
+            and (most is None or len(array) <= most)
+        ):
+            return array if integral else array.astype(np.float64, copy=False)
+        got = f"{array.dtype} of shape {array.shape}"
+    if least == most:
+        length = least
+    else:
+        length = f"at least {least}" if most is None else f"{least} to {most}"
+    kind = "integers" if integral else "reals"
+    raise ValidationError(
+        f"{name} must be a vector of {kind} of length {length}, got {got}"
+    )

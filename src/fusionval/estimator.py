@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _vector
 
 __all__ = ["ModelParams", "fit", "loss"]
 
@@ -26,12 +26,7 @@ class ModelParams:
 
 def fit(train: np.ndarray) -> ModelParams:
     """Fit mean and unbiased (ddof=1) variance on the training split."""
-    train = np.asarray(train, dtype=np.float64)
-    if train.ndim != 1 or len(train) < 2:
-        raise ValidationError(
-            "training split must be a vector of at least 2 values, "
-            f"got shape {train.shape}"
-        )
+    train = _vector("train", train, 2)
     return ModelParams(
         fitted_mean=float(train.mean()),
         fitted_var=float(train.var(ddof=1)),
@@ -44,11 +39,6 @@ def loss(model: ModelParams, validation: np.ndarray) -> float:
     For a training split of size n drawn from a variance-sigma2
     population, the expected value is sigma2 * (1 + 1/n).
     """
-    validation = np.asarray(validation, dtype=np.float64)
-    if validation.ndim != 1 or len(validation) < 1:
-        raise ValidationError(
-            "validation split must be a non-empty vector, "
-            f"got shape {validation.shape}"
-        )
+    validation = _vector("validation", validation)
     dev = validation - model.fitted_mean
     return float(np.mean(dev * dev))

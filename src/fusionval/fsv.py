@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _count, _number, _positive
+from .errors import ValidationError, _count, _number, _positive, _vector
 from .kfold import _run_passes
 from .metrics import METRIC_FIELDS, TrialMetrics, _frozen_array, metric_table
 from .rng import RngStream
@@ -164,11 +164,7 @@ def sampled_kfold_trial(
 def compound_measure(iteration_losses: np.ndarray, alpha: float) -> float:
     """alpha times the mean of the per-iteration losses; ``alpha`` must
     be finite and > 0."""
-    losses = np.asarray(iteration_losses, dtype=np.float64)
-    if losses.ndim != 1 or len(losses) < 1:
-        raise ValidationError(
-            "iteration_losses must be a non-empty vector"
-        )
+    losses = _vector("iteration_losses", iteration_losses)
     return float(_positive("alpha", alpha) * losses.mean())
 
 

@@ -86,7 +86,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _count, _number
+from .errors import ValidationError, _count, _number, _vector
 from .rng import RngStream
 from .sampling import (
     FRACTION_RANGE, _draw_subset, _fraction_window, _index_mask
@@ -142,12 +142,7 @@ class FoldPlan:
     k: int
 
     def __post_init__(self) -> None:
-        order = np.asarray(self.order)
-        if order.ndim != 1 or order.dtype.kind not in "iu":
-            raise ValidationError(
-                f"order must be a vector of integers, got {order.dtype} "
-                f"of shape {order.shape}"
-            )
+        order = _vector("order", self.order, integral=True)
         object.__setattr__(self, "k", _fold_count(len(order), self.k))
         # n distinct indices in range(n): a permutation
         _index_mask(order, len(order), "fold indices")
@@ -389,12 +384,7 @@ def kfold_losses(sample: np.ndarray, plan: FoldPlan) -> np.ndarray:
     step on a single pass. Requires every training complement to hold at
     least 2 points.
     """
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.ndim != 1 or len(sample) != plan.total:
-        raise ValidationError(
-            f"sample must be a length-{plan.total} vector, "
-            f"got shape {sample.shape}"
-        )
+    sample = _vector("sample", sample, plan.total, plan.total)
     # a caller-built plan is the one way to a complement under 2 points
     if not _trainable(plan.total, plan.k):
         raise ValidationError("a training complement has under 2 points")
@@ -409,10 +399,7 @@ def kfold_losses(sample: np.ndarray, plan: FoldPlan) -> np.ndarray:
 
 def empirical_kfold_loss(losses: np.ndarray) -> float:
     """Unweighted mean of the per-fold losses."""
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.ndim != 1 or len(losses) < 1:
-        raise ValidationError("losses must be a non-empty vector")
-    return float(losses.mean())
+    return float(_vector("losses", losses).mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,10 +415,8 @@ class LambdaWeights:
     lambdas: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.lambdas, dtype=np.float64)
+        arr = _vector("lambdas", self.lambdas)
         object.__setattr__(self, "lambdas", arr)
-        if arr.ndim != 1 or len(arr) < 1:
-            raise ValidationError("lambdas must be a non-empty vector")
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise ValidationError(
                 "lambdas must be finite and non-negative"
@@ -458,12 +443,7 @@ def weighted_kfold_loss(losses: np.ndarray, weights: LambdaWeights) -> float:
     Computed as the mean of the elementwise products, so uniform weights
     reproduce :func:`empirical_kfold_loss` bit for bit.
     """
-    losses = np.asarray(losses, dtype=np.float64)
-    if losses.ndim != 1 or len(losses) != weights.k:
-        raise ValidationError(
-            f"losses must be a length-{weights.k} vector, "
-            f"got shape {losses.shape}"
-        )
+    losses = _vector("losses", losses, weights.k, weights.k)
     return float((weights.lambdas * losses).mean())
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, _finite, _positive
+from .errors import ValidationError, _finite, _positive, _vector
 
 __all__ = [
     "METRIC_FIELDS",
@@ -80,16 +80,22 @@ def metric_table(
 ) -> np.ndarray:
     """Metric rows of many trials at once, against ground truth.
 
-    The per-trial inputs are scalars or equal-length vectors; the result
-    has one row per trial and one column per name in ``METRIC_FIELDS``.
-    ``true_mean`` must be finite, ``true_var`` finite and > 0.
+    The per-trial inputs are vectors of one length, a real counting as
+    a vector of one; the result has one row per trial and one column
+    per name in ``METRIC_FIELDS``. ``true_mean`` must be finite,
+    ``true_var`` finite and > 0.
     """
     true_mean = _finite("true_mean", true_mean)
     true_var = _positive("true_var", true_var)
-    mean_est, var_est, mse, fold_loss = (
-        np.atleast_1d(np.asarray(a, dtype=np.float64))
-        for a in (mean_est, var_est, mse, fold_loss_for_bias)
-    )
+
+    def column(name, value, *length):
+        return _vector(name, value if np.iterable(value) else [value], *length)
+
+    mean_est = column("mean_est", mean_est)
+    t = len(mean_est)
+    var_est = column("var_est", var_est, t, t)
+    mse = column("mse", mse, t, t)
+    fold_loss = column("fold_loss_for_bias", fold_loss_for_bias, t, t)
     return np.column_stack(
         (
             mean_est,

@@ -4,9 +4,12 @@ Draws a uniform size-m subset of a dataset's indices, exposes the
 inclusion-count moments of the scheme, and draws the random partition
 fraction used by the experiment protocol. A :class:`SampleView` stores
 the subset's sorted indices and the dataset size ``source_n``; m is the
-number of indices. :func:`_check_subset` states what a sorted subset
-must be, for the view and the sorted draw, and :func:`_index_mask` what
-distinct indices in range(n) are, for the masked draw and ``FoldPlan``.
+number of indices. It takes them as any integer array-like, a list too,
+by ``errors._vector``: bool, float, str, complex, object and ragged
+entries raise a ValidationError naming ``indices``. :func:`_check_subset`
+states what a sorted subset must be, for the view and the sorted draw,
+and :func:`_index_mask` what distinct indices in range(n) are, for the
+masked draw and ``FoldPlan``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _number, _numbers
+from .errors import ValidationError, _count, _number, _numbers, _vector
 from .rng import RngStream
 
 __all__ = [
@@ -86,18 +89,12 @@ class SampleView:
     source_n: int
 
     def __post_init__(self) -> None:
-        indices, n = self.indices, self.source_n
-        if (
-            indices.ndim != 1
-            or indices.dtype.kind not in "iu"
-            or not 1 <= len(indices) <= n
-        ):
-            raise ValidationError(
-                f"indices must be an integer vector of 1 to source_n={n} "
-                f"entries, got {indices.dtype} of shape {indices.shape}"
-            )
+        n = _count("source_n", self.source_n, 1)
+        indices = _vector("indices", self.indices, 1, n, integral=True)
         _check_subset(indices, n)
         indices.setflags(write=False)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "source_n", n)
 
     @classmethod
     def _from_checked(cls, indices: np.ndarray, source_n: int) -> "SampleView":

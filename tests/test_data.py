@@ -56,7 +56,9 @@ def test_values_are_write_protected():
 
 def test_rejects_empty_or_non_vector_values():
     for values in (np.zeros(0), np.zeros((2, 2))):
-        with pytest.raises(ValidationError, match="non-empty vector"):
+        with pytest.raises(
+            ValidationError, match="^values must be a vector of reals"
+        ):
             Dataset(values=values, true_mean=0.0, true_var=1.0)
     # n is the length of the values, so it cannot disagree with them
     assert Dataset(np.zeros(3), 0.0, 1.0).n == 3

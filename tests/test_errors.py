@@ -1,7 +1,9 @@
-"""The real rule of ``fusionval.errors``: a real is checked as the float
-the package keeps, so a real that no float holds, or whose float breaks
-its rule, is refused with a ValidationError naming the field, before
-any draw, and every config stores its reals as floats."""
+"""The real and vector rules of ``fusionval.errors``. A real is checked
+as the float the package keeps, so a real that no float holds, or whose
+float breaks its rule, is refused with a ValidationError naming the
+field, before any draw, and every config stores its reals as floats. An
+array argument is a 1-D vector of reals, or of integers, of the length
+its call needs; anything else is refused naming the field."""
 
 from fractions import Fraction
 
@@ -10,17 +12,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fusionval.data import generate_dataset
+from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import (
     ValidationError, _count, _finite, _nonnegative, _number, _numbers,
     _positive,
 )
-from fusionval.fsv import FsvConfig, FsvResult, fsv_run
+from fusionval.estimator import ModelParams, fit, loss
+from fusionval.fsv import FsvConfig, FsvResult, compound_measure, fsv_run
 from fusionval.harness import (
     CellResult, ExperimentConfig, ExperimentReport, run_experiment,
 )
+from fusionval.kfold import (
+    FoldPlan, LambdaWeights, empirical_kfold_loss, kfold_losses,
+    weighted_kfold_loss,
+)
 from fusionval.metrics import metric_table
 from fusionval.rng import RngStream
+from fusionval.sampling import SampleView
 from fusionval.theory import VarianceBudget, chebyshev_tail, hoeffding_tail
 
 _HUGE = 10**400  # past the largest float, about 1.8e308
@@ -185,3 +193,87 @@ def test_real_mode_returns_the_float_of_the_value(value):
     got = _number("x", value)
     assert type(got) is float
     assert got == float(value)
+
+
+# every public entry point that takes an array argument: the field it
+# names, a call with the argument in its place, whether its entries are
+# integers, and the fewest and most entries it takes (None: no bound)
+_PLAN, _WEIGHTS = FoldPlan(np.arange(4), 2), LambdaWeights(np.ones(2))
+_VECTOR_ARGS = {
+    "Dataset": ("values", lambda v: Dataset(v, 0.0, 1.0), False, 1, None),
+    "fit": ("train", fit, False, 2, None),
+    "loss": (
+        "validation", lambda v: loss(ModelParams(0.0, 1.0), v), False, 1,
+        None,
+    ),
+    "compound_measure": (
+        "iteration_losses", lambda v: compound_measure(v, 0.95), False, 1,
+        None,
+    ),
+    "kfold_losses": ("sample", lambda v: kfold_losses(v, _PLAN), False, 4, 4),
+    "empirical_kfold_loss": ("losses", empirical_kfold_loss, False, 1, None),
+    "LambdaWeights": ("lambdas", LambdaWeights, False, 1, None),
+    "weighted_kfold_loss": (
+        "losses", lambda v: weighted_kfold_loss(v, _WEIGHTS), False, 2, 2,
+    ),
+    "FoldPlan": ("order", lambda v: FoldPlan(v, 2), True, 1, None),
+    "SampleView": ("indices", lambda v: SampleView(v, 5), True, 1, 5),
+    "metric_table-mean_est": (
+        "mean_est", lambda v: metric_table(v, 1.0, 1.0, 0.0, 1.0, 1.0),
+        False, 1, None,
+    ),
+    "metric_table-var_est": (
+        "var_est",
+        lambda v: metric_table([0.0, 0.0], v, [1.0, 1.0], 0.0, 1.0, 1.0),
+        False, 2, 2,
+    ),
+}
+
+
+def _malformed(integral: bool, least: int, most: int | None) -> dict:
+    """Arguments an entry point must refuse, keyed by what is wrong;
+    each holds ``least`` entries unless its length is what is wrong."""
+    def entries(count):
+        return np.arange(count) if integral else np.ones(count)
+
+    fine = entries(least)
+    bad = {
+        "str": ["0"] * least,
+        "complex": [1j] * least,
+        "object": np.array(list(fine), dtype=object),
+        "bool": [True] * least,
+        "ragged": [[0], [0, 1]] + [[0]] * least,
+        "2-D": np.stack([fine, fine], axis=1),
+        "too-few": entries(least - 1),
+    }
+    if most is not None:
+        bad["too-many"] = entries(most + 1)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "entry, what, value",
+    [
+        pytest.param(entry, what, value, id=f"{entry}-{what}")
+        for entry, (_, _, integral, least, most) in _VECTOR_ARGS.items()
+        for what, value in _malformed(integral, least, most).items()
+    ],
+)
+def test_every_array_argument_is_refused_naming_its_field(entry, what, value):
+    field, call = _VECTOR_ARGS[entry][:2]
+    with pytest.raises(ValidationError, match=f"^{field} "):
+        call(value)
+
+
+def test_a_list_builds_what_its_array_builds():
+    for build, field, entries in (
+        (lambda v: SampleView(v, 5), "indices", [0, 2, 3]),
+        (lambda v: FoldPlan(v, 2), "order", [2, 0, 3, 1]),
+        (lambda v: Dataset(v, 0.0, 1.0), "values", [0.5, -2.0, 3.0]),
+    ):
+        listed = getattr(build(entries), field)
+        arrayed = getattr(build(np.array(entries)), field)
+        assert isinstance(listed, np.ndarray)
+        assert listed.dtype == arrayed.dtype
+        np.testing.assert_array_equal(listed, arrayed)
+        assert not listed.flags.writeable

@@ -106,6 +106,12 @@ class TestSampleView:
         with pytest.raises(ValidationError, match="integer"):
             SampleView(indices=np.array([0.0, 2.0]), source_n=5)
 
+    def test_source_n_is_a_count(self):
+        assert type(SampleView([0, 2], 5.0).source_n) is int
+        for bad in ("5", 0, 2.5):
+            with pytest.raises(ValidationError, match="^source_n "):
+                SampleView(indices=np.array([0]), source_n=bad)
+
     def test_holdout_is_the_complement(self):
         d = _dataset(6)
         view = SampleView(indices=np.array([0, 2, 5]), source_n=6)
