@@ -96,33 +96,45 @@ def _numbers(name: str, values, least: int | None = None) -> tuple:
     return tuple(_count(entry, v, least) for v in values)
 
 
+def _holds_bool(values) -> bool:
+    """Whether ``values`` is a bool or a list or tuple nesting one."""
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_))
+
+
 def _vector(
     name: str, values, least: int = 1, most: int | None = None,
-    integral: bool = False,
+    integral: bool = False, columns: int | None = None,
 ) -> np.ndarray:
     """``values`` as a 1-D array of ``least`` to ``most`` entries (no
-    bound if None), or a ValidationError naming the field. Reals come
-    back as float64, a float64 array as given; ``integral`` takes
-    integers only, in their own dtype. Bool, str, complex, object and
-    ragged entries are refused."""
+    bound if None) or, given ``columns``, rows of ``columns`` entries;
+    else a ValidationError naming the field. Reals come back as float64,
+    a float64 array as given; ``integral`` takes integers only, in their
+    own dtype. Bool, str, complex, object and ragged entries are
+    refused."""
     try:
         array = np.asarray(values)
     except ValueError:  # numpy's refusal of a ragged nesting
         got = "a ragged sequence"
     else:
-        if (
-            array.ndim == 1
+        got = f"{array.dtype} of shape {array.shape}"
+        if _holds_bool(values):
+            got = "a bool entry"
+        elif (
+            array.ndim  # a 0-d array has no length
+            and array.shape[1:] == ((columns,) if columns else ())
             and array.dtype.kind in ("iu" if integral else "iuf")
             and least <= len(array)
             and (most is None or len(array) <= most)
         ):
             return array if integral else array.astype(np.float64, copy=False)
-        got = f"{array.dtype} of shape {array.shape}"
     if least == most:
         length = least
     else:
         length = f"at least {least}" if most is None else f"{least} to {most}"
     kind = "integers" if integral else "reals"
+    form = f"(trials x {columns}) table" if columns else "vector"
     raise ValidationError(
-        f"{name} must be a vector of {kind} of length {length}, got {got}"
+        f"{name} must be a {form} of {kind} of length {length}, got {got}"
     )

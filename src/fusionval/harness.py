@@ -42,7 +42,7 @@ import numpy as np
 from .data import generate_dataset
 from .errors import (
     ValidationError, _count, _finite, _nonnegative, _number, _numbers,
-    _positive,
+    _positive, _vector,
 )
 from .fsv import (
     DEFAULT_ALPHA, _check_alpha, compound_measure, sampled_kfold_trial
@@ -144,13 +144,9 @@ class ExperimentConfig:
             )
         if self.lambdas is None:
             weights = LambdaWeights.uniform(self.k)
-        elif len(self.lambdas) != self.k:
-            raise ValidationError(
-                f"lambdas must have length k={self.k}, "
-                f"got {len(self.lambdas)}"
-            )
         else:
-            weights = LambdaWeights(lambdas=np.array(self.lambdas))
+            lambdas = _vector("lambdas", self.lambdas, self.k, self.k)
+            weights = LambdaWeights(lambdas=lambdas)
         object.__setattr__(self, "_weights", weights)
 
     def weights(self) -> LambdaWeights:
@@ -537,13 +533,16 @@ def report_from_dict(d: dict) -> ExperimentReport:
         for i, cd in enumerate(d["cells"]):
             where = f"report['cells'][{i}]"
             trials = {
-                method: np.array(
+                method: _vector(
+                    f"{where}['trials'][{method!r}]",
                     [[row[m] for m in METRIC_FIELDS] for row in rows],
-                    dtype=np.float64,
+                    columns=len(METRIC_FIELDS),
                 )
                 for method, rows in cd["trials"].items()
             }
-            losses = np.array(cd["fsv_iteration_losses"], dtype=np.float64)
+            losses = _vector(
+                f"{where}['fsv_iteration_losses']", cd["fsv_iteration_losses"]
+            )
             cells.append(CellResult(cd["n"], trials, losses, config.alpha))
     except ValidationError:
         raise

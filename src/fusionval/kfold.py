@@ -171,12 +171,10 @@ def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
     """
     sample_size = _number("sample_size", sample_size, True)
     k = _fold_count(sample_size, k)
-    order = stream.generator.permutation(sample_size)
-    if order.shape != (sample_size,):
-        raise ValidationError(
-            f"fold permutation must be a length-{sample_size} vector, "
-            f"got shape {order.shape}"
-        )
+    order = _vector(
+        "fold permutation", stream.generator.permutation(sample_size),
+        sample_size, sample_size, integral=True,
+    )
     return FoldPlan(order, k)
 
 

@@ -126,14 +126,7 @@ def trial_metrics(
 def summarize(table: np.ndarray) -> dict[str, Aggregate]:
     """Mean/min/max of each column of a ``(trials x 6)`` metric table,
     keyed by the names in ``METRIC_FIELDS``."""
-    table = np.asarray(table, dtype=np.float64)
-    if table.ndim != 2 or table.shape[1] != len(METRIC_FIELDS):
-        raise ValidationError(
-            f"need a (trials x {len(METRIC_FIELDS)}) table, "
-            f"got shape {table.shape}"
-        )
-    if not len(table):
-        raise ValidationError("need at least one trial to summarize")
+    table = _vector("table", table, columns=len(METRIC_FIELDS))
     # Reduce contiguous columns: a column's mean is then summed pairwise,
     # where table.mean(axis=0) would sum the rows in sequence and round
     # differently in the last bit.

@@ -4,12 +4,10 @@ Draws a uniform size-m subset of a dataset's indices, exposes the
 inclusion-count moments of the scheme, and draws the random partition
 fraction used by the experiment protocol. A :class:`SampleView` stores
 the subset's sorted indices and the dataset size ``source_n``; m is the
-number of indices. It takes them as any integer array-like, a list too,
-by ``errors._vector``: bool, float, str, complex, object and ragged
-entries raise a ValidationError naming ``indices``. :func:`_check_subset`
-states what a sorted subset must be, for the view and the sorted draw,
-and :func:`_index_mask` what distinct indices in range(n) are, for the
-masked draw and ``FoldPlan``.
+number of indices, taken as ``errors._vector``'s integer vector, a
+list too. :func:`_check_subset` states what a sorted subset must be,
+for the view and the sorted draw, and :func:`_index_mask` what
+distinct indices in range(n) are, for the masked draw and ``FoldPlan``.
 """
 
 from __future__ import annotations

@@ -100,18 +100,16 @@ def _check_inclusion_and_fpc() -> str:
 
 
 def _check_weighted_loss() -> str:
-    losses = np.array([0.91, 1.07, 1.02, 0.98, 1.01])
+    losses = [0.91, 1.07, 1.02, 0.98, 1.01]
     uniform = LambdaWeights.uniform(5)
     _require(
         weighted_kfold_loss(losses, uniform) == empirical_kfold_loss(losses),
         "uniform weights changed the plain mean",
     )
-    two_fold = weighted_kfold_loss(
-        np.array([2.0, 0.0]), LambdaWeights(np.array([2.0, 0.0]))
-    )
+    two_fold = weighted_kfold_loss([2.0, 0.0], LambdaWeights([2.0, 0.0]))
     _require(two_fold == 2.0, f"zero-weight loss {two_fold}")
     equal = weighted_kfold_loss(
-        np.full(4, 1.0), LambdaWeights(np.array([0.5, 1.5, 1.25, 0.75]))
+        np.ones(4), LambdaWeights([0.5, 1.5, 1.25, 0.75])
     )
     _require(equal == 1.0, f"equal-loss mean {equal}")
     return "uniform, zero-weight, and equal-loss identities hold"

@@ -232,9 +232,16 @@ _VECTOR_ARGS = {
 
 def _malformed(integral: bool, least: int, most: int | None) -> dict:
     """Arguments an entry point must refuse, keyed by what is wrong;
-    each holds ``least`` entries unless its length is what is wrong."""
+    each holds ``least`` entries unless its length is what is wrong, or
+    but for one bool, at least 2 valid entries ("mixed-" cases)."""
     def entries(count):
         return np.arange(count) if integral else np.ones(count)
+
+    def mixed(true):
+        # a valid list but for its second entry; numpy reads True as 1
+        listed = entries(max(least, 2)).tolist()
+        listed[1] = true
+        return listed
 
     fine = entries(least)
     bad = {
@@ -242,6 +249,8 @@ def _malformed(integral: bool, least: int, most: int | None) -> dict:
         "complex": [1j] * least,
         "object": np.array(list(fine), dtype=object),
         "bool": [True] * least,
+        "mixed-bool": mixed(True),
+        "mixed-numpy-bool": mixed(np.True_),
         "ragged": [[0], [0, 1]] + [[0]] * least,
         "2-D": np.stack([fine, fine], axis=1),
         "too-few": entries(least - 1),

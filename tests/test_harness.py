@@ -693,6 +693,39 @@ class TestJsonRoundTrip:
             report_from_dict(d)
 
     @pytest.mark.parametrize(
+        "field_name, path",
+        [
+            ("trials", r"\['trials'\]\['KFCV'\]"),
+            ("fsv_iteration_losses", r"\['fsv_iteration_losses'\]"),
+        ],
+        ids=["trials", "fsv_iteration_losses"],
+    )
+    def test_a_value_of_one_turned_to_true_is_rejected(
+        self, small_report, field_name, path
+    ):
+        # JSON true equals 1.0, so only the type tells the two apart
+        inputs = _cell_inputs(small_report.cell(100, 3))
+        kfcv = inputs["trials"]["KFCV"].copy()
+        kfcv[1, 2] = 1.0
+        inputs["trials"]["KFCV"] = kfcv
+        losses = inputs["fsv_iteration_losses"].copy()
+        losses[1] = 1.0
+        inputs["fsv_iteration_losses"] = losses
+        cells = [small_report.cells[0], CellResult(**inputs)]
+        d = report_to_dict(ExperimentReport(_SMALL, cells, 0.0))
+        assert report_from_dict(d).cells[1].trials["KFCV"][1, 2] == 1.0
+        cell = d["cells"][1]
+        if field_name == "trials":
+            cell["trials"]["KFCV"][1][METRIC_FIELDS[2]] = True
+        else:
+            cell["fsv_iteration_losses"][1] = True
+        with pytest.raises(
+            ValidationError,
+            match=rf"^report\['cells'\]\[1\]{path} must be a .*, got a bool",
+        ):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize(
         "edit, match",
         [
             (
@@ -738,8 +771,8 @@ class TestJsonRoundTrip:
             ),
             (
                 lambda d: d["cells"][1].update(fsv_iteration_losses="abc"),
-                r"report\['cells'\]\[1\]: an input is missing or mistyped: "
-                "ValueError",
+                r"report\['cells'\]\[1\]\['fsv_iteration_losses'\] must be a "
+                r"vector of reals of length at least 1, got <U3 of shape \(\)",
             ),
             (
                 lambda d: d.update(wall_time_s="1 s"),

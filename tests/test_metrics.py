@@ -113,6 +113,26 @@ class TestSummarize:
         with pytest.raises(ValidationError, match="trials x 6"):
             summarize(np.ones((3, 5)))
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [["1"] * 6],
+            [[True] * 6],
+            [[0.5] * 5 + [True]],
+            [[0.5] * 5 + [np.True_]],
+            np.array([[None] * 6]),
+            [[0.5] * 6, [0.5] * 5],
+            np.ones((2, 3, 6)),
+        ],
+        ids=[
+            "numeric-str", "bool", "mixed-bool", "mixed-numpy-bool", "none",
+            "ragged", "3-D",
+        ],
+    )
+    def test_rejects_a_table_that_is_not_reals(self, table):
+        with pytest.raises(ValidationError, match="^table must be a"):
+            summarize(table)
+
 
 class TestGridLevelBehaviour:
     """Slow checks against the default study grid."""
