@@ -4,8 +4,8 @@ Each rule is stated once here, with its message: :func:`_number` what a
 number is, :func:`_count` what a count is, :func:`_finite`,
 :func:`_positive` and :func:`_nonnegative` what a finite, a positive
 and a non-negative real are, :func:`_numbers` what a sequence of
-numbers or counts is, and :func:`_vector` what an array argument is.
-Every public boundary applies them rather than a copy.
+numbers or counts is, and :func:`_vector` what an array argument or
+draw is. Every public boundary applies them rather than a copy.
 """
 
 import math
@@ -97,10 +97,11 @@ def _numbers(name: str, values, least: int | None = None) -> tuple:
 
 
 def _holds_bool(values) -> bool:
-    """Whether ``values`` is a bool or a list or tuple nesting one."""
+    """Whether ``values`` is a bool or bool array (numpy's too), or a
+    list or tuple nesting one."""
     if isinstance(values, (list, tuple)):
         return any(map(_holds_bool, values))
-    return isinstance(values, (bool, np.bool_))
+    return isinstance(values, bool) or getattr(values, "dtype", None) == bool
 
 
 def _vector(
@@ -111,14 +112,13 @@ def _vector(
     bound if None) or, given ``columns``, rows of ``columns`` entries;
     else a ValidationError naming the field. Reals come back as float64,
     a float64 array as given; ``integral`` takes integers only, in their
-    own dtype. Bool, str, complex, object and ragged entries are
-    refused."""
+    own dtype. Bool (at any depth), str, complex, object and ragged
+    entries are refused."""
     try:
         array = np.asarray(values)
     except ValueError:  # numpy's refusal of a ragged nesting
         got = "a ragged sequence"
     else:
-        got = f"{array.dtype} of shape {array.shape}"
         if _holds_bool(values):
             got = "a bool entry"
         elif (
@@ -129,6 +129,8 @@ def _vector(
             and (most is None or len(array) <= most)
         ):
             return array if integral else array.astype(np.float64, copy=False)
+        else:
+            got = f"{array.dtype} of shape {array.shape}"
     if least == most:
         length = least
     else:

@@ -4,10 +4,11 @@ Draws a uniform size-m subset of a dataset's indices, exposes the
 inclusion-count moments of the scheme, and draws the random partition
 fraction used by the experiment protocol. A :class:`SampleView` stores
 the subset's sorted indices and the dataset size ``source_n``; m is the
-number of indices, taken as ``errors._vector``'s integer vector, a
-list too. :func:`_check_subset` states what a sorted subset must be,
-for the view and the sorted draw, and :func:`_index_mask` what
-distinct indices in range(n) are, for the masked draw and ``FoldPlan``.
+number of indices. The indices, a list too, and each subset draw are
+checked as ``errors._vector``'s integer vector. :func:`_check_subset`
+states what a sorted subset must be, for the view and the sorted draw,
+and :func:`_index_mask` what distinct indices in range(n) are, for the
+masked draw and ``FoldPlan``.
 """
 
 from __future__ import annotations
@@ -132,11 +133,7 @@ def _draw_subset(
     :func:`_index_mask` and reading the mask back, O(n), costs less.
     """
     picked = generator.choice(n, size=m, replace=False, shuffle=False)
-    if picked.shape != (m,) or picked.dtype.kind not in "iu":
-        raise ValidationError(
-            f"subset draw must be {m} integers, got shape {picked.shape} "
-            f"of dtype {picked.dtype}"
-        )
+    picked = _vector("subset draw", picked, m, m, integral=True)
     if 3 * m < n:
         picked.sort()
         _check_subset(picked, n)

@@ -3,9 +3,13 @@ as the float the package keeps, so a real that no float holds, or whose
 float breaks its rule, is refused with a ValidationError naming the
 field, before any draw, and every config stores its reals as floats. An
 array argument is a 1-D vector of reals, or of integers, of the length
-its call needs; anything else is refused naming the field."""
+its call needs; anything else is refused naming the field. No module
+but ``errors`` writes an array check of its own, save ``metrics``'
+stricter rule for the arrays a result stores."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import (
     ValidationError, _count, _finite, _nonnegative, _number, _numbers,
-    _positive,
+    _positive, _vector,
 )
 from fusionval.estimator import ModelParams, fit, loss
 from fusionval.fsv import FsvConfig, FsvResult, compound_measure, fsv_run
@@ -36,6 +40,7 @@ _TINY = Fraction(1, 10**400)  # a positive real whose float is 0.0
 # two reals that differ but round to one double, 0.6
 _ONE_DOUBLE = (Fraction(3, 5), Fraction(3, 5) + Fraction(1, 10**30))
 _SMALL = dict(sizes=(100,), trials=(2,))
+_SRC = Path(__file__).resolve().parents[1] / "src" / "fusionval"
 
 
 class TestNoFloatHoldsIt:
@@ -251,6 +256,7 @@ def _malformed(integral: bool, least: int, most: int | None) -> dict:
         "bool": [True] * least,
         "mixed-bool": mixed(True),
         "mixed-numpy-bool": mixed(np.True_),
+        "nested-bool-array": mixed(np.array(True)),
         "ragged": [[0], [0, 1]] + [[0]] * least,
         "2-D": np.stack([fine, fine], axis=1),
         "too-few": entries(least - 1),
@@ -286,3 +292,56 @@ def test_a_list_builds_what_its_array_builds():
         assert listed.dtype == arrayed.dtype
         np.testing.assert_array_equal(listed, arrayed)
         assert not listed.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.ones(3, bool), [np.ones(3, bool)], [[0.5], [np.array(True)]]],
+    ids=["bool-array", "nested-bool-array", "deep-bool-0-d"],
+)
+def test_a_bool_array_is_a_bool_entry_at_any_depth(values):
+    with pytest.raises(ValidationError, match=r"^x must .*, got a bool entry$"):
+        _vector("x", values)
+
+
+def test_an_accepted_array_is_returned_as_given():
+    for values, integral in ((np.ones(3), False), (np.arange(3), True)):
+        assert _vector("x", values, integral=integral) is values
+
+
+# hand-written array checks compare one of these attributes
+_ARRAY_ATTRIBUTES = {"dtype", "shape", "ndim"}
+# the stricter rule for stored results: a float64 array of one shape
+_OTHER_ARRAY_RULES = {("metrics.py", "_frozen_array")}
+
+
+def _array_checks(tree):
+    """(function, line) of each comparison inside a function of ``tree``
+    with a ``.dtype``, ``.shape`` or ``.ndim`` attribute in an operand."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Attribute)
+                and sub.attr in _ARRAY_ATTRIBUTES
+                for operand in (node.left, *node.comparators)
+                for sub in ast.walk(operand)
+            ):
+                yield func.name, node.lineno
+
+
+def test_every_array_check_is_the_vector_rule():
+    # errors states the rule; any other module checks its arrays by it
+    found, written = [], set()
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, line in _array_checks(tree):
+            written.add((path.name, name))
+            if path.name != "errors.py" and (
+                (path.name, name) not in _OTHER_ARRAY_RULES
+            ):
+                found.append(f"{path.name}:{line} in {name}")
+    assert found == []
+    # the guard sees the rule and its one exception
+    assert {("errors.py", "_vector"), *_OTHER_ARRAY_RULES} <= written

@@ -120,13 +120,14 @@ class TestSummarize:
             [[True] * 6],
             [[0.5] * 5 + [True]],
             [[0.5] * 5 + [np.True_]],
+            [np.ones(6, bool), np.ones(6)],
             np.array([[None] * 6]),
             [[0.5] * 6, [0.5] * 5],
             np.ones((2, 3, 6)),
         ],
         ids=[
-            "numeric-str", "bool", "mixed-bool", "mixed-numpy-bool", "none",
-            "ragged", "3-D",
+            "numeric-str", "bool", "mixed-bool", "mixed-numpy-bool",
+            "nested-bool-array", "none", "ragged", "3-D",
         ],
     )
     def test_rejects_a_table_that_is_not_reals(self, table):

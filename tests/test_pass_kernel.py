@@ -27,6 +27,7 @@ plan's statistics step to the same per-fold reference.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -881,6 +882,22 @@ def test_bad_draws_are_rejected_by_the_mask_branch(case):
             data, k, 2, (RngStream(6, 2), stub, stub),
             fraction_range=pinning_window(m, n),
         )
+
+
+@pytest.mark.parametrize(
+    "case, got",
+    [
+        pytest.param("choice-short", "int64 of shape (9,)", id="short"),
+        pytest.param("choice-floats", "float64 of shape (10,)", id="floats"),
+    ],
+)
+def test_a_subset_draw_is_refused_by_the_vector_rule(case, got):
+    stream = RngStream(6, 1)
+    stub = _StubGenerator(stream.generator, *_BAD_DRAWS[case])
+    object.__setattr__(stream, "generator", stub)
+    want = f"subset draw must be a vector of integers of length 10, got {got}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        srs_sample(_dataset(50, 0.0, 1.0, 6), 10, stream)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 1_500, 75_000])
