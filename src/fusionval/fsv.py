@@ -142,7 +142,6 @@ def sampled_kfold_trial(
     call whose window can draw a size that cannot train, or can leave no
     holdout, fails before any draw, as :func:`fsv_run` does.
     """
-    k = _count("k", k, 2)
     passes = _run_passes(
         data,
         k,

@@ -71,6 +71,16 @@ points keeps fewer digits than a direct sum;
 ``selftest._tolerance``, the rule the kernel's checks hold it to, has a
 term for this.
 
+*Tested error bound.* This bound is measured, not derived: the suite
+holds the kernel to it, and no analysis of the pairwise update backs it
+yet. ``test_every_statistic_is_exact_to_a_few_ulps_across_batches``
+scores one call (n = 300, k = 5, 80 passes over three batches, mu = 1e9,
+sigma = 1e-3) against exact rational arithmetic on the stored doubles.
+Every ``_Passes`` statistic must lie within 8 ulps of its exact value,
+and the holdout within 8 (ulp + ulp(M2_data) / n_h), M2_data being the
+dataset's centred sum of squares and n_h the holdout's size. Over seeds
+0-9 the worst case measured is 4.53 ulps, on the fold losses.
+
 The kernels use ufunc reductions only, never ``@`` or ``np.dot``: with a
 threaded BLAS a dot product of a few thousand elements is spread over
 every core, which costs CPU time on a process that runs alone and
@@ -194,7 +204,8 @@ def _subsample_range(
     draw from the window (low, high): round(low*n), round(high*n).
     They bound every drawn m, as round is monotone, and m - ceil(m/k)
     never falls as m grows; high <= 1 keeps them at most n. ``k`` must
-    already be a count >= 2. Raises unless every such m is
+    already be a count >= 2, as :func:`_run_passes` makes it. Raises
+    unless every such m is
     :func:`_trainable` and, with ``require_holdout``, under n, so that
     it leaves a holdout; a size error names the field."""
     low, high = fraction_range
@@ -322,10 +333,11 @@ def _run_passes(
     its subsample from the second and its fold order, by a shuffle of
     the subsample, from the third. With ``holdout`` the result
     carries each subsample's squared error on the rest of the dataset.
-    Every size the call can draw is checked before the first draw, by
-    :func:`_subsample_range`; with ``holdout``, every such size must
-    leave one.
+    ``k`` (>= 2, integral) and every size the call can draw are checked
+    before the first draw, the sizes by :func:`_subsample_range`; with
+    ``holdout``, every such size must leave one.
     """
+    k = _count("k", k, 2)
     fraction_range = _fraction_window(fraction_range)
     low, high = fraction_range
     n = data.n
@@ -456,7 +468,6 @@ class KfcvEstimate:
 
 def repeated_kfcv(
     data: Dataset,
-    k: int,
     repetitions: int,
     weights: LambdaWeights,
     stream: RngStream,
@@ -468,18 +479,15 @@ def repeated_kfcv(
     round(f*n) points, builds a fold plan, and records the weighted
     k-fold loss plus the per-fold training-complement mean and variance.
     The returned estimates average over all repetitions and folds; the
-    repetitions run as one batch of the pass kernel. ``k`` (>= 2) and
-    ``repetitions`` (>= 1) must be integral (5.0 is taken as 5). A call
-    whose window can draw a size that cannot train fails before any draw.
+    repetitions run as one batch of the pass kernel. k is ``weights.k``
+    (>= 2), and ``repetitions`` (>= 1) must be integral (5.0 is taken
+    as 5). A call whose window can draw a size that cannot train fails
+    before any draw.
     """
-    k = _count("k", k, 2)
     repetitions = _count("repetitions", repetitions, 1)
-    if weights.k != k:
-        raise ValidationError(
-            f"weights have k={weights.k}, expected {k}"
-        )
     passes = _run_passes(
-        data, k, repetitions, (stream,) * 3, fraction_range=fraction_range
+        data, weights.k, repetitions, (stream,) * 3,
+        fraction_range=fraction_range,
     )
     # the mean over repetitions of weighted_kfold_loss, in one reduce
     return KfcvEstimate(

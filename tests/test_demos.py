@@ -1,18 +1,29 @@
-"""The demos' imports from the package resolve, and their calls fit.
+"""The demos run, their imports from the package resolve, and their
+calls fit.
 
-Each ``demos/*.py`` is parsed with ``ast``, and every name it takes by
-``from fusionval... import`` must exist in that module. Every call of
-such a name may pass only keywords that are parameters of the callable's
-``inspect.signature``. No demo is run: a removed or renamed export or
-keyword fails here rather than in a reader's shell.
+Each ``demos/*.py`` runs in a subprocess, on this checkout's package,
+and must exit 0 within a timeout. It is also parsed with ``ast``, and
+every name it takes by ``from fusionval... import`` must exist in that
+module. Every call of such a name may pass only keywords that are
+parameters of the callable's ``inspect.signature``. A removed or
+renamed export or keyword, or a demo that no longer runs, fails here
+rather than in a reader's shell. README quotes ``paper_table.py``'s
+output, and must quote it as the demo prints it.
 """
 
 import ast
+import functools
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-_DEMOS = Path(__file__).resolve().parents[1] / "demos"
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+_DEMOS = _ROOT / "demos"
 
 
 def _package_imports(tree):
@@ -70,3 +81,28 @@ def test_every_demo_keyword_is_a_parameter_of_its_callable():
                     )
     assert unknown == []
     assert checked > 0
+
+
+@functools.cache
+def _run(demo: str) -> subprocess.CompletedProcess:
+    """``demo`` run once per session, on the package under ``src``."""
+    return subprocess.run(
+        [sys.executable, str(_DEMOS / demo)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+    )
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in _DEMOS.glob("*.py")))
+def test_every_demo_runs(demo):
+    done = _run(demo)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+
+
+def test_readme_quotes_the_paper_table_as_the_demo_prints_it():
+    done = _run("paper_table.py")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() in (_ROOT / "README.md").read_text()

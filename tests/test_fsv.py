@@ -324,7 +324,7 @@ class TestFsvRun:
         # repeated_kfcv scores no holdout, so it takes the window and
         # draws all 10 points
         repeated_kfcv(
-            data, 5, 1, LambdaWeights.uniform(5), stream, fraction_range=window
+            data, 1, LambdaWeights.uniform(5), stream, fraction_range=window
         )
         # round(1.0 * 100) = 100, though a draw lands there rarely: the
         # trial is refused on every seed, before it draws

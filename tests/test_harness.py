@@ -113,6 +113,12 @@ class TestExperimentConfig:
             dict(trials=[1.7]),
             dict(shared_streams="no"),
             dict(alpha="0.9"),
+            # sums that would overflow: n * sigma2, the dataset's centred
+            # sum of squares; repetitions * k * |mu|, KFCV's mean of 50
+            # training means; t * |mu|, a cell's mean over 200 trials
+            dict(sizes=(10_000,), trials=(2,), sigma2=1e305),
+            dict(mu=4e306),
+            dict(trials=(200,), mu=1e306),
         ],
     )
     def test_rejection_names_the_field(self, kwargs):
@@ -196,6 +202,39 @@ class TestExperimentConfig:
 
     def test_default_hash_is_pinned(self):
         assert ExperimentConfig().config_hash() == "ecbafb33efb2d578"
+
+    @pytest.mark.parametrize(
+        "kwargs, field_name, sign, terms",
+        [
+            # the largest sum has n, repetitions * k or t terms
+            (dict(sizes=(10_000,), trials=(2,)), "sigma2", 1, 10_000),
+            (dict(sizes=(100,), trials=(2,)), "mu", 1, 50),
+            (dict(sizes=(100,), trials=(2,)), "mu", -1, 50),
+            (dict(sizes=(100,), trials=(200,)), "mu", 1, 200),
+            (dict(sizes=(100,), trials=(200,)), "sigma2", 1, 200),
+        ],
+    )
+    def test_the_sum_bound_holds_on_both_sides_of_its_edge(
+        self, kwargs, field_name, sign, terms, tmp_path
+    ):
+        edge = sign * float(np.finfo(np.float64).max) / 2**12 / terms
+        beyond = float(np.nextafter(edge, sign * np.inf))
+        with pytest.raises(ValidationError, match=f"^{field_name} "):
+            ExperimentConfig(**kwargs, **{field_name: beyond})
+        config = ExperimentConfig(**kwargs, **{field_name: edge})
+        report = run_experiment(config, jobs=1)
+
+        def refuse(constant):
+            raise AssertionError(f"emit_json wrote {constant}")
+
+        # RFC 8259 JSON: no Infinity or NaN anywhere in the report
+        json.loads(
+            emit_json(report, tmp_path / "r.json").read_text(),
+            parse_constant=refuse,
+        )
+        for cell in report.cells:
+            assert all(np.isfinite(t).all() for t in cell.trials.values())
+            assert np.isfinite(cell.fsv_compounded)
 
 
 class TestRunExperiment:

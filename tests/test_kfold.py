@@ -209,7 +209,6 @@ class TestRepeatedKfcv:
     def test_constant_data(self):
         est = repeated_kfcv(
             _constant_dataset(20),
-            k=2,
             repetitions=1,
             weights=LambdaWeights.uniform(2),
             stream=RngStream(3, 2),
@@ -222,7 +221,6 @@ class TestRepeatedKfcv:
         data = generate_dataset(10_000, 0.0, 1.0, derive_stream(42, 31, 0))
         est = repeated_kfcv(
             data,
-            k=5,
             repetitions=10,
             weights=LambdaWeights.uniform(5),
             stream=derive_stream(42, 31, 4),
@@ -235,7 +233,6 @@ class TestRepeatedKfcv:
         runs = [
             repeated_kfcv(
                 data,
-                k=5,
                 repetitions=3,
                 weights=LambdaWeights.uniform(5),
                 stream=derive_stream(7, 0, 4),
@@ -247,10 +244,4 @@ class TestRepeatedKfcv:
     def test_rejects_bad_arguments(self):
         data = _constant_dataset(30)
         with pytest.raises(ValidationError):
-            repeated_kfcv(
-                data, 2, 0, LambdaWeights.uniform(2), RngStream(3, 3)
-            )
-        with pytest.raises(ValidationError):
-            repeated_kfcv(
-                data, 3, 1, LambdaWeights.uniform(2), RngStream(3, 3)
-            )
+            repeated_kfcv(data, 0, LambdaWeights.uniform(2), RngStream(3, 3))

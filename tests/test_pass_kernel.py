@@ -172,7 +172,7 @@ class TestRepeatedKfcv:
         seed = params["seed"]
         stream, ref_stream = RngStream(seed, 4), RngStream(seed, 4)
         est = repeated_kfcv(
-            dataset, k, repetitions, weights, stream, fraction_range=window
+            dataset, repetitions, weights, stream, fraction_range=window
         )
         refs = [
             _replay_pass(dataset, k, (ref_stream,) * 3, window)
@@ -950,7 +950,22 @@ def test_single_fold_is_rejected_before_drawing():
     stream = RngStream(6, 1)
     before = stream.generator.bit_generator.state
     with pytest.raises(ValidationError, match="k must be >= 2"):
-        repeated_kfcv(data, 1, 2, LambdaWeights.uniform(1), stream)
+        repeated_kfcv(data, 2, LambdaWeights.uniform(1), stream)
+    assert stream.generator.bit_generator.state == before
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [(1, "k must be >= 2, got 1"), (5.5, "k must be an integer, got 5.5")],
+)
+def test_the_kernel_refuses_a_bad_k_before_drawing(k, message):
+    # the fold-count rule is the kernel's own, so it holds for a caller
+    # that checks nothing
+    data = _dataset(50, 0.0, 1.0, 6)
+    stream = RngStream(6, 1)
+    before = stream.generator.bit_generator.state
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _run_passes(data, k, 2, (stream,) * 3, holdout=True)
     assert stream.generator.bit_generator.state == before
 
 
@@ -963,7 +978,7 @@ def test_malformed_window_is_rejected_before_drawing(kernel, window):
     with pytest.raises(ValidationError, match="fraction_range"):
         if kernel == "repeated_kfcv":
             repeated_kfcv(
-                data, 5, 2, LambdaWeights.uniform(5), stream,
+                data, 2, LambdaWeights.uniform(5), stream,
                 fraction_range=window,
             )
         else:
@@ -983,7 +998,7 @@ def test_window_too_low_for_n_is_rejected_before_drawing(kernel):
         with pytest.raises(ValidationError, match="^fraction_range"):
             if kernel == "repeated_kfcv":
                 repeated_kfcv(
-                    data, 2, 3, LambdaWeights.uniform(2), stream,
+                    data, 3, LambdaWeights.uniform(2), stream,
                     fraction_range=(0.2, 0.9),
                 )
             else:
@@ -1004,16 +1019,10 @@ _BAD_SIZE_CALLS = {
     "fractional-k-trial": (
         "k", lambda data, s: sampled_kfold_trial(data, 5.5, s)
     ),
-    "fractional-k-kfcv": (
-        "k",
-        lambda data, s: repeated_kfcv(
-            data, 5.5, 2, LambdaWeights.uniform(5), s
-        ),
-    ),
     "fractional-repetitions": (
         "repetitions",
         lambda data, s: repeated_kfcv(
-            data, 5, 2.5, LambdaWeights.uniform(5), s
+            data, 2.5, LambdaWeights.uniform(5), s
         ),
     ),
     # the per-step functions follow the same integral rule
@@ -1106,8 +1115,8 @@ def test_integral_float_sizes_are_taken_as_ints():
     assert trial.m == want.m
     assert np.array_equal(trial.fold_losses, want.fold_losses)
     weights = LambdaWeights.uniform(5)
-    est = repeated_kfcv(data, 5.0, 2.0, weights, RngStream(6, 1))
-    assert est == repeated_kfcv(data, 5, 2, weights, RngStream(6, 1))
+    est = repeated_kfcv(data, 2.0, weights, RngStream(6, 1))
+    assert est == repeated_kfcv(data, 2, weights, RngStream(6, 1))
     # and the per-step functions
     drawn = generate_dataset(50.0, 0.0, 1.0, RngStream(6, 2))
     assert np.array_equal(
