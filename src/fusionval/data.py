@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _count, _finite, _positive, _vector
+from .errors import _count, _finite, _positive, _summable, _vector
 from .rng import RngStream, standard_normal
 
 __all__ = ["Dataset", "generate_dataset"]
@@ -24,7 +24,8 @@ class Dataset:
     """An i.i.d. Gaussian sample with known ground truth; ``n`` is the
     length of ``values``.
 
-    ``values`` must be a non-empty vector of finite reals; it is held
+    ``values`` must be a non-empty vector of finite reals whose range
+    keeps the pass kernel's sums finite (``errors._summable``); it is held
     as float64 (a float64 array as given, anything else as a copy) and
     write-protected after construction; treat it as read-only
     everywhere. ``true_mean`` must be finite and ``true_var`` finite and
@@ -37,8 +38,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         values = _vector("values", self.values)
-        if not np.isfinite(values).all():
-            raise ValidationError("values must be finite")
+        _summable("values", values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
         for name, rule in (("true_mean", _finite), ("true_var", _positive)):

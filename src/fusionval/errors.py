@@ -4,8 +4,10 @@ Each rule is stated once here, with its message: :func:`_number` what a
 number is, :func:`_count` what a count is, :func:`_finite`,
 :func:`_positive` and :func:`_nonnegative` what a finite, a positive
 and a non-negative real are, :func:`_numbers` what a sequence of
-numbers or counts is, and :func:`_vector` what an array argument or
-draw is. Every public boundary applies them rather than a copy.
+numbers or counts is, :func:`_vector` what an array argument or
+draw is, and :func:`_summable` what values the pass kernel can sum.
+``_SUM_LIMIT`` is the one float-max margin behind the sum rules. Every
+public boundary applies them rather than a copy.
 """
 
 import math
@@ -15,6 +17,20 @@ from collections.abc import Iterable
 import numpy as np
 
 __all__ = ["ValidationError"]
+
+# The most N times a squared scale may reach. A study's largest sums
+# hold up to N terms: a dataset's centred sum of squares (N = n), a
+# cell's summary means (N = t) and KFCV's means of its repetitions*k
+# training means and variances. numpy's ziggurat draws no standard
+# normal z above 13.71 in size (its tail step is r + ln(2**53)/r,
+# r = 3.654), and rounding mu + z*sigma to a float at most doubles its
+# distance from mu. So a term is at most |mu| + 27.42*sigma or, as a
+# loss or variance, 5 * 27.42**2 * sigma2 = 3760 * sigma2, and N*|mu|
+# and N*sigma2 at most float max / 2**12 keep every sum finite. The
+# same distance bound puts a drawn dataset's range (max - min) under
+# 2 * 27.42 * sigma < 64 * sigma, so n * (range / 64)**2 <= _SUM_LIMIT,
+# :func:`_summable`'s rule, holds for every dataset a study draws.
+_SUM_LIMIT = float(np.finfo(np.float64).max) / 2**12
 
 
 class ValidationError(ValueError):
@@ -47,13 +63,15 @@ def _number(name: str, value, integral: bool = False):
     raise ValidationError(f"{name} must be {kind}, got {value!r}")
 
 
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int of at least ``least``, or a ValidationError
-    naming the field: integral per :func:`_number` (5.0 is taken as 5;
-    5.5, True and "5" are refused)."""
+def _count(name: str, value, least: int, most: int | None = None) -> int:
+    """``value`` as an int from ``least`` to ``most`` (no upper bound if
+    None), or a ValidationError naming the field: integral per
+    :func:`_number` (5.0 is taken as 5; 5.5, True and "5" are refused)."""
     value = _number(name, value, True)
     if value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValidationError(f"{name} must be <= {most}, got {value}")
     return value
 
 
@@ -94,6 +112,28 @@ def _numbers(name: str, values, least: int | None = None) -> tuple:
     if least is None:
         return tuple(_number(entry, v) for v in values)
     return tuple(_count(entry, v, least) for v in values)
+
+
+def _summable(name: str, values: np.ndarray) -> None:
+    """A ValidationError naming the field unless the float64 vector
+    ``values`` is finite and n * (range / 64)**2 <= ``_SUM_LIMIT``, so
+    n * range**2 <= float max, range being max - min. Every centred sum
+    the pass kernel takes (a fold's, a sample's or the dataset's M2, a
+    between-group term) is at most n * range**2 / 4, as no variance
+    exceeds (range / 2)**2, and a complement's difference of two such
+    sums at most twice that; so each stays finite."""
+    # Python floats: a non-finite or overflowing range warns nothing
+    spread = float(values.max()) - float(values.min())
+    scale = spread / 64  # nan or inf when some value is not finite
+    if not len(values) * scale * scale <= _SUM_LIMIT:
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} must be finite")
+        most = 64 * math.sqrt(_SUM_LIMIT / len(values))
+        raise ValidationError(
+            f"{name} must span at most {most:.6g} (max - min) on "
+            f"n={len(values)} points, so that the kernel's sums stay "
+            f"finite, got {spread:.6g}"
+        )
 
 
 def _holds_bool(values) -> bool:

@@ -41,8 +41,8 @@ import numpy as np
 
 from .data import generate_dataset
 from .errors import (
-    ValidationError, _count, _finite, _nonnegative, _number, _numbers,
-    _positive, _vector,
+    _SUM_LIMIT, ValidationError, _count, _finite, _nonnegative, _number,
+    _numbers, _positive, _vector,
 )
 from .fsv import (
     DEFAULT_ALPHA, _check_alpha, compound_measure, sampled_kfold_trial
@@ -72,16 +72,6 @@ REPORT_VERSION = "0.1.0"
 DEFAULT_SIZES = (10_000, 50_000, 100_000)
 DEFAULT_TRIALS = (10, 50, 100)
 
-# The run's largest sums hold up to N terms: a dataset's centred sum of
-# squares (N = n), a cell's summary means (N = t) and KFCV's means of
-# its repetitions*k training means and variances. numpy's ziggurat draws
-# no standard normal z above 13.71 in size (its tail step is r +
-# ln(2**53)/r, r = 3.654), and rounding mu + z*sigma to a float at most
-# doubles its distance from mu. So a term is at most |mu| + 27.42*sigma
-# or, as a loss or variance, 5 * 27.42**2 * sigma2 = 3760 * sigma2, and
-# N*|mu| and N*sigma2 at most float max / 2**12 keep every sum finite.
-_SUM_LIMIT = float(np.finfo(np.float64).max) / 2**12
-
 _METHODS = tuple(m.value for m in Method)  # SRS, KFCV, FSV
 _METRIC_LABELS = {
     "mean_est": "Mean est.",
@@ -104,7 +94,7 @@ class ExperimentConfig:
     finite and > 0, and ``alpha`` follows :class:`~fusionval.FsvConfig`'s
     rule: in (0, 1], with a warning below 0.8. Every size must train k
     folds and leave a holdout at either end of ``fraction_range``, and
-    |mu| and sigma2 must keep the run's sums finite (``_SUM_LIMIT``).
+    |mu| and sigma2 must keep the run's sums finite (``errors._SUM_LIMIT``).
     Every real is kept as a float, so a config given integers hashes
     like its float twin.
     """

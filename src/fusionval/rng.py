@@ -19,7 +19,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ValidationError, _count
+from .errors import _count
 
 __all__ = [
     "MAX_PURPOSE",
@@ -90,11 +90,7 @@ def derive_stream(base_seed: int, trial_index: int, purpose_tag: int) -> RngStre
     is a purpose tag.
     """
     trial_index = _count("trial_index", trial_index, 0)
-    purpose_tag = _count("purpose_tag", purpose_tag, 0)
-    if purpose_tag >= MAX_PURPOSE:
-        raise ValidationError(
-            f"purpose_tag must be in [0, {MAX_PURPOSE}), got {purpose_tag}"
-        )
+    purpose_tag = _count("purpose_tag", purpose_tag, 0, MAX_PURPOSE - 1)
     return RngStream(base_seed, (trial_index << _PURPOSE_BITS) | purpose_tag)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _count, _number, _numbers, _vector
+from .errors import ValidationError, _count, _numbers, _vector
 from .rng import RngStream
 
 __all__ = [
@@ -117,9 +117,8 @@ def srs_sample(data: Dataset, m: int, stream: RngStream) -> SampleView:
     equally likely. Indices are returned sorted ascending. ``m`` must be
     integral (5.0 is taken as 5).
     """
-    m, n = _number("m", m, True), data.n
-    if not 1 <= m <= n:
-        raise ValidationError(f"need 1 <= m <= n, got m={m}, n={n}")
+    n = data.n
+    m = _count("m", m, 1, n)
     return SampleView._from_checked(_draw_subset(n, m, stream.generator), n)
 
 
@@ -162,9 +161,8 @@ def inclusion_moments(n: int, m: int) -> tuple[float, float]:
     budget builds on. ``n`` and ``m`` must be integral (5.0 is taken
     as 5).
     """
-    n, m = _number("n", n, True), _number("m", m, True)
-    if not 1 <= m <= n:
-        raise ValidationError(f"need 1 <= m <= n, got m={m}, n={n}")
+    n = _count("n", n, 1)
+    m = _count("m", m, 1, n)
     return float(m), float(m) * (1.0 - m / n)
 
 

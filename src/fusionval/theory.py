@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import (
-    ValidationError, _count, _finite, _nonnegative, _number, _positive
+    ValidationError, _count, _finite, _nonnegative, _positive
 )
 
 __all__ = [
@@ -60,13 +60,9 @@ def srs_variance_component(sigma2: float, n: int, population_n: int) -> float:
     the subsample is the whole population. ``sigma2`` must be finite and
     > 0, ``n`` and ``population_n`` integral.
     """
-    n = _number("n", n, True)
-    population_n = _number("population_n", population_n, True)
+    population_n = _count("population_n", population_n, 1)
+    n = _count("n", n, 1, population_n)
     sigma2 = _positive("sigma2", sigma2)
-    if not 1 <= n <= population_n:
-        raise ValidationError(
-            f"need 1 <= n <= N, got n={n}, N={population_n}"
-        )
     return (sigma2 / n) * (1.0 - n / population_n)
 
 

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fusionval.data import Dataset, generate_dataset
-from fusionval.errors import ValidationError
+from fusionval.errors import _SUM_LIMIT, ValidationError
 from fusionval.rng import RngStream, derive_stream
 
 
@@ -68,6 +69,27 @@ def test_rejects_empty_or_non_vector_values():
 def test_rejects_non_finite_values(bad):
     with pytest.raises(ValidationError, match="^values must be finite"):
         Dataset(np.array([bad, 1.0]), 0.0, 1.0)
+
+
+def test_a_dataset_whose_sums_would_overflow_is_refused_when_built():
+    # n * range**2 above float max: fsv_run, sampled_kfold_trial and
+    # repeated_kfcv on it returned inf and nan
+    want = "values must span at most 2.99808e+152 (max - min) on n=2000"
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}"):
+        generate_dataset(2000, 0.0, 1e306, derive_stream(1, 0, 0))
+    # a range that overflows to inf, every value finite, is no exception
+    with pytest.raises(ValidationError, match="^values must span at most"):
+        Dataset(np.array([1e308, -1e308]), 0.0, 1.0)
+
+
+def test_the_widest_dataset_a_study_can_draw_is_taken():
+    # every drawn value lies within 27.42 sigma of mu (errors._SUM_LIMIT),
+    # so at the largest sigma2 an accepted config allows for n points,
+    # n * sigma2 = _SUM_LIMIT, even a dataset spanning 54.84 sigma passes
+    n = 100
+    sigma = math.sqrt(_SUM_LIMIT / n)
+    values = np.where(np.arange(n) % 2, 27.42, -27.42) * sigma
+    Dataset(values, 0.0, sigma * sigma)
 
 
 def test_values_are_held_as_float64():

@@ -8,6 +8,7 @@ but ``errors`` writes an array check of its own, save ``metrics``'
 stricter rule for the arrays a result stores."""
 
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,9 +32,11 @@ from fusionval.kfold import (
     weighted_kfold_loss,
 )
 from fusionval.metrics import metric_table
-from fusionval.rng import RngStream
-from fusionval.sampling import SampleView
-from fusionval.theory import VarianceBudget, chebyshev_tail, hoeffding_tail
+from fusionval.rng import MAX_PURPOSE, RngStream, derive_stream
+from fusionval.sampling import SampleView, inclusion_moments, srs_sample
+from fusionval.theory import (
+    VarianceBudget, chebyshev_tail, hoeffding_tail, srs_variance_component,
+)
 
 _HUGE = 10**400  # past the largest float, about 1.8e308
 _TINY = Fraction(1, 10**400)  # a positive real whose float is 0.0
@@ -178,6 +181,33 @@ class TestStoredAsFloats:
         assert budget.total_per_t == 0.625
         result = FsvResult(np.ones(2), np.zeros((2, 6)), Fraction(19, 20))
         assert type(result.alpha) is float and result.alpha == 0.95
+
+
+# every boundary that bounds a count from above: the field, a call with
+# the count in its place, and the largest count it takes
+_TEN_POINTS = Dataset(np.arange(10.0), 0.0, 1.0)
+_COUNT_RANGES = {
+    "srs_sample": (
+        "m", lambda v: srs_sample(_TEN_POINTS, v, RngStream(1, 0)), 10,
+    ),
+    "inclusion_moments": ("m", lambda v: inclusion_moments(10, v), 10),
+    "srs_variance_component": (
+        "n", lambda v: srs_variance_component(1.0, v, 200), 200,
+    ),
+    "derive_stream": (
+        "purpose_tag", lambda v: derive_stream(1, 0, v), MAX_PURPOSE - 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_COUNT_RANGES))
+def test_every_count_range_is_the_count_rule(site):
+    # accepted at its bound, refused one above it naming the field
+    field, call, most = _COUNT_RANGES[site]
+    call(most)
+    want = f"{field} must be <= {most}, got {most + 1}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        call(most + 1)
 
 
 _reals = st.one_of(

@@ -371,9 +371,10 @@ class TestRunExperiment:
         assert np.array_equal(cell.trials["FSV"], 0.95 * cell.trials["SRS"])
 
     def test_trial_table_scales_the_fsv_pass_by_alpha(self):
-        config = ExperimentConfig(
-            sizes=(100,), trials=(2,), k=2, repetitions=2, alpha=0.5
-        )
+        with pytest.warns(UserWarning, match="far below 1"):
+            config = ExperimentConfig(
+                sizes=(100,), trials=(2,), k=2, repetitions=2, alpha=0.5
+            )
         table, raw_loss = harness._run_trial(config, 100, 2, 1)
         key = harness._trial_key(100, 2, 1)
 

@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 from conftest import pinning_window
 from fusionval import kfold, sampling, selftest
 from fusionval.data import Dataset, generate_dataset
-from fusionval.errors import ValidationError
+from fusionval.errors import _SUM_LIMIT, ValidationError
 from fusionval.fsv import (
     FsvConfig, compound_measure, fsv_run, sampled_kfold_trial
 )
@@ -116,6 +116,11 @@ class TestFsvRun:
             iterations, k=k, fraction_range=pinning_window(m, data.n)
         )
         selftest._check_fsv_run(data, config, RngStream(params["seed"], 1))
+        _hold_to_exact_bound(
+            data, k, iterations,
+            lambda: (RngStream(params["seed"], 1),) * 3,
+            config.fraction_range, True,
+        )
 
     def test_dataset_under_2k_points_runs(self):
         # n = 9 < 2k: every size the default window draws, 5 to 8,
@@ -203,6 +208,10 @@ class TestRepeatedKfcv:
             "loss",
         )
         assert _streams_equal(stream, ref_stream)
+        _hold_to_exact_bound(
+            dataset, k, repetitions, lambda: (RngStream(seed, 4),) * 3,
+            window, False,
+        )
 
 
 class TestSampledKfoldTrial:
@@ -276,6 +285,12 @@ class TestSampledKfoldTrial:
                           (fraction, ref_fraction)):
             assert _streams_equal(got, want)
 
+        def kernel_streams():
+            main, folds, fraction = streams()
+            return fraction, main, folds
+
+        _hold_to_exact_bound(data, k, 1, kernel_streams, window, True)
+
 
     # m: the size a window pins, or None for the default window
     @pytest.mark.parametrize("m", [None, 40])
@@ -328,6 +343,41 @@ def test_one_point_holdout_at_the_subsample_mean():
         _tolerance(ref["holdout"], slack, True, m2_slack),
         "holdout",
     )
+
+
+def _widest_summable(n, factor):
+    """n values alternating between -w/2 and w/2, w being ``factor``
+    times the widest range ``errors._summable`` takes on n points, so
+    that every centred sum the kernel takes is about as large as that
+    range allows; and their variance, w**2 / 4."""
+    half = factor * 32 * math.sqrt(_SUM_LIMIT / n)
+    return np.where(np.arange(n) % 2, half, -half), half * half
+
+
+def test_every_entry_point_stays_finite_just_inside_the_spread_rule():
+    # RuntimeWarnings fail the suite, so an overflow anywhere fails here
+    n, k = 2_000, 5
+    values, var = _widest_summable(n, 1 - 1e-9)
+    data = Dataset(values, 0.0, var)
+    result = fsv_run(data, FsvConfig(5, k=k), RngStream(1, 1))
+    assert np.isfinite(result.iteration_losses).all()
+    assert np.isfinite(result.metrics).all()
+    assert math.isfinite(result.compounded_measure)
+    trial = sampled_kfold_trial(data, k, RngStream(1, 2))
+    assert np.isfinite(
+        [trial.sample_mean, trial.sample_var, trial.holdout_mse]
+    ).all()
+    assert np.isfinite(trial.fold_losses).all()
+    est = repeated_kfcv(data, 10, LambdaWeights.uniform(k), RngStream(1, 3))
+    assert np.isfinite([est.mean_estimate, est.var_estimate, est.loss]).all()
+    plan = make_folds(n, k, RngStream(1, 4))
+    assert np.isfinite(kfold_losses(values, plan)).all()
+    # just outside it, the dataset and kfold_losses' sample are refused
+    wide, _ = _widest_summable(n, 1 + 1e-9)
+    with pytest.raises(ValidationError, match="^values must span at most"):
+        Dataset(wide, 0.0, var)
+    with pytest.raises(ValidationError, match="^sample must span at most"):
+        kfold_losses(wide, plan)
 
 
 def test_reference_does_not_run_the_statistics_step(monkeypatch):
@@ -414,6 +464,129 @@ def test_holdout_from_totals_is_exact_at_large_mean():
     assert abs(mean_got - mean) <= Fraction(math.ulp(1e9))
 
 
+def _exact_scores(data, k, got, draws):
+    """Each statistic of ``got``, the ``_Passes`` of a call on ``data``,
+    against exact rational arithmetic on the stored doubles, pass by pass
+    over ``draws`` (:func:`_sorted_draws` on the call's streams): yields
+    (label, value, exact value, bound, slack). ``bound`` is the kfold
+    docstring's derived error bound; ``slack`` is the holdout term of
+    the fixed-point rule, ulp(M2_data) / n_h, and 0 elsewhere."""
+    # the values as integers over one power-of-two denominator: sums of
+    # them and of their squares are exact, and far faster than Fractions
+    ratios = [v.as_integer_ratio() for v in data.values.tolist()]
+    scale = max(d for _, d in ratios)
+    xs = [a * (scale // d) for a, d in ratios]
+    n, sq = len(xs), scale * scale
+    # A: the widest distance of a value from the pilot, the first value
+    a = max(abs(x - xs[0]) for x in xs) / scale
+
+    def totals(indices):
+        # count, sum and sum of squares, in units of 1 / scale
+        return (
+            len(indices),
+            sum(xs[j] for j in indices),
+            sum(xs[j] * xs[j] for j in indices),
+        )
+
+    def mean(c, s1, s2):
+        return Fraction(s1, c * scale)
+
+    def m2(c, s1, s2):
+        return Fraction(c * s2 - s1 * s1, c * sq)
+
+    def loss(part, centre):
+        # a part's mean squared error about the mean of ``centre``
+        (c, s1, s2), (tc, ts1, _) = part, centre
+        return Fraction(
+            s2 * tc * tc - 2 * ts1 * s1 * tc + c * ts1 * ts1, c * tc * tc * sq
+        )
+
+    whole = totals(range(n))
+    data_m2 = float(m2(*whole))
+    u = 2.0**-53
+    e = u * a  # the error of shifting one value by the pilot, at most
+    for p, (_, picked, sizes) in enumerate(draws):
+        folds = [
+            totals(fold.tolist())
+            for fold in np.split(picked, np.cumsum(sizes)[:-1])
+        ]
+        sample = tuple(map(sum, zip(*folds)))
+        m, c = sample[0], max(sizes)
+        assert got.m[p] == m
+        sample_m2 = float(m2(*sample))
+        root = math.sqrt(sample_m2)
+        # second order: squared errors of the fold and sample means
+        square = m * ((c + 4) ** 2 + (2 * c + k + 3) ** 2) * e * e
+        want = mean(*sample)
+        bound = u * abs(float(want)) + (1 + u) * (c + k) * e
+        yield "sample_mean", got.sample_mean[p], want, bound, 0
+        want = m2(*sample) / (m - 1)
+        bound = u * float(want) + (
+            u * (c + k + 4) * sample_m2
+            + 2 * (c + 2) * e * math.sqrt(m) * root
+            + square
+        ) / (m - 1)
+        yield "sample_var", got.sample_var[p], want, bound, 0
+        if got.holdout_mse is not None:
+            rest = tuple(x - y for x, y in zip(whole, sample))
+            h = rest[0]
+            want = loss(rest, sample)
+            gap = c + k + 4 + (n * n + (c + k - 1) * m) / h
+            rest_m2 = (
+                u * (n + c + k + 11) * data_m2
+                + 2 * e * math.sqrt(data_m2)
+                * (math.sqrt(n) + (c + 2) * math.sqrt(m) + gap * math.sqrt(h))
+                + square + (n * (n + 4) ** 2 + h * gap * gap) * e * e
+            )
+            bound = (
+                2 * u * float(want)
+                + rest_m2 / h
+                + 2 * gap * e * math.sqrt(float(want))
+                + (gap * e) ** 2
+            )
+            slack = Fraction(math.ulp(data_m2)) / h
+            yield "holdout_mse", got.holdout_mse[p], want, bound, slack
+        for i, fold in enumerate(folds):
+            train = tuple(x - y for x, y in zip(sample, fold))
+            r, size = train[0], fold[0]
+            drift = (k - 1) * m / r
+            gap = 2 * c + 5 + drift
+            want = mean(*train)
+            bound = u * abs(float(want)) + (1 + u) * (c + 2 + drift) * e
+            yield "train_means", got.train_means[p, i], want, bound, 0
+            want = m2(*train) / (r - 1)
+            bound = u * float(want) + (
+                u * (2 * c + k + 11) * sample_m2
+                + 2 * e * root
+                * ((c + 2) * math.sqrt(m) + (gap + 1) * math.sqrt(size))
+                + square + size * ((size + 4) ** 2 + gap * gap) * e * e
+            ) / (r - 1)
+            yield "train_vars", got.train_vars[p, i], want, bound, 0
+            want = loss(fold, train)
+            bound = (
+                u * (size + 4) * float(want)
+                + 2 * (gap + 1) * e * math.sqrt(float(want))
+                + ((size + 4) ** 2 + gap * gap) * e * e
+            )
+            yield "fold_losses", got.fold_losses[p, i], want, bound, 0
+
+
+def _hold_to_exact_bound(data, k, passes, streams, window, holdout):
+    """``_run_passes`` on the (fraction, subset, folds) triple that
+    ``streams()`` builds afresh, every statistic within the derived bound
+    of its exact value; the draws are replayed on a second triple."""
+    got = _run_passes(
+        data, k, passes, streams(), fraction_range=window, holdout=holdout
+    )
+    fraction, subset, folds = streams()
+    draws = _sorted_draws(data, k, passes, subset, folds, fraction, window)
+    for label, value, want, bound, _ in _exact_scores(data, k, got, draws):
+        error = abs(Fraction(float(value)) - want)
+        assert error <= Fraction(bound), (
+            f"{label}: error {float(error):.3g} exceeds the bound {bound:.3g}"
+        )
+
+
 def test_every_statistic_is_exact_to_a_few_ulps_across_batches(
     scored_batches,
 ):
@@ -425,64 +598,20 @@ def test_every_statistic_is_exact_to_a_few_ulps_across_batches(
     stream = RngStream(3, 1)
     got = _run_passes(data, k, passes, (stream,) * 3, holdout=True)
     assert len(scored_batches) >= 3
-    exact = [Fraction(float(v)) for v in data.values]
-    squares = [v * v for v in exact]
-
-    def totals(indices):
-        # count, sum and sum of squares: exact, so M2 = S2 - S1**2 / c
-        return (
-            len(indices),
-            sum(exact[j] for j in indices),
-            sum(squares[j] for j in indices),
-        )
-
-    def variance(c, s1, s2):
-        return (s2 - s1 * s1 / c) / (c - 1)
-
-    def mean_squared_error(c, s1, s2, centre):
-        return (s2 - 2 * centre * s1 + c * centre * centre) / c
-
-    whole_data = totals(range(n))
-    data_m2 = float(variance(*whole_data) * (n - 1))
     # the worst measured, over 10 seeds of this case, is 4.5 ulps
     ulps = 8
-
-    def check(label, value, want, slack=0):
-        bound = ulps * (Fraction(math.ulp(float(want))) + slack)
-        assert abs(Fraction(float(value)) - want) <= bound, label
-
     ref = RngStream(3, 1)
     draws = _sorted_draws(
         data, k, passes, ref, ref, ref, sampling.FRACTION_RANGE
     )
-    for p, (_, picked, sizes) in enumerate(draws):
-        folds = [
-            totals(fold.tolist())
-            for fold in np.split(picked, np.cumsum(sizes)[:-1])
-        ]
-        sample = tuple(map(sum, zip(*folds)))
-        mean = sample[1] / sample[0]
-        check("sample_mean", got.sample_mean[p], mean)
-        check("sample_var", got.sample_var[p], variance(*sample))
-        rest = tuple(a - b for a, b in zip(whole_data, sample))
-        # taken from the dataset's totals: ulps of the dataset's M2
-        # over the holdout's size, as in the test above
-        check(
-            "holdout_mse",
-            got.holdout_mse[p],
-            mean_squared_error(*rest, mean),
-            Fraction(math.ulp(data_m2)) / rest[0],
-        )
-        for i, fold in enumerate(folds):
-            train = tuple(a - b for a, b in zip(sample, fold))
-            train_mean = train[1] / train[0]
-            check("train_means", got.train_means[p, i], train_mean)
-            check("train_vars", got.train_vars[p, i], variance(*train))
-            check(
-                "fold_losses",
-                got.fold_losses[p, i],
-                mean_squared_error(*fold, train_mean),
-            )
+    for label, value, want, bound, slack in _exact_scores(
+        data, k, got, draws
+    ):
+        # the holdout is taken from the dataset's totals: ulps of the
+        # dataset's M2 over the holdout's size, as in the test above
+        error = abs(Fraction(float(value)) - want)
+        assert error <= ulps * (Fraction(math.ulp(float(want))) + slack), label
+        assert error <= Fraction(bound), label
 
 
 def _sorted_draws(
