@@ -24,8 +24,9 @@ class Dataset:
     """An i.i.d. Gaussian sample with known ground truth; ``n`` is the
     length of ``values``.
 
-    ``values`` must be a non-empty vector of finite reals whose range
-    keeps the pass kernel's sums finite (``errors._summable``); it is held
+    ``values`` must be a non-empty vector of finite reals whose range,
+    ``true_mean`` included, keeps the pass kernel's sums and the
+    metrics' distances finite (``errors._summable``); it is held
     as float64 (a float64 array as given, anything else as a copy) and
     write-protected after construction; treat it as read-only
     everywhere. ``true_mean`` must be finite and ``true_var`` finite and
@@ -38,11 +39,11 @@ class Dataset:
 
     def __post_init__(self) -> None:
         values = _vector("values", self.values)
-        _summable("values", values)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
         for name, rule in (("true_mean", _finite), ("true_var", _positive)):
             object.__setattr__(self, name, rule(name, getattr(self, name)))
+        _summable("values", values, true_mean=self.true_mean)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:

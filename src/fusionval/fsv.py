@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ValidationError, _count, _number, _positive, _vector
-from .kfold import _run_passes
+from .kfold import _mean, _run_passes
 from .metrics import METRIC_FIELDS, TrialMetrics, _frozen_array, metric_table
 from .rng import RngStream
 from .sampling import FRACTION_RANGE, _fraction_window
@@ -164,7 +164,7 @@ def compound_measure(iteration_losses: np.ndarray, alpha: float) -> float:
     """alpha times the mean of the per-iteration losses; ``alpha`` must
     be finite and > 0."""
     losses = _vector("iteration_losses", iteration_losses)
-    return float(_positive("alpha", alpha) * losses.mean())
+    return _positive("alpha", alpha) * _mean(losses)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +208,7 @@ class FsvResult:
     @property
     def mean_iteration_loss(self) -> float:
         """Raw iteration mean, without the alpha shrinkage."""
-        return float(self.iteration_losses.mean())
+        return _mean(self.iteration_losses)
 
 
 def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:

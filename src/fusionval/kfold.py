@@ -67,48 +67,14 @@ holdouts draws every m under n (:func:`_subsample_range`), and every
 training complement keeps at least 2 points (:func:`_trainable`). No
 pass gathers its holdout. The subtraction is exact algebra but rounds
 to the precision of the whole's M2, so a holdout of a handful of
-points keeps fewer digits than a direct sum;
-``selftest._tolerance``, the rule the kernel's checks hold it to, has a
-term for this.
+points keeps fewer digits than a direct sum.
 
-*Error bound.* Let u = 2**-53, A the largest distance of a value from
-the pilot, and, for one pass, m its size, k its folds, c its largest
-fold, n_i a fold's size, r = m - n_i the fold's training complement
-and h = n - m its holdout. Shifting a value errs by at most u*A, a
-float sum of N terms by (N - 1) * u times the sum of their sizes, and
-a centred sum of squares cancels its mean's error to first order.
-Carried through the steps above, to first order in u, each statistic
-lies within these of its exact value on the stored doubles (M2 is the
-subsample's, M2_d the dataset's, L the loss itself):
-
-* ``sample_mean``: u*|mean| + (c + k) * u*A;
-* ``train_means``: u*|mean| + (c + 2 + D) * u*A, D = (k - 1) * m / r;
-* ``sample_var``: u*var + ((c + k + 4) * u*M2
-  + 2 * (c + 2) * u*A * sqrt(m * M2)) / (m - 1);
-* ``train_vars``: u*var + ((2c + k + 11) * u*M2 + 2 * u*A * sqrt(M2)
-  * ((c + 2) * sqrt(m) + (G + 1) * sqrt(n_i))) / (r - 1), where
-  G = 2c + 5 + D bounds the gap's error in units of u*A;
-* ``fold_losses``: (n_i + 4) * u*L + 2 * (G + 1) * u*A * sqrt(L);
-* ``holdout_mse``: 2 * u*L + ((n + c + k + 11) * u*M2_d + 2 * u*A
-  * sqrt(M2_d) * (sqrt(n) + (c + 2) * sqrt(m) + H * sqrt(h))) / h
-  + 2 * H * u*A * sqrt(L), H = c + k + 4 + (n**2 + (c + k - 1) * m) / h.
-
-Each also carries its second-order terms, the squares of the errors of
-the means and gaps, which matter only where the first-order terms
-vanish: a fold whose mean equals its complement's has L = 0. The means'
-A terms are absolute: at mu = 0 a mean has a tiny ulp of its own. The
-variances' and losses' M2 terms are the complement's subtraction, which
-keeps only the precision of the whole's M2. The bounds are worst cases,
-not fitted: ``tests/test_pass_kernel.py`` holds every statistic to them
-at every point its per-pass strategy tests draw, and in a probe of 4 500
-such calls the largest error was 0.997 of its bound, on a training
-mean, where one rounding of ``mean + pilot`` takes nearly all of
-u*|mean|; no variance, loss or holdout came within 0.2 of its bound.
-The suite also keeps a measured rule at one fixed point (n = 300,
-k = 5, 80 passes over three batches, mu = 1e9, sigma = 1e-3): every
-statistic within 8 ulps of its exact value, the holdout within
-8 (ulp + ulp(M2_d) / h); over seeds 0-9 the worst case is 4.53 ulps,
-on the fold losses.
+*Error bound.* Rounding leaves each statistic of a pass (the sample
+mean and variance, the holdout loss, and each fold's training mean,
+training variance and loss) within a derived bound of its exact value
+on the stored doubles. ``selftest._exact_scores`` states the bounds as
+code and scores passes in exact rational arithmetic; the self-test and
+``tests/test_pass_kernel.py`` hold the kernel to them.
 
 The kernels use ufunc reductions only, never ``@`` or ``np.dot``: with a
 threaded BLAS a dot product of a few thousand elements is spread over
@@ -118,6 +84,7 @@ contends with the other workers of a pool.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -215,6 +182,17 @@ def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
         sample_size, sample_size, integral=True,
     )
     return FoldPlan(order, k)
+
+
+def _mean(x: np.ndarray) -> float:
+    """The mean of every entry of ``x``, taken at a power-of-two scale
+    that brings max|x| into [0.5, 1), so that the sum of many large
+    entries cannot overflow. The scaling is exact unless it takes some
+    entry below the normal range, 2**1021 times smaller than max|x|, so
+    the result otherwise has the bits of ``x.mean()`` wherever that is
+    finite."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return math.ldexp(float(np.ldexp(x, -e).mean()), e)
 
 
 def _trainable(m: int, k: int) -> bool:
@@ -522,7 +500,7 @@ def repeated_kfcv(
     )
     # the mean over repetitions of weighted_kfold_loss, in one reduce
     return KfcvEstimate(
-        mean_estimate=float(passes.train_means.mean()),
-        var_estimate=float(passes.train_vars.mean()),
-        loss=float((weights.lambdas * passes.fold_losses).mean()),
+        mean_estimate=_mean(passes.train_means),
+        var_estimate=_mean(passes.train_vars),
+        loss=_mean(weights.lambdas * passes.fold_losses),
     )

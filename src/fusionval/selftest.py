@@ -3,17 +3,22 @@
 Each check is small enough to run on every install (a few seconds
 total) and covers one structural or algebraic guarantee end to end.
 Statistical checks use fixed streams, so outcomes are reproducible.
+
+The kernel check holds the package's one reference for the pass kernel,
+which the kernel tests use too: :func:`_replay_draw` states the draw
+contract in plain numpy calls, and :func:`_exact_scores` scores passes
+in exact rational arithmetic under their derived error bounds.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .estimator import fit, loss
 from .fsv import FsvConfig, compound_measure, fsv_run
 from .harness import (
     ExperimentConfig,
@@ -26,6 +31,7 @@ from .kfold import (
     LambdaWeights,
     empirical_kfold_loss,
     make_folds,
+    repeated_kfcv,
     weighted_kfold_loss,
 )
 from .metrics import METRIC_FIELDS
@@ -44,6 +50,7 @@ __all__ = ["run_selftest", "CHECKS"]
 # scipy.stats.chi2.ppf(0.999, 9): the uniformity check's cutoff, for the
 # 10 subsets of 2 of 5 points; a literal, so no check loads scipy
 _CHI2_999_DF9 = 27.877164871256568
+_U = 2.0**-53  # float64's unit roundoff
 
 
 def _require(ok, message: str) -> None:
@@ -125,156 +132,282 @@ def _check_compounding() -> str:
     return "mean, shrinkage, and homogeneity identities hold"
 
 
-def _fold_fits(sample, folds):
-    """Every fold, a vector of positions in ``sample``, fitted and scored
-    on its own: ``fit`` on its training complement, ``loss`` on the
-    fold. Returns the fold losses, training means and training
-    variances."""
-    rows = []
-    for fold in folds:
-        params = fit(np.delete(sample, fold))
-        rows.append(
-            (loss(params, sample[fold]), params.fitted_mean, params.fitted_var)
-        )
-    return tuple(np.array(col) for col in zip(*rows))
-
-
-def _replay_pass(data, k, streams, fraction_range):
-    """One pass of the kernel made with plain numpy draws on the same
-    (fraction, subset, folds) stream triple in the same order, and
-    scored on its own: the fraction by ``uniform``, the subset by a
-    sorted ``choice``, the fold order by ``permutation(m)`` cut as
-    ``np.array_split`` cuts it, and the holdout as the subset's
-    complement. ``holdout`` is None when the subsample is the whole
-    dataset."""
-    n = data.n
+def _replay_draw(n, streams, window):
+    """One pass's draws on the (fraction, subset, folds) triple of
+    streams, made with plain numpy calls in the kernel's order: the
+    fraction by ``uniform`` on ``window``, a subset of
+    m = round(fraction * n) points by a sorted ``choice``, and its fold
+    order by ``permutation(m)``. Returns the fraction and the subset's
+    indices in fold order, cut into k folds as ``np.array_split`` cuts
+    them. The kernel's loop (``kfold._run_passes``) makes the same draws
+    its own way; this is the draw contract stated apart from it."""
     fraction_draws, draws, fold_draws = (s.generator for s in streams)
-    fraction = float(fraction_draws.uniform(*fraction_range))
+    fraction = float(fraction_draws.uniform(*window))
     m = int(round(fraction * n))
     subset = np.sort(draws.choice(n, size=m, replace=False, shuffle=False))
-    sample = data.values[subset]
-    params = fit(sample)
-    rest = np.delete(data.values, subset)
-    folds = np.array_split(fold_draws.permutation(m), k)
-    fold_losses, train_means, train_vars = _fold_fits(sample, folds)
-    return {
-        "fraction": fraction,
-        "m": m,
-        "mean": params.fitted_mean,
-        "var": params.fitted_var,
-        "holdout": loss(params, rest) if len(rest) else None,
-        "fold_losses": fold_losses,
-        "train_means": train_means,
-        "train_vars": train_vars,
-    }
+    return fraction, subset[fold_draws.permutation(m)]
 
 
-def _slacks(values):
-    """64 ulps of max|x| and 64 ulps of the centred sum of squares M2 of
-    ``values``: the rounding that summing near the data's magnitude, and
-    subtracting from the dataset's M2, may leave."""
-    dev = values - values.mean()
-    scales = (np.abs(values).max(), (dev * dev).sum())
-    return tuple(64 * math.ulp(float(x)) for x in scales)
+def _exact_scores(data, k, draws, holdout=True):
+    """Per pass of ``draws``, (fraction, subset indices in fold order)
+    pairs as :func:`_replay_draw` gives them, each statistic of the
+    kernel's ``_Passes`` in exact rational arithmetic on the stored
+    doubles of ``data``, with the bound that rounding leaves the
+    kernel's float within: a dict of the ``fraction``, ``m`` and, per
+    statistic, a list of (exact value, bound) pairs, one per fold or
+    one for the pass. ``holdout_mse`` comes only with ``holdout``.
 
+    The bounds carry the rounding of the kernel's steps to first order
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    ch. 4; Chan, Golub and LeVeque, 1983). With u = 2**-53 and A the
+    largest distance of a value from the pilot, the first value,
+    shifting a value errs by at most e = u*A, a float sum of N terms by
+    (N - 1) u times the sum of their sizes, and a centred sum of squares
+    cancels its mean's error to first order. A pass has m points in k
+    folds, the largest of c; a fold has n_i points, its training
+    complement r and the holdout h. A variance's or loss's M2 term is
+    the complement's subtraction, which keeps only the precision of the
+    whole's M2. Each bound also carries its second-order terms, which
+    matter only where the first-order ones vanish. The bounds are worst
+    cases, not fitted: over 4 500 strategy-test calls the largest error
+    was 0.997 of its bound, on a training mean, where one rounding of
+    ``mean + pilot`` takes nearly all of u*|mean|."""
+    # the values as integers over one power-of-two denominator: sums of
+    # them and of their squares are exact, and far faster than Fractions
+    ratios = [v.as_integer_ratio() for v in data.values.tolist()]
+    scale = max(d for _, d in ratios)
+    xs = [a * (scale // d) for a, d in ratios]
+    n, sq = len(xs), scale * scale
+    a = max(abs(x - xs[0]) for x in xs) / scale
 
-def _tolerance(want, slack, squared, holdout_m2_over_n=0.0):
-    """How far the kernel may be from the per-pass reference ``want``
-    (a value or an array): relative 1e-9 plus ``slack``, the first of
-    :func:`_slacks`. Squared quantities, a variance or a loss, also move
-    by 2 sqrt(value) slack + slack**2, the shift that slack in a fitted
-    mean causes.
-
-    The kernel takes a holdout's loss from the dataset's totals minus the
-    subsample's. That difference rounds to ulps of the dataset's M2, so
-    the loss of n_h points gets ``holdout_m2_over_n``, the second of
-    :func:`_slacks` over n_h. Without it a holdout of one point within
-    about 1e-2 standard deviations of the subsample mean fails the
-    relative test: its loss is near 0 while M2 is about n sigma**2.
-    """
-    size = np.abs(want)
-    tol = 1e-9 * size + slack + holdout_m2_over_n
-    if squared:
-        tol = tol + slack * (2 * np.sqrt(size) + slack)
-    return tol
-
-
-def _check_fsv_run(data, config, stream) -> float:
-    """``fsv_run`` on ``stream`` against :func:`_replay_pass` on a clone,
-    column by column of its metrics; returns the worst deviation as a
-    share of its tolerance. The streams must end in the same state."""
-    ref_stream = stream.clone()
-    result = fsv_run(data, config, stream)
-    refs = [
-        _replay_pass(data, config.k, (ref_stream,) * 3, config.fraction_range)
-        for _ in range(config.iterations)
-    ]
-    _require(
-        stream.generator.bit_generator.state
-        == ref_stream.generator.bit_generator.state,
-        "the batch left its stream elsewhere than the per-pass replay",
-    )
-    slack, m2_slack = _slacks(data.values)
-    mean, var, holdout, m = (
-        np.array([ref[key] for ref in refs])
-        for key in ("mean", "var", "holdout", "m")
-    )
-    losses = np.array([ref["fold_losses"] for ref in refs])
-    roc_me = np.abs(mean - data.true_mean)
-    # an absolute difference inherits the error of what it subtracts
-    # from: the fold loss, the mean, the variance
-    columns = {
-        "mean_est": (mean, _tolerance(mean, slack, False)),
-        "var_est": (var, _tolerance(var, slack, True)),
-        "mse": (
-            holdout,
-            _tolerance(holdout, slack, True, m2_slack / (data.n - m)),
-        ),
-        "bias": (
-            np.abs(losses[:, 0] - data.true_var),
-            _tolerance(losses[:, 0], slack, True),
-        ),
-        "roc_me": (roc_me, _tolerance(roc_me, slack, False)),
-        "roc_ve": (np.abs(var - data.true_var), _tolerance(var, slack, True)),
-    }
-    # the tolerance of an average is the average of the tolerances
-    checks = [(
-        "loss",
-        result.iteration_losses,
-        losses.mean(axis=1),
-        _tolerance(losses, slack, True).mean(axis=1),
-    )]
-    for j, field in enumerate(METRIC_FIELDS):
-        raw, tol = columns[field]
-        want = config.alpha * raw
-        # plus one ulp for the scaling by alpha
-        tol = tol + np.spacing(np.abs(want))
-        checks.append((field, result.metrics[:, j], want, tol))
-    worst = 0.0
-    for label, got, want, tol in checks:
-        dev = np.abs(got - want)
-        t = int((dev - tol).argmax())
-        _require(
-            dev[t] <= tol[t],
-            f"iteration {t} {label}: {float(got[t])!r} != {float(want[t])!r} "
-            f"(tol {tol[t]:.2g})",
+    def totals(indices):
+        # count, sum and sum of squares, in units of 1 / scale
+        return (
+            len(indices),
+            sum(xs[j] for j in indices),
+            sum(xs[j] * xs[j] for j in indices),
         )
-        worst = max(worst, float((dev / tol).max()))
+
+    def m2(c, s1, s2):
+        return Fraction(c * s2 - s1 * s1, c * sq)
+
+    def loss(part, centre):
+        # a part's mean squared error about the mean of ``centre``
+        (c, s1, s2), (tc, ts1, _) = part, centre
+        return Fraction(
+            s2 * tc * tc - 2 * ts1 * s1 * tc + c * ts1 * ts1, c * tc * tc * sq
+        )
+
+    whole = totals(range(n))
+    data_m2 = float(m2(*whole))
+    e = _U * a
+    for fraction, order in draws:
+        folds = [totals(fold.tolist()) for fold in np.array_split(order, k)]
+        sample = tuple(map(sum, zip(*folds)))
+        m = sample[0]
+        c = max(fold[0] for fold in folds)
+        sample_m2 = float(m2(*sample))
+        root = math.sqrt(sample_m2)
+        # second order: squared errors of the fold and sample means
+        square = m * ((c + 4) ** 2 + (2 * c + k + 3) ** 2) * e * e
+        want = Fraction(sample[1], m * scale)
+        bound = _U * abs(float(want)) + (1 + _U) * (c + k) * e
+        score = {"fraction": fraction, "m": m, "sample_mean": [(want, bound)]}
+        want = m2(*sample) / (m - 1)
+        bound = _U * float(want) + (
+            _U * (c + k + 4) * sample_m2
+            + 2 * (c + 2) * e * math.sqrt(m) * root
+            + square
+        ) / (m - 1)
+        score["sample_var"] = [(want, bound)]
+        if holdout:
+            rest = tuple(x - y for x, y in zip(whole, sample))
+            h = rest[0]
+            want = loss(rest, sample)
+            gap = c + k + 4 + (n * n + (c + k - 1) * m) / h
+            rest_m2 = (
+                _U * (n + c + k + 11) * data_m2
+                + 2 * e * math.sqrt(data_m2)
+                * (math.sqrt(n) + (c + 2) * math.sqrt(m) + gap * math.sqrt(h))
+                + square + (n * (n + 4) ** 2 + h * gap * gap) * e * e
+            )
+            bound = (
+                2 * _U * float(want)
+                + rest_m2 / h
+                + 2 * gap * e * math.sqrt(float(want))
+                + (gap * e) ** 2
+            )
+            score["holdout_mse"] = [(want, bound)]
+        means, variances, losses = [], [], []
+        for fold in folds:
+            train = tuple(x - y for x, y in zip(sample, fold))
+            r, size = train[0], fold[0]
+            drift = (k - 1) * m / r
+            gap = 2 * c + 5 + drift
+            want = Fraction(train[1], r * scale)
+            bound = _U * abs(float(want)) + (1 + _U) * (c + 2 + drift) * e
+            means.append((want, bound))
+            want = m2(*train) / (r - 1)
+            bound = _U * float(want) + (
+                _U * (2 * c + k + 11) * sample_m2
+                + 2 * e * root
+                * ((c + 2) * math.sqrt(m) + (gap + 1) * math.sqrt(size))
+                + square + size * ((size + 4) ** 2 + gap * gap) * e * e
+            ) / (r - 1)
+            variances.append((want, bound))
+            want = loss(fold, train)
+            bound = (
+                _U * (size + 4) * float(want)
+                + 2 * (gap + 1) * e * math.sqrt(float(want))
+                + ((size + 4) ** 2 + gap * gap) * e * e
+            )
+            losses.append((want, bound))
+        score.update(
+            train_means=means, train_vars=variances, fold_losses=losses
+        )
+        yield score
+
+
+def _held(label, got, pairs) -> float:
+    """Fails unless each entry of ``got`` lies within the bound of its
+    exact value, ``pairs`` holding one (exact value, bound) per entry;
+    returns the worst error as a share of its bound."""
+    worst = 0.0
+    entries = zip(np.atleast_1d(got).tolist(), pairs, strict=True)
+    for i, (value, (want, bound)) in enumerate(entries):
+        entry = f"{label} [{i}]" if len(pairs) > 1 else label
+        _require(math.isfinite(value), f"{entry} is {value!r}")
+        error = abs(Fraction(value) - want)
+        _require(
+            error <= Fraction(bound),
+            f"{entry}: {value!r} is {float(error):.3g} from its exact value, "
+            f"over its bound {bound:.3g}",
+        )
+        if error:
+            worst = max(worst, float(error) / bound)
     return worst
 
 
+# Each rule below turns the (exact value, bound) of its float input into
+# those of its float result: the input's bound plus the one rounding of
+# the result, at most u times its size.
+def _rounded(want, bound):
+    return want, bound + _U * (abs(float(want)) + bound)
+
+
+def _distance(pair, c):
+    """|x - c| for a float c: as far off as x, plus one rounding."""
+    return _rounded(abs(pair[0] - Fraction(c)), pair[1])
+
+
+def _scaled(pair, s):
+    """s * x for a float s >= 0."""
+    return _rounded(Fraction(s) * pair[0], s * pair[1])
+
+
+def _mean_of(pairs):
+    """The mean of N values: the mean of their bounds, plus the float
+    sum's (N - 1) u times the mean of their sizes, plus one rounding."""
+    count = len(pairs)
+    want = sum(w for w, _ in pairs) / count
+    size = sum(abs(float(w)) + b for w, b in pairs) / count
+    spread = sum(b for _, b in pairs) / count
+    return _rounded(want, spread + (count - 1) * _U * size)
+
+
+def _replayed_scores(data, k, passes, window, streams, replays, *, holdout):
+    """The exact scores of ``passes`` passes whose draws
+    :func:`_replay_draw` replays on ``replays``, clones of the
+    (fraction, subset, folds) triple ``streams`` taken before a call on
+    it; ``streams`` must end where the replay does."""
+    draws = [_replay_draw(data.n, replays, window) for _ in range(passes)]
+    _require(
+        [s.generator.bit_generator.state for s in streams]
+        == [s.generator.bit_generator.state for s in replays],
+        "the call left its streams elsewhere than the per-pass replay",
+    )
+    return list(_exact_scores(data, k, draws, holdout))
+
+
+def _check_fsv_run(data, config, stream) -> tuple[float, list]:
+    """``fsv_run`` on ``stream`` against the exact scores of its passes:
+    every metric, iteration loss and L* within its bound. Returns the
+    worst error as a share of its bound, and the scores."""
+    replay = stream.clone()
+    result = fsv_run(data, config, stream)
+    scores = _replayed_scores(
+        data, config.k, config.iterations, config.fraction_range,
+        (stream,) * 3, (replay,) * 3, holdout=True,
+    )
+    checks, losses = [], []
+    for p, score in enumerate(scores):
+        (mean,), (var,) = score["sample_mean"], score["sample_var"]
+        folds = score["fold_losses"]
+        columns = (
+            mean, var, *score["holdout_mse"],
+            _distance(folds[0], data.true_var),
+            _distance(mean, data.true_mean), _distance(var, data.true_var),
+        )
+        row = zip(METRIC_FIELDS, result.metrics[p], columns)
+        checks += [
+            (f"iteration {p} {field}", got, [_scaled(pair, config.alpha)])
+            for field, got, pair in row
+        ]
+        losses.append(_mean_of(folds))
+        got = result.iteration_losses[p]
+        checks.append((f"iteration {p} loss", got, losses[-1:]))
+    want = [_scaled(_mean_of(losses), config.alpha)]
+    checks.append(("L*", result.compounded_measure, want))
+    return max(_held(*check) for check in checks), scores
+
+
+def _check_repeated_kfcv(
+    data, repetitions, weights, stream, window
+) -> tuple[float, list]:
+    """``repeated_kfcv`` on ``stream`` against the exact scores of its
+    passes: each average within its bound. Returns the worst error as a
+    share of its bound, and the scores."""
+    replay = stream.clone()
+    est = repeated_kfcv(
+        data, repetitions, weights, stream, fraction_range=window
+    )
+    scores = _replayed_scores(
+        data, weights.k, repetitions, window, (stream,) * 3, (replay,) * 3,
+        holdout=False,
+    )
+
+    def mean(name, lambdas=None):
+        pairs = [pair for score in scores for pair in score[name]]
+        if lambdas is not None:
+            pairs = [_scaled(*pl) for pl in zip(pairs, lambdas * repetitions)]
+        return [_mean_of(pairs)]
+
+    worst = max(
+        _held("mean_estimate", est.mean_estimate, mean("train_means")),
+        _held("var_estimate", est.var_estimate, mean("train_vars")),
+        _held("loss", est.loss, mean("fold_losses", weights.lambdas.tolist())),
+    )
+    return worst, scores
+
+
 def _check_pass_kernel() -> str:
-    # fsv_run scores its iterations in batches; replay each one on its
-    # own with plain numpy draws, fit and loss. Every iteration draws
-    # at least 180 of the 300 points, so the 60 fill more than one of
-    # the kernel's 8 192-float batches, and a batch is scored mid-call.
+    # fsv_run and repeated_kfcv score their passes in batches; replay
+    # each pass's draws with plain numpy calls and score it exactly.
+    # Every iteration draws at least 180 of the 300 points, so the 60
+    # fill more than one of the kernel's 8 192-float batches, and a
+    # batch is scored mid-call.
     data = generate_dataset(300, 1e9, 1.0, RngStream(7, 3))
     config = FsvConfig(iterations=60, alpha=0.95, k=5)
-    worst = _check_fsv_run(data, config, RngStream(7, 4))
+    weights = LambdaWeights([0.5, 1.5, 1.25, 0.75, 1.0])
+    worst, _ = _check_fsv_run(data, config, RngStream(7, 4))
+    kfcv, _ = _check_repeated_kfcv(
+        data, 20, weights, RngStream(7, 5), config.fraction_range
+    )
+    worst = max(worst, kfcv)
     return (
-        f"{config.iterations} iterations at mu=1e9, in more than one "
-        f"batch, match the per-pass replay (worst {worst:.2g} of "
-        "tolerance), streams in step"
+        f"{config.iterations} fsv_run iterations and 20 repetitions at "
+        "mu=1e9, in more than one batch, within the derived bound of "
+        f"their exact values (worst {worst:.2g} of it), streams in step"
     )
 
 

@@ -82,6 +82,16 @@ def test_a_dataset_whose_sums_would_overflow_is_refused_when_built():
         Dataset(np.array([1e308, -1e308]), 0.0, 1.0)
 
 
+def test_a_true_mean_far_from_the_values_is_refused_when_built():
+    # fsv_run's roc_me, |mean_est - true_mean|, overflowed on it
+    want = (
+        "values must span at most 1.89615e+153 (max - min) on n=50 points, "
+        "so that the kernel's sums stay finite, got inf with true_mean -1e+308"
+    )
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        Dataset(np.full(50, 1e308), -1e308, 1.0)
+
+
 def test_the_widest_dataset_a_study_can_draw_is_taken():
     # every drawn value lies within 27.42 sigma of mu (errors._SUM_LIMIT),
     # so at the largest sigma2 an accepted config allows for n points,
@@ -90,6 +100,8 @@ def test_the_widest_dataset_a_study_can_draw_is_taken():
     sigma = math.sqrt(_SUM_LIMIT / n)
     values = np.where(np.arange(n) % 2, 27.42, -27.42) * sigma
     Dataset(values, 0.0, sigma * sigma)
+    # and so does one whose values all lie 27.42 sigma to one side of mu
+    Dataset(np.full(n, 27.42 * sigma), -27.42 * sigma, sigma * sigma)
 
 
 def test_values_are_held_as_float64():

@@ -5,7 +5,8 @@ field, before any draw, and every config stores its reals as floats. An
 array argument is a 1-D vector of reals, or of integers, of the length
 its call needs; anything else is refused naming the field. No module
 but ``errors`` writes an array check of its own, save ``metrics``'
-stricter rule for the arrays a result stores."""
+stricter rule for the arrays a result stores, and no function calls a
+pass's draw methods but the few the draw contract names."""
 
 import ast
 import re
@@ -345,33 +346,71 @@ _ARRAY_ATTRIBUTES = {"dtype", "shape", "ndim"}
 _OTHER_ARRAY_RULES = {("metrics.py", "_frozen_array")}
 
 
-def _array_checks(tree):
-    """(function, line) of each comparison inside a function of ``tree``
-    with a ``.dtype``, ``.shape`` or ``.ndim`` attribute in an operand."""
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+def _sites(node, picks, owner="<module>"):
+    """(function, line) of each node under ``node`` that ``picks``
+    accepts, the function being the innermost one around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _sites(child, picks, child.name)
             continue
-        for node in ast.walk(func):
-            if isinstance(node, ast.Compare) and any(
-                isinstance(sub, ast.Attribute)
-                and sub.attr in _ARRAY_ATTRIBUTES
-                for operand in (node.left, *node.comparators)
-                for sub in ast.walk(operand)
-            ):
-                yield func.name, node.lineno
+        if picks(child):
+            yield owner, child.lineno
+        yield from _sites(child, picks, owner)
+
+
+def _src_sites(picks):
+    """(module, function, line) of each node in ``src/`` that ``picks``
+    accepts."""
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, line in _sites(tree, picks):
+            yield path.name, name, line
+
+
+def _array_check(node):
+    """A comparison with a ``.dtype``, ``.shape`` or ``.ndim`` attribute
+    in an operand."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(sub, ast.Attribute) and sub.attr in _ARRAY_ATTRIBUTES
+        for operand in (node.left, *node.comparators)
+        for sub in ast.walk(operand)
+    )
 
 
 def test_every_array_check_is_the_vector_rule():
     # errors states the rule; any other module checks its arrays by it
-    found, written = [], set()
-    for path in sorted(_SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for name, line in _array_checks(tree):
-            written.add((path.name, name))
-            if path.name != "errors.py" and (
-                (path.name, name) not in _OTHER_ARRAY_RULES
-            ):
-                found.append(f"{path.name}:{line} in {name}")
-    assert found == []
+    sites = list(_src_sites(_array_check))
+    assert [
+        f"{module}:{line} in {name}" for module, name, line in sites
+        if module != "errors.py" and (module, name) not in _OTHER_ARRAY_RULES
+    ] == []
     # the guard sees the rule and its one exception
+    written = {(module, name) for module, name, _ in sites}
     assert {("errors.py", "_vector"), *_OTHER_ARRAY_RULES} <= written
+
+
+# the draw methods a pass makes, and the one place each may be called:
+# the kernel's loop, the public per-step draws, and selftest's replay
+_DRAW_METHODS = {"choice", "permutation", "shuffle"}
+_DRAW_SITES = {
+    ("sampling.py", "_draw_subset"), ("kfold.py", "make_folds"),
+    ("kfold.py", "_run_passes"), ("selftest.py", "_replay_draw"),
+}
+
+
+def _draw_call(node):
+    """A call of a draw method, as a method or a bare name."""
+    func = getattr(node, "func", None)
+    name = getattr(func, "attr", getattr(func, "id", None))
+    return isinstance(node, ast.Call) and name in _DRAW_METHODS
+
+
+def test_every_draw_is_made_where_the_draw_contract_allows():
+    # a new copy of the pass's draws cannot appear unnoticed
+    sites = list(_src_sites(_draw_call))
+    assert [
+        f"{module}:{line} in {name}" for module, name, line in sites
+        if (module, name) not in _DRAW_SITES
+    ] == []
+    # the guard sees every allowed site
+    assert {(module, name) for module, name, _ in sites} == _DRAW_SITES

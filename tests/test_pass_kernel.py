@@ -1,4 +1,4 @@
-"""The batched pass kernel against two references.
+"""The batched pass kernel against one reference.
 
 ``fsv_run``, ``repeated_kfcv`` and ``sampled_kfold_trial`` run on
 ``kfold._run_passes``. Per pass it makes ``srs_sample``'s subset draw,
@@ -9,21 +9,25 @@ so the subsample lands in ``make_folds``' fold order, in a bounded
 per-call buffer. Each time the buffer fills, one ``_fold_moments`` call
 reduces the passes in it; one statistics step then scores them all.
 
-Two references check it. ``TestDrawStep`` replays the sort-and-gather
-draw path, a ``SampleView`` of the sorted subset taken in the order of
-``make_folds``' plan (``plan.order``), pass by pass into
-``_fold_moments`` and then into the same statistics step, and requires
-every output bit for bit; its batch cases fill the buffer several
-times or draw passes larger than its least size. The per-pass reference,
-``selftest._replay_pass``, replays the same draws on clones of the
-streams with plain numpy calls (``uniform``, a sorted ``choice``,
-``permutation`` cut as ``np.array_split`` cuts it) and scores each pass
-on its own: ``fit`` on the subsample, ``loss`` on its complement, and
-``fit`` on each fold's training complement with ``loss`` on the fold,
-never the kernel's draw or statistics step. Its results must lie within
-``selftest._tolerance``. After every call the streams must stand
-exactly where the reference left them. ``TestFoldKernel`` holds one
-plan's statistics step to the same per-fold reference.
+The reference is ``selftest``'s. ``selftest._replay_draw`` replays a
+pass's draws on clones of the streams with plain numpy calls
+(``uniform``, a sorted ``choice``, ``permutation`` cut as
+``np.array_split`` cuts it), and after every call the streams must
+stand exactly where the replay left them. ``selftest._exact_scores``
+scores each replayed pass in exact rational arithmetic on the stored
+doubles, never through the kernel's draw or statistics step, and states
+the derived error bound of each statistic: the one accuracy rule, which
+the strategy tests hold every output to, through the public results
+too (``selftest._check_fsv_run`` and ``_check_repeated_kfcv``). The
+bound for a holdout's loss grows as n**2 / h, so ``_hold_passes`` also
+holds that loss to 64 ulps of itself plus 64 ulps of the dataset's M2
+over h, which is tighter for small holdouts.
+``TestDrawStep`` feeds the replayed draws, pass by pass, through
+``_fold_moments`` and the same statistics step, and requires every
+output bit for bit; its batch cases fill the buffer several times or
+draw passes larger than its least size. ``TestFoldKernel`` holds one
+plan's statistics step to the exact scores, and one test ties the
+scorer's formulas to ``estimator.fit`` and ``loss``.
 """
 
 import math
@@ -38,6 +42,7 @@ from hypothesis import strategies as st
 from conftest import pinning_window
 from fusionval import kfold, sampling, selftest
 from fusionval.data import Dataset, generate_dataset
+from fusionval.estimator import fit, loss
 from fusionval.errors import _SUM_LIMIT, ValidationError
 from fusionval.fsv import (
     FsvConfig, compound_measure, fsv_run, sampled_kfold_trial
@@ -57,8 +62,8 @@ from fusionval.kfold import (
 )
 from fusionval.metrics import METRIC_FIELDS, TrialMetrics, metric_table
 from fusionval.rng import RngStream, derive_stream, standard_normal
-from fusionval.sampling import SampleView, draw_partition_fraction, srs_sample
-from fusionval.selftest import _fold_fits, _replay_pass, _slacks, _tolerance
+from fusionval.sampling import draw_partition_fraction, srs_sample
+from fusionval.selftest import _exact_scores, _held, _replay_draw
 from fusionval.theory import (
     VarianceBudget, chebyshev_tail, chebyshev_threshold, hoeffding_tail
 )
@@ -69,14 +74,47 @@ def _dataset(n, mu, scale, seed):
     return Dataset(values=values, true_mean=mu, true_var=scale * scale)
 
 
-def _assert_close(got, want, tol, label):
-    assert abs(got - want) <= tol, (
-        f"{label}: {got!r} != {want!r} (tol {tol:.2g})"
-    )
+def _assert_ulps(label, got, pairs, ulps, slack=0):
+    """Each entry of ``got`` within ``ulps`` times (one ulp of its exact
+    value, from ``pairs`` of (exact value, bound), plus ``slack``)."""
+    values = np.atleast_1d(got).tolist()
+    for value, (want, _) in zip(values, pairs, strict=True):
+        error = abs(Fraction(value) - want)
+        assert error <= ulps * (Fraction(math.ulp(float(want))) + slack), label
+
+
+def _m2_ulp(data):
+    """One ulp of the exact centred sum of squares of ``data``'s values."""
+    exact = [Fraction(v) for v in data.values.tolist()]
+    centre = sum(exact) / len(exact)
+    return Fraction(math.ulp(float(sum((v - centre) ** 2 for v in exact))))
+
+
+# the statistics of kfold._Passes that selftest._exact_scores scores
+_STATISTICS = (
+    "sample_mean", "sample_var", "holdout_mse",
+    "train_means", "train_vars", "fold_losses",
+)
 
 
 def _streams_equal(a, b):
     return a.generator.bit_generator.state == b.generator.bit_generator.state
+
+
+def _triple(seed, split):
+    """A fresh (fraction, subset, folds) triple of streams: three of
+    their own, or one stream three times."""
+    main = RngStream(seed, 1)
+    return (RngStream(seed, 3), main, RngStream(seed, 2)) if split else (
+        (main,) * 3
+    )
+
+
+def _own_fraction(seed):
+    """A fresh (fraction, subset, folds) triple: the fraction on a stream
+    of its own, the subset and the folds on one."""
+    main = RngStream(seed, 1)
+    return RngStream(seed, 2), main, main
 
 
 _sizes = st.fixed_dictionaries(
@@ -115,12 +153,15 @@ class TestFsvRun:
         config = FsvConfig(
             iterations, k=k, fraction_range=pinning_window(m, data.n)
         )
-        selftest._check_fsv_run(data, config, RngStream(params["seed"], 1))
-        _hold_to_exact_bound(
-            data, k, iterations,
-            lambda: (RngStream(params["seed"], 1),) * 3,
-            config.fraction_range, True,
+        stream = RngStream(params["seed"], 1)
+        _, scores = selftest._check_fsv_run(data, config, stream.clone())
+        # and every statistic of the kernel's passes on that stream
+        got = _run_passes(
+            data, k, iterations, (stream,) * 3,
+            fraction_range=config.fraction_range, holdout=True,
         )
+        _hold_passes(data, got, scores)
+        assert (got.m == m).all()
 
     def test_dataset_under_2k_points_runs(self):
         # n = 9 < 2k: every size the default window draws, 5 to 8,
@@ -174,44 +215,16 @@ class TestRepeatedKfcv:
         )
         weights = LambdaWeights(np.array(raw) * k / math.fsum(raw))
         window = pinning_window(m, dataset.n)
-        seed = params["seed"]
-        stream, ref_stream = RngStream(seed, 4), RngStream(seed, 4)
-        est = repeated_kfcv(
-            dataset, repetitions, weights, stream, fraction_range=window
+        stream = RngStream(params["seed"], 4)
+        _, scores = selftest._check_repeated_kfcv(
+            dataset, repetitions, weights, stream.clone(), window
         )
-        refs = [
-            _replay_pass(dataset, k, (ref_stream,) * 3, window)
-            for _ in range(repetitions)
-        ]
-        assert all(ref["m"] == m for ref in refs)
-        slack, _ = _slacks(dataset.values)
-        means = np.array([ref["train_means"] for ref in refs])
-        variances = np.array([ref["train_vars"] for ref in refs])
-        losses = np.array([ref["fold_losses"] for ref in refs])
-        # the tolerance of an average is the average of the tolerances
-        _assert_close(
-            est.mean_estimate,
-            float(means.mean()),
-            float(_tolerance(means, slack, False).mean()),
-            "mean_estimate",
+        got = _run_passes(
+            dataset, k, repetitions, (stream,) * 3,
+            fraction_range=window, holdout=False,
         )
-        _assert_close(
-            est.var_estimate,
-            float(variances.mean()),
-            float(_tolerance(variances, slack, True).mean()),
-            "var_estimate",
-        )
-        _assert_close(
-            est.loss,
-            float(np.mean([(weights.lambdas * row).mean() for row in losses])),
-            float((_tolerance(losses, slack, True) * weights.lambdas).mean()),
-            "loss",
-        )
-        assert _streams_equal(stream, ref_stream)
-        _hold_to_exact_bound(
-            dataset, k, repetitions, lambda: (RngStream(seed, 4),) * 3,
-            window, False,
-        )
+        _hold_passes(dataset, got, scores)
+        assert (got.m == m).all()
 
 
 class TestSampledKfoldTrial:
@@ -230,14 +243,7 @@ class TestSampledKfoldTrial:
             scale = 10.0 ** params["log10_scale"]
             data = _dataset(m, params["mu"], scale, seed)
 
-        def streams():
-            main = RngStream(seed, 1)
-            if not split_streams:
-                return main, main, main
-            return main, RngStream(seed, 2), RngStream(seed, 3)
-
-        main, folds, fraction = streams()
-        ref_main, ref_folds, ref_fraction = streams()
+        fraction, main, folds = kernel = _triple(seed, split_streams)
         window = pinning_window(m, data.n)
 
         def run():
@@ -250,47 +256,25 @@ class TestSampledKfoldTrial:
                 fraction_range=window,
             )
 
+        replay = _triple(seed, split_streams)
         if whole:
             with pytest.raises(ValidationError, match="leaves no holdout"):
                 run()
-            for got, want in ((main, ref_main), (folds, ref_folds),
-                              (fraction, ref_fraction)):
-                assert _streams_equal(got, want)
-            return
-        trial = run()
-        ref = _replay_pass(
-            data, k, (ref_fraction, ref_main, ref_folds), window
-        )
-        slack, m2_slack = _slacks(data.values)
-        assert trial.m == ref["m"] == m
-        assert trial.fraction == ref["fraction"]
-        for got, key, squared in ((trial.sample_mean, "mean", False),
-                                  (trial.sample_var, "var", True)):
-            want = ref[key]
-            _assert_close(got, want, _tolerance(want, slack, squared), key)
-        holdout_slack = m2_slack / (data.n - m)
-        _assert_close(
-            trial.holdout_mse,
-            ref["holdout"],
-            _tolerance(ref["holdout"], slack, True, holdout_slack),
-            "holdout",
-        )
-        for i, (got, want) in enumerate(
-            zip(trial.fold_losses, ref["fold_losses"])
-        ):
-            _assert_close(
-                got, want, _tolerance(want, slack, True), f"fold {i} loss"
+        else:
+            trial = run()
+            _replay_draw(data.n, replay, window)
+            # the trial is the kernel's one pass on those streams, which
+            # holds every statistic to its exact value
+            got, _ = _hold_to_exact_bound(
+                data, k, 1, lambda: _triple(seed, split_streams), window, True
             )
-        for got, want in ((main, ref_main), (folds, ref_folds),
-                          (fraction, ref_fraction)):
-            assert _streams_equal(got, want)
-
-        def kernel_streams():
-            main, folds, fraction = streams()
-            return fraction, main, folds
-
-        _hold_to_exact_bound(data, k, 1, kernel_streams, window, True)
-
+            assert trial.fraction == got.fractions[0]
+            assert trial.m == got.m[0] == m
+            for name in ("sample_mean", "sample_var", "holdout_mse"):
+                assert getattr(trial, name) == getattr(got, name)[0], name
+            assert trial.fold_losses.tobytes() == got.fold_losses[0].tobytes()
+        for a, b in zip(kernel, replay):
+            assert _streams_equal(a, b)
 
     # m: the size a window pins, or None for the default window
     @pytest.mark.parametrize("m", [None, 40])
@@ -316,33 +300,19 @@ class TestSampledKfoldTrial:
 def test_one_point_holdout_at_the_subsample_mean():
     # the one holdout point a thousandth of sigma from the subsample
     # mean: its loss is about 1e-6 sigma**2, the dataset's M2 about
-    # n sigma**2. Fails without the holdout term of selftest._tolerance.
+    # n sigma**2, and the loss's error about 1e8 of its ulps; the
+    # holdout's rule in _hold_passes, ulps of M2 over the holdout's
+    # size, covers it, and so does the derived bound
     n, m, k, seed = 301, 300, 5, 12
-    values = 1e3 * np.random.default_rng(seed).standard_normal(n)
-    probe = Dataset(values.copy(), 0.0, 1e6)
-    inside = srs_sample(probe, m, RngStream(seed, 1)).indices
-    outside = np.setdiff1d(np.arange(n), inside)
-    values[outside] = values[inside].mean() + 1.0
-    data = Dataset(values, 0.0, 1e6)
-    # the fraction on a stream of its own, so that the subset is the
-    # one srs_sample drew above
     window = pinning_window(m, n)
-    trial = sampled_kfold_trial(
-        data, k, RngStream(seed, 1), fraction_stream=RngStream(seed, 2),
-        fraction_range=window,
+    values = 1e3 * np.random.default_rng(seed).standard_normal(n)
+    _, inside = _replay_draw(n, _own_fraction(seed), window)
+    values[np.setdiff1d(np.arange(n), inside)] = values[inside].mean() + 1.0
+    data = Dataset(values, 0.0, 1e6)
+    got, _ = _hold_to_exact_bound(
+        data, k, 1, lambda: _own_fraction(seed), window, True
     )
-    ref_stream = RngStream(seed, 1)
-    ref = _replay_pass(
-        data, k, (RngStream(seed, 2), ref_stream, ref_stream), window
-    )
-    assert trial.m == ref["m"] == m
-    slack, m2_slack = _slacks(data.values)
-    _assert_close(
-        trial.holdout_mse,
-        ref["holdout"],
-        _tolerance(ref["holdout"], slack, True, m2_slack),
-        "holdout",
-    )
+    assert got.m[0] == m
 
 
 def _widest_summable(n, factor):
@@ -380,19 +350,66 @@ def test_every_entry_point_stays_finite_just_inside_the_spread_rule():
         kfold_losses(wide, plan)
 
 
-def test_reference_does_not_run_the_statistics_step(monkeypatch):
-    # fold losses off by one part in a thousand, about 40 times the
-    # tolerance on selftest's data (sigma 1 at mu = 1e9, where the slack
-    # is 8e-6): a reference that scored its folds through the kernel's
-    # own statistics step would be off by as much and would pass
+def _plant(monkeypatch, name, skew):
+    """Skew one statistic of the kernel's statistics step by ``skew`` of
+    itself, in every call that computes it."""
     combine = kfold._combine
 
     def skewed(*args, **kwargs):
         stats = combine(*args, **kwargs)
-        return stats._replace(fold_losses=stats.fold_losses * (1 + 1e-3))
+        value = getattr(stats, name)
+        if value is None:  # no holdout asked for
+            return stats
+        return stats._replace(**{name: value * (1 + skew)})
 
     monkeypatch.setattr(kfold, "_combine", skewed)
+
+
+def test_means_over_passes_stay_finite_where_their_entries_are():
+    # RuntimeWarnings fail the suite: a plain mean of 50 training means
+    # near 5e306 overflowed in its sum
+    data = Dataset(np.full(200, 5e306), 5e306, 1.0)
+    est = repeated_kfcv(data, 10, LambdaWeights.uniform(5), RngStream(1, 1))
+    assert est.mean_estimate == 5e306
+    # and so did L* and KFCV's averages over 400 passes of 20 points at
+    # the spread rule's edge, whose losses reach 6e306
+    values, var = _widest_summable(20, 1 - 1e-9)
+    wide = Dataset(values, 0.0, var)
+    result = fsv_run(wide, FsvConfig(400, k=2), RngStream(1, 1))
+    assert math.isfinite(result.compounded_measure)
+    assert math.isfinite(result.mean_iteration_loss)
+    est = repeated_kfcv(wide, 400, LambdaWeights.uniform(2), RngStream(1, 2))
+    assert np.isfinite([est.mean_estimate, est.var_estimate, est.loss]).all()
+    assert compound_measure(np.full(4, 1e308), 1.0) == 1e308
+
+
+def test_reference_does_not_run_the_statistics_step(monkeypatch):
+    # fold losses off by one part in a thousand: a reference that scored
+    # its folds through the kernel's own statistics step would be off by
+    # as much and would pass
+    _plant(monkeypatch, "fold_losses", 1e-3)
     with pytest.raises(AssertionError):
+        selftest._check_pass_kernel()
+
+
+@pytest.mark.parametrize(
+    "name, skew",
+    [
+        ("sample_mean", 1e-12),
+        ("sample_var", 1e-12),
+        ("train_means", 1e-12),
+        ("train_vars", 1e-12),
+        ("fold_losses", 1e-12),
+        # the holdout's tightest bound at selftest's point (n = 300,
+        # mu = 1e9, sigma = 1) is 1.88e-12 of its value
+        ("holdout_mse", 1e-11),
+    ],
+)
+def test_a_planted_fault_in_any_statistic_fails_the_selftest(
+    monkeypatch, name, skew
+):
+    _plant(monkeypatch, name, skew)
+    with pytest.raises(AssertionError, match="from its exact value"):
         selftest._check_pass_kernel()
 
 
@@ -433,158 +450,54 @@ def test_selftest_kernel_check_crosses_a_batch_boundary(scored_batches):
 
 
 def test_holdout_from_totals_is_exact_at_large_mean():
-    # at mu = 1e9 the spread sits 12 decimal digits below the mean;
-    # compare with exact rational arithmetic on the stored doubles
+    # at mu = 1e9 the spread sits 12 decimal digits below the mean; the
+    # holdout's loss is also off by the rounding of the subtraction from
+    # the totals: ulps of the dataset's M2 (about n sigma**2) over the
+    # holdout's size
     n, m, k = 40, 29, 4
     data = _dataset(n, 1e9, 1e-3, 8)
-    view_stream = RngStream(8, 1)
-    # the fraction on a stream of its own, so that the subset is the
-    # one srs_sample draws below
-    subset_and_folds = RngStream(8, 1)
-    passes = _run_passes(
-        data, k, 1, (RngStream(8, 2), subset_and_folds, subset_and_folds),
-        fraction_range=pinning_window(m, n), holdout=True,
+    got, (score,) = _hold_to_exact_bound(
+        data, k, 1, lambda: _own_fraction(8), pinning_window(m, n), True
     )
-    assert passes.m[0] == m
-    inside = set(srs_sample(data, m, view_stream).indices.tolist())
-    exact = [Fraction(float(v)) for v in data.values]
-    sample = [v for i, v in enumerate(exact) if i in inside]
-    rest = [v for i, v in enumerate(exact) if i not in inside]
-    mean = sum(sample) / m
-    want = sum((v - mean) ** 2 for v in rest) / len(rest)
-    got = Fraction(float(passes.holdout_mse[0]))
-    # the rounding of the subtraction from the totals: ulps of the
-    # dataset's M2 (about n sigma**2) over the holdout's size
-    data_m2 = float(sum((v - sum(exact) / n) ** 2 for v in exact))
-    bound = 4 * Fraction(math.ulp(float(want))) + 4 * Fraction(
-        math.ulp(data_m2)
-    ) / len(rest)
-    assert abs(got - want) <= bound
-    mean_got = Fraction(float(passes.sample_mean[0]))
-    assert abs(mean_got - mean) <= Fraction(math.ulp(1e9))
+    assert got.m[0] == m
+    slack = _m2_ulp(data) / (n - m)
+    _assert_ulps("holdout", got.holdout_mse, score["holdout_mse"], 4, slack)
+    (want, _), = score["sample_mean"]
+    error = abs(Fraction(float(got.sample_mean[0])) - want)
+    assert error <= Fraction(math.ulp(1e9))
 
 
-def _exact_scores(data, k, got, draws):
-    """Each statistic of ``got``, the ``_Passes`` of a call on ``data``,
-    against exact rational arithmetic on the stored doubles, pass by pass
-    over ``draws`` (:func:`_sorted_draws` on the call's streams): yields
-    (label, value, exact value, bound, slack). ``bound`` is the kfold
-    docstring's derived error bound; ``slack`` is the holdout term of
-    the fixed-point rule, ulp(M2_data) / n_h, and 0 elsewhere."""
-    # the values as integers over one power-of-two denominator: sums of
-    # them and of their squares are exact, and far faster than Fractions
-    ratios = [v.as_integer_ratio() for v in data.values.tolist()]
-    scale = max(d for _, d in ratios)
-    xs = [a * (scale // d) for a, d in ratios]
-    n, sq = len(xs), scale * scale
-    # A: the widest distance of a value from the pilot, the first value
-    a = max(abs(x - xs[0]) for x in xs) / scale
-
-    def totals(indices):
-        # count, sum and sum of squares, in units of 1 / scale
-        return (
-            len(indices),
-            sum(xs[j] for j in indices),
-            sum(xs[j] * xs[j] for j in indices),
-        )
-
-    def mean(c, s1, s2):
-        return Fraction(s1, c * scale)
-
-    def m2(c, s1, s2):
-        return Fraction(c * s2 - s1 * s1, c * sq)
-
-    def loss(part, centre):
-        # a part's mean squared error about the mean of ``centre``
-        (c, s1, s2), (tc, ts1, _) = part, centre
-        return Fraction(
-            s2 * tc * tc - 2 * ts1 * s1 * tc + c * ts1 * ts1, c * tc * tc * sq
-        )
-
-    whole = totals(range(n))
-    data_m2 = float(m2(*whole))
-    u = 2.0**-53
-    e = u * a  # the error of shifting one value by the pilot, at most
-    for p, (_, picked, sizes) in enumerate(draws):
-        folds = [
-            totals(fold.tolist())
-            for fold in np.split(picked, np.cumsum(sizes)[:-1])
-        ]
-        sample = tuple(map(sum, zip(*folds)))
-        m, c = sample[0], max(sizes)
-        assert got.m[p] == m
-        sample_m2 = float(m2(*sample))
-        root = math.sqrt(sample_m2)
-        # second order: squared errors of the fold and sample means
-        square = m * ((c + 4) ** 2 + (2 * c + k + 3) ** 2) * e * e
-        want = mean(*sample)
-        bound = u * abs(float(want)) + (1 + u) * (c + k) * e
-        yield "sample_mean", got.sample_mean[p], want, bound, 0
-        want = m2(*sample) / (m - 1)
-        bound = u * float(want) + (
-            u * (c + k + 4) * sample_m2
-            + 2 * (c + 2) * e * math.sqrt(m) * root
-            + square
-        ) / (m - 1)
-        yield "sample_var", got.sample_var[p], want, bound, 0
-        if got.holdout_mse is not None:
-            rest = tuple(x - y for x, y in zip(whole, sample))
-            h = rest[0]
-            want = loss(rest, sample)
-            gap = c + k + 4 + (n * n + (c + k - 1) * m) / h
-            rest_m2 = (
-                u * (n + c + k + 11) * data_m2
-                + 2 * e * math.sqrt(data_m2)
-                * (math.sqrt(n) + (c + 2) * math.sqrt(m) + gap * math.sqrt(h))
-                + square + (n * (n + 4) ** 2 + h * gap * gap) * e * e
-            )
-            bound = (
-                2 * u * float(want)
-                + rest_m2 / h
-                + 2 * gap * e * math.sqrt(float(want))
-                + (gap * e) ** 2
-            )
-            slack = Fraction(math.ulp(data_m2)) / h
-            yield "holdout_mse", got.holdout_mse[p], want, bound, slack
-        for i, fold in enumerate(folds):
-            train = tuple(x - y for x, y in zip(sample, fold))
-            r, size = train[0], fold[0]
-            drift = (k - 1) * m / r
-            gap = 2 * c + 5 + drift
-            want = mean(*train)
-            bound = u * abs(float(want)) + (1 + u) * (c + 2 + drift) * e
-            yield "train_means", got.train_means[p, i], want, bound, 0
-            want = m2(*train) / (r - 1)
-            bound = u * float(want) + (
-                u * (2 * c + k + 11) * sample_m2
-                + 2 * e * root
-                * ((c + 2) * math.sqrt(m) + (gap + 1) * math.sqrt(size))
-                + square + size * ((size + 4) ** 2 + gap * gap) * e * e
-            ) / (r - 1)
-            yield "train_vars", got.train_vars[p, i], want, bound, 0
-            want = loss(fold, train)
-            bound = (
-                u * (size + 4) * float(want)
-                + 2 * (gap + 1) * e * math.sqrt(float(want))
-                + ((size + 4) ** 2 + gap * gap) * e * e
-            )
-            yield "fold_losses", got.fold_losses[p, i], want, bound, 0
+def _hold_passes(data, got, scores):
+    """The kernel's passes ``got`` against their exact ``scores``: the
+    same fraction and m, every statistic within its derived bound, and a
+    holdout's loss also within 64 ulps of itself plus 64 ulps of the
+    dataset's M2 over the holdout's size. The derived bound's terms for
+    a small holdout grow as n**2 / h and exceed that rule there."""
+    m2_ulp = _m2_ulp(data)
+    for p, score in enumerate(scores):
+        assert got.fractions[p] == score["fraction"]
+        assert got.m[p] == score["m"]
+        for name in score.keys() & _STATISTICS:
+            _held(f"pass {p} {name}", getattr(got, name)[p], score[name])
+        if holdout := score.get("holdout_mse"):
+            slack = m2_ulp / (data.n - score["m"])
+            _assert_ulps("holdout", got.holdout_mse[p], holdout, 64, slack)
 
 
 def _hold_to_exact_bound(data, k, passes, streams, window, holdout):
     """``_run_passes`` on the (fraction, subset, folds) triple that
-    ``streams()`` builds afresh, every statistic within the derived bound
-    of its exact value; the draws are replayed on a second triple."""
+    ``streams()`` builds afresh, held by :func:`_hold_passes`; the draws
+    are replayed on a second triple, which must end in the same state.
+    Returns the kernel's passes and their exact scores."""
+    kernel = streams()
     got = _run_passes(
-        data, k, passes, streams(), fraction_range=window, holdout=holdout
+        data, k, passes, kernel, fraction_range=window, holdout=holdout
     )
-    fraction, subset, folds = streams()
-    draws = _sorted_draws(data, k, passes, subset, folds, fraction, window)
-    for label, value, want, bound, _ in _exact_scores(data, k, got, draws):
-        error = abs(Fraction(float(value)) - want)
-        assert error <= Fraction(bound), (
-            f"{label}: error {float(error):.3g} exceeds the bound {bound:.3g}"
-        )
+    scores = selftest._replayed_scores(
+        data, k, passes, window, kernel, streams(), holdout=holdout
+    )
+    _hold_passes(data, got, scores)
+    return got, scores
 
 
 def test_every_statistic_is_exact_to_a_few_ulps_across_batches(
@@ -595,63 +508,35 @@ def test_every_statistic_is_exact_to_a_few_ulps_across_batches(
     # 180 to 270 points that fill the buffer more than once
     n, k, passes = 300, 5, 80
     data = _dataset(n, 1e9, 1e-3, 3)
-    stream = RngStream(3, 1)
-    got = _run_passes(data, k, passes, (stream,) * 3, holdout=True)
-    assert len(scored_batches) >= 3
-    # the worst measured, over 10 seeds of this case, is 4.5 ulps
-    ulps = 8
-    ref = RngStream(3, 1)
-    draws = _sorted_draws(
-        data, k, passes, ref, ref, ref, sampling.FRACTION_RANGE
+    got, scores = _hold_to_exact_bound(
+        data, k, passes, lambda: (RngStream(3, 1),) * 3,
+        sampling.FRACTION_RANGE, True,
     )
-    for label, value, want, bound, slack in _exact_scores(
-        data, k, got, draws
-    ):
-        # the holdout is taken from the dataset's totals: ulps of the
-        # dataset's M2 over the holdout's size, as in the test above
-        error = abs(Fraction(float(value)) - want)
-        assert error <= ulps * (Fraction(math.ulp(float(want))) + slack), label
-        assert error <= Fraction(bound), label
+    assert len(scored_batches) >= 3
+    # the worst measured, over 10 seeds of this case, is 4.5 ulps; the
+    # holdout, as in the test above, may also be off by ulps of the
+    # dataset's M2 over the holdout's size
+    m2_ulp = _m2_ulp(data)
+    for p, score in enumerate(scores):
+        for name in _STATISTICS:
+            slack = m2_ulp / (n - got.m[p]) if name == "holdout_mse" else 0
+            _assert_ulps(name, getattr(got, name)[p], score[name], 8, slack)
 
 
-def _sorted_draws(
-    data, k, passes, stream, folds_stream, fraction_stream, fraction_range
-):
-    """Per pass, the draws of ``_run_passes`` on the sort-and-gather
-    path: the fraction, the subsample's indices in the order of
-    ``make_folds``' plan, and the fold sizes. ``srs_sample``'s draw is
-    sorted into a ``SampleView`` and taken as ``view.indices[plan.order]``."""
-    for _ in range(passes):
-        f = draw_partition_fraction(fraction_stream, *fraction_range)
-        m = int(round(f * data.n))
-        picked = stream.generator.choice(
-            data.n, size=m, replace=False, shuffle=False
-        )
-        picked.sort()
-        view = SampleView(indices=picked, source_n=data.n)
-        plan = make_folds(m, k, folds_stream)
-        yield f, view.indices[plan.order], [len(fold) for fold in plan.folds]
-
-
-def _sorted_draw_passes(
-    data, k, passes, stream, folds_stream, fraction_stream, fraction_range,
-    holdout,
-):
+def _sorted_draw_passes(data, k, passes, streams, window, holdout):
     """``_run_passes`` on the sort-and-gather draw path, one pass at a
-    time: :func:`_sorted_draws`, then ``values`` at those indices into
-    the same ``_fold_moments``, then all passes into ``_combine``."""
+    time: ``selftest._replay_draw`` on the (fraction, subset, folds)
+    triple ``streams``, then ``values`` at those indices into the same
+    ``_fold_moments``, then all passes into ``_combine``."""
     values = data.values
     pilot = values[0]
     fractions = np.empty(passes)
     counts, sums, m2s = (np.empty((passes, k)) for _ in range(3))
-    draws = _sorted_draws(
-        data, k, passes, stream, folds_stream, fraction_stream,
-        fraction_range,
-    )
-    for p, (f, picked, sizes) in enumerate(draws):
-        fractions[p] = f
+    for p in range(passes):
+        fractions[p], order = _replay_draw(data.n, streams, window)
+        sizes = [len(fold) for fold in np.array_split(order, k)]
         counts[p] = sizes
-        _fold_moments(values[picked], sizes, pilot, sums[p], m2s[p])
+        _fold_moments(values[order], sizes, pilot, sums[p], m2s[p])
     stats = _combine(counts, sums, m2s, pilot, data if holdout else None)
     return stats._replace(fractions=fractions)
 
@@ -662,30 +547,14 @@ def _compare_with_sorted_draw_path(
     """``_run_passes`` against :func:`_sorted_draw_passes` on the same
     streams: every output bit for bit, every stream left in step.
     Returns the kernel's passes."""
-
-    def streams():
-        main = RngStream(seed, 1)
-        if not split_streams:
-            return main, main, main
-        return main, RngStream(seed, 2), RngStream(seed, 3)
-
-    main, folds, fraction = streams()
-    ref_main, ref_folds, ref_fraction = streams()
+    kernel, replay = (_triple(seed, split_streams) for _ in range(2))
     got = _run_passes(
-        data, k, passes, (fraction, main, folds),
-        fraction_range=window, holdout=holdout,
+        data, k, passes, kernel, fraction_range=window, holdout=holdout
     )
-    want = _sorted_draw_passes(
-        data, k, passes, ref_main, ref_folds, ref_fraction, window, holdout,
-    )
-    for name in got._fields:
-        a, b = getattr(got, name), getattr(want, name)
-        if b is None:
-            assert a is None, name
-        else:
-            assert np.array_equal(a, b), name
-    for a, b in ((main, ref_main), (folds, ref_folds),
-                 (fraction, ref_fraction)):
+    want = _sorted_draw_passes(data, k, passes, replay, window, holdout)
+    for name in got._fields:  # holdout_mse may be None in both
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for a, b in zip(kernel, replay):
         assert _streams_equal(a, b)
     return got
 
@@ -775,9 +644,9 @@ class TestDrawStep:
 
 def _plan_stats(sample, plan):
     """Fold losses, training means and ddof=1 training variances of one
-    plan: ``plan.order`` into ``_fold_moments`` and then ``_combine``, as
-    :func:`_sorted_draw_passes` scores a pass. The losses must be
-    ``kfold_losses``' bit for bit."""
+    plan, by name: ``plan.order`` into ``_fold_moments`` and then
+    ``_combine``, as :func:`_sorted_draw_passes` scores a pass. The losses
+    must be ``kfold_losses``' bit for bit."""
     y = sample[plan.order]
     pilot = y[0]
     sizes = [len(f) for f in plan.folds]
@@ -785,7 +654,17 @@ def _plan_stats(sample, plan):
     _fold_moments(y, sizes, pilot, sums[0], m2s[0])
     stats = _combine(np.array([sizes], dtype=np.float64), sums, m2s, pilot)
     assert np.array_equal(stats.fold_losses[0], kfold_losses(sample, plan))
-    return stats.fold_losses[0], stats.train_means[0], stats.train_vars[0]
+    names = ("fold_losses", "train_means", "train_vars")
+    return {name: getattr(stats, name)[0] for name in names}
+
+
+def _plan_score(sample, plan):
+    """The exact scores of one plan's pass: the sample taken in fold
+    order, its first value the pilot, as :func:`_plan_stats` takes it."""
+    data = Dataset(sample[plan.order], float(sample[0]), 1.0)
+    draw = (1.0, np.arange(plan.total))
+    (score,) = _exact_scores(data, plan.k, [draw], holdout=False)
+    return score
 
 
 class TestComplement:
@@ -820,9 +699,9 @@ class TestComplement:
         mean_tol = 1e-12 * n * scale
         m2_tol = 1e-12 * n * scale * scale
         assert got_n[0] == rest[0]
-        _assert_close(got_mean[0], rest_mean, mean_tol, "mean")
-        _assert_close(got_m2[0], rest[2], m2_tol, "M2")
-        _assert_close(got_gap2[0], gap * gap, m2_tol, "gap2")
+        assert abs(got_mean[0] - rest_mean) <= mean_tol
+        assert abs(got_m2[0] - rest[2]) <= m2_tol
+        assert abs(got_gap2[0] - gap * gap) <= m2_tol
         assert got_m2[0] >= 0
 
 
@@ -847,41 +726,48 @@ class TestFoldKernel:
         if m - math.ceil(m / k) < 2:
             # the largest fold leaves fewer than 2 training points
             with pytest.raises(ValidationError):
-                _fold_fits(sample, plan.folds)
-            with pytest.raises(ValidationError):
                 kfold_losses(sample, plan)
             return
-        # the rule of every pass-kernel check (bench/reference.py keeps
-        # its own); loss and variance are squared quantities
-        slack, _ = _slacks(sample)
-        got = _plan_stats(sample, plan)
-        want = _fold_fits(sample, plan.folds)
-        for col, squared in enumerate((True, False, True)):
-            tol = _tolerance(want[col], slack, squared)
-            np.testing.assert_array_less(np.abs(got[col] - want[col]), tol)
+        score = _plan_score(sample, plan)
+        for name, values in _plan_stats(sample, plan).items():
+            _held(name, values, score[name])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_exact_scores_are_fit_and_loss(self, seed):
+        # the scorer's formulas are the model's: fit on the subsample and
+        # on each fold's training complement, loss on the holdout and on
+        # each fold; at mu near sigma these round by a few ulps
+        n, m, k = 60, 45, 4
+        data = _dataset(n, 3.0, 2.0, seed)
+        order = np.random.default_rng(seed).permutation(n)[:m]
+        sample = data.values[order]
+        folds = np.array_split(np.arange(m), k)
+        whole = fit(sample)
+        trains = [fit(np.delete(sample, fold)) for fold in folds]
+        got = {
+            "sample_mean": whole.fitted_mean,
+            "sample_var": whole.fitted_var,
+            "holdout_mse": loss(whole, np.delete(data.values, order)),
+            "train_means": [train.fitted_mean for train in trains],
+            "train_vars": [train.fitted_var for train in trains],
+            "fold_losses": [
+                loss(train, sample[fold]) for train, fold in zip(trains, folds)
+            ],
+        }
+        (score,) = _exact_scores(data, k, [(m / n, order)])
+        assert score["m"] == m
+        for name in _STATISTICS:
+            _assert_ulps(name, got[name], score[name], 4)
 
     def test_exact_at_large_mean(self):
-        # at mu = 1e9 the spread sits 12 decimal digits below the mean;
-        # compare with exact rational arithmetic on the stored doubles
+        # at mu = 1e9 the spread sits 12 decimal digits below the mean
         m, k = 23, 4
         noise = derive_stream(5, 0, 0).generator.standard_normal(m)
         sample = 1e9 + 1e-3 * noise
         plan = make_folds(m, k, RngStream(5, 1))
-        losses, means, variances = _plan_stats(sample, plan)
-        exact = [Fraction(float(v)) for v in sample]
-        for i, fold in enumerate(plan.folds):
-            train = [v for j, v in enumerate(exact) if j not in fold]
-            mean = sum(train) / len(train)
-            var = sum((v - mean) ** 2 for v in train) / (len(train) - 1)
-            fold_loss = sum((exact[j] - mean) ** 2 for j in fold) / len(fold)
-            for got, want in (
-                (losses[i], fold_loss),
-                (means[i], mean),
-                (variances[i], var),
-            ):
-                assert abs(Fraction(float(got)) - want) <= 4 * Fraction(
-                    math.ulp(float(want))
-                )
+        score = _plan_score(sample, plan)
+        for name, values in _plan_stats(sample, plan).items():
+            _assert_ulps(name, values, score[name], 4)
 
 
 class _StubGenerator:
@@ -929,31 +815,33 @@ _BAD_DRAWS = {
 }
 
 
+def _stub_stream(case):
+    """``RngStream(6, 1)`` with its generator's draw corrupted as the
+    ``_BAD_DRAWS`` case says."""
+    stream = RngStream(6, 1)
+    stub = _StubGenerator(stream.generator, *_BAD_DRAWS[case])
+    object.__setattr__(stream, "generator", stub)
+    return stream
+
+
 @pytest.mark.parametrize("case", sorted(_BAD_DRAWS))
 def test_bad_draws_are_rejected(case):
-    method, corrupt = _BAD_DRAWS[case]
+    method, _ = _BAD_DRAWS[case]
     n, k = 50, 5
     data = _dataset(n, 0.0, 1.0, 6)
-
-    def stub_stream():
-        stream = RngStream(6, 1)
-        stub = _StubGenerator(stream.generator, method, corrupt)
-        object.__setattr__(stream, "generator", stub)
-        return stream
-
     # of n = 50 points, m = 10 is under a third, so its draw is sorted,
     # and m = 30 is masked; the mask is also checked at n = 2 000 below
     for m in (10, 30):
         window = pinning_window(m, n)
         with pytest.raises(ValidationError):
             if method == "choice":
-                srs_sample(data, m, stub_stream())
+                srs_sample(data, m, _stub_stream(case))
             else:
-                make_folds(m, k, stub_stream())
+                make_folds(m, k, _stub_stream(case))
         if method == "choice":
             # the kernel shares srs_sample's checks; its fraction comes
             # from a real stream of its own
-            stub = stub_stream()
+            stub = _stub_stream(case)
             with pytest.raises(ValidationError):
                 _run_passes(
                     data, k, 2, (RngStream(6, 2), stub, stub),
@@ -962,12 +850,12 @@ def test_bad_draws_are_rejected(case):
             with pytest.raises(ValidationError):
                 fsv_run(
                     data, FsvConfig(2, k=k, fraction_range=window),
-                    stub_stream(),
+                    _stub_stream(case),
                 )
             continue
         # the kernel shuffles the subsample and never calls permutation,
         # so a corrupt one changes neither its output nor its stream
-        stub, real = stub_stream(), RngStream(6, 1)
+        stub, real = _stub_stream(case), RngStream(6, 1)
         got = _run_passes(
             data, k, 2, (RngStream(6, 2), stub, stub),
             fraction_range=window, holdout=True,
@@ -981,7 +869,7 @@ def test_bad_draws_are_rejected(case):
             assert np.array_equal(a, b), name
         assert _streams_equal(stub, real)
         config = FsvConfig(2, k=k, fraction_range=window)
-        stub, real = stub_stream(), RngStream(6, 1)
+        stub, real = _stub_stream(case), RngStream(6, 1)
         got, want = fsv_run(data, config, stub), fsv_run(data, config, real)
         assert got.compounded_measure == want.compounded_measure
         assert np.array_equal(got.iteration_losses, want.iteration_losses)
@@ -993,19 +881,11 @@ def test_bad_draws_are_rejected(case):
     "case", sorted(c for c in _BAD_DRAWS if c.startswith("choice"))
 )
 def test_bad_draws_are_rejected_by_the_mask_branch(case):
-    method, corrupt = _BAD_DRAWS[case]
     n, k, m = 2_000, 5, 1_500
     data = _dataset(n, 0.0, 1.0, 6)
-
-    def stub_stream():
-        stream = RngStream(6, 1)
-        stub = _StubGenerator(stream.generator, method, corrupt)
-        object.__setattr__(stream, "generator", stub)
-        return stream
-
     with pytest.raises(ValidationError):
-        srs_sample(data, m, stub_stream())
-    stub = stub_stream()
+        srs_sample(data, m, _stub_stream(case))
+    stub = _stub_stream(case)
     with pytest.raises(ValidationError):
         _run_passes(
             data, k, 2, (RngStream(6, 2), stub, stub),
@@ -1021,12 +901,33 @@ def test_bad_draws_are_rejected_by_the_mask_branch(case):
     ],
 )
 def test_a_subset_draw_is_refused_by_the_vector_rule(case, got):
-    stream = RngStream(6, 1)
-    stub = _StubGenerator(stream.generator, *_BAD_DRAWS[case])
-    object.__setattr__(stream, "generator", stub)
     want = f"subset draw must be a vector of integers of length 10, got {got}"
     with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
-        srs_sample(_dataset(50, 0.0, 1.0, 6), 10, stream)
+        srs_sample(_dataset(50, 0.0, 1.0, 6), 10, _stub_stream(case))
+
+
+# each public draw, and the plain numpy call the draw contract says it is
+_PUBLIC_DRAWS = {
+    "make_folds": (
+        lambda s: make_folds(37, 4, s).order, lambda g: g.permutation(37)
+    ),
+    "draw_partition_fraction": (
+        lambda s: draw_partition_fraction(s, 0.6, 0.9),
+        lambda g: g.uniform(0.6, 0.9),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("draw", sorted(_PUBLIC_DRAWS))
+def test_a_public_draw_is_its_numpy_call(draw, seed):
+    # the kernel draws as a loop over the public API would; srs_sample's
+    # subset has its own pin, in test_sampling
+    public, plain = _PUBLIC_DRAWS[draw]
+    stream = RngStream(seed, 1)
+    clone = stream.clone()
+    assert np.array_equal(public(stream), plain(clone.generator))
+    assert _streams_equal(stream, clone)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 1_500, 75_000])
@@ -1098,24 +999,29 @@ def test_the_kernel_refuses_a_bad_k_before_drawing(k, message):
     assert stream.generator.bit_generator.state == before
 
 
+# each strategy on a window, with k folds and, for KFCV, 3 repetitions
+_ON_WINDOW = {
+    "repeated_kfcv": lambda data, k, s, window: repeated_kfcv(
+        data, 3, LambdaWeights.uniform(k), s, fraction_range=window
+    ),
+    "sampled_kfold_trial": lambda data, k, s, window: sampled_kfold_trial(
+        data, k, s, fraction_range=window
+    ),
+}
+
+
 @pytest.mark.parametrize("window", [(0.6,), (0.6, 0.7, 0.8)])
-@pytest.mark.parametrize("kernel", ["repeated_kfcv", "sampled_kfold_trial"])
+@pytest.mark.parametrize("kernel", sorted(_ON_WINDOW))
 def test_malformed_window_is_rejected_before_drawing(kernel, window):
     data = _dataset(50, 0.0, 1.0, 6)
     stream = RngStream(6, 1)
     before = stream.generator.bit_generator.state
     with pytest.raises(ValidationError, match="fraction_range"):
-        if kernel == "repeated_kfcv":
-            repeated_kfcv(
-                data, 2, LambdaWeights.uniform(5), stream,
-                fraction_range=window,
-            )
-        else:
-            sampled_kfold_trial(data, 5, stream, fraction_range=window)
+        _ON_WINDOW[kernel](data, 5, stream, window)
     assert stream.generator.bit_generator.state == before
 
 
-@pytest.mark.parametrize("kernel", ["repeated_kfcv", "sampled_kfold_trial"])
+@pytest.mark.parametrize("kernel", sorted(_ON_WINDOW))
 def test_window_too_low_for_n_is_rejected_before_drawing(kernel):
     # round(0.2 * 10) = 2 points cannot train both folds of k = 2, but
     # most draws from the window can: the call must fail on every seed,
@@ -1125,15 +1031,7 @@ def test_window_too_low_for_n_is_rejected_before_drawing(kernel):
         stream = RngStream(seed, 1)
         before = stream.generator.bit_generator.state
         with pytest.raises(ValidationError, match="^fraction_range"):
-            if kernel == "repeated_kfcv":
-                repeated_kfcv(
-                    data, 3, LambdaWeights.uniform(2), stream,
-                    fraction_range=(0.2, 0.9),
-                )
-            else:
-                sampled_kfold_trial(
-                    data, 2, stream, fraction_range=(0.2, 0.9)
-                )
+            _ON_WINDOW[kernel](data, 2, stream, (0.2, 0.9))
         assert stream.generator.bit_generator.state == before
 
 
