@@ -127,15 +127,14 @@ def sampled_kfold_trial(
     k: int,
     stream: RngStream,
     *,
-    folds_stream: RngStream | None = None,
-    fraction_stream: RngStream | None = None,
+    folds_stream: RngStream,
+    fraction_stream: RngStream,
     fraction_range: tuple[float, float] = FRACTION_RANGE,
 ) -> SampledTrial:
     """Draw one subsample, cross-validate it, score the holdout.
 
-    ``stream`` drives the subsample draw; fold shuffling and the
-    fraction draw use their own streams when given, falling back to
-    ``stream`` so single-stream callers stay deterministic. The sample
+    ``stream`` drives the subsample draw, ``folds_stream`` the fold
+    shuffle and ``fraction_stream`` the fraction draw. The sample
     statistics come from the whole subsample (mean, ddof=1 variance);
     the holdout loss scores the subsample-fitted model on the rest of
     the dataset. ``k`` (>= 2) must be integral (5.0 is taken as 5). A
@@ -146,7 +145,7 @@ def sampled_kfold_trial(
         data,
         k,
         1,
-        (fraction_stream or stream, stream, folds_stream or stream),
+        (fraction_stream, stream, folds_stream),
         fraction_range=fraction_range,
         holdout=True,
     )

@@ -17,13 +17,12 @@ and the T iterations of ``fsv.fsv_run``. It works in three steps.
 *Draw step, once per pass,* after one check per call of every size the
 call can draw (:func:`_subsample_range`). A call takes one
 ``(fraction, subset, folds)`` triple of streams; :func:`repeated_kfcv`
-and ``fsv.fsv_run`` pass one stream three times, and only
-``fsv.sampled_kfold_trial`` takes them apart, falling back to its
-subset stream for the other two. Draw as a loop over the public API
-would, on those streams and in the same order: the partition fraction
-(``sampling.draw_partition_fraction``'s one ``uniform`` call), the
-subset ``sampling.srs_sample`` draws, with its checks, and
-:func:`make_folds`' fold order. The subset comes back sorted (by
+and ``fsv.fsv_run`` pass one stream three times, and
+``fsv.sampled_kfold_trial`` takes three named streams. Draw as a loop
+over the public API would, on those streams and in the same order: the
+partition fraction (``sampling.draw_partition_fraction``'s one
+``uniform`` call), the subset ``sampling.srs_sample`` draws, with its
+checks, and :func:`make_folds`' fold order. The subset comes back sorted (by
 ``sampling._draw_subset``), is gathered from the dataset into the next
 segment of one per-call buffer and is shuffled there in place: numpy's
 ``permutation(m)`` shuffles ``arange(m)`` with swaps that depend on m

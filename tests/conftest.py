@@ -1,5 +1,6 @@
 import pytest
 
+from fusionval.fsv import sampled_kfold_trial
 from fusionval.harness import ExperimentConfig, run_experiment
 
 
@@ -9,6 +10,14 @@ def pinning_window(m, n):
     m = n, the whole dataset, is reachable too, by a call that scores no
     holdout; one that scores a holdout refuses it."""
     return ((m - 0.4) / n, min((m + 0.4) / n, 1.0))
+
+
+def one_stream_trial(data, k, stream, **kwargs):
+    """``sampled_kfold_trial`` given ``stream`` three times, for its
+    fraction, subset and folds, as ``fsv_run`` uses its one stream."""
+    return sampled_kfold_trial(
+        data, k, stream, folds_stream=stream, fraction_stream=stream, **kwargs
+    )
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import pinning_window
+from conftest import one_stream_trial, pinning_window
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import ValidationError
 from fusionval.fsv import (
@@ -140,7 +140,7 @@ class TestSampledTrial:
     def test_fixed_size_trial_shape(self):
         data = generate_dataset(1_000, 0.0, 1.0, derive_stream(11, 0, 0))
         window = pinning_window(600, 1_000)
-        trial = sampled_kfold_trial(
+        trial = one_stream_trial(
             data, 5, derive_stream(11, 0, 1), fraction_range=window
         )
         assert window[0] <= trial.fraction < window[1]
@@ -150,7 +150,7 @@ class TestSampledTrial:
 
     def test_fraction_trial_bounds(self):
         data = generate_dataset(1_000, 0.0, 1.0, derive_stream(11, 1, 0))
-        trial = sampled_kfold_trial(data, 5, derive_stream(11, 1, 1))
+        trial = one_stream_trial(data, 5, derive_stream(11, 1, 1))
         assert 0.60 <= trial.fraction <= 0.90
         assert trial.m == int(round(trial.fraction * 1_000))
 
@@ -180,10 +180,21 @@ class TestSampledTrial:
     def test_rejects_sample_smaller_than_k(self):
         data = generate_dataset(100, 0.0, 1.0, derive_stream(11, 3, 0))
         with pytest.raises(ValidationError, match="too small"):
-            sampled_kfold_trial(
+            one_stream_trial(
                 data, 5, derive_stream(11, 3, 1),
                 fraction_range=pinning_window(3, 100),
             )
+
+    @pytest.mark.parametrize("missing", ["folds_stream", "fraction_stream"])
+    def test_each_stream_is_required(self, missing):
+        data = generate_dataset(100, 0.0, 1.0, derive_stream(11, 15, 0))
+        stream = RngStream(11, 15)
+        before = stream.generator.bit_generator.state
+        given = {"folds_stream": stream, "fraction_stream": stream}
+        del given[missing]
+        with pytest.raises(TypeError, match=f"'{missing}'"):
+            sampled_kfold_trial(data, 5, stream, **given)
+        assert stream.generator.bit_generator.state == before
 
 
 class TestFsvRun:
@@ -314,7 +325,7 @@ class TestFsvRun:
                 stream,
             )
         with pytest.raises(ValidationError) as trial:
-            sampled_kfold_trial(data, 5, stream, fraction_range=window)
+            one_stream_trial(data, 5, stream, fraction_range=window)
         assert stream.generator.bit_generator.state == (
             RngStream(11, 13).generator.bit_generator.state
         )
@@ -333,7 +344,7 @@ class TestFsvRun:
             stream = RngStream(11, seed)
             before = stream.generator.bit_generator.state
             with pytest.raises(ValidationError, match="no holdout"):
-                sampled_kfold_trial(data, 5, stream, fraction_range=(0.6, 1.0))
+                one_stream_trial(data, 5, stream, fraction_range=(0.6, 1.0))
             assert stream.generator.bit_generator.state == before
 
     def test_unbiasedness_with_and_without_shrinkage(self):

@@ -39,7 +39,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pinning_window
+from conftest import one_stream_trial, pinning_window
 from fusionval import kfold, sampling, selftest
 from fusionval.data import Dataset, generate_dataset
 from fusionval.estimator import fit, loss
@@ -248,11 +248,7 @@ class TestSampledKfoldTrial:
 
         def run():
             return sampled_kfold_trial(
-                data,
-                k,
-                main,
-                folds_stream=folds if split_streams else None,
-                fraction_stream=fraction if split_streams else None,
+                data, k, main, folds_stream=folds, fraction_stream=fraction,
                 fraction_range=window,
             )
 
@@ -275,26 +271,6 @@ class TestSampledKfoldTrial:
             assert trial.fold_losses.tobytes() == got.fold_losses[0].tobytes()
         for a, b in zip(kernel, replay):
             assert _streams_equal(a, b)
-
-    # m: the size a window pins, or None for the default window
-    @pytest.mark.parametrize("m", [None, 40])
-    def test_one_stream_stands_for_the_other_two(self, m):
-        # the one place the fallback is written: omitted folds and
-        # fraction streams are the subset stream itself
-        data = _dataset(60, 5.0, 2.0, 3)
-        window = (0.6, 0.9) if m is None else pinning_window(m, data.n)
-        alone, given = RngStream(3, 1), RngStream(3, 1)
-        got = sampled_kfold_trial(data, 4, alone, fraction_range=window)
-        want = sampled_kfold_trial(
-            data, 4, given, folds_stream=given, fraction_stream=given,
-            fraction_range=window,
-        )
-        for name in ("fraction", "m", "sample_mean", "sample_var",
-                     "holdout_mse"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert type(a) is type(b) and repr(a) == repr(b), name
-        assert got.fold_losses.tobytes() == want.fold_losses.tobytes()
-        assert _streams_equal(alone, given)
 
 
 def test_one_point_holdout_at_the_subsample_mean():
@@ -333,7 +309,7 @@ def test_every_entry_point_stays_finite_just_inside_the_spread_rule():
     assert np.isfinite(result.iteration_losses).all()
     assert np.isfinite(result.metrics).all()
     assert math.isfinite(result.compounded_measure)
-    trial = sampled_kfold_trial(data, k, RngStream(1, 2))
+    trial = one_stream_trial(data, k, RngStream(1, 2))
     assert np.isfinite(
         [trial.sample_mean, trial.sample_var, trial.holdout_mse]
     ).all()
@@ -1004,7 +980,7 @@ _ON_WINDOW = {
     "repeated_kfcv": lambda data, k, s, window: repeated_kfcv(
         data, 3, LambdaWeights.uniform(k), s, fraction_range=window
     ),
-    "sampled_kfold_trial": lambda data, k, s, window: sampled_kfold_trial(
+    "sampled_kfold_trial": lambda data, k, s, window: one_stream_trial(
         data, k, s, fraction_range=window
     ),
 }
@@ -1039,12 +1015,12 @@ _BAD_SIZE_CALLS = {
     # a window that pins a size whose folds cannot train: 3 points in 2
     "untrainable-sample_size": (
         "fraction_range",
-        lambda data, s: sampled_kfold_trial(
+        lambda data, s: one_stream_trial(
             data, 2, s, fraction_range=pinning_window(3, data.n)
         ),
     ),
     "fractional-k-trial": (
-        "k", lambda data, s: sampled_kfold_trial(data, 5.5, s)
+        "k", lambda data, s: one_stream_trial(data, 5.5, s)
     ),
     "fractional-repetitions": (
         "repetitions",
@@ -1137,8 +1113,8 @@ def test_bad_size_is_rejected_by_name_before_drawing(case):
 
 def test_integral_float_sizes_are_taken_as_ints():
     data = _dataset(50, 0.0, 1.0, 6)
-    trial = sampled_kfold_trial(data, 5.0, RngStream(6, 1))
-    want = sampled_kfold_trial(data, 5, RngStream(6, 1))
+    trial = one_stream_trial(data, 5.0, RngStream(6, 1))
+    want = one_stream_trial(data, 5, RngStream(6, 1))
     assert trial.m == want.m
     assert np.array_equal(trial.fold_losses, want.fold_losses)
     weights = LambdaWeights.uniform(5)
