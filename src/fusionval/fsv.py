@@ -183,12 +183,12 @@ class FsvResult:
     alpha: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
-        # compound_measure's checks, so that the property cannot fail
-        compound_measure(self.iteration_losses, self.alpha)
-        t = len(self.iteration_losses)
+        t = np.size(self.iteration_losses)
+        if t < 1:
+            raise ValidationError("need t >= 1 iteration_losses, got 0")
         _frozen_array("iteration_losses", self.iteration_losses, (t,))
         _frozen_array("metrics", self.metrics, (t, len(METRIC_FIELDS)))
+        object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
 
     @property
     def compounded_measure(self) -> float:

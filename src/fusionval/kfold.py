@@ -91,7 +91,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _count, _number, _summable, _vector
+from .errors import ValidationError, _count, _summable, _vector
 from .rng import RngStream
 from .sampling import (
     FRACTION_RANGE, _draw_subset, _fraction_window, _index_mask
@@ -120,18 +120,6 @@ def _fold_sizes(total: int, k: int) -> list[int]:
     return [base + 1] * extra + [base] * (k - extra)
 
 
-def _fold_count(total: int, k) -> int:
-    """``k`` as an int, or a ValidationError naming it: k must be
-    integral and at least 2, and ``total`` points must fill k folds."""
-    k = _count("k", k, 2)
-    if total < k:
-        raise ValidationError(
-            f"every fold must be non-empty: need at least k={k} points, "
-            f"got {total}"
-        )
-    return k
-
-
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
     """A partition of range(total) into k near-equal folds.
@@ -148,7 +136,7 @@ class FoldPlan:
 
     def __post_init__(self) -> None:
         order = _vector("order", self.order, integral=True)
-        object.__setattr__(self, "k", _fold_count(len(order), self.k))
+        object.__setattr__(self, "k", _count("k", self.k, 2, len(order)))
         # n distinct indices in range(n): a permutation
         _index_mask(order, len(order), "fold indices")
         order.setflags(write=False)
@@ -171,11 +159,11 @@ def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
     """Shuffle range(sample_size) and split it into k near-equal folds.
 
     Earlier folds take the remainder, so sizes are ceil then floor.
-    ``sample_size`` and ``k`` must be integral (5.0 is taken as 5); bad
-    sizes are refused before the draw.
+    ``k`` and ``sample_size`` must be integral (5.0 is taken as 5), with
+    2 <= k <= sample_size; bad sizes are refused before the draw.
     """
-    sample_size = _number("sample_size", sample_size, True)
-    k = _fold_count(sample_size, k)
+    k = _count("k", k, 2)
+    sample_size = _count("sample_size", sample_size, k)
     order = _vector(
         "fold permutation", stream.generator.permutation(sample_size),
         sample_size, sample_size, integral=True,
@@ -416,8 +404,8 @@ def kfold_losses(sample: np.ndarray, plan: FoldPlan) -> np.ndarray:
 
 
 def empirical_kfold_loss(losses: np.ndarray) -> float:
-    """Unweighted mean of the per-fold losses."""
-    return float(_vector("losses", losses).mean())
+    """Unweighted mean of the per-fold losses, by :func:`_mean`."""
+    return _mean(_vector("losses", losses))
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,11 +446,11 @@ class LambdaWeights:
 def weighted_kfold_loss(losses: np.ndarray, weights: LambdaWeights) -> float:
     """(1/k) * sum_i lambda_i * loss_i.
 
-    Computed as the mean of the elementwise products, so uniform weights
-    reproduce :func:`empirical_kfold_loss` bit for bit.
+    Computed as the :func:`_mean` of the elementwise products, so
+    uniform weights reproduce :func:`empirical_kfold_loss` bit for bit.
     """
     losses = _vector("losses", losses, weights.k, weights.k)
-    return float((weights.lambdas * losses).mean())
+    return _mean(weights.lambdas * losses)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,7 @@ _COUNT_RANGES = {
     "derive_stream": (
         "purpose_tag", lambda v: derive_stream(1, 0, v), MAX_PURPOSE - 1,
     ),
+    "FoldPlan": ("k", lambda v: FoldPlan(np.arange(4), v), 4),
 }
 
 

@@ -238,11 +238,17 @@ class TestFsvRun:
                 alpha=0.9,
             )
         # and the checks that make it well defined stay in the constructor
-        for bad_losses, alpha in ((np.array([]), 0.9), (losses, 0.0)):
+        for bad_losses, alpha in (
+            (np.array([]), 0.9),
+            (1.0, 0.9),
+            ([1.0, 2.0], 0.9),
+            (losses.astype(np.float32), 0.9),
+            (losses, 0.0),
+        ):
             with pytest.raises(ValidationError):
                 FsvResult(
                     iteration_losses=bad_losses,
-                    metrics=np.zeros((len(bad_losses), 6)),
+                    metrics=np.zeros((np.size(bad_losses), 6)),
                     alpha=alpha,
                 )
 

@@ -37,10 +37,16 @@ class TestMakeFolds:
         np.testing.assert_array_equal(merged, np.arange(6))
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValidationError):
-            make_folds(10, 1, RngStream(3, 0))
-        with pytest.raises(ValidationError):
-            make_folds(4, 5, RngStream(3, 0))
+        # both refused by the count rule, before the draw
+        for size, k, want in (
+            (10, 1, "k must be >= 2, got 1"),
+            (4, 5, "sample_size must be >= 5, got 4"),
+        ):
+            stream = RngStream(3, 0)
+            before = stream.generator.bit_generator.state
+            with pytest.raises(ValidationError, match=f"^{want}$"):
+                make_folds(size, k, stream)
+            assert stream.generator.bit_generator.state == before
 
     @given(
         size=st.integers(min_value=2, max_value=12),
@@ -67,7 +73,7 @@ class TestFoldPlanValidation:
         [
             ([0, 1, 1, 2], 2, "distinct"),
             ([0, 1, 3, 4], 2, r"lie in \[0, 4\)"),
-            ([0], 2, "non-empty"),
+            ([0], 2, "k must be <= 1"),
             # min and max pass, so only the per-index mark catches it
             ([0, 3, 3, 1], 2, "distinct"),
             ([0.0, 1.0, 2.0, 3.0], 2, "integers"),
@@ -181,6 +187,18 @@ class TestLossAverages:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
             weighted_kfold_loss(np.ones(3), LambdaWeights.uniform(4))
+
+    @pytest.mark.parametrize(
+        "average",
+        [
+            empirical_kfold_loss,
+            lambda v: weighted_kfold_loss(v, LambdaWeights.uniform(2)),
+        ],
+        ids=["empirical", "weighted"],
+    )
+    def test_large_losses_do_not_overflow(self, average):
+        # a plain mean sums to inf (and warns) before it divides
+        assert average([1.5e308, 1.5e308]) == 1.5e308
 
     @given(
         losses=st.lists(
