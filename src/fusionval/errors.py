@@ -6,8 +6,9 @@ number is, :func:`_count` what a count is, :func:`_finite`,
 and a non-negative real are, :func:`_numbers` what a sequence of
 numbers or counts is, :func:`_vector` what an array argument or
 draw is, and :func:`_summable` what values the pass kernel can sum.
-``_SUM_LIMIT`` is the one float-max margin behind the sum rules. Every
-public boundary applies them rather than a copy.
+``_SUM_LIMIT`` is the one float-max margin behind the sum rules, and
+:func:`_mean` the one way the package averages. Every public boundary
+applies them rather than a copy.
 """
 
 import math
@@ -145,6 +146,21 @@ def _summable(
             f"n={len(values)} points, so that the kernel's sums stay "
             f"finite, got {got}"
         )
+
+
+def _mean(x, axis: int | None = None, weights=1.0):
+    """The mean of ``weights * x`` over ``axis``, ``x`` an array or a
+    sequence of reals: a float over every entry if ``axis`` is None,
+    else an array. It is taken at the power of two that brings max|x|
+    along the axis into [0.5, 1), the weights multiplied in after that
+    scaling, so that neither a sum of many large entries nor a weight
+    above 1 on one can overflow. The scaling is exact unless it takes
+    some entry below the normal range, 2**1021 times smaller than the
+    largest, so the result otherwise has the bits of
+    ``(weights * x).mean(axis)`` wherever that is finite."""
+    e = np.frexp(np.abs(x).max(axis, keepdims=True))[1]
+    mean = np.ldexp((weights * np.ldexp(x, -e)).mean(axis), e.squeeze(axis))
+    return float(mean) if axis is None else mean
 
 
 def _holds_bool(values) -> bool:

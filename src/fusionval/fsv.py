@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _count, _number, _positive, _vector
-from .kfold import _mean, _run_passes
+from .errors import ValidationError, _count, _mean, _number, _positive, _vector
+from .kfold import _run_passes
 from .metrics import METRIC_FIELDS, TrialMetrics, _frozen_array, metric_table
 from .rng import RngStream
 from .sampling import FRACTION_RANGE, _fraction_window
@@ -119,7 +119,7 @@ class SampledTrial:
 
     @property
     def mean_fold_loss(self) -> float:
-        return float(self.fold_losses.mean())
+        return _mean(self.fold_losses)
 
 
 def sampled_kfold_trial(
@@ -233,7 +233,7 @@ def fsv_run(data: Dataset, config: FsvConfig, stream: RngStream) -> FsvResult:
         passes.fold_losses[:, 0],
     )
     return FsvResult(
-        iteration_losses=passes.fold_losses.mean(axis=1),
+        iteration_losses=_mean(passes.fold_losses, 1),
         metrics=metrics,
         alpha=config.alpha,
     )

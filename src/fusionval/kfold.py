@@ -83,7 +83,6 @@ contends with the other workers of a pool.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -91,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _count, _summable, _vector
+from .errors import ValidationError, _count, _mean, _summable, _vector
 from .rng import RngStream
 from .sampling import (
     FRACTION_RANGE, _draw_subset, _fraction_window, _index_mask
@@ -169,17 +168,6 @@ def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
         sample_size, sample_size, integral=True,
     )
     return FoldPlan(order, k)
-
-
-def _mean(x: np.ndarray) -> float:
-    """The mean of every entry of ``x``, taken at a power-of-two scale
-    that brings max|x| into [0.5, 1), so that the sum of many large
-    entries cannot overflow. The scaling is exact unless it takes some
-    entry below the normal range, 2**1021 times smaller than max|x|, so
-    the result otherwise has the bits of ``x.mean()`` wherever that is
-    finite."""
-    e = math.frexp(float(np.abs(x).max()))[1]
-    return math.ldexp(float(np.ldexp(x, -e).mean()), e)
 
 
 def _trainable(m: int, k: int) -> bool:
@@ -446,11 +434,11 @@ class LambdaWeights:
 def weighted_kfold_loss(losses: np.ndarray, weights: LambdaWeights) -> float:
     """(1/k) * sum_i lambda_i * loss_i.
 
-    Computed as the :func:`_mean` of the elementwise products, so
-    uniform weights reproduce :func:`empirical_kfold_loss` bit for bit.
+    Computed by :func:`_mean` with the weights, so uniform weights
+    reproduce :func:`empirical_kfold_loss` bit for bit.
     """
     losses = _vector("losses", losses, weights.k, weights.k)
-    return _mean(weights.lambdas * losses)
+    return _mean(losses, weights=weights.lambdas)
 
 
 @dataclass(frozen=True)
@@ -489,5 +477,5 @@ def repeated_kfcv(
     return KfcvEstimate(
         mean_estimate=_mean(passes.train_means),
         var_estimate=_mean(passes.train_vars),
-        loss=_mean(weights.lambdas * passes.fold_losses),
+        loss=_mean(passes.fold_losses, weights=weights.lambdas),
     )

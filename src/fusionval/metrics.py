@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, _finite, _positive, _vector
+from .errors import ValidationError, _finite, _mean, _positive, _vector
 
 __all__ = [
     "METRIC_FIELDS",
@@ -135,7 +135,7 @@ def summarize(table: np.ndarray) -> dict[str, Aggregate]:
         name: Aggregate(mean, lo, hi)
         for name, mean, lo, hi in zip(
             METRIC_FIELDS,
-            columns.mean(axis=1).tolist(),
+            _mean(columns, 1).tolist(),
             columns.min(axis=1).tolist(),
             columns.max(axis=1).tolist(),
         )

@@ -119,7 +119,11 @@ def _check_weighted_loss() -> str:
         np.ones(4), LambdaWeights([0.5, 1.5, 1.25, 0.75])
     )
     _require(equal == 1.0, f"equal-loss mean {equal}")
-    return "uniform, zero-weight, and equal-loss identities hold"
+    # the weight scales the loss after _mean's power of two: 2 * 1e308
+    # alone would overflow
+    large = weighted_kfold_loss([1e308, 1.0], LambdaWeights([2.0, 0.0]))
+    _require(large == 1e308, f"large-loss mean {large}")
+    return "uniform, zero-weight, equal-loss and large-loss identities hold"
 
 
 def _check_compounding() -> str:
@@ -376,16 +380,16 @@ def _check_repeated_kfcv(
         holdout=False,
     )
 
-    def mean(name, lambdas=None):
+    def want(name, lambdas=None):
         pairs = [pair for score in scores for pair in score[name]]
         if lambdas is not None:
             pairs = [_scaled(*pl) for pl in zip(pairs, lambdas * repetitions)]
         return [_mean_of(pairs)]
 
     worst = max(
-        _held("mean_estimate", est.mean_estimate, mean("train_means")),
-        _held("var_estimate", est.var_estimate, mean("train_vars")),
-        _held("loss", est.loss, mean("fold_losses", weights.lambdas.tolist())),
+        _held("mean_estimate", est.mean_estimate, want("train_means")),
+        _held("var_estimate", est.var_estimate, want("train_vars")),
+        _held("loss", est.loss, want("fold_losses", weights.lambdas.tolist())),
     )
     return worst, scores
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import (
-    ValidationError, _count, _finite, _nonnegative, _positive
+    ValidationError, _count, _finite, _mean, _nonnegative, _positive
 )
 
 __all__ = [
@@ -72,7 +72,7 @@ def kfcv_variance_component(fold_variances: Iterable[float]) -> float:
     vals = [_nonnegative("fold_variances entry", v) for v in fold_variances]
     if not vals:
         raise ValidationError("fold_variances must be non-empty")
-    return sum(vals) / len(vals)
+    return _mean(vals)
 
 
 def hybrid_variance(

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import (
-    ValidationError, _count, _finite, _nonnegative, _number, _numbers,
-    _positive, _vector,
+    ValidationError, _count, _finite, _mean, _nonnegative, _number,
+    _numbers, _positive, _vector,
 )
 from fusionval.estimator import ModelParams, fit, loss
 from fusionval.fsv import FsvConfig, FsvResult, compound_measure, fsv_run
@@ -390,6 +390,28 @@ def test_every_array_check_is_the_vector_rule():
     assert {("errors.py", "_vector"), *_OTHER_ARRAY_RULES} <= written
 
 
+def _calls_of(names):
+    """A picker of calls of any of ``names``, as a method or a bare
+    name."""
+    def picks(node):
+        func = getattr(node, "func", None)
+        name = getattr(func, "attr", getattr(func, "id", None))
+        return isinstance(node, ast.Call) and name in names
+    return picks
+
+
+def _assert_called_only_at(names, allowed):
+    """Every call in ``src/`` of any of ``names`` lies in a function of
+    ``allowed``, as (module, function) pairs, and each of those is seen."""
+    sites = list(_src_sites(_calls_of(names)))
+    assert [
+        f"{module}:{line} in {name}" for module, name, line in sites
+        if (module, name) not in allowed
+    ] == []
+    # the guard sees every allowed site
+    assert {(module, name) for module, name, _ in sites} == allowed
+
+
 # the draw methods a pass makes, and the one place each may be called:
 # the kernel's loop, the public per-step draws, and selftest's replay
 _DRAW_METHODS = {"choice", "permutation", "shuffle"}
@@ -399,19 +421,49 @@ _DRAW_SITES = {
 }
 
 
-def _draw_call(node):
-    """A call of a draw method, as a method or a bare name."""
-    func = getattr(node, "func", None)
-    name = getattr(func, "attr", getattr(func, "id", None))
-    return isinstance(node, ast.Call) and name in _DRAW_METHODS
-
-
 def test_every_draw_is_made_where_the_draw_contract_allows():
     # a new copy of the pass's draws cannot appear unnoticed
-    sites = list(_src_sites(_draw_call))
-    assert [
-        f"{module}:{line} in {name}" for module, name, line in sites
-        if (module, name) not in _DRAW_SITES
-    ] == []
-    # the guard sees every allowed site
-    assert {(module, name) for module, name, _ in sites} == _DRAW_SITES
+    _assert_called_only_at(_DRAW_METHODS, _DRAW_SITES)
+
+
+# every average the package reports is errors._mean's; only the model's
+# own definition, estimator.fit and estimator.loss, keeps its arithmetic
+_MEAN_SITES = {
+    ("errors.py", "_mean"), ("estimator.py", "fit"), ("estimator.py", "loss"),
+}
+
+
+def test_every_average_is_the_mean_rule():
+    # a fifth way of averaging cannot appear unnoticed
+    _assert_called_only_at({"mean", "average"}, _MEAN_SITES)
+
+
+def _mean_cases(count, seed):
+    """``count`` fixed-seed (x, weights) pairs: 1-40 x 1-12 tables, some
+    transposed, of one magnitude from 1e-200 to 1e200, signed or not,
+    with weights of 1.0 or positive per-column weights summing to the
+    column count."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rows, columns = rng.integers(1, 41), rng.integers(1, 13)
+        x = 10.0 ** rng.uniform(-200, 200) * rng.uniform(
+            -rng.integers(2), 1, (rows, columns)
+        )
+        if rng.integers(2):
+            x = x.T
+        weights = 1.0
+        if rng.integers(2):
+            weights = rng.dirichlet(np.ones(x.shape[1])) * x.shape[1]
+        yield x, weights
+
+
+@pytest.mark.parametrize("axis", [None, 0, 1])
+def test_the_mean_rule_has_the_bits_of_a_plain_mean(axis):
+    # the power-of-two scaling is exact, so where the plain mean is
+    # finite, as here, the two round alike
+    for x, weights in _mean_cases(2_000, 34):
+        plain = (weights * x).mean(axis)
+        assert np.isfinite(plain).all()
+        got = _mean(x, axis, weights)
+        assert type(got) is (float if axis is None else np.ndarray)
+        assert np.asarray(got).tobytes() == np.asarray(plain).tobytes()

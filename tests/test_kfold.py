@@ -189,16 +189,25 @@ class TestLossAverages:
             weighted_kfold_loss(np.ones(3), LambdaWeights.uniform(4))
 
     @pytest.mark.parametrize(
-        "average",
+        "average, losses",
         [
-            empirical_kfold_loss,
-            lambda v: weighted_kfold_loss(v, LambdaWeights.uniform(2)),
+            (empirical_kfold_loss, [1.5e308, 1.5e308]),
+            (
+                lambda v: weighted_kfold_loss(v, LambdaWeights.uniform(2)),
+                [1.5e308, 1.5e308],
+            ),
+            (
+                lambda v: weighted_kfold_loss(v, LambdaWeights([2.0, 0.0])),
+                [1e308, 1.0],
+            ),
         ],
-        ids=["empirical", "weighted"],
+        ids=["empirical", "weighted", "large-weight"],
     )
-    def test_large_losses_do_not_overflow(self, average):
-        # a plain mean sums to inf (and warns) before it divides
-        assert average([1.5e308, 1.5e308]) == 1.5e308
+    def test_large_losses_do_not_overflow(self, average, losses):
+        # a plain mean sums to inf (and warns) before it divides, and a
+        # weight multiplied in before the mean's power of two, 2 * 1e308,
+        # is inf already
+        assert average(losses) == losses[0]
 
     @given(
         losses=st.lists(

@@ -105,6 +105,11 @@ class TestSummarize:
                     float(column.max()),
                 )
 
+    def test_large_column_means_do_not_overflow(self):
+        # a plain mean sums to inf (and warns) before it divides
+        summary = summarize(np.full((2, len(METRIC_FIELDS)), 1e308))
+        assert set(summary.values()) == {Aggregate(1e308, 1e308, 1e308)}
+
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             summarize(np.empty((0, len(METRIC_FIELDS))))

@@ -354,8 +354,10 @@ def test_means_over_passes_stay_finite_where_their_entries_are():
     result = fsv_run(wide, FsvConfig(400, k=2), RngStream(1, 1))
     assert math.isfinite(result.compounded_measure)
     assert math.isfinite(result.mean_iteration_loss)
-    est = repeated_kfcv(wide, 400, LambdaWeights.uniform(2), RngStream(1, 2))
-    assert np.isfinite([est.mean_estimate, est.var_estimate, est.loss]).all()
+    for weights in (LambdaWeights.uniform(2), LambdaWeights([2, 0, 1, 1, 1])):
+        est = repeated_kfcv(wide, 400, weights, RngStream(1, 2))
+        estimates = [est.mean_estimate, est.var_estimate, est.loss]
+        assert np.isfinite(estimates).all()
     assert compound_measure(np.full(4, 1e308), 1.0) == 1e308
 
 

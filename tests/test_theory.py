@@ -69,6 +69,10 @@ class TestKfcvComponent:
     def test_equal_entries_pass_through(self):
         assert kfcv_variance_component([0.07] * 5) == pytest.approx(0.07)
 
+    def test_large_entries_do_not_overflow(self):
+        # a plain mean sums to inf before it divides
+        assert kfcv_variance_component([1e308, 1e308]) == 1e308
+
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             kfcv_variance_component([])
@@ -93,6 +97,11 @@ class TestHybridVariance:
         once = hybrid_variance(1.0, 750, 1000, [0.002, 0.004], 5)
         twice = hybrid_variance(1.0, 750, 1000, [0.002, 0.004], 10)
         assert twice.total_per_t == pytest.approx(once.total_per_t / 2, rel=1e-12)
+
+    def test_large_fold_variances_give_a_budget(self):
+        # an inf fold component would fail the budget's own finite rule
+        budget = hybrid_variance(1.0, 10, 100, [1e308, 1e308], 5)
+        assert budget.kfcv_component == 1e308
 
     def test_reference_budget(self):
         budget = hybrid_variance(1.0, 7500, 10_000, [0.0013] * 5, 10)
