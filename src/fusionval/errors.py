@@ -19,19 +19,17 @@ import numpy as np
 
 __all__ = ["ValidationError"]
 
-# The most N times a squared scale may reach. A study's largest sums
-# hold up to N terms: a dataset's centred sum of squares (N = n), a
-# cell's summary means (N = t) and KFCV's means of its repetitions*k
-# training means and variances. numpy's ziggurat draws no standard
-# normal z above 13.71 in size (its tail step is r + ln(2**53)/r,
-# r = 3.654), and rounding mu + z*sigma to a float at most doubles its
-# distance from mu. So a term is at most |mu| + 27.42*sigma or, as a
-# loss or variance, 5 * 27.42**2 * sigma2 = 3760 * sigma2, and N*|mu|
-# and N*sigma2 at most float max / 2**12 keep every sum finite. The
-# same distance bound puts a drawn dataset's range (max - min), with
-# its true mean mu among the values, under 2 * 27.42 * sigma < 64 * sigma,
-# so n * (range / 64)**2 <= _SUM_LIMIT, :func:`_summable`'s rule, holds
-# for every dataset a study draws.
+# The most n times a squared scale may reach. Every average the package
+# takes is :func:`_mean`'s, which cannot overflow on finite entries, so
+# the one sum a study must keep finite is the pass kernel's
+# pilot-shifted sums over a dataset of n points. numpy's ziggurat draws
+# no standard normal z above 13.71 in size (its tail step is
+# r + ln(2**53)/r, r = 3.654), and rounding mu + z*sigma to a float at
+# most doubles its distance from mu. So a drawn dataset's range
+# (max - min), with its true mean mu among the values, stays under
+# 2 * 27.42 * sigma < 64 * sigma, and n * sigma2 <= _SUM_LIMIT, the
+# study's rule, gives n * (range / 64)**2 <= _SUM_LIMIT,
+# :func:`_summable`'s rule, for every dataset a study draws.
 _SUM_LIMIT = float(np.finfo(np.float64).max) / 2**12
 
 
@@ -116,22 +114,18 @@ def _numbers(name: str, values, least: int | None = None) -> tuple:
     return tuple(_count(entry, v, least) for v in values)
 
 
-def _summable(
-    name: str, values: np.ndarray, true_mean: float | None = None
-) -> None:
+def _summable(name: str, values: np.ndarray, **point: float) -> None:
     """A ValidationError naming the field unless the float64 vector
     ``values`` is finite and n * (range / 64)**2 <= ``_SUM_LIMIT``, so
     n * range**2 <= float max, range being max - min of the values and,
-    if given, a dataset's finite ``true_mean``. Every centred sum the
-    pass kernel takes (a fold's, a sample's or the dataset's M2, a
-    between-group term) is at most n * range**2 / 4, as no variance
-    exceeds (range / 2)**2, and a complement's difference of two such
-    sums at most twice that; so each stays finite, as does a value's
-    distance from the true mean."""
+    if given, one finite named ``point``: a dataset's ``true_mean`` or
+    a model's ``fitted_mean``. Every centred sum the pass kernel takes
+    (a fold's, a sample's or the dataset's M2, a between-group term) is
+    at most n * range**2 / 4, as no variance exceeds (range / 2)**2, and
+    a complement's difference of two such sums at most twice that; so
+    each stays finite, as does a value's distance from the point."""
     # Python floats: a non-finite or overflowing range warns nothing
-    ends = [float(values.min()), float(values.max())]
-    if true_mean is not None:
-        ends.append(true_mean)
+    ends = [float(values.min()), float(values.max()), *point.values()]
     spread = max(ends) - min(ends)
     scale = spread / 64  # nan or inf when some value is not finite
     if not len(values) * scale * scale <= _SUM_LIMIT:
@@ -139,8 +133,8 @@ def _summable(
             raise ValidationError(f"{name} must be finite")
         most = 64 * math.sqrt(_SUM_LIMIT / len(values))
         got = f"{spread:.6g}"
-        if true_mean is not None:
-            got += f" with true_mean {true_mean:.6g}"
+        for label, value in point.items():
+            got += f" with {label} {value:.6g}"
         raise ValidationError(
             f"{name} must span at most {most:.6g} (max - min) on "
             f"n={len(values)} points, so that the kernel's sums stay "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _vector
+from .errors import _finite, _mean, _summable, _vector
 
 __all__ = ["ModelParams", "fit", "loss"]
 
@@ -25,20 +25,28 @@ class ModelParams:
 
 
 def fit(train: np.ndarray) -> ModelParams:
-    """Fit mean and unbiased (ddof=1) variance on the training split."""
+    """Fit mean and unbiased (ddof=1) variance on the training split,
+    whose span must keep the sums finite (``errors._summable``)."""
     train = _vector("train", train, 2)
+    _summable("train", train)
+    mean = _mean(train)
+    dev = train - mean
     return ModelParams(
-        fitted_mean=float(train.mean()),
-        fitted_var=float(train.var(ddof=1)),
+        fitted_mean=mean,
+        fitted_var=float(np.sum(dev * dev)) / (len(train) - 1),
     )
 
 
 def loss(model: ModelParams, validation: np.ndarray) -> float:
-    """Mean squared prediction error of the fitted mean on a split.
+    """Mean squared prediction error of the fitted mean, which must be
+    finite, on a split whose span, the fitted mean included, must keep
+    the squares finite (``errors._summable``).
 
     For a training split of size n drawn from a variance-sigma2
     population, the expected value is sigma2 * (1 + 1/n).
     """
     validation = _vector("validation", validation)
-    dev = validation - model.fitted_mean
-    return float(np.mean(dev * dev))
+    centre = _finite("fitted_mean", model.fitted_mean)
+    _summable("validation", validation, fitted_mean=centre)
+    dev = validation - centre
+    return _mean(dev * dev)

@@ -41,8 +41,8 @@ import numpy as np
 
 from .data import generate_dataset
 from .errors import (
-    _SUM_LIMIT, ValidationError, _count, _finite, _nonnegative, _number,
-    _numbers, _positive, _vector,
+    _SUM_LIMIT, ValidationError, _count, _finite, _nonnegative, _numbers,
+    _positive, _vector,
 )
 from .fsv import (
     DEFAULT_ALPHA, _check_alpha, compound_measure, sampled_kfold_trial
@@ -94,7 +94,8 @@ class ExperimentConfig:
     finite and > 0, and ``alpha`` follows :class:`~fusionval.FsvConfig`'s
     rule: in (0, 1], with a warning below 0.8. Every size must train k
     folds and leave a holdout at either end of ``fraction_range``, and
-    |mu| and sigma2 must keep the run's sums finite (``errors._SUM_LIMIT``).
+    sigma2 must be at most ``errors._SUM_LIMIT / max(sizes)``, so that
+    every dataset the study draws passes ``Dataset``'s span rule.
     Every real is kept as a float, so a config given integers hashes
     like its float twin.
     """
@@ -143,16 +144,13 @@ class ExperimentConfig:
             _subsample_range(
                 n, self.k, self.fraction_range, require_holdout=True
             )
-        means = max(*self.trials, self.repetitions * self.k)
-        bounds = (("mu", means), ("sigma2", max(means, *self.sizes)))
-        for name, terms in bounds:
-            most, value = _SUM_LIMIT / terms, getattr(self, name)
-            if abs(value) > most:
-                raise ValidationError(
-                    f"{name} must be at most {most:.6g} in absolute value, "
-                    f"so that the run's sums of up to {terms} terms stay "
-                    f"finite, got {value!r}"
-                )
+        most = _SUM_LIMIT / max(self.sizes)
+        if self.sigma2 > most:
+            raise ValidationError(
+                f"sigma2 must be at most {most:.6g}, so that the kernel's "
+                f"sums over up to {max(self.sizes)} points stay finite, "
+                f"got {self.sigma2!r}"
+            )
         if self.lambdas is None:
             weights = LambdaWeights.uniform(self.k)
         else:
@@ -288,7 +286,7 @@ class CellResult:
         losses = self.fsv_iteration_losses
         t = np.size(losses)
         where = f"cell (n={self.n!r}, t={t})"
-        object.__setattr__(self, "n", _number(f"{where} n", self.n, True))
+        object.__setattr__(self, "n", _count(f"{where} n", self.n, 1))
         if t < 1 or sorted(self.trials) != sorted(_METHODS):
             raise ValidationError(
                 f"{where}: need t >= 1 fsv_iteration_losses and trials for "

@@ -33,8 +33,8 @@ __all__ = [
 @dataclass(frozen=True)
 class VarianceBudget:
     """Per-iteration variance split and its per-T total. Both components
-    must be finite and >= 0, kept as floats, and ``iterations`` integral
-    (5.0 is taken as 5) and >= 1."""
+    must be finite and >= 0, kept as floats, with a finite sum, and
+    ``iterations`` integral (5.0 is taken as 5) and >= 1."""
 
     srs_component: float
     kfcv_component: float
@@ -46,6 +46,11 @@ class VarianceBudget:
         for name in ("srs_component", "kfcv_component"):
             value = _nonnegative(name, getattr(self, name))
             object.__setattr__(self, name, value)
+        if not math.isfinite(self.srs_component + self.kfcv_component):
+            raise ValidationError(
+                "srs_component + kfcv_component must be finite, got "
+                f"{self.srs_component!r} + {self.kfcv_component!r}"
+            )
 
     @property
     def total_per_t(self) -> float:

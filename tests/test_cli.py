@@ -437,8 +437,13 @@ class TestTheoryCommand:
                 "epsilon must be finite and >= 0, got -1.0",
             ),
             (["--low", "1", "--high", "1"], "need b > a"),
+            # 0.09 * 1.7e308 + 1.7e308 is no float; the user gave no total
+            (
+                ["--sigma2", "1.7e308", "--fold-vars", "1.7e308"],
+                "srs_component + kfcv_component must be finite",
+            ),
         ],
-        ids=["k-dev", "epsilon", "loss-interval"],
+        ids=["k-dev", "epsilon", "loss-interval", "budget-total"],
     )
     def test_a_bad_row_input_prints_no_table(self, capsys, flags, message):
         code = main(["theory", "--n", "10", "--population", "100", *flags])

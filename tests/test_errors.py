@@ -426,16 +426,30 @@ def test_every_draw_is_made_where_the_draw_contract_allows():
     _assert_called_only_at(_DRAW_METHODS, _DRAW_SITES)
 
 
-# every average the package reports is errors._mean's; only the model's
-# own definition, estimator.fit and estimator.loss, keeps its arithmetic
-_MEAN_SITES = {
-    ("errors.py", "_mean"), ("estimator.py", "fit"), ("estimator.py", "loss"),
-}
-
-
 def test_every_average_is_the_mean_rule():
-    # a fifth way of averaging cannot appear unnoticed
-    _assert_called_only_at({"mean", "average"}, _MEAN_SITES)
+    # every average the package takes is errors._mean's, the model's
+    # own fit and loss included; a second way cannot appear unnoticed
+    _assert_called_only_at({"mean", "average"}, {("errors.py", "_mean")})
+
+
+def _integral_number(node):
+    """A call of ``_number`` that passes True as its third argument,
+    ``integral``, by position or by name."""
+    if not _calls_of({"_number"})(node):
+        return False
+    given = [*node.args[2:3], *(k.value for k in node.keywords)]
+    return any(getattr(arg, "value", None) is True for arg in given)
+
+
+def test_every_integral_field_is_the_count_rule():
+    # outside errors, an integer goes through _count, which also bounds it
+    sites = list(_src_sites(_integral_number))
+    assert [
+        f"{module}:{line} in {name}" for module, name, line in sites
+        if module != "errors.py"
+    ] == []
+    # the guard sees the rule's own call
+    assert ("errors.py", "_count") in {(m, name) for m, name, _ in sites}
 
 
 def _mean_cases(count, seed):

@@ -49,6 +49,14 @@ class TestFit:
     def test_variance_never_negative(self, train):
         assert fit(train).fitted_var >= 0.0
 
+    def test_two_points_near_float_max_fit_without_overflow(self):
+        # the two sum to 3e308, which no float holds; their mean does
+        assert fit([1.5e308, 1.5e308]) == ModelParams(1.5e308, 0.0)
+
+    def test_a_split_whose_sums_would_overflow_is_refused(self):
+        with pytest.raises(ValidationError, match="^train must span at most"):
+            fit([1e308, -1e308])
+
 
 class TestLoss:
     def test_perfect_prediction(self):
@@ -91,7 +99,39 @@ class TestLoss:
         expected = float(val.var()) + (float(val.mean()) - model.fitted_mean) ** 2
         assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
+    def test_a_split_far_from_the_fitted_mean_is_refused(self):
+        # its squared distance from the mean, 1e400, is no float
+        with pytest.raises(
+            ValidationError,
+            match="^validation must span at most .* got 1e\\+200 with "
+            "fitted_mean 0$",
+        ):
+            loss(ModelParams(0.0, 1.0), [1e200])
+
+    @pytest.mark.parametrize("centre", [np.nan, np.inf])
+    def test_a_model_with_no_finite_mean_is_refused(self, centre):
+        # such a mean makes every loss nan or inf
+        with pytest.raises(
+            ValidationError, match="^fitted_mean must be finite, got "
+        ):
+            loss(ModelParams(centre, 1.0), [1.0])
+
     def test_zero_iff_all_points_equal_fitted_mean(self):
         model = ModelParams(2.0, 0.0)
         assert loss(model, np.array([2.0, 2.0])) == 0.0
         assert loss(model, np.array([2.0, 2.1])) > 0.0
+
+
+def test_fit_and_loss_keep_the_bits_of_the_plain_numpy_formulas():
+    # wherever numpy's formulas are finite, fit has the bits of
+    # x.mean() and x.var(ddof=1), and loss those of np.mean(dev * dev)
+    rng = np.random.default_rng(35)
+    for _ in range(2_000):
+        scale = 10.0 ** rng.uniform(-100, 100)
+        train = scale * (rng.standard_normal(rng.integers(2, 301)) + 3.0)
+        held = scale * rng.standard_normal(rng.integers(1, 301))
+        model = fit(train)
+        dev = held - model.fitted_mean
+        got = (model.fitted_mean, model.fitted_var, loss(model, held))
+        want = (train.mean(), train.var(ddof=1), np.mean(dev * dev))
+        assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionval import harness
-from fusionval.errors import ValidationError
+from fusionval.errors import _SUM_LIMIT, ValidationError
 from fusionval.harness import (
     DEFAULT_SIZES,
     DEFAULT_TRIALS,
@@ -51,6 +51,14 @@ def _fail_trial_one(config, n, t_total, trial):
     if trial == 1:
         raise ValueError("injected failure")
     return _run_trial(config, n, t_total, trial)
+
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def _beyond(edge):
+    """The next float past ``edge``, away from zero."""
+    return float(np.nextafter(edge, np.copysign(np.inf, edge)))
 
 
 def _payload_without_timing(report):
@@ -113,12 +121,9 @@ class TestExperimentConfig:
             dict(trials=[1.7]),
             dict(shared_streams="no"),
             dict(alpha="0.9"),
-            # sums that would overflow: n * sigma2, the dataset's centred
-            # sum of squares; repetitions * k * |mu|, KFCV's mean of 50
-            # training means; t * |mu|, a cell's mean over 200 trials
+            # n * sigma2 above float max / 4096: a dataset's centred sum
+            # of squares could overflow
             dict(sizes=(10_000,), trials=(2,), sigma2=1e305),
-            dict(mu=4e306),
-            dict(trials=(200,), mu=1e306),
         ],
     )
     def test_rejection_names_the_field(self, kwargs):
@@ -203,25 +208,10 @@ class TestExperimentConfig:
     def test_default_hash_is_pinned(self):
         assert ExperimentConfig().config_hash() == "ecbafb33efb2d578"
 
-    @pytest.mark.parametrize(
-        "kwargs, field_name, sign, terms",
-        [
-            # the largest sum has n, repetitions * k or t terms
-            (dict(sizes=(10_000,), trials=(2,)), "sigma2", 1, 10_000),
-            (dict(sizes=(100,), trials=(2,)), "mu", 1, 50),
-            (dict(sizes=(100,), trials=(2,)), "mu", -1, 50),
-            (dict(sizes=(100,), trials=(200,)), "mu", 1, 200),
-            (dict(sizes=(100,), trials=(200,)), "sigma2", 1, 200),
-        ],
-    )
-    def test_the_sum_bound_holds_on_both_sides_of_its_edge(
-        self, kwargs, field_name, sign, terms, tmp_path
-    ):
-        edge = sign * float(np.finfo(np.float64).max) / 2**12 / terms
-        beyond = float(np.nextafter(edge, sign * np.inf))
-        with pytest.raises(ValidationError, match=f"^{field_name} "):
-            ExperimentConfig(**kwargs, **{field_name: beyond})
-        config = ExperimentConfig(**kwargs, **{field_name: edge})
+    @staticmethod
+    def _assert_runs_finite(config, tmp_path):
+        """``config``'s study at jobs=1 has every trial value, summary and
+        L* finite, and its JSON holds no Infinity or NaN."""
         report = run_experiment(config, jobs=1)
 
         def refuse(constant):
@@ -234,7 +224,58 @@ class TestExperimentConfig:
         )
         for cell in report.cells:
             assert all(np.isfinite(t).all() for t in cell.trials.values())
+            assert all(
+                np.isfinite(aggregate).all()
+                for summary in cell.summaries.values()
+                for aggregate in summary.values()
+            )
             assert np.isfinite(cell.fsv_compounded)
+
+    @pytest.mark.parametrize(
+        "kwargs, field_name",
+        [
+            # n * sigma2 at most float max / 4096 keeps every dataset
+            # the study draws summable (errors._summable)
+            (dict(sizes=(10_000,), trials=(2,)), "sigma2"),
+        ],
+    )
+    def test_the_sum_bound_holds_on_both_sides_of_its_edge(
+        self, kwargs, field_name, tmp_path
+    ):
+        edge = _SUM_LIMIT / max(kwargs["sizes"])
+        with pytest.raises(ValidationError, match=f"^{field_name} "):
+            ExperimentConfig(**kwargs, **{field_name: _beyond(edge)})
+        self._assert_runs_finite(
+            ExperimentConfig(**kwargs, **{field_name: edge}), tmp_path
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # every average is errors._mean's, which cannot overflow on
+            # finite entries, so mu need only be finite and sigma2 is
+            # bounded by max(sizes) alone, not by t or repetitions * k
+            dict(sizes=(100,), trials=(2,), mu=4e306),
+            dict(sizes=(100,), trials=(200,), mu=1e306),
+            dict(sizes=(100,), trials=(2,), mu=_beyond(_SUM_LIMIT / 50)),
+            dict(sizes=(100,), trials=(2,), mu=_beyond(-_SUM_LIMIT / 50)),
+            dict(sizes=(100,), trials=(200,), mu=_beyond(_SUM_LIMIT / 200)),
+            dict(
+                sizes=(100,), trials=(200,), sigma2=_beyond(_SUM_LIMIT / 200)
+            ),
+            dict(sizes=(100,), trials=(2,), mu=_FLOAT_MAX),
+            dict(sizes=(100,), trials=(2,), mu=-_FLOAT_MAX),
+            dict(sizes=(100,), trials=(200,), sigma2=_SUM_LIMIT / 100),
+        ],
+        ids=[
+            "mu-4e306", "mu-1e306-200-trials", "mu-past-50-terms",
+            "minus-mu-past-50-terms", "mu-past-200-trials",
+            "sigma2-past-200-trials", "mu-float-max", "minus-mu-float-max",
+            "sigma2-edge-200-trials",
+        ],
+    )
+    def test_accepted_studies_run_finite(self, kwargs, tmp_path):
+        self._assert_runs_finite(ExperimentConfig(**kwargs), tmp_path)
 
 
 class TestRunExperiment:
@@ -453,14 +494,20 @@ class TestResultConstructors:
                 r"\(3,\), got list",
             ),
             (lambda d: d.update(n=100.5), r" n must be an integer"),
+            (lambda d: d.update(n=0), r" n must be >= 1, got 0$"),
+            (lambda d: d.update(n=-5), r" n must be >= 1, got -5$"),
         ],
-        ids=["missing-method", "short-table", "float32", "list-losses", "n"],
+        ids=[
+            "missing-method", "short-table", "float32", "list-losses", "n",
+            "n-zero", "n-negative",
+        ],
     )
     def test_cell_refuses_a_wrong_input(self, small_report, edit, match):
         inputs = _cell_inputs(small_report.cell(100, 3))
         edit(inputs)
+        n = re.escape(repr(inputs["n"]))
         with pytest.raises(
-            ValidationError, match=rf"^cell \(n=100(\.5)?, t=3\){match}"
+            ValidationError, match=rf"^cell \(n={n}, t=3\){match}"
         ):
             CellResult(**inputs)
 

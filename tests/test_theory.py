@@ -140,6 +140,16 @@ class TestHybridVariance:
         ):
             VarianceBudget(**parts, iterations=3)
 
+    def test_budget_refuses_components_whose_sum_overflows(self):
+        # Python's float sum overflows to inf with no warning, so the
+        # total would be inf and later be blamed on sigma_hyb2
+        with pytest.raises(
+            ValidationError,
+            match=r"^srs_component \+ kfcv_component must be finite, "
+            r"got 8\.5e\+307 \+ 1\.7e\+308$",
+        ):
+            VarianceBudget(8.5e307, 1.7e308, 10)
+
     @given(t=st.integers(1, 10_000))
     def test_total_scales_inversely_with_iterations(self, t):
         base = hybrid_variance(2.0, 600, 800, [0.001, 0.003, 0.002], 1)
