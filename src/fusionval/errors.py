@@ -3,9 +3,11 @@
 Each rule is stated once here, with its message: :func:`_number` what a
 number is, :func:`_count` what a count is, :func:`_finite`,
 :func:`_positive` and :func:`_nonnegative` what a finite, a positive
-and a non-negative real are, :func:`_numbers` what a sequence of
-numbers or counts is, :func:`_vector` what an array argument or
-draw is, and :func:`_summable` what values the pass kernel can sum.
+and a non-negative real are, :func:`_alpha` what a shrinkage factor
+is, :func:`_numbers` what a sequence of numbers or counts is,
+:func:`_vector` what an array argument or draw is, and
+:func:`_summable` what values the pass kernel, the fit and the loss
+can sum.
 ``_SUM_LIMIT`` is the one float-max margin behind the sum rules, and
 :func:`_mean` the one way the package averages. Every public boundary
 applies them rather than a copy.
@@ -93,6 +95,15 @@ def _positive(name: str, value):
     return value
 
 
+def _alpha(value) -> float:
+    """``value`` as a float per :func:`_number` in (0, 1], the one rule
+    for a shrinkage factor ``alpha``, or a ValidationError naming it."""
+    value = _number("alpha", value)
+    if not 0.0 < value <= 1.0:
+        raise ValidationError(f"alpha must be in (0, 1], got {value}")
+    return value
+
+
 def _nonnegative(name: str, value):
     """``value`` as a float per :func:`_number` that is finite and >= 0,
     or a ValidationError naming the field."""
@@ -114,31 +125,33 @@ def _numbers(name: str, values, least: int | None = None) -> tuple:
     return tuple(_count(entry, v, least) for v in values)
 
 
-def _summable(name: str, values: np.ndarray, **point: float) -> None:
-    """A ValidationError naming the field unless the float64 vector
-    ``values`` is finite and n * (range / 64)**2 <= ``_SUM_LIMIT``, so
+def _summable(
+    name: str, values: np.ndarray, sums: str = "the kernel's sums",
+    **point: float,
+) -> None:
+    """A ValidationError naming the field unless n * (range / 64)**2 <=
+    ``_SUM_LIMIT`` for the finite float64 vector ``values``, so
     n * range**2 <= float max, range being max - min of the values and,
     if given, one finite named ``point``: a dataset's ``true_mean`` or
     a model's ``fitted_mean``. Every centred sum the pass kernel takes
     (a fold's, a sample's or the dataset's M2, a between-group term) is
     at most n * range**2 / 4, as no variance exceeds (range / 2)**2, and
     a complement's difference of two such sums at most twice that; so
-    each stays finite, as does a value's distance from the point."""
-    # Python floats: a non-finite or overflowing range warns nothing
+    each stays finite, as does a value's distance from the point. The
+    message names whose ``sums`` the rule keeps finite: the kernel's,
+    unless the caller says otherwise."""
+    # Python floats: an overflowing range warns nothing
     ends = [float(values.min()), float(values.max()), *point.values()]
     spread = max(ends) - min(ends)
-    scale = spread / 64  # nan or inf when some value is not finite
+    scale = spread / 64
     if not len(values) * scale * scale <= _SUM_LIMIT:
-        if not np.isfinite(values).all():
-            raise ValidationError(f"{name} must be finite")
         most = 64 * math.sqrt(_SUM_LIMIT / len(values))
         got = f"{spread:.6g}"
         for label, value in point.items():
             got += f" with {label} {value:.6g}"
         raise ValidationError(
             f"{name} must span at most {most:.6g} (max - min) on "
-            f"n={len(values)} points, so that the kernel's sums stay "
-            f"finite, got {got}"
+            f"n={len(values)} points, so that {sums} stay finite, got {got}"
         )
 
 
@@ -171,10 +184,10 @@ def _vector(
 ) -> np.ndarray:
     """``values`` as a 1-D array of ``least`` to ``most`` entries (no
     bound if None) or, given ``columns``, rows of ``columns`` entries;
-    else a ValidationError naming the field. Reals come back as float64,
-    a float64 array as given; ``integral`` takes integers only, in their
-    own dtype. Bool (at any depth), str, complex, object and ragged
-    entries are refused."""
+    else a ValidationError naming the field. Reals must be finite and
+    come back as float64, a float64 array as given; ``integral`` takes
+    integers only, in their own dtype. Bool (at any depth), str,
+    complex, object and ragged entries are refused."""
     try:
         array = np.asarray(values)
     except ValueError:  # numpy's refusal of a ragged nesting
@@ -189,7 +202,12 @@ def _vector(
             and least <= len(array)
             and (most is None or len(array) <= most)
         ):
-            return array if integral else array.astype(np.float64, copy=False)
+            if integral:
+                return array
+            array = array.astype(np.float64, copy=False)
+            if not np.isfinite(array).all():
+                raise ValidationError(f"{name} must be finite")
+            return array
         else:
             got = f"{array.dtype} of shape {array.shape}"
     if least == most:

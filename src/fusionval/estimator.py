@@ -28,8 +28,9 @@ def fit(train: np.ndarray) -> ModelParams:
     """Fit mean and unbiased (ddof=1) variance on the training split,
     whose span must keep the sums finite (``errors._summable``)."""
     train = _vector("train", train, 2)
-    _summable("train", train)
-    mean = _mean(train)
+    _summable("train", train, "the fit's sums")
+    # a mean rounded past the values' range could square past float max
+    mean = float(np.clip(_mean(train), train.min(), train.max()))
     dev = train - mean
     return ModelParams(
         fitted_mean=mean,
@@ -47,6 +48,8 @@ def loss(model: ModelParams, validation: np.ndarray) -> float:
     """
     validation = _vector("validation", validation)
     centre = _finite("fitted_mean", model.fitted_mean)
-    _summable("validation", validation, fitted_mean=centre)
+    _summable(
+        "validation", validation, "the loss's squares", fitted_mean=centre
+    )
     dev = validation - centre
     return _mean(dev * dev)

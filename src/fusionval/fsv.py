@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _count, _mean, _number, _positive, _vector
+from .errors import ValidationError, _alpha, _count, _mean, _vector
 from .kfold import _run_passes
 from .metrics import METRIC_FIELDS, TrialMetrics, _frozen_array, metric_table
 from .rng import RngStream
@@ -56,12 +56,10 @@ DEFAULT_ALPHA = 0.95
 
 
 def _check_alpha(alpha) -> float:
-    """The alpha rule of :class:`FsvConfig` and the study's config: a
-    float in (0, 1]. Below 0.8 it warns, from the constructor's caller,
-    that the compounded measure will be strongly shrunk."""
-    alpha = _number("alpha", alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"alpha must be in (0, 1], got {alpha}")
+    """``errors._alpha`` for :class:`FsvConfig` and the study's config,
+    which alone warn, from the constructor's caller, that an alpha below
+    0.8 will strongly shrink the compounded measure."""
+    alpha = _alpha(alpha)
     if alpha < 0.8:
         # this rule, __post_init__, __init__, then the caller
         warnings.warn(
@@ -160,10 +158,10 @@ def sampled_kfold_trial(
 
 
 def compound_measure(iteration_losses: np.ndarray, alpha: float) -> float:
-    """alpha times the mean of the per-iteration losses; ``alpha`` must
-    be finite and > 0."""
+    """alpha times the mean of the per-iteration losses, which must be
+    finite; ``alpha`` must be in (0, 1]."""
     losses = _vector("iteration_losses", iteration_losses)
-    return _positive("alpha", alpha) * _mean(losses)
+    return _alpha(alpha) * _mean(losses)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +172,8 @@ class FsvResult:
     iteration, as a non-empty float64 vector. ``metrics`` holds the
     alpha-scaled metrics the summary tables report, as a float64
     ``(T x 6)`` table with one row per iteration and columns in
-    ``METRIC_FIELDS`` order. Both arrays are made read-only; ``alpha``
-    is kept as a float.
+    ``METRIC_FIELDS`` order. Both arrays must be finite and are made
+    read-only; ``alpha`` must be in (0, 1], kept as a float.
     """
 
     iteration_losses: np.ndarray
@@ -188,7 +186,7 @@ class FsvResult:
             raise ValidationError("need t >= 1 iteration_losses, got 0")
         _frozen_array("iteration_losses", self.iteration_losses, (t,))
         _frozen_array("metrics", self.metrics, (t, len(METRIC_FIELDS)))
-        object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
 
     @property
     def compounded_measure(self) -> float:

@@ -32,6 +32,7 @@ import json
 import os
 import reprlib
 import time
+import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, zip_longest
@@ -41,8 +42,8 @@ import numpy as np
 
 from .data import generate_dataset
 from .errors import (
-    _SUM_LIMIT, ValidationError, _count, _finite, _nonnegative, _numbers,
-    _positive, _vector,
+    _SUM_LIMIT, ValidationError, _alpha, _count, _finite, _nonnegative,
+    _numbers, _positive, _vector,
 )
 from .fsv import (
     DEFAULT_ALPHA, _check_alpha, compound_measure, sampled_kfold_trial
@@ -272,9 +273,10 @@ class CellResult:
     ``trials[method]`` is a float64 ``(t x 6)`` table for exactly SRS,
     KFCV and FSV, columns in ``METRIC_FIELDS`` order, and
     ``fsv_iteration_losses`` the FSV passes' t >= 1 raw mean fold
-    losses; the arrays are made read-only. ``summaries[method][metric]``
-    is a column's :class:`Aggregate`, computed on first read, and
-    ``fsv_compounded`` compounds the losses with ``alpha``, a float > 0.
+    losses; the arrays must be finite and are made read-only.
+    ``summaries[method][metric]`` is a column's :class:`Aggregate`,
+    computed on first read, and ``fsv_compounded`` compounds the losses
+    with ``alpha``, a float in (0, 1].
     """
 
     n: int
@@ -295,7 +297,7 @@ class CellResult:
         _frozen_array(f"{where} fsv_iteration_losses", losses, (t,))
         for method, table in self.trials.items():
             _frozen_array(f"{where} {method}", table, (t, len(METRIC_FIELDS)))
-        object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
 
     @property
     def t(self) -> int:
@@ -410,7 +412,7 @@ def emit_markdown_table(report: ExperimentReport, n: int) -> str:
     """Render one size's summary block: 18 rows, mean/min/max per T."""
     cells = [c for c in report.cells if c.n == n]
     if not cells:
-        raise ValidationError(f"no cells for n={n} in report")
+        raise ValidationError(f"n must be one of the report's sizes, got {n}")
     cells = sorted(cells, key=lambda c: c.t)
     header = ["Statistical Metrics"]
     align = [":--"]
@@ -535,7 +537,9 @@ def report_from_dict(d: dict) -> ExperimentReport:
     """
     where = "report"
     try:
-        config = ExperimentConfig.from_dict(d["config"])
+        with warnings.catch_warnings():  # a saved alpha warned at its run
+            warnings.simplefilter("ignore", UserWarning)
+            config = ExperimentConfig.from_dict(d["config"])
         wall_time_s = d["wall_time_s"]
         cells = []
         for i, cd in enumerate(d["cells"]):

@@ -60,13 +60,15 @@ class Aggregate(NamedTuple):
 
 def _frozen_array(name: str, array, shape: tuple[int, ...]) -> None:
     """Make ``array`` read-only; a ValidationError naming ``name`` unless
-    it is a float64 array of ``shape``."""
+    it is a finite float64 array of ``shape``."""
     dtype = getattr(array, "dtype", type(array).__name__)
     if dtype != np.float64 or np.shape(array) != shape:
         raise ValidationError(
             f"{name} must be a float64 array of shape {shape}, got "
             f"{dtype} of shape {np.shape(array)}"
         )
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{name} must be finite")
     array.setflags(write=False)
 
 
@@ -82,8 +84,9 @@ def metric_table(
 
     The per-trial inputs are vectors of one length, a real counting as
     a vector of one; the result has one row per trial and one column
-    per name in ``METRIC_FIELDS``. ``true_mean`` must be finite,
-    ``true_var`` finite and > 0.
+    per name in ``METRIC_FIELDS``. The inputs must be finite,
+    ``true_var`` > 0, and each estimate within float max of the value
+    it is scored against, so that every distance is a float.
     """
     true_mean = _finite("true_mean", true_mean)
     true_var = _positive("true_var", true_var)
@@ -96,16 +99,16 @@ def metric_table(
     var_est = column("var_est", var_est, t, t)
     mse = column("mse", mse, t, t)
     fold_loss = column("fold_loss_for_bias", fold_loss_for_bias, t, t)
-    return np.column_stack(
-        (
-            mean_est,
-            var_est,
-            mse,
-            np.abs(fold_loss - true_var),
-            np.abs(mean_est - true_mean),
-            np.abs(var_est - true_var),
+    with np.errstate(over="ignore"):  # an inf distance is refused below
+        # bias, roc_me and roc_ve
+        distances = np.abs(
+            (fold_loss - true_var, mean_est - true_mean, var_est - true_var)
         )
-    )
+    far = ~np.isfinite(distances).all(1)
+    if far.any():
+        name = ("fold_loss_for_bias", "mean_est", "var_est")[far.argmax()]
+        raise ValidationError(f"{name} must lie within float max of the truth")
+    return np.column_stack((mean_est, var_est, mse, *distances))
 
 
 def trial_metrics(

@@ -54,10 +54,10 @@ def _check_subset(indices: np.ndarray, n: int) -> None:
     """``indices`` is a non-empty subset of range(n) in canonical form:
     strictly increasing, so distinct, and in [0, n)."""
     if indices[0] < 0 or indices[-1] >= n:
-        raise ValidationError(f"subset indices must lie in [0, {n})")
+        raise ValidationError(f"indices must lie in [0, {n})")
     if not (indices[1:] > indices[:-1]).all():
         raise ValidationError(
-            "subset indices must be strictly increasing, so distinct"
+            "indices must be strictly increasing, so distinct"
         )
 
 

@@ -11,6 +11,7 @@ measure; Hoeffding sharpens it when losses live in a known interval.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -101,9 +102,9 @@ def hybrid_variance(
 
 def chebyshev_tail(k_dev: float) -> float:
     """P(|X - EX| >= k_dev * sd) <= min(1, 1/k_dev^2); ``k_dev`` must be
-    finite and > 0."""
-    k_dev = _positive("k_dev", k_dev)
-    return min(1.0, 1.0 / (k_dev * k_dev))
+    finite and > 0. The ratio is squared, so no k_dev underflows to 0."""
+    ratio = 1.0 / _positive("k_dev", k_dev)  # inf past 1 / float max
+    return min(1.0, ratio * ratio)
 
 
 def chebyshev_threshold(
@@ -111,11 +112,17 @@ def chebyshev_threshold(
 ) -> float:
     """Deviation threshold k_dev * sqrt(sigma_hyb2 / T) for the T-average;
     ``sigma_hyb2`` must be finite and >= 0, ``iterations`` integral and
-    >= 1, ``k_dev`` finite and > 0."""
+    >= 1, ``k_dev`` finite and > 0, and the threshold a float."""
     iterations = _count("iterations", iterations, 1)
-    sigma_hyb2 = _nonnegative("sigma_hyb2", sigma_hyb2)
-    k_dev = _positive("k_dev", k_dev)
-    return k_dev * math.sqrt(sigma_hyb2 / iterations)
+    sd = math.sqrt(_nonnegative("sigma_hyb2", sigma_hyb2) / iterations)
+    threshold = _positive("k_dev", k_dev) * sd
+    if threshold == math.inf:
+        raise ValidationError(
+            f"k_dev must be at most {sys.float_info.max / sd:.6g} on a "
+            f"deviation of {sd:.6g}, so that the threshold is a float, "
+            f"got {k_dev!r}"
+        )
+    return threshold
 
 
 class TailBound(NamedTuple):
@@ -134,15 +141,15 @@ def hoeffding_tail(
     The raw value exceeds 1 for loose epsilon (it is 2 at epsilon = 0);
     ``capped`` clamps it to 1 for use as a probability. ``epsilon`` must
     be finite and >= 0, ``iterations`` integral and >= 1, and ``a`` and
-    ``b`` finite with b > a.
+    ``b`` finite with b > a. The ratio epsilon / (b - a) is squared, so
+    neither an underflow nor an overflow of the squares can give 0 / 0
+    or inf / inf.
     """
     iterations = _count("iterations", iterations, 1)
     epsilon = _nonnegative("epsilon", epsilon)
     a, b = _finite("a", a), _finite("b", b)
     if not b > a:
-        raise ValidationError(f"need b > a, got [{a}, {b}]")
-    width = b - a
-    raw = 2.0 * math.exp(
-        -2.0 * iterations * epsilon * epsilon / (width * width)
-    )
+        raise ValidationError(f"b must be > a, got [{a}, {b}]")
+    ratio = epsilon / (b - a)  # b - a may round to inf: then 0
+    raw = 2.0 * math.exp(-2.0 * ratio * ratio * iterations)
     return TailBound(raw=raw, capped=min(1.0, raw))

@@ -436,7 +436,7 @@ class TestTheoryCommand:
                 ["--epsilon", "0.01,-1"],
                 "epsilon must be finite and >= 0, got -1.0",
             ),
-            (["--low", "1", "--high", "1"], "need b > a"),
+            (["--low", "1", "--high", "1"], "b must be > a"),
             # 0.09 * 1.7e308 + 1.7e308 is no float; the user gave no total
             (
                 ["--sigma2", "1.7e308", "--fold-vars", "1.7e308"],

@@ -9,15 +9,25 @@ stricter rule for the arrays a result stores, and no function calls a
 pass's draw methods but the few the draw contract names."""
 
 import ast
+import contextlib
+import dataclasses
+import io
+import math
 import re
+import tempfile
+import warnings
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fusionval
+from fusionval.cli import main
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import (
     ValidationError, _count, _finite, _mean, _nonnegative, _number,
@@ -339,6 +349,689 @@ def test_a_bool_array_is_a_bool_entry_at_any_depth(values):
 def test_an_accepted_array_is_returned_as_given():
     for values, integral in ((np.ones(3), False), (np.arange(3), True)):
         assert _vector("x", values, integral=integral) is values
+
+
+# The admitted domain of every public parameter, in one table, _DOMAIN.
+# A row is one public call, or one CLI command: the call, taking its
+# parameters by name, and for each parameter a usual value and a
+# strategy over the whole float64 range (both signs of 0, of the least
+# subnormal and normal, of the largest float and of inf, and nan) or,
+# for a count or a window, over the values at and around its edges.
+# Every row meets one contract (_keeps_the_contract): a call is refused
+# with a ValidationError whose message starts with the name of a
+# parameter, or it returns only finite floats and warns nothing but a
+# config's low-alpha warning. A float-range finding is a row of
+# _FINDINGS, not a test of its own.
+_MAX = float(np.finfo(np.float64).max)
+_EDGES = [
+    sign * value
+    for value in (
+        0.0, 5e-324, 2.2250738585072014e-308, 1e-200, 0.5, 1.0, 2.0, 1e200,
+        _MAX, math.inf,
+    )
+    for sign in (1.0, -1.0)
+] + [math.nan]
+_REAL = st.one_of(st.sampled_from(_EDGES), st.floats())
+_FINITE = st.one_of(
+    st.sampled_from([e for e in _EDGES if math.isfinite(e)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_ALPHA_WARNING = re.compile(r"alpha=\S+ is far below 1")
+
+
+def _near(*edges, big=False):
+    """A count at or one off one of ``edges``, as an int or an integral
+    float; ``big`` adds any count up to the largest float, for a count
+    that sizes no allocation."""
+    near = st.sampled_from(sorted({e + d for e in edges for d in (-1, 0, 1)}))
+    counts = st.one_of(near, near.map(float))
+    if big:
+        counts |= st.one_of(
+            st.integers(0, int(_MAX)), st.sampled_from([1e308, _MAX])
+        )
+    return counts
+
+
+def _reals(least=1, most=3):
+    """Vectors of reals, as often all finite as not."""
+    return st.one_of(*(
+        st.lists(entry, min_size=least, max_size=most)
+        for entry in (_REAL, _FINITE)
+    ))
+
+
+_WINDOW = st.one_of(
+    st.tuples(_REAL, _REAL),
+    st.sampled_from([
+        (0.6, 0.9), (0.5, 1.0), (0.0, 1.0), (5e-324, 1.0), (0.9, 0.6),
+        (0.6, float(np.nextafter(1.0, 2.0))), (0.6, 0.6),
+    ]),
+)
+_PATTERN = np.sin(np.arange(24) * 2.0)
+
+
+def _spread(centre, scale, n, true_var):
+    """A dataset of n points, ``_PATTERN`` times ``scale`` about
+    ``centre``, its true mean, or None where ``Dataset`` refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = centre + scale * _PATTERN[:n]
+    try:
+        return Dataset(values, centre, true_var)
+    except ValidationError:
+        return None
+
+
+def _datasets(least, most):
+    """Datasets the kernel takes, from 0 to the widest, at any centre."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.builds(
+        _spread,
+        st.one_of(st.sampled_from([0.0, -_MAX / 2, _MAX]), finite),
+        st.one_of(
+            st.sampled_from([0.0, 5e-324, 1.0, 1e150]), st.floats(0, 1e150)
+        ),
+        st.integers(least, most),
+        st.one_of(st.sampled_from([5e-324, 1.0, _MAX]), st.floats(1e-300)),
+    ).filter(lambda data: data is not None)
+
+
+_METHODS = ("SRS", "KFCV", "FSV")
+
+
+def _report(alpha, table, losses, wall_time_s):
+    """A one-cell report of n=20 and t=2 holding the given values, the
+    12 entries of ``table`` for each method."""
+    with warnings.catch_warnings():  # an alpha below 0.8 warns
+        warnings.simplefilter("ignore", UserWarning)
+        config = ExperimentConfig(sizes=(20,), trials=(2,), alpha=alpha)
+    trials = {
+        method: np.array(table).reshape(2, 6) for method in _METHODS
+    }
+    cell = CellResult(20, trials, np.array(losses), alpha)
+    return ExperimentReport(config, [cell], wall_time_s)
+
+
+_REPORTS = st.builds(
+    _report,
+    st.one_of(st.sampled_from([5e-324, 0.5, 1.0]), st.floats(5e-324, 1.0)),
+    st.lists(_FINITE, min_size=12, max_size=12),
+    st.lists(_FINITE, min_size=2, max_size=2),
+    st.floats(0, allow_infinity=False),
+)
+_TWENTY = Dataset(_PATTERN[:20], 0.0, 0.5)
+_ONE_CELL = _report(0.95, np.zeros(12), [0.0, 1.0], 0.0)
+
+
+def _in_scratch(emit):
+    """``emit(report, directory)`` into a fresh temporary directory."""
+    def call(report):
+        with tempfile.TemporaryDirectory() as out:
+            return emit(report, out)
+    return call
+
+
+def _cli(command, **flags):
+    """``fusionval <command>`` with each flag given a value, as
+    ``--flag=value``, so that a value with a leading minus parses; a
+    None flag is left out. Its exit status and what it wrote."""
+    argv = [command] + [
+        f"--{key.replace('_', '-')}={value!r}".replace("'", "")
+        for key, value in flags.items() if value is not None
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return _Exit(code, out.getvalue(), err.getvalue())
+
+
+class _Exit(NamedTuple):
+    code: int
+    out: str
+    err: str
+
+
+class _Row(NamedTuple):
+    call: Callable
+    params: dict  # parameter name -> (a usual value, its strategy)
+    # more names a refusal may start with: the fields of what it builds
+    names: tuple = ()
+    where: str = ""  # a location a refusal may open with
+    warns: bool = False  # it builds a config, which warns at low alpha
+
+
+def _study(command, mu, sigma2, **flags):
+    """A study command on one worker; ``mu`` and ``sigma2``, which have
+    no flags, go in by its config file."""
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "study.cfg"
+        config.write_text(f"mu = {mu!r}\nsigma2 = {sigma2!r}\n")
+        return _cli(command, config=str(config), jobs=1, **flags)
+
+
+_STUDY = dict(
+    alpha=(0.95, _REAL), mu=(0.0, _REAL), sigma2=(1.0, _REAL),
+    fraction_range=((0.6, 0.9), _WINDOW),
+)
+_CLI_STUDY = dict(
+    alpha=(0.95, _REAL), mu=(0.0, _REAL), sigma2=(1.0, _REAL),
+    k=(2, _near(2, 3).map(int)), reps=(1, _near(1).map(int)),
+    seed=(0, _near(0).map(int)), shared_streams=(False, st.booleans()),
+)
+_DOMAIN = {
+    "RngStream": _Row(
+        fusionval.RngStream,
+        dict(seed=(1, _near(0, big=True)), stream_id=(0, _near(0, big=True))),
+    ),
+    "derive_stream": _Row(
+        fusionval.derive_stream,
+        dict(
+            base_seed=(1, _near(0, big=True)),
+            trial_index=(0, _near(0, big=True)),
+            purpose_tag=(0, _near(0, MAX_PURPOSE - 1, big=True)),
+        ),
+        names=("seed",),  # the stream's
+    ),
+    "standard_normal": _Row(
+        lambda count: fusionval.standard_normal(RngStream(1, 0), count),
+        dict(count=(2, _near(0, 1))),
+    ),
+    "Dataset": _Row(
+        fusionval.Dataset,
+        dict(
+            values=([0.0, 1.0], st.one_of(
+                _reals(0, 3), _datasets(1, 3).map(lambda data: data.values)
+            )),
+            true_mean=(0.5, _REAL), true_var=(1.0, _REAL),
+        ),
+    ),
+    "generate_dataset": _Row(
+        lambda n, mu, sigma2: fusionval.generate_dataset(
+            n, mu, sigma2, RngStream(1, 0)
+        ),
+        dict(n=(5, _near(1, 8)), mu=(0.0, _REAL), sigma2=(1.0, _REAL)),
+        names=("values",),  # the dataset's
+    ),
+    "SampleView": _Row(
+        fusionval.SampleView,
+        dict(
+            indices=([0, 2], st.lists(st.integers(-1, 6), max_size=4)),
+            source_n=(5, _near(1, 5, big=True)),
+        ),
+    ),
+    "srs_sample": _Row(
+        lambda m: fusionval.srs_sample(_TEN_POINTS, m, RngStream(1, 0)),
+        dict(m=(5, _near(1, 10, big=True))),
+    ),
+    "holdout_values": _Row(
+        lambda view: fusionval.holdout_values(_TEN_POINTS, view),
+        dict(view=(
+            SampleView([0, 3], 10),
+            st.builds(SampleView, st.just([0, 3]), _near(10)),
+        )),
+    ),
+    "inclusion_moments": _Row(
+        fusionval.inclusion_moments,
+        dict(n=(10, _near(1, 10, big=True)), m=(5, _near(1, 10, big=True))),
+    ),
+    "draw_partition_fraction": _Row(
+        lambda low, high: fusionval.draw_partition_fraction(
+            RngStream(1, 0), low, high
+        ),
+        dict(low=(0.6, _REAL), high=(0.9, _REAL)),
+        names=("fraction_range",),  # the window's rule
+    ),
+    "fit": _Row(
+        fusionval.fit,
+        dict(train=([0.0, 1.0, 3.0], st.one_of(
+            _reals(1, 3), _datasets(2, 5).map(lambda data: data.values)
+        ))),
+    ),
+    "loss": _Row(
+        lambda fitted_mean, fitted_var, validation: fusionval.loss(
+            ModelParams(fitted_mean, fitted_var), validation
+        ),
+        dict(
+            fitted_mean=(0.5, _REAL), fitted_var=(1.0, _REAL),
+            validation=([0.0, 2.0], _reals(0, 3)),
+        ),
+    ),
+    "FoldPlan": _Row(
+        fusionval.FoldPlan,
+        dict(
+            order=([2, 0, 3, 1], st.lists(st.integers(-1, 4), max_size=4)),
+            k=(2, _near(2, 4, big=True)),
+        ),
+    ),
+    "LambdaWeights": _Row(
+        fusionval.LambdaWeights,
+        dict(lambdas=([1.0, 1.0], st.one_of(
+            _reals(0, 2),
+            st.sampled_from([[2.0, 0.0], [0.5, 1.5], [_MAX, 0.0]]),
+        ))),
+    ),
+    "make_folds": _Row(
+        lambda sample_size, k: fusionval.make_folds(
+            sample_size, k, RngStream(1, 0)
+        ),
+        dict(sample_size=(5, _near(2, 6)), k=(2, _near(2, 6, big=True))),
+    ),
+    "kfold_losses": _Row(
+        lambda sample: fusionval.kfold_losses(sample, _PLAN),
+        dict(sample=([0.0, 1.0, 3.0, 2.0], st.one_of(
+            _reals(4, 4), _datasets(4, 4).map(lambda data: data.values)
+        ))),
+    ),
+    "empirical_kfold_loss": _Row(
+        fusionval.empirical_kfold_loss, dict(losses=([1.0, 2.0], _reals(0, 3)))
+    ),
+    "weighted_kfold_loss": _Row(
+        lambda losses, lambdas: fusionval.weighted_kfold_loss(
+            losses, LambdaWeights(lambdas)
+        ),
+        dict(
+            losses=([1.0, 2.0], _reals(2, 2)),
+            lambdas=([1.0, 1.0], st.sampled_from([[2.0, 0.0], [0.5, 1.5]])),
+        ),
+    ),
+    "repeated_kfcv": _Row(
+        lambda data, repetitions, k, fraction_range: fusionval.repeated_kfcv(
+            data, repetitions, LambdaWeights.uniform(k), RngStream(1, 0),
+            fraction_range,
+        ),
+        dict(
+            data=(_TWENTY, _datasets(4, 24)), repetitions=(2, _near(1, 2)),
+            k=(2, _near(2, 3)), fraction_range=((0.6, 0.9), _WINDOW),
+        ),
+    ),
+    "FsvConfig": _Row(
+        fusionval.FsvConfig,
+        dict(
+            iterations=(3, _near(1, big=True)), alpha=(0.95, _REAL),
+            k=(2, _near(2, big=True)), fraction_range=((0.6, 0.9), _WINDOW),
+        ),
+        warns=True,
+    ),
+    "FsvResult": _Row(
+        lambda iteration_losses, metrics, alpha: fusionval.FsvResult(
+            np.array(iteration_losses), np.array(metrics).reshape(2, 6), alpha
+        ),
+        dict(
+            iteration_losses=([1.0, 2.0], _reals(2, 2)),
+            metrics=([0.5] * 12, _reals(12, 12)), alpha=(0.95, _REAL),
+        ),
+    ),
+    "sampled_kfold_trial": _Row(
+        lambda data, k, fraction_range: fusionval.sampled_kfold_trial(
+            data, k, RngStream(1, 0), folds_stream=RngStream(1, 1),
+            fraction_stream=RngStream(1, 2), fraction_range=fraction_range,
+        ),
+        dict(
+            data=(_TWENTY, _datasets(4, 24)), k=(2, _near(2, 3, big=True)),
+            fraction_range=((0.6, 0.9), _WINDOW),
+        ),
+    ),
+    "compound_measure": _Row(
+        fusionval.compound_measure,
+        dict(iteration_losses=([1.0, 2.0], _reals(0, 3)), alpha=(0.95, _REAL)),
+    ),
+    "fsv_run": _Row(
+        lambda data, iterations, alpha, k, fraction_range: fusionval.fsv_run(
+            data, FsvConfig(iterations, alpha, k, fraction_range),
+            RngStream(1, 0),
+        ),
+        dict(
+            data=(_TWENTY, _datasets(4, 24)), iterations=(2, _near(1, 2)),
+            alpha=(0.95, _REAL), k=(2, _near(2, 3)),
+            fraction_range=((0.6, 0.9), _WINDOW),
+        ),
+        warns=True,
+    ),
+    "VarianceBudget": _Row(
+        fusionval.VarianceBudget,
+        dict(
+            srs_component=(0.1, _REAL), kfcv_component=(0.2, _REAL),
+            iterations=(3, _near(1, big=True)),
+        ),
+    ),
+    "srs_variance_component": _Row(
+        fusionval.srs_variance_component,
+        dict(
+            sigma2=(1.0, _REAL), n=(150, _near(1, 200, big=True)),
+            population_n=(200, _near(1, 200, big=True)),
+        ),
+    ),
+    "kfcv_variance_component": _Row(
+        fusionval.kfcv_variance_component,
+        dict(fold_variances=([0.1, 0.2], _reals(0, 3))),
+    ),
+    "hybrid_variance": _Row(
+        fusionval.hybrid_variance,
+        dict(
+            sigma2=(1.0, _REAL), n=(150, _near(1, 200, big=True)),
+            population_n=(200, _near(1, 200, big=True)),
+            fold_variances=([0.1, 0.2], _reals(0, 3)),
+            iterations=(3, _near(1, big=True)),
+        ),
+        names=("srs_component",),  # the budget's sum of its components
+    ),
+    "chebyshev_tail": _Row(
+        fusionval.chebyshev_tail, dict(k_dev=(2.0, _REAL))
+    ),
+    "chebyshev_threshold": _Row(
+        fusionval.chebyshev_threshold,
+        dict(
+            sigma_hyb2=(1.0, _REAL), iterations=(3, _near(1, big=True)),
+            k_dev=(2.0, _REAL),
+        ),
+    ),
+    "hoeffding_tail": _Row(
+        fusionval.hoeffding_tail,
+        dict(
+            epsilon=(0.1, _REAL), iterations=(3, _near(1, big=True)),
+            a=(0.0, _REAL), b=(4.0, _REAL),
+        ),
+    ),
+    "trial_metrics": _Row(
+        fusionval.trial_metrics,
+        dict(
+            mean_est=(0.5, _REAL), var_est=(1.5, _REAL), mse=(2.0, _REAL),
+            true_mean=(0.0, _REAL), true_var=(1.0, _REAL),
+            fold_loss_for_bias=(1.2, _REAL),
+        ),
+    ),
+    "metric_table": _Row(
+        fusionval.metric_table,
+        dict(
+            mean_est=([0.5, 0.1], _reals(1, 2)),
+            var_est=([1.5, 0.9], _reals(1, 2)),
+            mse=([2.0, 1.1], _reals(1, 2)),
+            true_mean=(0.0, _REAL), true_var=(1.0, _REAL),
+            fold_loss_for_bias=([1.2, 0.8], _reals(1, 2)),
+        ),
+    ),
+    "summarize": _Row(
+        fusionval.summarize,
+        dict(table=(
+            [[0.5] * 6, [1.5] * 6],
+            st.lists(_reals(6, 6), min_size=1, max_size=2),
+        )),
+    ),
+    "ExperimentConfig": _Row(
+        fusionval.ExperimentConfig,
+        dict(
+            sizes=((20,), st.lists(_near(1, 20, big=True), max_size=2)),
+            trials=((2,), st.lists(_near(1, big=True), max_size=2)),
+            k=(2, _near(2, big=True)), repetitions=(2, _near(1, big=True)),
+            lambdas=(None, _reals(2, 2)), seed=(1, _near(0, big=True)),
+            shared_streams=(False, st.booleans()), **_STUDY,
+        ),
+        warns=True,
+    ),
+    "CellResult": _Row(
+        lambda n, trials, fsv_iteration_losses, alpha: fusionval.CellResult(
+            n,
+            {
+                method: np.array(table).reshape(2, 6)
+                for method, table in zip(_METHODS, trials)
+            },
+            np.array(fsv_iteration_losses),
+            alpha,
+        ),
+        dict(
+            n=(20, _near(1, big=True)),
+            trials=(
+                [[0.5] * 12] * 3,
+                st.lists(_reals(12, 12), min_size=3, max_size=3),
+            ),
+            fsv_iteration_losses=([1.0, 2.0], _reals(2, 2)),
+            alpha=(0.95, _REAL),
+        ),
+        # a cell names each table by its method, after its location
+        names=_METHODS,
+        where=r"cell \(n=\S+, t=2\) ",
+    ),
+    "ExperimentReport": _Row(
+        lambda wall_time_s: fusionval.ExperimentReport(
+            _ONE_CELL.config, _ONE_CELL.cells, wall_time_s
+        ),
+        dict(wall_time_s=(1.0, _REAL)),
+    ),
+    "run_experiment": _Row(
+        lambda sizes, trials, jobs, **config: fusionval.run_experiment(
+            ExperimentConfig(sizes=[sizes], trials=[trials], **config), jobs
+        ),
+        dict(
+            sizes=(20, _near(20)), trials=(2, _near(1)),
+            jobs=(1, st.sampled_from([0, 1.0])), k=(2, _near(2, 3)),
+            repetitions=(1, _near(1)), **_STUDY,
+        ),
+        warns=True,
+    ),
+    "emit_markdown_table": _Row(
+        fusionval.emit_markdown_table,
+        dict(report=(_ONE_CELL, _REPORTS), n=(20, _near(20))),
+    ),
+    "emit_csv": _Row(
+        _in_scratch(fusionval.emit_csv), dict(report=(_ONE_CELL, _REPORTS))
+    ),
+    "emit_json": _Row(
+        _in_scratch(lambda report, out: fusionval.emit_json(
+            report, Path(out) / "report.json"
+        )),
+        dict(report=(_ONE_CELL, _REPORTS)),
+    ),
+    "emit_plotdata": _Row(
+        _in_scratch(fusionval.emit_plotdata),
+        dict(report=(_ONE_CELL, _REPORTS)),
+    ),
+    "report_to_dict": _Row(
+        fusionval.report_to_dict, dict(report=(_ONE_CELL, _REPORTS))
+    ),
+    "report_from_dict": _Row(
+        lambda report: fusionval.report_from_dict(
+            fusionval.report_to_dict(report)
+        ),
+        dict(report=(_ONE_CELL, _REPORTS)),
+    ),
+    "cli-theory": _Row(
+        lambda **flags: _cli("theory", **flags),
+        dict(
+            n=(10, _near(1, 10, big=True).map(int)),
+            population=(20, _near(1, 10, big=True).map(int)),
+            sigma2=(1.0, _REAL), fold_vars=(0.1, _REAL),
+            t=(10, _near(1, big=True).map(int)), k_dev=(2.0, _REAL),
+            epsilon=(0.1, _REAL), low=(0.0, _REAL), high=(4.0, _REAL),
+        ),
+    ),
+    "cli-cell": _Row(
+        lambda **flags: _study("cell", **flags),
+        dict(
+            n=(20, _near(20).map(int)), t=(2, _near(1, 2).map(int)),
+            **_CLI_STUDY,
+        ),
+    ),
+    "cli-run": _Row(
+        lambda sizes, trials, **flags: _study(
+            "run", sizes=",".join(map(str, sizes)),
+            trials=",".join(map(str, trials)), **flags
+        ),
+        dict(
+            sizes=(
+                [20], st.lists(_near(20).map(int), min_size=1, max_size=2)
+            ),
+            trials=([2], st.lists(_near(1).map(int), min_size=1, max_size=2)),
+            **_CLI_STUDY,
+        ),
+    ),
+}
+
+# the public names no row drives: records that hold what they are given,
+# enums, the exception type and constants
+_NO_DOMAIN = {
+    "__version__", "ValidationError", "MAX_PURPOSE", "Purpose",
+    "FRACTION_RANGE", "ModelParams", "KfcvEstimate", "DEFAULT_ALPHA",
+    "SampledTrial", "TailBound", "METRIC_FIELDS", "Method", "TrialMetrics",
+    "Aggregate",
+}
+
+# Calls found outside the contract, each the row it belongs to and its
+# arguments, or once checked by a test of their own, which also gives
+# the start of the refusal the call must meet.
+_FINDINGS = {
+    # k_dev * k_dev underflowed to 0, and 1 / 0 raised
+    "chebyshev_tail-underflow": ("chebyshev_tail", dict(k_dev=1e-200)),
+    "theory-k_dev-underflow": (
+        "cli-theory", dict(n=10, population=20, k_dev=1e-200),
+    ),
+    "hoeffding_tail-underflow": (
+        "hoeffding_tail", dict(epsilon=1.0, iterations=10, a=0.0, b=5e-324),
+    ),
+    # epsilon**2 and width**2 both overflowed, to inf / inf
+    "hoeffding_tail-overflow": (
+        "hoeffding_tail", dict(epsilon=1e200, iterations=1, a=-1e200, b=1e200),
+    ),
+    "chebyshev_threshold-overflow": (
+        "chebyshev_threshold",
+        dict(sigma_hyb2=1e308, iterations=1, k_dev=1e308),
+    ),
+    "metric_table-overflow": (
+        "metric_table",
+        dict(
+            mean_est=[1e308], var_est=[1e308], mse=[1e308], true_mean=-1e308,
+            true_var=1e308, fold_loss_for_bias=[1e308],
+        ),
+    ),
+    # alpha above 1 took the measure past float max
+    "compound_measure-alpha-above-one": (
+        "compound_measure", dict(iteration_losses=[1e308, 1e308], alpha=1e10),
+    ),
+    # the mean of five float maxes rounded one ulp low, and fit's
+    # squared deviations from it overflowed
+    "fit-mean-rounding": ("fit", dict(train=[_MAX] * 5)),
+    # the weights' plain sum overflowed, with a warning
+    "LambdaWeights-sum-overflow": (
+        "LambdaWeights", dict(lambdas=[_MAX, _MAX]),
+    ),
+    # loading a saved report warned of its config's low alpha again
+    "report_from_dict-low-alpha": (
+        "report_from_dict",
+        dict(report=_report(0.5, np.zeros(12), [0.0, 1.0], 0.0)),
+    ),
+    # the per-site tests these rows replace checked the same refusals
+    "srs_variance_component-sigma2-inf": (
+        "srs_variance_component",
+        dict(sigma2=math.inf, n=10, population_n=10),
+        "sigma2 must be finite",
+    ),
+    "srs_variance_component-sigma2-nan": (
+        "srs_variance_component",
+        dict(sigma2=math.nan, n=10, population_n=10),
+        "sigma2 must be finite",
+    ),
+    "kfcv_variance_component-inf-entry": (
+        "kfcv_variance_component", dict(fold_variances=[0.1, math.inf]),
+    ),
+    "fit-span-overflow": (
+        "fit", dict(train=[1e308, -1e308]), "train must span at most",
+    ),
+}
+
+
+def _floats(value):
+    """Every float ``value`` holds or derives: its own, its entries', and
+    a dataclass's fields' and properties'."""
+    if isinstance(value, (float, np.floating)):
+        yield float(value)
+    elif isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            yield from value.ravel().tolist()
+    elif isinstance(value, dict):
+        for entry in value.values():
+            yield from _floats(entry)
+    elif isinstance(value, (tuple, list)):
+        for entry in value:
+            yield from _floats(entry)
+    elif dataclasses.is_dataclass(value):
+        derived = [
+            name for name, member in vars(type(value)).items()
+            if isinstance(member, (property, cached_property))
+        ]
+        for name in [f.name for f in dataclasses.fields(value)] + derived:
+            yield from _floats(getattr(value, name))
+
+
+def _keeps_the_contract(row, args, refusal=None):
+    """The row's call on ``args`` is refused naming a parameter (starting
+    with ``refusal``, if given), or returns only finite floats, and, but
+    for a config's alpha warning, warns nothing. A command exits 0 and
+    prints no inf or nan, or exits 2 with one ``error:`` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = row.call(**args)
+        except ValidationError as exc:
+            names = "|".join(map(re.escape, [*args, *row.names]))
+            start = re.escape(refusal) if refusal else f"({names})\\b"
+            assert re.match(f"({row.where})?{start}", str(exc)), str(exc)
+            got = None
+    warned = [str(w.message) for w in caught]
+    if row.warns:
+        warned = [w for w in warned if not _ALPHA_WARNING.match(w)]
+    assert warned == []
+    if isinstance(got, _Exit):
+        errors = [
+            line for line in got.err.splitlines()
+            if not line.startswith("warning: ")
+        ]
+        if got.code == 0:
+            assert not re.search(r"\b(inf|nan)\b", got.out), got.out
+        else:
+            assert got.code == 2 and len(errors) == 1, got.err
+            assert errors[0].startswith("error: "), got.err
+        return
+    assert refusal is None or got is None
+    assert all(map(math.isfinite, _floats(got))), got
+
+
+def test_every_public_callable_has_a_row():
+    callables = {
+        name for name in fusionval.__all__
+        if callable(getattr(fusionval, name))
+    }
+    python_rows = {name for name in _DOMAIN if not name.startswith("cli-")}
+    assert python_rows == callables - _NO_DOMAIN
+    assert python_rows | _NO_DOMAIN == set(fusionval.__all__)
+
+
+_CASES = {
+    **{name: (name, None) for name in _DOMAIN},
+    **{
+        f"finding-{key}": (row, args, *refusal)
+        for key, (row, args, *refusal) in _FINDINGS.items()
+    },
+}
+
+
+def _arguments(params):
+    """Every parameter at its usual value but one, drawn from its
+    strategy, or every one drawn."""
+    usual = {name: st.just(value) for name, (value, _) in params.items()}
+    drawn = {name: strategy for name, (_, strategy) in params.items()}
+    one = st.sampled_from(list(params)).flatmap(
+        lambda name: st.fixed_dictionaries({**usual, name: drawn[name]})
+    )
+    return st.one_of(one, st.fixed_dictionaries(drawn))
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_every_public_call_keeps_to_its_domain(case, data):
+    row, args, *refusal = _CASES[case]
+    row = _DOMAIN[row]
+    if args is None:
+        args = data.draw(_arguments(row.params), label="args")
+    _keeps_the_contract(row, args, *refusal)
 
 
 # hand-written array checks compare one of these attributes
