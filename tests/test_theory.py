@@ -40,6 +40,12 @@ class TestSrsComponent:
         with pytest.raises(ValidationError):
             srs_variance_component(sigma2, n, pop)
 
+    @pytest.mark.parametrize("sigma2", [math.inf, math.nan])
+    def test_rejects_non_finite_variance_by_name(self, sigma2):
+        # inf used to give inf * 0 = nan at a census
+        with pytest.raises(ValidationError, match="^sigma2 must be finite"):
+            srs_variance_component(sigma2, 10, 10)
+
     @given(
         sigma2=st.floats(0.01, 100),
         pop=st.integers(2, 10_000),
