@@ -105,7 +105,11 @@ _OPTIONS = {
     "reps": (
         int, f"cross-validation repetitions (default {_DEFAULT.repetitions})"
     ),
-    "jobs": (int, "worker count (default: the cores this process may use)"),
+    "jobs": (
+        int,
+        "worker count, at most one per trial (default: the cores this "
+        "process may use)",
+    ),
     "shared_streams": (
         _bool,
         "feed the subsampling method and the compounding method identical "

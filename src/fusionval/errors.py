@@ -1,13 +1,13 @@
 """The exception type and the argument rules shared across the package.
 
 Each rule is stated once here, with its message: :func:`_number` what a
-number is, :func:`_count` what a count is, :func:`_finite`,
-:func:`_positive` and :func:`_nonnegative` what a finite, a positive
-and a non-negative real are, :func:`_alpha` what a shrinkage factor
-is, :func:`_numbers` what a sequence of numbers or counts is,
-:func:`_vector` what an array argument or draw is, and
+number is, :func:`_count` what a count is and which counts must fit a
+float, :func:`_finite`, :func:`_positive` and :func:`_nonnegative` what
+a finite, a positive and a non-negative real are, :func:`_alpha` what
+a shrinkage factor is, :func:`_numbers` what a sequence of numbers or
+counts is, :func:`_vector` what an array argument or draw is, and
 :func:`_summable` what values the pass kernel, the fit and the loss
-can sum.
+can sum. :func:`_shown` prints a refused value, however large.
 ``_SUM_LIMIT`` is the one float-max margin behind the sum rules, and
 :func:`_mean` the one way the package averages. Every public boundary
 applies them rather than a copy.
@@ -15,11 +15,14 @@ applies them rather than a copy.
 
 import math
 import numbers
+import sys
 from collections.abc import Iterable
 
 import numpy as np
 
 __all__ = ["ValidationError"]
+
+_FLOAT_MAX = sys.float_info.max
 
 # The most n times a squared scale may reach. Every average the package
 # takes is :func:`_mean`'s, which cannot overflow on finite entries, so
@@ -32,7 +35,7 @@ __all__ = ["ValidationError"]
 # 2 * 27.42 * sigma < 64 * sigma, and n * sigma2 <= _SUM_LIMIT, the
 # study's rule, gives n * (range / 64)**2 <= _SUM_LIMIT,
 # :func:`_summable`'s rule, for every dataset a study draws.
-_SUM_LIMIT = float(np.finfo(np.float64).max) / 2**12
+_SUM_LIMIT = _FLOAT_MAX / 2**12
 
 
 class ValidationError(ValueError):
@@ -62,19 +65,40 @@ def _number(name: str, value, integral: bool = False):
                 return real
             if real.is_integer():
                 return int(value)
-    raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    raise ValidationError(f"{name} must be {kind}, got {_shown(value)}")
 
 
-def _count(name: str, value, least: int, most: int | None = None) -> int:
+def _count(
+    name: str, value, least: int, most: int | None = None,
+    as_float: bool = False,
+) -> int:
     """``value`` as an int from ``least`` to ``most`` (no upper bound if
     None), or a ValidationError naming the field: integral per
-    :func:`_number` (5.0 is taken as 5; 5.5, True and "5" are refused)."""
+    :func:`_number` (5.0 is taken as 5; 5.5, True and "5" are refused).
+    A count the package computes with as a float, ``as_float``, must
+    also be at most the float maximum; a seed or a stream address never
+    becomes a float, so it takes any int."""
     value = _number(name, value, True)
     if value < least:
-        raise ValidationError(f"{name} must be >= {least}, got {value}")
-    if most is not None and value > most:
-        raise ValidationError(f"{name} must be <= {most}, got {value}")
-    return value
+        rule = f">= {least}"
+    elif most is not None and value > most:
+        rule = f"<= {most}"
+    elif as_float and value > _FLOAT_MAX:
+        rule = "at most the float maximum, so that it converts to a float"
+    else:
+        return value
+    raise ValidationError(f"{name} must be {rule}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or for a rational past the float maximum its 6
+    significant digits: Python refuses to print an int of over 4300."""
+    if not isinstance(value, numbers.Rational) or abs(value) <= _FLOAT_MAX:
+        return repr(value)
+    from decimal import Context  # only a refusal this rare needs it
+
+    shown = Context(prec=6).divide(value.numerator, value.denominator)
+    return f"{shown.normalize():g}"
 
 
 def _finite(name: str, value):
@@ -113,16 +137,18 @@ def _nonnegative(name: str, value):
     return value
 
 
-def _numbers(name: str, values, least: int | None = None) -> tuple:
+def _numbers(
+    name: str, values, least: int | None = None, as_float: bool = False,
+) -> tuple:
     """``values`` as a tuple of floats per :func:`_number`, or,
-    given ``least``, of counts per :func:`_count`; an entry's error
-    names it as ``"{name} entry"``."""
+    given ``least``, of counts per :func:`_count` (``as_float`` passed
+    on); an entry's error names it as ``"{name} entry"``."""
     if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
         raise ValidationError(f"{name} must be a sequence, got {values!r}")
     entry = f"{name} entry"
     if least is None:
         return tuple(_number(entry, v) for v in values)
-    return tuple(_count(entry, v, least) for v in values)
+    return tuple(_count(entry, v, least, as_float=as_float) for v in values)
 
 
 def _summable(

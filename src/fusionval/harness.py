@@ -90,10 +90,11 @@ class ExperimentConfig:
     """Full study configuration; the defaults are the reference protocol.
 
     ``sizes`` and ``trials`` are non-empty sequences of distinct counts
-    >= 1 (5.0 is taken as 5), and ``k`` (>= 2), ``repetitions`` (>= 1)
-    and ``seed`` (>= 0) are counts too. ``mu`` must be finite, ``sigma2``
-    finite and > 0, and ``alpha`` follows :class:`~fusionval.FsvConfig`'s
-    rule: in (0, 1], with a warning below 0.8. Every size must train k
+    >= 1 (5.0 is taken as 5), each size at most the float maximum, and
+    ``k`` (>= 2), ``repetitions`` (>= 1) and ``seed`` (>= 0) are counts
+    too. ``mu`` must be finite, ``sigma2`` finite and > 0, and
+    ``alpha`` follows :class:`~fusionval.FsvConfig`'s rule: in (0, 1],
+    with a warning below 0.8. Every size must train k
     folds and leave a holdout at either end of ``fraction_range``, and
     sigma2 must be at most ``errors._SUM_LIMIT / max(sizes)``, so that
     every dataset the study draws passes ``Dataset``'s span rule.
@@ -119,7 +120,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
 
         for name in ("sizes", "trials"):
-            values = _numbers(name, getattr(self, name), 1)
+            values = _numbers(
+                name, getattr(self, name), 1, as_float=name == "sizes"
+            )
             if not values:
                 raise ValidationError(f"{name} must be non-empty")
             for i, value in enumerate(values):
@@ -371,14 +374,16 @@ def run_experiment(
 
     ``jobs`` sizes the worker pool; 1 runs inline, None uses
     :func:`_usable_cores`; any other value must be integral (2.0 is
-    taken as 2) and >= 1. The process pool is loaded on first use, so a
-    run at ``jobs == 1`` never loads it. The report is identical for
-    every jobs value.
+    taken as 2) and >= 1. The pool starts at most one worker per trial.
+    The process pool is loaded on first use, so a run at ``jobs == 1``
+    never loads it. The report is identical for every jobs value.
     """
     jobs = _usable_cores() if jobs is None else _count("jobs", jobs, 1)
     started = time.perf_counter()
     grid = _grid(config)
     tasks = [(config, n, t, trial) for n, t in grid for trial in range(t)]
+    # the pool forks every worker at its first task: none to spare
+    jobs = min(jobs, len(tasks))
     if jobs == 1:
         outcomes = list(map(_run_trial_task, tasks))
     else:

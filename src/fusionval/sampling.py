@@ -161,7 +161,7 @@ def inclusion_moments(n: int, m: int) -> tuple[float, float]:
     budget builds on. ``n`` and ``m`` must be integral (5.0 is taken
     as 5).
     """
-    n = _count("n", n, 1)
+    n = _count("n", n, 1, as_float=True)
     m = _count("m", m, 1, n)
     return float(m), float(m) * (1.0 - m / n)
 

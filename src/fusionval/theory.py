@@ -42,7 +42,7 @@ class VarianceBudget:
     iterations: int
 
     def __post_init__(self) -> None:
-        iterations = _count("iterations", self.iterations, 1)
+        iterations = _count("iterations", self.iterations, 1, as_float=True)
         object.__setattr__(self, "iterations", iterations)
         for name in ("srs_component", "kfcv_component"):
             value = _nonnegative(name, getattr(self, name))
@@ -66,7 +66,7 @@ def srs_variance_component(sigma2: float, n: int, population_n: int) -> float:
     the subsample is the whole population. ``sigma2`` must be finite and
     > 0, ``n`` and ``population_n`` integral.
     """
-    population_n = _count("population_n", population_n, 1)
+    population_n = _count("population_n", population_n, 1, as_float=True)
     n = _count("n", n, 1, population_n)
     sigma2 = _positive("sigma2", sigma2)
     return (sigma2 / n) * (1.0 - n / population_n)
@@ -113,7 +113,7 @@ def chebyshev_threshold(
     """Deviation threshold k_dev * sqrt(sigma_hyb2 / T) for the T-average;
     ``sigma_hyb2`` must be finite and >= 0, ``iterations`` integral and
     >= 1, ``k_dev`` finite and > 0, and the threshold a float."""
-    iterations = _count("iterations", iterations, 1)
+    iterations = _count("iterations", iterations, 1, as_float=True)
     sd = math.sqrt(_nonnegative("sigma_hyb2", sigma_hyb2) / iterations)
     threshold = _positive("k_dev", k_dev) * sd
     if threshold == math.inf:
@@ -145,7 +145,7 @@ def hoeffding_tail(
     neither an underflow nor an overflow of the squares can give 0 / 0
     or inf / inf.
     """
-    iterations = _count("iterations", iterations, 1)
+    iterations = _count("iterations", iterations, 1, as_float=True)
     epsilon = _nonnegative("epsilon", epsilon)
     a, b = _finite("a", a), _finite("b", b)
     if not b > a:

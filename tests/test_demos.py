@@ -2,20 +2,24 @@
 calls fit.
 
 Each ``demos/*.py`` runs in a subprocess, on this checkout's package,
-and must exit 0 within a timeout. It is also parsed with ``ast``, and
+and must exit 0 within a timeout. It is also parsed with ``ast``, as is
+each ```` ```python ```` block of README that is not a doctest, and
 every name it takes by ``from fusionval... import`` must exist in that
 module. Every call of such a name may pass only keywords that are
 parameters of the callable's ``inspect.signature``. A removed or
 renamed export or keyword, or a demo that no longer runs, fails here
 rather than in a reader's shell. README quotes ``paper_table.py``'s
-output, and must quote it as the demo prints it.
+output, and must quote it as the demo prints it, and each of its
+``>>>`` examples must give the output it states.
 """
 
 import ast
+import doctest
 import functools
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +28,18 @@ import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
 _DEMOS = _ROOT / "demos"
+_README = _ROOT / "README.md"
+
+
+def _sources():
+    """(label, parsed tree) of every demo and of each README
+    ```` ```python ```` block without a ``>>>`` prompt."""
+    for path in sorted(_DEMOS.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+    readme = _README.read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    for i, block in enumerate(b for b in blocks if ">>>" not in b):
+        yield f"README block {i}", ast.parse(block)
 
 
 def _package_imports(tree):
@@ -39,21 +55,19 @@ def _package_imports(tree):
 
 
 def test_every_demo_import_from_the_package_resolves():
-    imported, missing = 0, []
-    for path in sorted(_DEMOS.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    imported, missing = set(), []
+    for label, tree in _sources():
         for module, name, _ in _package_imports(tree):
-            imported += 1
+            imported.add(label)
             if not hasattr(importlib.import_module(module), name):
-                missing.append(f"{path.name}: {module}.{name}")
+                missing.append(f"{label}: {module}.{name}")
     assert missing == []
-    assert imported > 0
+    assert "README block 0" in imported and len(imported) > 1  # and a demo
 
 
 def test_every_demo_keyword_is_a_parameter_of_its_callable():
-    checked, unknown = 0, []
-    for path in sorted(_DEMOS.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    checked, unknown = set(), []
+    for label, tree in _sources():
         params = {}
         for module, name, local in _package_imports(tree):
             target = getattr(importlib.import_module(module), name, None)
@@ -73,14 +87,14 @@ def test_every_demo_keyword_is_a_parameter_of_its_callable():
             )
             # a keyword of None is a ** splat, which names no keyword
             for keyword in (kw.arg for kw in node.keywords if kw.arg):
-                checked += 1
+                checked.add(label)
                 if keyword not in accepted and not takes_any:
                     unknown.append(
-                        f"{path.name}:{node.lineno}: "
+                        f"{label}:{node.lineno}: "
                         f"{node.func.id}({keyword}=...)"
                     )
     assert unknown == []
-    assert checked > 0
+    assert "README block 0" in checked and len(checked) > 1  # and a demo
 
 
 @functools.cache
@@ -100,6 +114,22 @@ def test_every_demo_runs(demo):
     done = _run(demo)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+# README's input rules are doctest examples, each refusal's expected
+# output its exact message; at least this many must run, so that an
+# example lost to a malformed block cannot pass unnoticed
+_README_EXAMPLES = 22
+
+
+def test_every_readme_example_gives_its_stated_output():
+    # exact messages: no ELLIPSIS or IGNORE_EXCEPTION_DETAIL
+    result = doctest.testfile(
+        str(_README), module_relative=False,
+        optionflags=doctest.NORMALIZE_WHITESPACE,
+    )
+    assert result.failed == 0
+    assert result.attempted >= _README_EXAMPLES
 
 
 def test_readme_quotes_the_paper_table_as_the_demo_prints_it():

@@ -381,13 +381,14 @@ _ALPHA_WARNING = re.compile(r"alpha=\S+ is far below 1")
 
 def _near(*edges, big=False):
     """A count at or one off one of ``edges``, as an int or an integral
-    float; ``big`` adds any count up to the largest float, for a count
-    that sizes no allocation."""
+    float; ``big`` adds any count up to and past the largest float, for
+    a count that sizes no allocation."""
     near = st.sampled_from(sorted({e + d for e in edges for d in (-1, 0, 1)}))
     counts = st.one_of(near, near.map(float))
     if big:
         counts |= st.one_of(
-            st.integers(0, int(_MAX)), st.sampled_from([1e308, _MAX])
+            st.integers(0, _HUGE),
+            st.sampled_from([1e308, _MAX, int(_MAX), int(_MAX) + 1, _HUGE]),
         )
     return counts
 
@@ -917,6 +918,37 @@ _FINDINGS = {
         "report_from_dict",
         dict(report=_report(0.5, np.zeros(12), [0.0, 1.0], 0.0)),
     ),
+    # a count past the float maximum escaped as an OverflowError where
+    # it became a float
+    "chebyshev_threshold-huge-count": (
+        "chebyshev_threshold",
+        dict(sigma_hyb2=1.0, iterations=_HUGE, k_dev=2.0),
+        "iterations must be at most the float maximum",
+    ),
+    "hoeffding_tail-huge-count": (
+        "hoeffding_tail",
+        dict(epsilon=0.1, iterations=_HUGE, a=0.0, b=1.0),
+        "iterations must be at most the float maximum",
+    ),
+    "ExperimentConfig-huge-size": (
+        "ExperimentConfig", dict(sizes=(_HUGE,), trials=(2,)),
+        "sizes entry must be at most the float maximum",
+    ),
+    "srs_variance_component-huge-count": (
+        "srs_variance_component",
+        dict(sigma2=1.0, n=_HUGE, population_n=_HUGE),
+        "population_n must be at most the float maximum",
+    ),
+    "inclusion_moments-huge-count": (
+        "inclusion_moments", dict(n=_HUGE, m=_HUGE // 10),
+        "n must be at most the float maximum",
+    ),
+    "VarianceBudget-huge-count": (
+        "VarianceBudget",
+        dict(srs_component=0.0, kfcv_component=0.0, iterations=_HUGE),
+        "iterations must be at most the float maximum",
+    ),
+    "theory-huge-t": ("cli-theory", dict(n=10, population=20, t=_HUGE)),
     # the per-site tests these rows replace checked the same refusals
     "srs_variance_component-sigma2-inf": (
         "srs_variance_component",

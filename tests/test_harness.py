@@ -330,6 +330,38 @@ class TestRunExperiment:
             run_experiment(_SMALL)
         ) == _payload_without_timing(small_report)
 
+    @pytest.mark.parametrize(
+        "jobs", [3, 5, 5000, 10**400], ids=["3", "5", "5000", "10**400"]
+    )
+    def test_the_pool_starts_no_more_workers_than_trials(
+        self, monkeypatch, small_report, jobs
+    ):
+        # a stand-in pool that records its size and runs the tasks
+        # inline, so no worker is ever started
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", InlinePool
+        )
+        report = run_experiment(_SMALL, jobs=jobs)
+        assert sizes == [min(jobs, 5)]  # _SMALL holds 2 + 3 trials
+        assert _payload_without_timing(report) == _payload_without_timing(
+            small_report
+        )
+
     def test_imports_and_serial_runs_do_not_load_the_pool(self):
         script = (
             "import sys\n"
