@@ -30,7 +30,6 @@ from .harness import (
     emit_csv,
     emit_json,
     emit_markdown_table,
-    emit_plotdata,
     run_experiment,
 )
 from .theory import (
@@ -82,7 +81,6 @@ _FORMATS = {
     "md": _emit_markdown,
     "csv": emit_csv,
     "json": lambda report, out: (emit_json(report, Path(out) / "report.json"),),
-    "plot": emit_plotdata,
 }
 
 

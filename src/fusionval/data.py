@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _count, _finite, _positive, _summable, _vector
+from .errors import (
+    _MAX_ENTRIES, _count, _finite, _positive, _summable, _vector,
+)
 from .rng import RngStream, standard_normal
 
 __all__ = ["Dataset", "generate_dataset"]
@@ -55,11 +57,11 @@ def generate_dataset(
 ) -> Dataset:
     """Generate ``n`` i.i.d. draws from Normal(mu, sigma2).
 
-    ``n`` must be integral (5.0 is taken as 5) and >= 1, and ``mu``
-    finite. sigma2 is a variance, not a standard deviation, and must be
-    finite and > 0.
+    ``n`` must be integral (5.0 is taken as 5), from 1 to
+    ``errors._MAX_ENTRIES``, and ``mu`` finite. sigma2 is a variance,
+    not a standard deviation, and must be finite and > 0.
     """
-    n = _count("n", n, 1)
+    n = _count("n", n, 1, _MAX_ENTRIES)
     mu, sigma2 = _finite("mu", mu), _positive("sigma2", sigma2)
     values = mu + np.sqrt(sigma2) * standard_normal(stream, n)
     return Dataset(values=values, true_mean=mu, true_var=sigma2)

@@ -8,7 +8,8 @@ a shrinkage factor is, :func:`_numbers` what a sequence of numbers or
 counts is, :func:`_vector` what an array argument or draw is, and
 :func:`_summable` what values the pass kernel, the fit and the loss
 can sum. :func:`_shown` prints a refused value, however large.
-``_SUM_LIMIT`` is the one float-max margin behind the sum rules, and
+``_SUM_LIMIT`` is the one float-max margin behind the sum rules,
+``_MAX_ENTRIES`` the most entries a count may size an array to, and
 :func:`_mean` the one way the package averages. Every public boundary
 applies them rather than a copy.
 """
@@ -36,6 +37,10 @@ _FLOAT_MAX = sys.float_info.max
 # study's rule, gives n * (range / 64)**2 <= _SUM_LIMIT,
 # :func:`_summable`'s rule, for every dataset a study draws.
 _SUM_LIMIT = _FLOAT_MAX / 2**12
+
+# The most 8-byte entries numpy can address, the ceiling of every count
+# that sizes an array: numpy refuses more with a bare ValueError.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 class ValidationError(ValueError):
@@ -138,17 +143,17 @@ def _nonnegative(name: str, value):
 
 
 def _numbers(
-    name: str, values, least: int | None = None, as_float: bool = False,
+    name: str, values, least: int | None = None, most: int | None = None,
 ) -> tuple:
     """``values`` as a tuple of floats per :func:`_number`, or,
-    given ``least``, of counts per :func:`_count` (``as_float`` passed
-    on); an entry's error names it as ``"{name} entry"``."""
+    given ``least``, of counts per :func:`_count` (``most`` passed on);
+    an entry's error names it as ``"{name} entry"``."""
     if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
         raise ValidationError(f"{name} must be a sequence, got {values!r}")
     entry = f"{name} entry"
     if least is None:
         return tuple(_number(entry, v) for v in values)
-    return tuple(_count(entry, v, least, as_float=as_float) for v in values)
+    return tuple(_count(entry, v, least, most) for v in values)
 
 
 def _summable(

@@ -42,8 +42,8 @@ import numpy as np
 
 from .data import generate_dataset
 from .errors import (
-    _SUM_LIMIT, ValidationError, _alpha, _count, _finite, _nonnegative,
-    _numbers, _positive, _vector,
+    _MAX_ENTRIES, _SUM_LIMIT, ValidationError, _alpha, _count, _finite,
+    _nonnegative, _numbers, _positive, _vector,
 )
 from .fsv import (
     DEFAULT_ALPHA, _check_alpha, compound_measure, sampled_kfold_trial
@@ -63,7 +63,6 @@ __all__ = [
     "emit_markdown_table",
     "emit_csv",
     "emit_json",
-    "emit_plotdata",
     "report_to_dict",
     "report_from_dict",
 ]
@@ -90,9 +89,9 @@ class ExperimentConfig:
     """Full study configuration; the defaults are the reference protocol.
 
     ``sizes`` and ``trials`` are non-empty sequences of distinct counts
-    >= 1 (5.0 is taken as 5), each size at most the float maximum, and
-    ``k`` (>= 2), ``repetitions`` (>= 1) and ``seed`` (>= 0) are counts
-    too. ``mu`` must be finite, ``sigma2`` finite and > 0, and
+    >= 1 (5.0 is taken as 5), each size at most ``errors._MAX_ENTRIES``,
+    and ``k`` (>= 2), ``repetitions`` (>= 1) and ``seed`` (>= 0) are
+    counts too. ``mu`` must be finite, ``sigma2`` finite and > 0, and
     ``alpha`` follows :class:`~fusionval.FsvConfig`'s rule: in (0, 1],
     with a warning below 0.8. Every size must train k
     folds and leave a holdout at either end of ``fraction_range``, and
@@ -119,10 +118,8 @@ class ExperimentConfig:
         def normalise(name, value):
             object.__setattr__(self, name, value)
 
-        for name in ("sizes", "trials"):
-            values = _numbers(
-                name, getattr(self, name), 1, as_float=name == "sizes"
-            )
+        for name, most in (("sizes", _MAX_ENTRIES), ("trials", None)):
+            values = _numbers(name, getattr(self, name), 1, most)
             if not values:
                 raise ValidationError(f"{name} must be non-empty")
             for i, value in enumerate(values):
@@ -445,35 +442,45 @@ def emit_markdown_table(report: ExperimentReport, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cell_rows(cell: CellResult):
-    """(method, metric, trial, value) of every trial value of a cell."""
-    for method in _METHODS:
-        for i, row in enumerate(cell.trials[method].tolist()):
-            for metric, value in zip(METRIC_FIELDS, row):
-                yield method, metric, i, value
-
-
-def emit_csv(report: ExperimentReport, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write per-trial and summary CSVs; returns their paths."""
+def emit_csv(
+    report: ExperimentReport, out_dir: str | Path
+) -> tuple[Path, Path, Path]:
+    """Write the report's long-format CSVs, values at ``.10g``, and
+    return their paths: every trial value (``trials.csv``) and every
+    summary (``summary.csv``), exactly the JSON report's rows, and every
+    FSV iteration loss (``fsv_iteration_losses.csv``)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trials_path = out / "trials.csv"
-    with trials_path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["N", "T", "method", "metric", "trial", "value"])
-        for c in report.cells:
-            for method, metric, i, v in _cell_rows(c):
-                w.writerow([c.n, c.t, method, metric, i, format(v, ".10g")])
-    summary_path = out / "summary.csv"
-    with summary_path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["N", "T", "method", "metric", "mean", "min", "max"])
-        for c in report.cells:
-            for method in _METHODS:
-                for metric, agg in c.summaries[method].items():
-                    values = (format(v, ".10g") for v in agg)
-                    w.writerow([c.n, c.t, method, metric, *values])
-    return trials_path, summary_path
+
+    def write(name: str, header: str, rows) -> Path:
+        path = out / name
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header.split(","))
+            w.writerows(rows)
+        return path
+
+    cells = report.cells
+    return (
+        write("trials.csv", "N,T,method,metric,trial,value", (
+            [c.n, c.t, method, metric, i, f"{v:.10g}"]
+            for c in cells
+            for method in _METHODS
+            for i, row in enumerate(c.trials[method].tolist())
+            for metric, v in zip(METRIC_FIELDS, row)
+        )),
+        write("summary.csv", "N,T,method,metric,mean,min,max", (
+            [c.n, c.t, method, metric, *(f"{v:.10g}" for v in agg)]
+            for c in cells
+            for method in _METHODS
+            for metric, agg in c.summaries[method].items()
+        )),
+        write("fsv_iteration_losses.csv", "N,T,trial,value", (
+            [c.n, c.t, i, f"{v:.10g}"]
+            for c in cells
+            for i, v in enumerate(c.fsv_iteration_losses.tolist())
+        )),
+    )
 
 
 def _cell_to_dict(c: CellResult) -> dict:
@@ -582,21 +589,3 @@ def emit_json(report: ExperimentReport, path: str | Path) -> Path:
         json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
         fh.write("\n")
     return out
-
-
-def emit_plotdata(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
-    """One long-format CSV per cell, for external plotting."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for c in report.cells:
-        p = out / f"plot_N{c.n}_T{c.t}.csv"
-        with p.open("w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["method", "metric", "trial", "value"])
-            for method, metric, i, v in _cell_rows(c):
-                w.writerow([method, metric, i, format(v, ".10g")])
-            for i, v in enumerate(c.fsv_iteration_losses.tolist()):
-                w.writerow(["FSV", "iteration_loss", i, format(v, ".10g")])
-        paths.append(p)
-    return paths

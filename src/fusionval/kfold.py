@@ -90,7 +90,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _count, _mean, _summable, _vector
+from .errors import (
+    _MAX_ENTRIES, ValidationError, _count, _mean, _summable, _vector,
+)
 from .rng import RngStream
 from .sampling import (
     FRACTION_RANGE, _draw_subset, _fraction_window, _index_mask
@@ -162,7 +164,7 @@ def make_folds(sample_size: int, k: int, stream: RngStream) -> FoldPlan:
     2 <= k <= sample_size; bad sizes are refused before the draw.
     """
     k = _count("k", k, 2)
-    sample_size = _count("sample_size", sample_size, k)
+    sample_size = _count("sample_size", sample_size, k, _MAX_ENTRIES)
     order = _vector(
         "fold permutation", stream.generator.permutation(sample_size),
         sample_size, sample_size, integral=True,
@@ -423,7 +425,7 @@ class LambdaWeights:
 
     @classmethod
     def uniform(cls, k: int) -> "LambdaWeights":
-        return cls(lambdas=np.ones(_count("k", k, 1)))
+        return cls(lambdas=np.ones(_count("k", k, 1, _MAX_ENTRIES)))
 
     @property
     def k(self) -> int:

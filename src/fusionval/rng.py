@@ -19,7 +19,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import _count
+from .errors import _MAX_ENTRIES, _count
 
 __all__ = [
     "MAX_PURPOSE",
@@ -96,5 +96,6 @@ def derive_stream(base_seed: int, trial_index: int, purpose_tag: int) -> RngStre
 
 def standard_normal(stream: RngStream, count: int) -> np.ndarray:
     """Draw ``count`` i.i.d. standard normal variates from ``stream``;
-    ``count`` must be integral."""
-    return stream.generator.standard_normal(_count("count", count, 0))
+    ``count`` must be integral and at most ``errors._MAX_ENTRIES``."""
+    count = _count("count", count, 0, _MAX_ENTRIES)
+    return stream.generator.standard_normal(count)

@@ -91,7 +91,13 @@ def hybrid_variance(
     """Assemble the variance budget of the T-iteration average.
 
     Per iteration the subsampling and fold components add; averaging T
-    independent iterations divides the sum by T.
+    independent iterations divides the sum by T. The budget is a
+    conservative bound on Var(L*), not an estimate of it: its fold term
+    is one fold loss's variance, while L* averages each pass's mean
+    fold loss. On one dataset of n = 2 000 at T = 10, alpha = 1 and
+    k = 5, it is 15.6 times the variance of 400 ``fsv_run`` replicates'
+    L*, with per-fold variances from 2 000 passes (a seeded test checks
+    this; a false alarm has odds below 1e-140).
     """
     return VarianceBudget(
         srs_component=srs_variance_component(sigma2, n, population_n),

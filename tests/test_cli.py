@@ -46,6 +46,7 @@ class TestRunCommand:
         assert code == 0
         assert (tmp_path / "trials.csv").exists()
         assert (tmp_path / "summary.csv").exists()
+        assert (tmp_path / "fsv_iteration_losses.csv").exists()
         assert "wrote" in capsys.readouterr().err
 
     def test_json_file_written(self, tmp_path, capsys):
@@ -56,13 +57,6 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["config"]["sizes"] == [100]
         assert payload["config"]["trials"] == [2]
-
-    def test_plot_files_written(self, tmp_path, capsys):
-        code = main(
-            ["run", *_FAST, "--format", "plot", "--out", str(tmp_path)]
-        )
-        assert code == 0
-        assert (tmp_path / "plot_N100_T2.csv").exists()
 
     def test_markdown_with_out_also_writes_file(self, tmp_path, capsys):
         code = main(["run", *_FAST, "--out", str(tmp_path)])
@@ -215,7 +209,7 @@ class TestOptionTable:
         argv = ["run", *_FAST, "--config", str(cfg), "--out", str(out)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"error: {cfg}:1: format: expected one of md, csv, json, plot, "
+            f"error: {cfg}:1: format: expected one of md, csv, json, "
             "got 'xml'\n"
         )
         assert not out.exists()
@@ -260,7 +254,7 @@ class TestOptionTable:
             ("md", "report.md"),
             ("csv", "trials.csv"),
             ("json", "report.json"),
-            ("plot", "plot_N100_T2.csv"),
+            ("csv", "fsv_iteration_losses.csv"),
         ],
     )
     def test_unwritable_report_is_refused_after_the_study_runs(
@@ -279,10 +273,20 @@ class TestOptionTable:
     def test_missing_out_is_refused_before_the_study_runs(
         self, capsys, no_study
     ):
-        assert main(["run", *_FAST, "--format", "plot"]) == 2
+        assert main(["run", *_FAST, "--format", "csv"]) == 2
         assert capsys.readouterr().err == (
-            "error: --format plot requires --out DIR\n"
+            "error: --format csv requires --out DIR\n"
         )
+
+    def test_a_removed_format_is_refused_by_the_format_rule(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *_FAST, "--format", "plot"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error:" in line] == [
+            "fusionval run: error: argument --format: expected one of "
+            "md, csv, json, got 'plot'"
+        ]
 
     def test_a_key_set_twice_is_rejected_naming_both_lines(self, tmp_path):
         cfg = tmp_path / "study.cfg"

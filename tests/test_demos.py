@@ -10,7 +10,8 @@ parameters of the callable's ``inspect.signature``. A removed or
 renamed export or keyword, or a demo that no longer runs, fails here
 rather than in a reader's shell. README quotes ``paper_table.py``'s
 output, and must quote it as the demo prints it, and each of its
-``>>>`` examples must give the output it states.
+``>>>`` examples must give the output it states. Every ``fusionval``
+command of its ```` ```sh ```` blocks must parse, unrun.
 """
 
 import ast
@@ -20,11 +21,14 @@ import importlib
 import inspect
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from fusionval.cli import build_parser
 
 _ROOT = Path(__file__).resolve().parents[1]
 _DEMOS = _ROOT / "demos"
@@ -119,7 +123,7 @@ def test_every_demo_runs(demo):
 # README's input rules are doctest examples, each refusal's expected
 # output its exact message; at least this many must run, so that an
 # example lost to a malformed block cannot pass unnoticed
-_README_EXAMPLES = 22
+_README_EXAMPLES = 23
 
 
 def test_every_readme_example_gives_its_stated_output():
@@ -136,3 +140,26 @@ def test_readme_quotes_the_paper_table_as_the_demo_prints_it():
     done = _run("paper_table.py")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() in (_ROOT / "README.md").read_text()
+
+
+# README shows this many fusionval commands; a block lost to a
+# malformed fence cannot pass unnoticed
+_README_COMMANDS = 6
+
+
+def test_every_readme_command_parses():
+    readme = _README.read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```$", readme, re.M | re.S)
+    # a backslash continues a command on the next line
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [
+        shlex.split(line) for line in lines if line.startswith("fusionval ")
+    ]
+    refused = []
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:  # argparse's refusal, printed on stderr
+            refused.append(shlex.join(argv))
+    assert refused == []
+    assert len(commands) >= _README_COMMANDS

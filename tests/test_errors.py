@@ -30,8 +30,8 @@ import fusionval
 from fusionval.cli import main
 from fusionval.data import Dataset, generate_dataset
 from fusionval.errors import (
-    ValidationError, _count, _finite, _mean, _nonnegative, _number,
-    _numbers, _positive, _vector,
+    _MAX_ENTRIES, ValidationError, _count, _finite, _mean, _nonnegative,
+    _number, _numbers, _positive, _vector,
 )
 from fusionval.estimator import ModelParams, fit, loss
 from fusionval.fsv import FsvConfig, FsvResult, compound_measure, fsv_run
@@ -821,10 +821,6 @@ _DOMAIN = {
         )),
         dict(report=(_ONE_CELL, _REPORTS)),
     ),
-    "emit_plotdata": _Row(
-        _in_scratch(fusionval.emit_plotdata),
-        dict(report=(_ONE_CELL, _REPORTS)),
-    ),
     "report_to_dict": _Row(
         fusionval.report_to_dict, dict(report=(_ONE_CELL, _REPORTS))
     ),
@@ -932,7 +928,7 @@ _FINDINGS = {
     ),
     "ExperimentConfig-huge-size": (
         "ExperimentConfig", dict(sizes=(_HUGE,), trials=(2,)),
-        "sizes entry must be at most the float maximum",
+        f"sizes entry must be <= {_MAX_ENTRIES}",
     ),
     "srs_variance_component-huge-count": (
         "srs_variance_component",
@@ -966,6 +962,33 @@ _FINDINGS = {
     "fit-span-overflow": (
         "fit", dict(train=[1e308, -1e308]), "train must span at most",
     ),
+    # a count past the most entries an array holds escaped as numpy's
+    # bare ValueError, "Maximum allowed dimension exceeded" or, at 2**62,
+    # "array is too big"; numpy refused both before allocating anything
+    **{
+        f"{row}-{label}-entries": (row, args, *refusal)
+        for label, size in (("10**21", 10**21), ("2**62", 2**62))
+        for row, args, *refusal in (
+            (
+                "generate_dataset", dict(n=size, mu=0.0, sigma2=1.0),
+                f"n must be <= {_MAX_ENTRIES}",
+            ),
+            (
+                "standard_normal", dict(count=size),
+                f"count must be <= {_MAX_ENTRIES}",
+            ),
+            (
+                "make_folds", dict(sample_size=size, k=2),
+                f"sample_size must be <= {_MAX_ENTRIES}",
+            ),
+            (
+                "ExperimentConfig", dict(sizes=(size,), trials=(1,)),
+                f"sizes entry must be <= {_MAX_ENTRIES}",
+            ),
+            # exits 2 with one error: line, before the study runs
+            ("cli-cell", dict(n=size, t=1, mu=0.0, sigma2=1.0)),
+        )
+    },
 }
 
 

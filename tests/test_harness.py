@@ -26,7 +26,6 @@ from fusionval.harness import (
     emit_csv,
     emit_json,
     emit_markdown_table,
-    emit_plotdata,
     report_from_dict,
     report_to_dict,
     run_experiment,
@@ -706,9 +705,15 @@ class TestMarkdownTable:
             CellResult(100, empty, np.zeros(0), 0.95)
 
 
+def _csv_rows(path):
+    """A CSV file's header and its rows, each a list of strings."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return header, rows
+
+
 class TestCsvEmission:
     def test_headers_and_row_counts(self, small_report, tmp_path):
-        trials_path, summary_path = emit_csv(small_report, tmp_path)
+        trials_path, summary_path, _ = emit_csv(small_report, tmp_path)
         trials_lines = trials_path.read_text().splitlines()
         summary_lines = summary_path.read_text().splitlines()
         assert trials_lines[0] == "N,T,method,metric,trial,value"
@@ -717,13 +722,55 @@ class TestCsvEmission:
         assert len(summary_lines) == 1 + 2 * 3 * 6
 
     def test_values_parse_back(self, small_report, tmp_path):
-        trials_path, _ = emit_csv(small_report, tmp_path)
+        trials_path, _, _ = emit_csv(small_report, tmp_path)
         first = trials_path.read_text().splitlines()[1].split(",")
         n, t, method, metric, trial, value = first
         row = small_report.cell(int(n), int(t)).trials[method][int(trial)]
         assert float(value) == pytest.approx(
             row[METRIC_FIELDS.index(metric)], rel=1e-9
         )
+
+    def test_iteration_losses_file_holds_each_loss_once(
+        self, small_report, tmp_path
+    ):
+        paths = emit_csv(small_report, tmp_path)
+        assert [p.name for p in paths] == [
+            "trials.csv", "summary.csv", "fsv_iteration_losses.csv",
+        ]
+        header, rows = _csv_rows(paths[2])
+        assert header == ["N", "T", "trial", "value"]
+        # every loss of every cell once, in grid order, at .10g
+        assert rows == [
+            [str(c.n), str(c.t), str(i), format(v, ".10g")]
+            for c in small_report.cells
+            for i, v in enumerate(c.fsv_iteration_losses.tolist())
+        ]
+
+    def test_trials_and_summary_hold_exactly_the_json_rows(
+        self, small_report, tmp_path
+    ):
+        # the rule bench/workloads.py's csv-matches-json check enforces:
+        # the two files hold the JSON report's metric rows and
+        # summaries at .10g, no row more or fewer
+        trials_path, summary_path, _ = emit_csv(small_report, tmp_path)
+        cells = report_to_dict(small_report)["cells"]
+        trials = [
+            [str(c["n"]), str(c["t"]), method, metric, str(i),
+             format(value, ".10g")]
+            for c in cells
+            for method, rows in c["trials"].items()
+            for i, row in enumerate(rows)
+            for metric, value in row.items()
+        ]
+        summaries = [
+            [str(c["n"]), str(c["t"]), method, metric,
+             *(format(agg[k], ".10g") for k in ("mean", "min", "max"))]
+            for c in cells
+            for method, stats in c["summaries"].items()
+            for metric, agg in stats.items()
+        ]
+        assert sorted(_csv_rows(trials_path)[1]) == sorted(trials)
+        assert sorted(_csv_rows(summary_path)[1]) == sorted(summaries)
 
 
 class TestJsonRoundTrip:
@@ -959,19 +1006,6 @@ class TestJsonRoundTrip:
         assert top_keys == sorted(top_keys)
 
 
-class TestPlotData:
-    def test_one_file_per_cell(self, small_report, tmp_path):
-        paths = emit_plotdata(small_report, tmp_path)
-        assert [p.name for p in paths] == [
-            "plot_N100_T2.csv",
-            "plot_N100_T3.csv",
-        ]
-        lines = paths[0].read_text().splitlines()
-        assert lines[0] == "method,metric,trial,value"
-        assert len(lines) == 1 + 2 * 3 * 6 + 2
-        assert sum(1 for l in lines if ",iteration_loss," in l) == 2
-
-
 class TestGridOrderings:
     def test_compounding_tightens_every_cell(self, grid_report):
         for cell in grid_report.cells:
@@ -995,5 +1029,5 @@ class TestGridOrderings:
         )
 
     def test_default_grid_summary_row_count(self, grid_report, tmp_path):
-        _, summary_path = emit_csv(grid_report, tmp_path)
+        _, summary_path, _ = emit_csv(grid_report, tmp_path)
         assert len(summary_path.read_text().splitlines()) == 1 + 162

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionval.data import Dataset, generate_dataset
-from fusionval.errors import ValidationError
+from fusionval.errors import _MAX_ENTRIES, ValidationError
 from fusionval.kfold import (
     FoldPlan,
     LambdaWeights,
@@ -187,6 +187,14 @@ class TestLossAverages:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
             weighted_kfold_loss(np.ones(3), LambdaWeights.uniform(4))
+
+    @pytest.mark.parametrize("k", [10**21, 2**62], ids=["10**21", "2**62"])
+    def test_uniform_refuses_more_weights_than_an_array_holds(self, k):
+        # numpy refused these with a bare ValueError, before allocating
+        with pytest.raises(
+            ValidationError, match=f"^k must be <= {_MAX_ENTRIES}, got {k}$"
+        ):
+            LambdaWeights.uniform(k)
 
     @pytest.mark.parametrize(
         "average, losses",

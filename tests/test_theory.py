@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fusionval.data import generate_dataset
 from fusionval.errors import ValidationError
+from fusionval.fsv import FsvConfig, fsv_run, sampled_kfold_trial
 from fusionval.kfold import LambdaWeights
+from fusionval.rng import RngStream
 from fusionval.sampling import inclusion_moments
 from fusionval.theory import (
     TailBound,
@@ -145,6 +149,37 @@ class TestHybridVariance:
             r"got 8\.5e\+307 \+ 1\.7e\+308$",
         ):
             VarianceBudget(8.5e307, 1.7e308, 10)
+
+    def test_budget_bounds_the_measured_variance_of_l_star(self):
+        # One dataset (n = 2 000), alpha = 1, T = 10, the default window
+        # (0.6, 0.9) and k = 5. The budget's first term is a subsample
+        # mean's variance and its second one fold loss's, but L*
+        # averages each pass's mean fold loss, so the budget bounds
+        # Var(L*) from above, here by the ratio README and
+        # hybrid_variance's docstring quote. A false alarm needs the
+        # 400-replicate variance at 4x its value or a fold variance at
+        # 1/4 of its (chi-square tails 1e-142 and 1e-278 for Gaussian
+        # replicates).
+        n, t = 2_000, 10
+        data = generate_dataset(n, 0.0, 1.0, RngStream(7, 0))
+        l_star = [
+            fsv_run(data, FsvConfig(t, alpha=1.0), RngStream(7, 1 + r))
+            .compounded_measure
+            for r in range(400)
+        ]
+        folds = np.array([
+            sampled_kfold_trial(
+                data, 5, RngStream(8, p), folds_stream=RngStream(9, p),
+                fraction_stream=RngStream(10, p),
+            ).fold_losses
+            for p in range(2_000)
+        ])
+        budget = hybrid_variance(
+            1.0, round(0.75 * n), n, folds.var(axis=0, ddof=1), t
+        )
+        measured = np.var(l_star, ddof=1)
+        assert budget.total_per_t >= measured
+        assert round(budget.total_per_t / measured, 1) == 15.6
 
     @given(t=st.integers(1, 10_000))
     def test_total_scales_inversely_with_iterations(self, t):
