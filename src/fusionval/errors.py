@@ -5,13 +5,13 @@ number is, :func:`_count` what a count is and which counts must fit a
 float, :func:`_finite`, :func:`_positive` and :func:`_nonnegative` what
 a finite, a positive and a non-negative real are, :func:`_alpha` what
 a shrinkage factor is, :func:`_numbers` what a sequence of numbers or
-counts is, :func:`_vector` what an array argument or draw is, and
-:func:`_summable` what values the pass kernel, the fit and the loss
-can sum. :func:`_shown` prints a refused value, however large.
-``_SUM_LIMIT`` is the one float-max margin behind the sum rules,
-``_MAX_ENTRIES`` the most entries a count may size an array to, and
-:func:`_mean` the one way the package averages. Every public boundary
-applies them rather than a copy.
+counts is, :func:`_vector` what an array argument, a draw or a stored
+result's array is, and :func:`_summable` what values the pass kernel,
+the fit and the loss can sum. :func:`_shown` prints a refused value,
+however large. ``_SUM_LIMIT`` is the one float-max margin behind the
+sum rules, ``_MAX_ENTRIES`` the most entries a count may size an array
+to, and :func:`_mean` the one way the package averages. Every public
+boundary applies them rather than a copy.
 """
 
 import math

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ValidationError, _alpha, _count, _mean, _vector
+from .errors import _alpha, _count, _mean, _vector
 from .kfold import _run_passes
-from .metrics import METRIC_FIELDS, TrialMetrics, _frozen_array, metric_table
+from .metrics import METRIC_FIELDS, TrialMetrics, metric_table
 from .rng import RngStream
 from .sampling import FRACTION_RANGE, _fraction_window
 
@@ -169,11 +169,13 @@ class FsvResult:
     """Outcome of one run.
 
     ``iteration_losses`` holds the raw (unscaled) mean fold loss of each
-    iteration, as a non-empty float64 vector. ``metrics`` holds the
-    alpha-scaled metrics the summary tables report, as a float64
-    ``(T x 6)`` table with one row per iteration and columns in
-    ``METRIC_FIELDS`` order. Both arrays must be finite and are made
-    read-only; ``alpha`` must be in (0, 1], kept as a float.
+    iteration, a vector of T >= 1 entries. ``metrics`` holds the
+    alpha-scaled metrics the summary tables report, a ``(T x 6)`` table
+    with one row per iteration and columns in ``METRIC_FIELDS`` order.
+    Each array is checked by ``errors._vector``'s rule, losses first:
+    finite reals, kept as float64 (a float64 array as given, anything
+    else as a copy) and made read-only. ``alpha`` must be in (0, 1],
+    kept as a float.
     """
 
     iteration_losses: np.ndarray
@@ -181,11 +183,13 @@ class FsvResult:
     alpha: float
 
     def __post_init__(self) -> None:
-        t = np.size(self.iteration_losses)
-        if t < 1:
-            raise ValidationError("need t >= 1 iteration_losses, got 0")
-        _frozen_array("iteration_losses", self.iteration_losses, (t,))
-        _frozen_array("metrics", self.metrics, (t, len(METRIC_FIELDS)))
+        losses = _vector("iteration_losses", self.iteration_losses)
+        t, width = len(losses), len(METRIC_FIELDS)
+        metrics = _vector("metrics", self.metrics, t, t, columns=width)
+        for array in (losses, metrics):
+            array.setflags(write=False)
+        object.__setattr__(self, "iteration_losses", losses)
+        object.__setattr__(self, "metrics", metrics)
         object.__setattr__(self, "alpha", _alpha(self.alpha))
 
     @property

@@ -34,7 +34,7 @@ import reprlib
 import time
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, zip_longest
 from pathlib import Path
 
@@ -49,9 +49,7 @@ from .fsv import (
     DEFAULT_ALPHA, _check_alpha, compound_measure, sampled_kfold_trial
 )
 from .kfold import LambdaWeights, _subsample_range, repeated_kfcv
-from .metrics import (
-    METRIC_FIELDS, Aggregate, Method, _frozen_array, metric_table, summarize
-)
+from .metrics import METRIC_FIELDS, Aggregate, Method, metric_table, summarize
 from .rng import Purpose, derive_stream
 from .sampling import FRACTION_RANGE, _fraction_window
 
@@ -89,14 +87,15 @@ class ExperimentConfig:
     """Full study configuration; the defaults are the reference protocol.
 
     ``sizes`` and ``trials`` are non-empty sequences of distinct counts
-    >= 1 (5.0 is taken as 5), each size at most ``errors._MAX_ENTRIES``,
-    and ``k`` (>= 2), ``repetitions`` (>= 1) and ``seed`` (>= 0) are
-    counts too. ``mu`` must be finite, ``sigma2`` finite and > 0, and
-    ``alpha`` follows :class:`~fusionval.FsvConfig`'s rule: in (0, 1],
-    with a warning below 0.8. Every size must train k
-    folds and leave a holdout at either end of ``fraction_range``, and
-    sigma2 must be at most ``errors._SUM_LIMIT / max(sizes)``, so that
-    every dataset the study draws passes ``Dataset``'s span rule.
+    >= 1 (5.0 is taken as 5), each at most ``errors._MAX_ENTRIES``, as
+    each sizes arrays: a dataset, or a cell's tables and losses. ``k``
+    (>= 2), ``repetitions`` (>= 1) and ``seed`` (>= 0) are counts too.
+    ``mu`` must be finite, ``sigma2`` finite and > 0, and ``alpha``
+    follows :class:`~fusionval.FsvConfig`'s rule: in (0, 1], with a
+    warning below 0.8. Every size must train k folds and leave a holdout
+    at either end of ``fraction_range``, and sigma2 must be at most
+    ``errors._SUM_LIMIT / max(sizes)``, so that every dataset the study
+    draws passes ``Dataset``'s span rule.
     Every real is kept as a float, so a config given integers hashes
     like its float twin.
     """
@@ -118,8 +117,8 @@ class ExperimentConfig:
         def normalise(name, value):
             object.__setattr__(self, name, value)
 
-        for name, most in (("sizes", _MAX_ENTRIES), ("trials", None)):
-            values = _numbers(name, getattr(self, name), 1, most)
+        for name in ("sizes", "trials"):
+            values = _numbers(name, getattr(self, name), 1, _MAX_ENTRIES)
             if not values:
                 raise ValidationError(f"{name} must be non-empty")
             for i, value in enumerate(values):
@@ -270,13 +269,14 @@ def _run_trial_task(args: tuple) -> tuple[np.ndarray, float]:
 class CellResult:
     """All trials of one (n, t) grid cell; t and the rest are derived.
 
-    ``trials[method]`` is a float64 ``(t x 6)`` table for exactly SRS,
-    KFCV and FSV, columns in ``METRIC_FIELDS`` order, and
-    ``fsv_iteration_losses`` the FSV passes' t >= 1 raw mean fold
-    losses; the arrays must be finite and are made read-only.
-    ``summaries[method][metric]`` is a column's :class:`Aggregate`,
-    computed on first read, and ``fsv_compounded`` compounds the losses
-    with ``alpha``, a float in (0, 1].
+    ``fsv_iteration_losses`` holds the FSV passes' t >= 1 raw mean fold
+    losses and ``trials[method]`` a ``(t x 6)`` table for exactly SRS,
+    KFCV and FSV, columns in ``METRIC_FIELDS`` order. Each array is
+    checked by ``errors._vector``'s rule, losses first: finite reals,
+    kept as float64 (a float64 array as given, anything else as a copy)
+    and made read-only. ``summaries[method][metric]`` is a column's
+    :class:`Aggregate`, computed on first read, and ``fsv_compounded``
+    compounds the losses with ``alpha``, a float in (0, 1].
     """
 
     n: int
@@ -285,18 +285,24 @@ class CellResult:
     alpha: float
 
     def __post_init__(self) -> None:
-        losses = self.fsv_iteration_losses
-        t = np.size(losses)
+        name = f"cell (n={self.n!r}) fsv_iteration_losses"
+        losses = _vector(name, self.fsv_iteration_losses)
+        t, width = len(losses), len(METRIC_FIELDS)
         where = f"cell (n={self.n!r}, t={t})"
         object.__setattr__(self, "n", _count(f"{where} n", self.n, 1))
-        if t < 1 or sorted(self.trials) != sorted(_METHODS):
+        if sorted(self.trials) != sorted(_METHODS):
             raise ValidationError(
-                f"{where}: need t >= 1 fsv_iteration_losses and trials for "
-                f"exactly {list(_METHODS)}, got {sorted(self.trials)}"
+                f"{where}: need trials for exactly {list(_METHODS)}, "
+                f"got {sorted(self.trials)}"
             )
-        _frozen_array(f"{where} fsv_iteration_losses", losses, (t,))
-        for method, table in self.trials.items():
-            _frozen_array(f"{where} {method}", table, (t, len(METRIC_FIELDS)))
+        trials = {
+            m: _vector(f"{where} {m}", table, t, t, columns=width)
+            for m, table in self.trials.items()
+        }
+        for array in (losses, *trials.values()):
+            array.setflags(write=False)
+        object.__setattr__(self, "fsv_iteration_losses", losses)
+        object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "alpha", _alpha(self.alpha))
 
     @property
@@ -510,11 +516,22 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
+def _same(want, got) -> bool:
+    """Whether ``got`` equals ``want`` and dumps to the same JSON text,
+    keys sorted as :func:`emit_json` writes them and a value JSON cannot
+    hold shown by its repr: Python finds ``True``, ``1`` and ``1.0``
+    equal, their JSON text differs. Equality is tested first, so that
+    keys JSON cannot sort (``1`` beside ``'n'``) never reach the dump."""
+    text = partial(json.dumps, sort_keys=True, default=repr)
+    return want == got and text(want) == text(got)
+
+
 def _first_difference(want: dict, got: dict) -> str:
-    """The first leaf at which ``got`` differs from ``want``: its path,
-    like ``report['cells'][1]['t']``, and both values. Paths are taken
-    in ``want``'s order, so a report's top-level keys come before its
-    cells; an empty dict or list counts as a leaf."""
+    """The first leaf at which ``got`` differs from ``want`` by
+    :func:`_same`: its path, like ``report['cells'][1]['t']``, and both
+    values. Paths are taken in ``want``'s order, so a report's top-level
+    keys come before its cells; an empty dict or list counts as a
+    leaf."""
 
     def leaves(value, path):
         if not isinstance(value, (dict, list)) or not value:
@@ -524,7 +541,8 @@ def _first_difference(want: dict, got: dict) -> str:
 
     want, got = dict(leaves(want, "report")), dict(leaves(got, "report"))
     path = next(
-        p for p in [*want, *got] if want.get(p, ...) != got.get(p, ...)
+        p for p in [*want, *got]
+        if not _same(want.get(p, ...), got.get(p, ...))
     )
     got, want = (
         "nothing" if v is ... else reprlib.repr(v)
@@ -539,13 +557,14 @@ def report_from_dict(d: dict) -> ExperimentReport:
     Only the inputs are read: the config, each cell's ``n``, trial rows
     and ``fsv_iteration_losses``, and ``wall_time_s``. The report is
     built from them through the constructors, which check the grid and
-    each cell, and :func:`report_to_dict` of it must then equal ``d``.
-    So every derived value (the config hash, the version, each cell's t,
-    summaries and ``fsv_compounded``) must be the one its inputs give,
-    and no key may be missing or extra; a report whose config was edited
-    after the run fails on its ``config_hash``. The error names the
-    first path that differs, or the cell whose inputs are missing or
-    mistyped.
+    each cell, and :func:`report_to_dict` of it must then equal ``d``
+    and dump to the same JSON text, so a ``true`` or ``100.0`` stored
+    where the report has ``1`` or ``100`` is refused. So every derived
+    value (the config hash, the version, each cell's t, summaries and
+    ``fsv_compounded``) must be the one its inputs give, and no key may
+    be missing or extra; a report whose config was edited after the run
+    fails on its ``config_hash``. The error names the first path that
+    differs, or the cell whose inputs are missing or mistyped.
     """
     where = "report"
     try:
@@ -557,16 +576,10 @@ def report_from_dict(d: dict) -> ExperimentReport:
         for i, cd in enumerate(d["cells"]):
             where = f"report['cells'][{i}]"
             trials = {
-                method: _vector(
-                    f"{where}['trials'][{method!r}]",
-                    [[row[m] for m in METRIC_FIELDS] for row in rows],
-                    columns=len(METRIC_FIELDS),
-                )
+                method: [[row[m] for m in METRIC_FIELDS] for row in rows]
                 for method, rows in cd["trials"].items()
             }
-            losses = _vector(
-                f"{where}['fsv_iteration_losses']", cd["fsv_iteration_losses"]
-            )
+            losses = cd["fsv_iteration_losses"]
             cells.append(CellResult(cd["n"], trials, losses, config.alpha))
     except ValidationError:
         raise
@@ -576,7 +589,7 @@ def report_from_dict(d: dict) -> ExperimentReport:
         ) from exc
     report = ExperimentReport(config, cells, wall_time_s)
     want = report_to_dict(report)
-    if want != d:
+    if not _same(want, d):
         raise ValidationError(_first_difference(want, d))
     return report
 

@@ -58,20 +58,6 @@ class Aggregate(NamedTuple):
     max: float
 
 
-def _frozen_array(name: str, array, shape: tuple[int, ...]) -> None:
-    """Make ``array`` read-only; a ValidationError naming ``name`` unless
-    it is a finite float64 array of ``shape``."""
-    dtype = getattr(array, "dtype", type(array).__name__)
-    if dtype != np.float64 or np.shape(array) != shape:
-        raise ValidationError(
-            f"{name} must be a float64 array of shape {shape}, got "
-            f"{dtype} of shape {np.shape(array)}"
-        )
-    if not np.isfinite(array).all():
-        raise ValidationError(f"{name} must be finite")
-    array.setflags(write=False)
-
-
 def metric_table(
     mean_est,
     var_est,

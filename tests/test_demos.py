@@ -123,7 +123,7 @@ def test_every_demo_runs(demo):
 # README's input rules are doctest examples, each refusal's expected
 # output its exact message; at least this many must run, so that an
 # example lost to a malformed block cannot pass unnoticed
-_README_EXAMPLES = 23
+_README_EXAMPLES = 28
 
 
 def test_every_readme_example_gives_its_stated_output():

@@ -241,8 +241,6 @@ class TestFsvRun:
         for bad_losses, alpha in (
             (np.array([]), 0.9),
             (1.0, 0.9),
-            ([1.0, 2.0], 0.9),
-            (losses.astype(np.float32), 0.9),
             (losses, 0.0),
         ):
             with pytest.raises(ValidationError):
@@ -251,6 +249,15 @@ class TestFsvRun:
                     metrics=np.zeros((np.size(bad_losses), 6)),
                     alpha=alpha,
                 )
+        # a list or a float32 array is kept as a read-only float64 copy
+        for given in ([1.0, 2.0], losses.astype(np.float32)):
+            kept = FsvResult(
+                iteration_losses=given,
+                metrics=np.zeros((np.size(given), 6)),
+                alpha=0.9,
+            ).iteration_losses
+            assert kept.dtype == np.float64 and not kept.flags.writeable
+            assert np.array_equal(kept, given)
 
     @pytest.mark.parametrize(
         "metrics",
@@ -258,7 +265,6 @@ class TestFsvRun:
             np.zeros((2, 5)),
             np.zeros((3, 6)),
             np.zeros(12),
-            np.zeros((2, 6), dtype=np.float32),
         ],
     )
     def test_metrics_table_shape_enforced(self, metrics):
@@ -274,6 +280,35 @@ class TestFsvRun:
             alpha=0.95,
         )
         assert not result.metrics.flags.writeable
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [
+            np.zeros((2, 6), dtype=np.float32),
+            [[0.5] * 6] * 2,
+            np.ones((2, 6), dtype=int),
+        ],
+        ids=["float32", "list", "int"],
+    )
+    def test_metrics_stored_as_read_only_float64(self, metrics):
+        kept = FsvResult(np.ones(2), metrics, 0.95).metrics
+        assert kept.dtype == np.float64 and not kept.flags.writeable
+        assert np.array_equal(kept, metrics)
+
+    def test_float64_arrays_stored_as_given(self):
+        losses, metrics = np.ones(2), np.zeros((2, 6))
+        result = FsvResult(losses, metrics, 0.95)
+        assert result.iteration_losses is losses
+        assert result.metrics is metrics
+        assert not losses.flags.writeable and not metrics.flags.writeable
+
+    def test_ragged_losses_refused_by_name(self):
+        with pytest.raises(
+            ValidationError,
+            match=r"^iteration_losses must be a vector of reals of length at "
+            r"least 1, got a ragged sequence$",
+        ):
+            FsvResult([[1.0], [1.0, 2.0]], np.zeros((2, 6)), 0.9)
 
     def test_rejects_small_dataset_and_exhausting_sample(self):
         # round(0.6 * 7) = 4 points cannot fill k = 5 folds

@@ -506,32 +506,18 @@ class TestResultConstructors:
         [
             (
                 lambda d: d["trials"].pop("KFCV"),
-                r": need t >= 1 fsv_iteration_losses and trials for exactly",
+                r": need trials for exactly \['SRS', 'KFCV', 'FSV'\]",
             ),
             (
                 lambda d: d["trials"].update(SRS=np.zeros((2, 6))),
-                r" SRS must be a float64 array of shape \(3, 6\), "
-                r"got float64 of shape \(2, 6\)",
-            ),
-            (
-                lambda d: d["trials"].update(
-                    FSV=np.zeros((3, 6), dtype=np.float32)
-                ),
-                r" FSV must be a float64 array of shape \(3, 6\), got float32",
-            ),
-            (
-                lambda d: d.update(fsv_iteration_losses=[1.0, 2.0, 3.0]),
-                r" fsv_iteration_losses must be a float64 array of shape "
-                r"\(3,\), got list",
+                r" SRS must be a \(trials x 6\) table of reals of length 3, "
+                r"got float64 of shape \(2, 6\)$",
             ),
             (lambda d: d.update(n=100.5), r" n must be an integer"),
             (lambda d: d.update(n=0), r" n must be >= 1, got 0$"),
             (lambda d: d.update(n=-5), r" n must be >= 1, got -5$"),
         ],
-        ids=[
-            "missing-method", "short-table", "float32", "list-losses", "n",
-            "n-zero", "n-negative",
-        ],
+        ids=["missing-method", "short-table", "n", "n-zero", "n-negative"],
     )
     def test_cell_refuses_a_wrong_input(self, small_report, edit, match):
         inputs = _cell_inputs(small_report.cell(100, 3))
@@ -539,6 +525,49 @@ class TestResultConstructors:
         n = re.escape(repr(inputs["n"]))
         with pytest.raises(
             ValidationError, match=rf"^cell \(n={n}, t=3\){match}"
+        ):
+            CellResult(**inputs)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["trials"].update(
+                FSV=np.zeros((3, 6), dtype=np.float32)
+            ),
+            lambda d: d.update(fsv_iteration_losses=[1.0, 2.0, 3.0]),
+        ],
+        ids=["float32", "list-losses"],
+    )
+    def test_cell_stores_any_real_array_as_read_only_float64(
+        self, small_report, edit
+    ):
+        inputs = _cell_inputs(small_report.cell(100, 3))
+        edit(inputs)
+        cell = CellResult(**inputs)
+        given = [inputs["fsv_iteration_losses"], *inputs["trials"].values()]
+        stored = [cell.fsv_iteration_losses, *cell.trials.values()]
+        for array, kept in zip(given, stored):
+            assert kept.dtype == np.float64 and not kept.flags.writeable
+            assert np.array_equal(kept, array)
+
+    def test_cell_stores_a_float64_array_as_given(self, small_report):
+        inputs = _cell_inputs(small_report.cell(100, 3))
+        losses = inputs["fsv_iteration_losses"].copy()
+        trials = {m: table.copy() for m, table in inputs["trials"].items()}
+        cell = CellResult(inputs["n"], trials, losses, inputs["alpha"])
+        assert cell.fsv_iteration_losses is losses
+        assert not losses.flags.writeable
+        for method, table in trials.items():
+            assert cell.trials[method] is table
+            assert not table.flags.writeable
+
+    def test_cell_refuses_ragged_losses_by_name(self, small_report):
+        inputs = _cell_inputs(small_report.cell(100, 3))
+        inputs["fsv_iteration_losses"] = [[1.0], [1.0, 2.0]]
+        with pytest.raises(
+            ValidationError,
+            match=r"^cell \(n=100\) fsv_iteration_losses must be a vector of "
+            r"reals of length at least 1, got a ragged sequence$",
         ):
             CellResult(**inputs)
 
@@ -701,7 +730,11 @@ class TestMarkdownTable:
         with pytest.raises(ValidationError, match=r"^cell \(n=100, t=2\) SRS"):
             dataclasses.replace(cell, trials={**cell.trials, "SRS": []})
         empty = {m: np.zeros((0, 6)) for m in cell.trials}
-        with pytest.raises(ValidationError, match="need t >= 1"):
+        with pytest.raises(
+            ValidationError,
+            match=r"^cell \(n=100\) fsv_iteration_losses must be a vector of "
+            r"reals of length at least 1, got float64 of shape \(0,\)$",
+        ):
             CellResult(100, empty, np.zeros(0), 0.95)
 
 
@@ -801,7 +834,18 @@ class TestJsonRoundTrip:
         d["config"]["mu"] = 0
         payload = json.dumps(d["config"], sort_keys=True).encode()
         d["config_hash"] = hashlib.sha256(payload).hexdigest()[:16]
-        with pytest.raises(ValidationError, match="config_hash"):
+        # its mu, 0, does not dump back as the 0.0 the report keeps
+        with pytest.raises(
+            ValidationError,
+            match=r"^report\['config'\]\['mu'\]: stored 0, but the "
+            r"report's inputs give 0\.0$",
+        ):
+            report_from_dict(d)
+        # and with mu written as 0.0, its hash is not the report's
+        d["config"]["mu"] = 0.0
+        with pytest.raises(
+            ValidationError, match=r"^report\['config_hash'\]: stored"
+        ):
             report_from_dict(d)
 
     def test_unknown_config_key_is_named(self, small_report):
@@ -861,8 +905,8 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize(
         "field_name, path",
         [
-            ("trials", r"\['trials'\]\['KFCV'\]"),
-            ("fsv_iteration_losses", r"\['fsv_iteration_losses'\]"),
+            ("trials", r"cell \(n=100, t=3\) KFCV must be a \(trials x 6\) "),
+            ("fsv_iteration_losses", r"cell \(n=100\) fsv_iteration_losses "),
         ],
         ids=["trials", "fsv_iteration_losses"],
     )
@@ -886,9 +930,48 @@ class TestJsonRoundTrip:
         else:
             cell["fsv_iteration_losses"][1] = True
         with pytest.raises(
-            ValidationError,
-            match=rf"^report\['cells'\]\[1\]{path} must be a .*, got a bool",
+            ValidationError, match=rf"^{path}.*, got a bool entry$"
         ):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (
+                lambda d: d["cells"][0].update(t=True),
+                r"report\['cells'\]\[0\]\['t'\]: stored True, but the "
+                r"report's inputs give 1$",
+            ),
+            (
+                lambda d: d["cells"][0].update(n=100.0),
+                r"report\['cells'\]\[0\]\['n'\]: stored 100\.0, but the "
+                r"report's inputs give 100$",
+            ),
+            (
+                lambda d: d["config"].update(seed=42.0),
+                r"report\['config'\]\['seed'\]: stored 42\.0, but the "
+                r"report's inputs give 42$",
+            ),
+            (
+                lambda d: d["config"].update(k=2.0),
+                r"report\['config'\]\['k'\]: stored 2\.0, but the "
+                r"report's inputs give 2$",
+            ),
+        ],
+        ids=["t-true", "n-float", "seed-float", "k-float"],
+    )
+    def test_a_value_python_finds_equal_must_dump_back_the_same(
+        self, tmp_path, edit, match
+    ):
+        # True == 1 == 1.0 in Python, but each dumps to its own JSON text;
+        # a cell of one trial, so that its t is 1
+        config = dataclasses.replace(_SMALL, trials=(1,))
+        report = run_experiment(config, jobs=1)
+        path = emit_json(report, tmp_path / "report.json")
+        d = json.loads(path.read_text())
+        report_from_dict(d)
+        edit(d)
+        with pytest.raises(ValidationError, match=f"^{match}"):
             report_from_dict(d)
 
     @pytest.mark.parametrize(
@@ -912,8 +995,8 @@ class TestJsonRoundTrip:
                 lambda d: d["cells"][1]["trials"].update(
                     LOO=d["cells"][1]["trials"]["SRS"]
                 ),
-                r"cell \(n=100, t=3\): need t >= 1 fsv_iteration_losses and "
-                r"trials for exactly \['SRS', 'KFCV', 'FSV'\], got "
+                r"cell \(n=100, t=3\): need trials for exactly "
+                r"\['SRS', 'KFCV', 'FSV'\], got "
                 r"\['FSV', 'KFCV', 'LOO', 'SRS'\]",
             ),
             (
@@ -937,8 +1020,8 @@ class TestJsonRoundTrip:
             ),
             (
                 lambda d: d["cells"][1].update(fsv_iteration_losses="abc"),
-                r"report\['cells'\]\[1\]\['fsv_iteration_losses'\] must be a "
-                r"vector of reals of length at least 1, got <U3 of shape \(\)",
+                r"cell \(n=100\) fsv_iteration_losses must be a vector of "
+                r"reals of length at least 1, got <U3 of shape \(\)",
             ),
             (
                 lambda d: d.update(wall_time_s="1 s"),
