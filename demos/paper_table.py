@@ -13,6 +13,7 @@ are alpha times a small deviation, so alpha moves them by only 5 per
 cent of their own size and does not explain their gaps to the abstract.
 """
 
+from fusionval.fsv import compound_measure
 from fusionval.harness import ExperimentConfig, run_experiment
 
 N, T = 100_000, 100
@@ -37,7 +38,7 @@ LABELS = {
 def main():
     config = ExperimentConfig(sizes=(N,), trials=(T,))
     cell = run_experiment(config, jobs=1).cell(N, T)
-    alpha = cell.alpha
+    alpha = config.alpha
     fsv = {metric: agg.mean for metric, agg in cell.summaries["FSV"].items()}
     print(f"FSV cell means at (n, T) = ({N}, {T}), seed {config.seed}, "
           f"alpha = {alpha}")
@@ -47,7 +48,7 @@ def main():
     for metric, label in LABELS.items():
         print(f"| {label:<6} | {ABSTRACT[metric]:9.6f} | {fsv[metric]:9.6f} "
               f"| {fsv[metric] / alpha:15.6f} |")
-    lstar = cell.fsv_compounded
+    lstar = compound_measure(cell.fsv_iteration_losses, alpha)
     print(f"| L*     | {'':9} | {lstar:9.6f} | {lstar / alpha:15.6f} |")
     print()
     print(f"from alpha: VE and MSE read near alpha * sigma2 = "

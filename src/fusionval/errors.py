@@ -211,14 +211,16 @@ def _holds_bool(values) -> bool:
 
 def _vector(
     name: str, values, least: int = 1, most: int | None = None,
-    integral: bool = False, columns: int | None = None,
+    integral: bool = False, columns: int | tuple[int, ...] | None = None,
 ) -> np.ndarray:
     """``values`` as a 1-D array of ``least`` to ``most`` entries (no
-    bound if None) or, given ``columns``, rows of ``columns`` entries;
+    bound if None) or, given ``columns``, rows of ``columns`` entries,
+    or of that shape if it is a tuple (``(3, 6)``: a row of 3 x 6);
     else a ValidationError naming the field. Reals must be finite and
     come back as float64, a float64 array as given; ``integral`` takes
     integers only, in their own dtype. Bool (at any depth), str,
     complex, object and ragged entries are refused."""
+    row = (columns,) if isinstance(columns, int) else tuple(columns or ())
     try:
         array = np.asarray(values)
     except ValueError:  # numpy's refusal of a ragged nesting
@@ -228,7 +230,7 @@ def _vector(
             got = "a bool entry"
         elif (
             array.ndim  # a 0-d array has no length
-            and array.shape[1:] == ((columns,) if columns else ())
+            and array.shape[1:] == row
             and array.dtype.kind in ("iu" if integral else "iuf")
             and least <= len(array)
             and (most is None or len(array) <= most)
@@ -246,7 +248,8 @@ def _vector(
     else:
         length = f"at least {least}" if most is None else f"{least} to {most}"
     kind = "integers" if integral else "reals"
-    form = f"(trials x {columns}) table" if columns else "vector"
+    shape = " x ".join(map(str, ("trials", *row)))
+    form = f"({shape}) table" if row else "vector"
     raise ValidationError(
         f"{name} must be a {form} of {kind} of length {length}, got {got}"
     )

@@ -15,13 +15,14 @@ byte-identical under any worker count. The trial key hashes the cell
 coordinates, which keeps cells independent of grid composition: running
 one cell alone reproduces its slice of the full grid.
 
-Results store only their inputs. A :class:`CellResult` holds n, its
-trial tables, its FSV iteration losses and alpha; t, the summaries and
-L* derive from them. An :class:`ExperimentReport` holds the config, the
-cells and the wall time; its config hash and version derive from them.
-Each type has one constructor, which checks its inputs. A saved report
-loads by one rule: the report built from its inputs must dump back to
-exactly what was saved.
+Results store only their inputs. A :class:`CellResult` holds n, one
+``(t x 3 x 6)`` table of its trials' metrics and its FSV iteration
+losses; t, the per-method views and the summaries derive from them. An
+:class:`ExperimentReport` holds the config, the cells and the wall time;
+its config hash and version derive from them, and each cell's L* from
+its losses and the config's one alpha. Each type has one constructor,
+which checks its inputs. A saved report loads by one rule: the report
+built from its inputs must dump back to exactly what was saved.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .data import generate_dataset
 from .errors import (
-    _MAX_ENTRIES, _SUM_LIMIT, ValidationError, _alpha, _count, _finite,
+    _MAX_ENTRIES, _SUM_LIMIT, ValidationError, _count, _finite,
     _nonnegative, _numbers, _positive, _vector,
 )
 from .fsv import (
@@ -270,60 +271,52 @@ class CellResult:
     """All trials of one (n, t) grid cell; t and the rest are derived.
 
     ``fsv_iteration_losses`` holds the FSV passes' t >= 1 raw mean fold
-    losses and ``trials[method]`` a ``(t x 6)`` table for exactly SRS,
-    KFCV and FSV, columns in ``METRIC_FIELDS`` order. Each array is
+    losses and ``table`` a ``(t x 3 x 6)`` table: per trial one row per
+    method in ``_METHODS`` order (SRS, KFCV, FSV, the FSV row
+    alpha-scaled), columns in ``METRIC_FIELDS`` order. Each array is
     checked by ``errors._vector``'s rule, losses first: finite reals,
     kept as float64 (a float64 array as given, anything else as a copy)
-    and made read-only. ``summaries[method][metric]`` is a column's
-    :class:`Aggregate`, computed on first read, and ``fsv_compounded``
-    compounds the losses with ``alpha``, a float in (0, 1].
+    and made read-only. ``trials[method]`` is a method's read-only
+    ``(t x 6)`` view of the table and ``summaries[method][metric]`` a
+    column's :class:`Aggregate`, computed on first read. A cell keeps
+    no alpha: its L* is ``compound_measure(fsv_iteration_losses,
+    alpha)`` with its study's ``config.alpha``.
     """
 
     n: int
-    trials: dict[str, np.ndarray]
+    table: np.ndarray
     fsv_iteration_losses: np.ndarray
-    alpha: float
 
     def __post_init__(self) -> None:
         name = f"cell (n={self.n!r}) fsv_iteration_losses"
         losses = _vector(name, self.fsv_iteration_losses)
-        t, width = len(losses), len(METRIC_FIELDS)
+        t, row = len(losses), (len(_METHODS), len(METRIC_FIELDS))
         where = f"cell (n={self.n!r}, t={t})"
         object.__setattr__(self, "n", _count(f"{where} n", self.n, 1))
-        if sorted(self.trials) != sorted(_METHODS):
-            raise ValidationError(
-                f"{where}: need trials for exactly {list(_METHODS)}, "
-                f"got {sorted(self.trials)}"
-            )
-        trials = {
-            m: _vector(f"{where} {m}", table, t, t, columns=width)
-            for m, table in self.trials.items()
-        }
-        for array in (losses, *trials.values()):
+        table = _vector(f"{where} table", self.table, t, t, columns=row)
+        for array in (losses, table):
             array.setflags(write=False)
         object.__setattr__(self, "fsv_iteration_losses", losses)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "alpha", _alpha(self.alpha))
+        object.__setattr__(self, "table", table)
 
     @property
     def t(self) -> int:
         return len(self.fsv_iteration_losses)
 
+    @property
+    def trials(self) -> dict[str, np.ndarray]:
+        return {m: self.table[:, i] for i, m in enumerate(_METHODS)}
+
     @cached_property
     def summaries(self) -> dict[str, dict[str, Aggregate]]:
         return {m: summarize(table) for m, table in self.trials.items()}
 
-    @property
-    def fsv_compounded(self) -> float:
-        """L*: alpha times the mean of ``fsv_iteration_losses``."""
-        return compound_measure(self.fsv_iteration_losses, self.alpha)
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """A run's cells, which must be ``config``'s grid in run order, each
-    compounded with ``config.alpha``; ``cells`` is kept as a tuple and
-    ``wall_time_s`` (>= 0) as a float."""
+    """A run's cells, which must be ``config``'s grid of (n, t) in run
+    order; ``cells`` is kept as a tuple and ``wall_time_s`` (>= 0) as a
+    float. Each cell's L* compounds its losses with ``config.alpha``."""
 
     config: ExperimentConfig
     cells: tuple[CellResult, ...]
@@ -333,10 +326,10 @@ class ExperimentReport:
         object.__setattr__(self, "cells", tuple(self.cells))
         wall = _nonnegative("wall_time_s", self.wall_time_s)
         object.__setattr__(self, "wall_time_s", wall)
-        # a name shows n, t and alpha exactly, so equal names, equal cells
-        name = "(n={}, t={}) with alpha {!r}".format
-        found = [name(c.n, c.t, c.alpha) for c in self.cells]
-        grid = [name(n, t, self.config.alpha) for n, t in _grid(self.config)]
+        # a name shows n and t exactly, so equal names, equal coordinates
+        name = "(n={}, t={})".format
+        found = [name(c.n, c.t) for c in self.cells]
+        grid = [name(n, t) for n, t in _grid(self.config)]
         for i, (want, got) in enumerate(
             zip_longest(grid, found, fillvalue="nothing")
         ):
@@ -405,12 +398,7 @@ def run_experiment(
     tables = np.stack([table for table, _ in outcomes])
     losses = np.array([raw_loss for _, raw_loss in outcomes])
     cells = [
-        CellResult(
-            n,
-            {m: tables[end - t:end, i] for i, m in enumerate(_METHODS)},
-            losses[end - t:end],
-            config.alpha,
-        )
+        CellResult(n, tables[end - t:end], losses[end - t:end])
         for (n, t), end in zip(grid, accumulate(t for _, t in grid))
     ]
     return ExperimentReport(config, cells, time.perf_counter() - started)
@@ -441,10 +429,8 @@ def emit_markdown_table(report: ExperimentReport, n: int) -> str:
             lines.append("| " + " | ".join(row) + " |")
     lines.append("")
     for c in cells:
-        lines.append(
-            f"Compounded measure L* ({c.t} trials): "
-            f"{c.fsv_compounded:.4f}"
-        )
+        lstar = compound_measure(c.fsv_iteration_losses, report.config.alpha)
+        lines.append(f"Compounded measure L* ({c.t} trials): {lstar:.4f}")
     return "\n".join(lines) + "\n"
 
 
@@ -489,7 +475,7 @@ def emit_csv(
     )
 
 
-def _cell_to_dict(c: CellResult) -> dict:
+def _cell_to_dict(c: CellResult, alpha: float) -> dict:
     return {
         "n": c.n,
         "t": c.t,
@@ -501,7 +487,7 @@ def _cell_to_dict(c: CellResult) -> dict:
             method: {metric: agg._asdict() for metric, agg in stats.items()}
             for method, stats in c.summaries.items()
         },
-        "fsv_compounded": c.fsv_compounded,
+        "fsv_compounded": compound_measure(c.fsv_iteration_losses, alpha),
         "fsv_iteration_losses": c.fsv_iteration_losses.tolist(),
     }
 
@@ -512,7 +498,7 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "config_hash": report.config_hash,
         "version": report.version,
         "wall_time_s": report.wall_time_s,
-        "cells": [_cell_to_dict(c) for c in report.cells],
+        "cells": [_cell_to_dict(c, report.config.alpha) for c in report.cells],
     }
 
 
@@ -555,7 +541,11 @@ def report_from_dict(d: dict) -> ExperimentReport:
     """Rebuild a report from :func:`report_to_dict` output.
 
     Only the inputs are read: the config, each cell's ``n``, trial rows
-    and ``fsv_iteration_losses``, and ``wall_time_s``. The report is
+    and ``fsv_iteration_losses``, and ``wall_time_s``. A cell's rows are
+    read per method in ``_METHODS`` order and zipped trial by trial, so
+    a missing method, or method row lists of unequal length, is refused
+    naming the cell, and a method beyond the three is refused by the
+    dump-back rule below; no cell is truncated. The report is
     built from them through the constructors, which check the grid and
     each cell, and :func:`report_to_dict` of it must then equal ``d``
     and dump to the same JSON text, so a ``true`` or ``100.0`` stored
@@ -575,12 +565,13 @@ def report_from_dict(d: dict) -> ExperimentReport:
         cells = []
         for i, cd in enumerate(d["cells"]):
             where = f"report['cells'][{i}]"
-            trials = {
-                method: [[row[m] for m in METRIC_FIELDS] for row in rows]
-                for method, rows in cd["trials"].items()
-            }
+            methods = (cd["trials"][m] for m in _METHODS)
+            table = [
+                [[row[f] for f in METRIC_FIELDS] for row in rows]
+                for rows in zip(*methods, strict=True)
+            ]
             losses = cd["fsv_iteration_losses"]
-            cells.append(CellResult(cd["n"], trials, losses, config.alpha))
+            cells.append(CellResult(cd["n"], table, losses))
     except ValidationError:
         raise
     except (LookupError, TypeError, AttributeError, ValueError) as exc:

@@ -194,19 +194,19 @@ def _subsample_range(
     it leaves a holdout; a size error names the field."""
     low, high = fraction_range
     m_lo, m_hi = int(round(low * n)), int(round(high * n))
-    what = f"fraction_range {fraction_range} on n={n} points"
     if not _trainable(m_lo, k):
-        raise ValidationError(
-            f"{what} is too small to train k={k} folds: its smallest "
-            f"subsample, {m_lo} points, leaves some fold a training "
-            "complement of fewer than 2 points"
+        fault = (
+            f"is too small to train k={k} folds: its smallest subsample, "
+            f"{m_lo} points, leaves some fold a training complement of "
+            "fewer than 2 points"
         )
-    if require_holdout and m_hi == n:
-        raise ValidationError(
-            f"{what} leaves no holdout: its largest subsample is all "
-            f"n={n} points"
-        )
-    return m_lo, m_hi
+    elif require_holdout and m_hi == n:
+        fault = f"leaves no holdout: its largest subsample is all n={n} points"
+    else:
+        return m_lo, m_hi
+    raise ValidationError(
+        f"fraction_range {fraction_range} on n={n} points {fault}"
+    )
 
 
 def _fold_moments(

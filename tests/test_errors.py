@@ -36,7 +36,8 @@ from fusionval.errors import (
 from fusionval.estimator import ModelParams, fit, loss
 from fusionval.fsv import FsvConfig, FsvResult, compound_measure, fsv_run
 from fusionval.harness import (
-    CellResult, ExperimentConfig, ExperimentReport, run_experiment,
+    CellResult, ExperimentConfig, ExperimentReport, report_to_dict,
+    run_experiment,
 )
 from fusionval.kfold import (
     FoldPlan, LambdaWeights, empirical_kfold_loss, kfold_losses,
@@ -172,14 +173,20 @@ class TestStoredAsFloats:
         assert config.sigma2 == 2.5
 
     def test_a_cell_keeps_the_float_its_config_keeps(self):
-        report = run_experiment(ExperimentConfig(**_SMALL, k=2), jobs=1)
+        config = ExperimentConfig(**_SMALL, k=2, alpha=Fraction(19, 20))
+        report = run_experiment(config, jobs=1)
         (cell,) = report.cells
-        trials = {m: table.copy() for m, table in cell.trials.items()}
         again = CellResult(
-            cell.n, trials, cell.fsv_iteration_losses.copy(), Fraction(19, 20)
+            cell.n, cell.table.tolist(), cell.fsv_iteration_losses.tolist()
         )
-        assert type(again.alpha) is float and again.alpha == 0.95
-        ExperimentReport(report.config, [again], 1.0)
+        assert again.table.dtype == np.float64
+        # the cell's L* is compounded with the config's float alpha
+        (stored,) = report_to_dict(
+            ExperimentReport(report.config, [again], 1.0)
+        )["cells"]
+        lstar = compound_measure(cell.fsv_iteration_losses, 0.95)
+        assert type(stored["fsv_compounded"]) is float
+        assert stored["fsv_compounded"] == lstar
 
     def test_value_types_keep_floats(self):
         stream = RngStream(1, 0)
@@ -436,19 +443,14 @@ def _datasets(least, most):
     ).filter(lambda data: data is not None)
 
 
-_METHODS = ("SRS", "KFCV", "FSV")
-
-
 def _report(alpha, table, losses, wall_time_s):
     """A one-cell report of n=20 and t=2 holding the given values, the
     12 entries of ``table`` for each method."""
     with warnings.catch_warnings():  # an alpha below 0.8 warns
         warnings.simplefilter("ignore", UserWarning)
         config = ExperimentConfig(sizes=(20,), trials=(2,), alpha=alpha)
-    trials = {
-        method: np.array(table).reshape(2, 6) for method in _METHODS
-    }
-    cell = CellResult(20, trials, np.array(losses), alpha)
+    rows = np.reshape(table, (2, 1, 6))
+    cell = CellResult(20, np.repeat(rows, 3, axis=1), np.array(losses))
     return ExperimentReport(config, [cell], wall_time_s)
 
 
@@ -770,28 +772,23 @@ _DOMAIN = {
         warns=True,
     ),
     "CellResult": _Row(
-        # the lists as drawn, each table as two rows of six
-        lambda n, trials, fsv_iteration_losses, alpha: fusionval.CellResult(
+        # the list as drawn, nested as a caller would: two trials of
+        # three methods' rows of six
+        lambda n, table, fsv_iteration_losses: fusionval.CellResult(
             n,
-            {
-                method: [table[:6], table[6:]]
-                for method, table in zip(_METHODS, trials)
-            },
+            [
+                [table[at:at + 6] for at in range(trial, trial + 18, 6)]
+                for trial in (0, 18)
+            ],
             fsv_iteration_losses,
-            alpha,
         ),
         dict(
             n=(20, _near(1, big=True)),
-            trials=(
-                [[0.5] * 12] * 3,
-                st.lists(_reals(12, 12), min_size=3, max_size=3),
-            ),
+            table=([0.5] * 36, _reals(36, 36)),
             fsv_iteration_losses=([1.0, 2.0], _reals(0, 3)),
-            alpha=(0.95, _REAL),
         ),
-        # a cell names each table by its method, after its location, t
-        # once its losses have given it
-        names=_METHODS,
+        # a cell names its arrays after its location, t once its losses
+        # have given it
         where=r"cell \(n=\S+(, t=\d+)?\) ",
     ),
     "ExperimentReport": _Row(

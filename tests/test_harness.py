@@ -228,7 +228,8 @@ class TestExperimentConfig:
                 for summary in cell.summaries.values()
                 for aggregate in summary.values()
             )
-            assert np.isfinite(cell.fsv_compounded)
+            lstar = compound_measure(cell.fsv_iteration_losses, config.alpha)
+            assert np.isfinite(lstar)
 
     @pytest.mark.parametrize(
         "kwargs, field_name",
@@ -426,7 +427,9 @@ class TestRunExperiment:
         grid_cell = grid.cell(300, 4)
         for method, table in lone_cell.trials.items():
             assert np.array_equal(table, grid_cell.trials[method])
-        assert lone_cell.fsv_compounded == grid_cell.fsv_compounded
+        # (300, 4) is the first cell of both grids, L* included
+        first = [report_to_dict(r)["cells"][0] for r in (lone, grid)]
+        assert first[0] == first[1]
 
     def test_shared_streams_scale_the_primary_rows(self):
         report = run_experiment(
@@ -475,9 +478,8 @@ class TestRunExperiment:
 def _cell_inputs(cell):
     return dict(
         n=cell.n,
-        trials=dict(cell.trials),
+        table=cell.table,
         fsv_iteration_losses=cell.fsv_iteration_losses,
-        alpha=cell.alpha,
     )
 
 
@@ -486,57 +488,95 @@ class TestResultConstructors:
         cell = small_report.cell(100, 3)
         rebuilt = CellResult(**_cell_inputs(cell))
         assert rebuilt.t == 3
+        assert list(rebuilt.trials) == ["SRS", "KFCV", "FSV"]
         assert rebuilt.summaries == {
             m: summarize(table) for m, table in cell.trials.items()
         }
-        assert rebuilt.fsv_compounded == compound_measure(
-            cell.fsv_iteration_losses, 0.95
-        )
-        assert not cell.trials["SRS"].flags.writeable
+        # L* is the report's: the cell's losses with the config's alpha
+        stored = report_to_dict(small_report)["cells"][1]["fsv_compounded"]
+        assert stored == compound_measure(cell.fsv_iteration_losses, 0.95)
+        assert not cell.table.flags.writeable
         assert not cell.fsv_iteration_losses.flags.writeable
-        # derived values are not constructor arguments
+        for i, table in enumerate(cell.trials.values()):
+            assert np.shares_memory(table, cell.table)
+            assert not table.flags.writeable
+            assert np.array_equal(table, cell.table[:, i])
+        assert not hasattr(cell, "alpha")
+        assert not hasattr(cell, "fsv_compounded")
+        # derived values and alpha are not constructor arguments
         with pytest.raises(TypeError):
             CellResult(
-                n=1, t=5, trials={}, summaries={}, fsv_compounded=0.0,
-                fsv_iteration_losses=np.zeros(0),
+                n=1, t=5, table=np.zeros((0, 3, 6)), trials={},
+                summaries={}, fsv_iteration_losses=np.zeros(0),
             )
+        with pytest.raises(TypeError):
+            CellResult(**_cell_inputs(cell), alpha=0.95)
 
     @pytest.mark.parametrize(
         "edit, match",
         [
             (
-                lambda d: d["trials"].pop("KFCV"),
-                r": need trials for exactly \['SRS', 'KFCV', 'FSV'\]",
+                lambda d: d.update(table=d["table"][:, :2]),
+                r" table must be a \(trials x 3 x 6\) table of reals of "
+                r"length 3, got float64 of shape \(3, 2, 6\)$",
             ),
             (
-                lambda d: d["trials"].update(SRS=np.zeros((2, 6))),
-                r" SRS must be a \(trials x 6\) table of reals of length 3, "
-                r"got float64 of shape \(2, 6\)$",
+                lambda d: d.update(table=np.zeros((2, 3, 6))),
+                r" table must be a \(trials x 3 x 6\) table of reals of "
+                r"length 3, got float64 of shape \(2, 3, 6\)$",
             ),
             (lambda d: d.update(n=100.5), r" n must be an integer"),
             (lambda d: d.update(n=0), r" n must be >= 1, got 0$"),
             (lambda d: d.update(n=-5), r" n must be >= 1, got -5$"),
+            # a table that is no array: nothing, a method's name, or the
+            # method-keyed dict a cell once took
+            (
+                lambda d: d.update(
+                    n=20, table=None, fsv_iteration_losses=[1.0]
+                ),
+                r" table must be a \(trials x 3 x 6\) table of reals of "
+                r"length 1, got object of shape \(\)$",
+            ),
+            (
+                lambda d: d.update(
+                    n=20, table="SRS", fsv_iteration_losses=[1.0]
+                ),
+                r" table must be a \(trials x 3 x 6\) table of reals of "
+                r"length 1, got <U3 of shape \(\)$",
+            ),
+            (
+                lambda d: d.update(
+                    n=20,
+                    table={m: np.zeros((1, 6)) for m in ("SRS", "KFCV", 0)},
+                    fsv_iteration_losses=[1.0],
+                ),
+                r" table must be a \(trials x 3 x 6\) table of reals of "
+                r"length 1, got object of shape \(\)$",
+            ),
         ],
-        ids=["missing-method", "short-table", "n", "n-zero", "n-negative"],
+        ids=[
+            "missing-method", "short-table", "n", "n-zero", "n-negative",
+            "none-table", "str-table", "method-map",
+        ],
     )
     def test_cell_refuses_a_wrong_input(self, small_report, edit, match):
         inputs = _cell_inputs(small_report.cell(100, 3))
         edit(inputs)
         n = re.escape(repr(inputs["n"]))
+        t = len(inputs["fsv_iteration_losses"])
         with pytest.raises(
-            ValidationError, match=rf"^cell \(n={n}, t=3\){match}"
+            ValidationError, match=rf"^cell \(n={n}, t={t}\){match}"
         ):
             CellResult(**inputs)
 
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda d: d["trials"].update(
-                FSV=np.zeros((3, 6), dtype=np.float32)
-            ),
+            lambda d: d.update(table=np.zeros((3, 3, 6), dtype=np.float32)),
+            lambda d: d.update(table=d["table"].tolist()),
             lambda d: d.update(fsv_iteration_losses=[1.0, 2.0, 3.0]),
         ],
-        ids=["float32", "list-losses"],
+        ids=["float32", "list-table", "list-losses"],
     )
     def test_cell_stores_any_real_array_as_read_only_float64(
         self, small_report, edit
@@ -544,8 +584,8 @@ class TestResultConstructors:
         inputs = _cell_inputs(small_report.cell(100, 3))
         edit(inputs)
         cell = CellResult(**inputs)
-        given = [inputs["fsv_iteration_losses"], *inputs["trials"].values()]
-        stored = [cell.fsv_iteration_losses, *cell.trials.values()]
+        given = [inputs["fsv_iteration_losses"], inputs["table"]]
+        stored = [cell.fsv_iteration_losses, cell.table]
         for array, kept in zip(given, stored):
             assert kept.dtype == np.float64 and not kept.flags.writeable
             assert np.array_equal(kept, array)
@@ -553,13 +593,11 @@ class TestResultConstructors:
     def test_cell_stores_a_float64_array_as_given(self, small_report):
         inputs = _cell_inputs(small_report.cell(100, 3))
         losses = inputs["fsv_iteration_losses"].copy()
-        trials = {m: table.copy() for m, table in inputs["trials"].items()}
-        cell = CellResult(inputs["n"], trials, losses, inputs["alpha"])
+        table = inputs["table"].copy()
+        cell = CellResult(inputs["n"], table, losses)
         assert cell.fsv_iteration_losses is losses
-        assert not losses.flags.writeable
-        for method, table in trials.items():
-            assert cell.trials[method] is table
-            assert not table.flags.writeable
+        assert cell.table is table
+        assert not losses.flags.writeable and not table.flags.writeable
 
     def test_cell_refuses_ragged_losses_by_name(self, small_report):
         inputs = _cell_inputs(small_report.cell(100, 3))
@@ -583,17 +621,17 @@ class TestResultConstructors:
         [
             (
                 lambda cells: cells[::-1],
-                r"cells\[0\] holds \(n=100, t=3\) with alpha 0\.95 where "
-                r"the grid has \(n=100, t=2\) with alpha 0\.95",
+                r"cells\[0\] holds \(n=100, t=3\) where "
+                r"the grid has \(n=100, t=2\)",
             ),
             (
                 lambda cells: cells[:1],
                 r"cells\[1\] holds nothing where the grid has "
-                r"\(n=100, t=3\) with alpha 0\.95",
+                r"\(n=100, t=3\)",
             ),
             (
                 lambda cells: cells + cells[:1],
-                r"cells\[2\] holds \(n=100, t=2\) with alpha 0\.95 where "
+                r"cells\[2\] holds \(n=100, t=2\) where "
                 r"the grid has nothing",
             ),
         ],
@@ -605,16 +643,19 @@ class TestResultConstructors:
         with pytest.raises(ValidationError, match=rf"^{match}; "):
             ExperimentReport(_SMALL, pick(small_report.cells), 0.0)
 
-    def test_report_cell_alpha_must_be_the_config_alpha(self, small_report):
-        first, second = small_report.cells
-        cells = [first, dataclasses.replace(second, alpha=0.5)]
-        with pytest.raises(
-            ValidationError,
-            match=r"^cells\[1\] holds \(n=100, t=3\) with alpha 0\.5 where "
-            r"the grid has \(n=100, t=3\) with alpha 0\.95; the grid is "
-            r"\(n, t\) for n in sizes \[100\] and t in trials \[2, 3\]$",
-        ):
-            ExperimentReport(_SMALL, cells, 0.0)
+    def test_report_compounds_each_cell_with_the_config_alpha(
+        self, small_report
+    ):
+        # a cell keeps no alpha, so the same cells take another config's
+        with pytest.warns(UserWarning, match="far below 1"):
+            config = dataclasses.replace(_SMALL, alpha=0.5)
+        report = ExperimentReport(config, small_report.cells, 0.0)
+        block = emit_markdown_table(report, 100)
+        stored = report_to_dict(report)["cells"]
+        for cell, saved in zip(report.cells, stored, strict=True):
+            lstar = compound_measure(cell.fsv_iteration_losses, 0.5)
+            assert saved["fsv_compounded"] == lstar
+            assert f"L* ({cell.t} trials): {lstar:.4f}\n" in block
 
 
 _SIX = ExperimentConfig(sizes=(100, 120), trials=(1, 2, 3), k=2, repetitions=1)
@@ -627,9 +668,9 @@ def six_cell_report():
 
 def _grid_edits(n):
     """Edits of an n-cell report, as (the indices of the cells kept, in
-    their new order; the position whose cell gets another alpha, or
-    None): any reordering but the identity, a cell dropped, a cell
-    repeated anywhere, or one cell's alpha changed."""
+    their new order; the position whose cell gets another n, or None):
+    any reordering but the identity, a cell dropped, a cell repeated
+    anywhere, or one cell's n changed."""
     every = list(range(n))
     position = st.integers(0, n - 1)
     return st.one_of(
@@ -645,9 +686,9 @@ def _grid_edits(n):
 
 
 class TestGridRule:
-    """The report's cells must be the config's grid, in order, each with
-    the config's alpha: any edit is refused at the first index it
-    changes, by the constructor and by the loader alike."""
+    """The report's cells must be the config's grid, in order: any edit
+    is refused at the first index it changes, by the constructor and by
+    the loader alike."""
 
     def test_the_unedited_cells_are_accepted(self, six_cell_report):
         cells = six_cell_report.cells
@@ -664,8 +705,8 @@ class TestGridRule:
         kept, changed = data.draw(_grid_edits(len(cells)))
         edited = [cells[i] for i in kept]
         if changed is not None:
-            alpha = data.draw(st.floats(0.05, 0.9))
-            edited[changed] = dataclasses.replace(cells[changed], alpha=alpha)
+            n = cells[changed].n + 1  # no size of the grid
+            edited[changed] = dataclasses.replace(cells[changed], n=n)
         first = next(
             i for i, (cell, edit) in enumerate(zip_longest(cells, edited))
             if cell is not edit
@@ -673,11 +714,8 @@ class TestGridRule:
         with pytest.raises(ValidationError, match=rf"^cells\[{first}\] "):
             ExperimentReport(_SIX, edited, 0.0)
         d = report_to_dict(six_cell_report)
-        d["cells"] = [harness._cell_to_dict(c) for c in edited]
-        # an alpha is not stored: it shows in the cell's fsv_compounded
-        with pytest.raises(
-            ValidationError, match=rf"^(report\['cells'\]|cells)\[{first}\]"
-        ):
+        d["cells"] = [harness._cell_to_dict(c, _SIX.alpha) for c in edited]
+        with pytest.raises(ValidationError, match=rf"^cells\[{first}\] "):
             report_from_dict(d)
 
 
@@ -727,15 +765,16 @@ class TestMarkdownTable:
     def test_empty_cell_raises(self, small_report):
         # a cell without trials cannot be built, so it never reaches a table
         cell = small_report.cells[0]
-        with pytest.raises(ValidationError, match=r"^cell \(n=100, t=2\) SRS"):
-            dataclasses.replace(cell, trials={**cell.trials, "SRS": []})
-        empty = {m: np.zeros((0, 6)) for m in cell.trials}
+        with pytest.raises(
+            ValidationError, match=r"^cell \(n=100, t=2\) table"
+        ):
+            dataclasses.replace(cell, table=[])
         with pytest.raises(
             ValidationError,
             match=r"^cell \(n=100\) fsv_iteration_losses must be a vector of "
             r"reals of length at least 1, got float64 of shape \(0,\)$",
         ):
-            CellResult(100, empty, np.zeros(0), 0.95)
+            CellResult(100, np.zeros((0, 3, 6)), np.zeros(0))
 
 
 def _csv_rows(path):
@@ -892,20 +931,24 @@ class TestJsonRoundTrip:
         d = report_to_dict(small_report)
         cell = d["cells"][0]
         if field_name == "trials":
-            cell["trials"]["SRS"].pop()
+            for rows in cell["trials"].values():
+                rows.pop()
         else:
             cell["fsv_iteration_losses"].append(1.0)
-        # t is the number of iteration losses; the SRS table must match it
+        # t is the number of iteration losses; the table must match it
         t = len(cell["fsv_iteration_losses"])
         with pytest.raises(
-            ValidationError, match=rf"^cell \(n=100, t={t}\) SRS must be"
+            ValidationError, match=rf"^cell \(n=100, t={t}\) table must be"
         ):
             report_from_dict(d)
 
     @pytest.mark.parametrize(
         "field_name, path",
         [
-            ("trials", r"cell \(n=100, t=3\) KFCV must be a \(trials x 6\) "),
+            (
+                "trials",
+                r"cell \(n=100, t=3\) table must be a \(trials x 3 x 6\) ",
+            ),
             ("fsv_iteration_losses", r"cell \(n=100\) fsv_iteration_losses "),
         ],
         ids=["trials", "fsv_iteration_losses"],
@@ -915,9 +958,9 @@ class TestJsonRoundTrip:
     ):
         # JSON true equals 1.0, so only the type tells the two apart
         inputs = _cell_inputs(small_report.cell(100, 3))
-        kfcv = inputs["trials"]["KFCV"].copy()
-        kfcv[1, 2] = 1.0
-        inputs["trials"]["KFCV"] = kfcv
+        table = inputs["table"].copy()
+        table[1, 1, 2] = 1.0  # trial 1's KFCV mse
+        inputs["table"] = table
         losses = inputs["fsv_iteration_losses"].copy()
         losses[1] = 1.0
         inputs["fsv_iteration_losses"] = losses
@@ -995,9 +1038,28 @@ class TestJsonRoundTrip:
                 lambda d: d["cells"][1]["trials"].update(
                     LOO=d["cells"][1]["trials"]["SRS"]
                 ),
-                r"cell \(n=100, t=3\): need trials for exactly "
-                r"\['SRS', 'KFCV', 'FSV'\], got "
-                r"\['FSV', 'KFCV', 'LOO', 'SRS'\]",
+                r"report\['cells'\]\[1\]\['trials'\]\['LOO'\]\[0\]"
+                r"\['mean_est'\]: stored .*, but the report's inputs give "
+                r"nothing$",
+            ),
+            (
+                lambda d: d["cells"][1]["trials"].pop("KFCV"),
+                r"report\['cells'\]\[1\]: an input is missing or mistyped: "
+                r"KeyError\('KFCV'\)$",
+            ),
+            (
+                lambda d: d["cells"][1]["trials"]["FSV"].pop(),
+                r"report\['cells'\]\[1\]: an input is missing or mistyped: "
+                r"ValueError\('zip\(\) argument 3 is shorter than arguments "
+                r"1-2'\)$",
+            ),
+            (
+                lambda d: d["cells"][1]["trials"]["SRS"].append(
+                    d["cells"][1]["trials"]["SRS"][0]
+                ),
+                r"report\['cells'\]\[1\]: an input is missing or mistyped: "
+                r"ValueError\('zip\(\) argument 2 is shorter than argument "
+                r"1'\)$",
             ),
             (
                 lambda d: d["cells"][1].pop("summaries"),
@@ -1033,6 +1095,9 @@ class TestJsonRoundTrip:
             "unknown-key",
             "unknown-cell-key",
             "fourth-method",
+            "missing-method",
+            "short-method",
+            "long-method",
             "missing-summaries",
             "missing-wall-time",
             "null-cells",
@@ -1054,23 +1119,23 @@ class TestJsonRoundTrip:
         [
             (
                 lambda cells: cells.pop(0),
-                r"cells\[0\] holds \(n=100, t=3\) with alpha 0\.95 where "
-                r"the grid has \(n=100, t=2\) with alpha 0\.95",
+                r"cells\[0\] holds \(n=100, t=3\) where "
+                r"the grid has \(n=100, t=2\)",
             ),
             (
                 lambda cells: cells.insert(1, cells[0]),
-                r"cells\[1\] holds \(n=100, t=2\) with alpha 0\.95 where "
-                r"the grid has \(n=100, t=3\) with alpha 0\.95",
+                r"cells\[1\] holds \(n=100, t=2\) where "
+                r"the grid has \(n=100, t=3\)",
             ),
             (
                 lambda cells: cells[1].update(n=999),
-                r"cells\[1\] holds \(n=999, t=3\) with alpha 0\.95 where "
-                r"the grid has \(n=100, t=3\) with alpha 0\.95",
+                r"cells\[1\] holds \(n=999, t=3\) where "
+                r"the grid has \(n=100, t=3\)",
             ),
             (
                 lambda cells: cells.reverse(),
-                r"cells\[0\] holds \(n=100, t=3\) with alpha 0\.95 where "
-                r"the grid has \(n=100, t=2\) with alpha 0\.95",
+                r"cells\[0\] holds \(n=100, t=3\) where "
+                r"the grid has \(n=100, t=2\)",
             ),
         ],
         ids=["dropped", "duplicated", "relabelled", "reordered"],
