@@ -203,10 +203,6 @@ class FsvResult:
         return tuple(map(TrialMetrics._make, self.metrics.tolist()))
 
     @property
-    def iterations(self) -> int:
-        return len(self.iteration_losses)
-
-    @property
     def mean_iteration_loss(self) -> float:
         """Raw iteration mean, without the alpha shrinkage."""
         return _mean(self.iteration_losses)

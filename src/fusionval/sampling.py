@@ -3,12 +3,12 @@
 Draws a uniform size-m subset of a dataset's indices, exposes the
 inclusion-count moments of the scheme, and draws the random partition
 fraction used by the experiment protocol. A :class:`SampleView` stores
-the subset's sorted indices and the dataset size ``source_n``; m is the
-number of indices. The indices, a list too, and each subset draw are
-checked as ``errors._vector``'s integer vector. :func:`_check_subset`
-states what a sorted subset must be, for the view and the sorted draw,
-and :func:`_index_mask` what distinct indices in range(n) are, for the
-masked draw and ``FoldPlan``.
+the subset's sorted indices and the dataset size ``source_n``; the
+subset's size m is ``len(view.indices)``. The indices, a list too, and
+each subset draw are checked as ``errors._vector``'s integer vector.
+:func:`_check_subset` states what a sorted subset must be, for the view
+and the sorted draw, and :func:`_index_mask` what distinct indices in
+range(n) are, for the masked draw and ``FoldPlan``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _index_mask(indices: np.ndarray, n: int, what: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SampleView:
     """Indices of one drawn subset of range(source_n), in canonical
-    sorted order; ``m`` is their count."""
+    sorted order; the subset's size m is ``len(indices)``."""
 
     indices: np.ndarray
     source_n: int
@@ -104,10 +104,6 @@ class SampleView:
         object.__setattr__(view, "indices", indices)
         object.__setattr__(view, "source_n", source_n)
         return view
-
-    @property
-    def m(self) -> int:
-        return len(self.indices)
 
 
 def srs_sample(data: Dataset, m: int, stream: RngStream) -> SampleView:

@@ -335,9 +335,12 @@ class TestConfigFile:
         }
 
     def test_unknown_key_is_rejected_with_location(self, tmp_path):
-        path = self._write(tmp_path, "sigma = 1\n")
-        with pytest.raises(ValidationError, match=":1:"):
-            parse_config_file(path)
+        # fraction_range is a study field with no key: setting it is
+        # library-only, so a key for it must be added on purpose
+        for line in ("sigma = 1", "fraction_range = 0.5,0.8"):
+            path = self._write(tmp_path, line + "\n")
+            with pytest.raises(ValidationError, match=":1:"):
+                parse_config_file(path)
 
     def test_bad_bool_is_rejected(self, tmp_path):
         path = self._write(tmp_path, "shared_streams = maybe\n")
@@ -482,6 +485,29 @@ class TestSelftestCommand:
             "[FAIL] batched pass kernel vs per-pass replay: ValueError: "
             "operands could not be broadcast"
         ) in lines
+
+    def test_a_failed_condition_fails_its_check_and_the_command(
+        self, monkeypatch, capsys
+    ):
+        # the kernel's fold losses doubled, as under python -O below: the
+        # kernel check fails on its condition, naming no exception type
+        combine = kfold._combine
+
+        def doubled(*args, **kwargs):
+            stats = combine(*args, **kwargs)
+            return stats._replace(fold_losses=2 * stats.fold_losses)
+
+        monkeypatch.setattr(kfold, "_combine", doubled)
+        assert main(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("[PASS] ") for line in lines) == 9
+        failed = [line for line in lines if line.startswith("[FAIL] ")]
+        assert len(failed) == 1
+        assert re.fullmatch(
+            r"\[FAIL\] batched pass kernel vs per-pass replay: iteration 0 "
+            r"bias: .* from its exact value, over its bound .*",
+            failed[0],
+        )
 
     def test_a_broken_kernel_fails_under_python_optimize(self):
         # python -O strips assert statements, so a check stated as one

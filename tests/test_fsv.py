@@ -218,7 +218,7 @@ class TestFsvRun:
         assert result.mean_iteration_loss == pytest.approx(
             result.iteration_losses.mean()
         )
-        assert result.iterations == 20
+        assert len(result.iteration_losses) == 20
 
     def test_result_consistency_enforced(self):
         # L* is derived from the losses and alpha, not given

@@ -1128,7 +1128,7 @@ def test_integral_float_sizes_are_taken_as_ints():
         drawn.values, generate_dataset(50, 0.0, 1.0, RngStream(6, 2)).values
     )
     view = srs_sample(data, 5.0, RngStream(6, 3))
-    assert view.m == 5
+    assert len(view.indices) == 5
     assert np.array_equal(
         view.indices, srs_sample(data, 5, RngStream(6, 3)).indices
     )
