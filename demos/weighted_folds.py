@@ -8,22 +8,24 @@ Var = (1/k^2) sum lambda_i^2 Var(L_i). Equal weights minimise it.
 import numpy as np
 
 from fusionval.data import generate_dataset
+from fusionval.fsv import sampled_kfold_trial
 from fusionval.kfold import (
     LambdaWeights,
     empirical_kfold_loss,
-    kfold_losses,
-    make_folds,
     weighted_kfold_loss,
 )
 from fusionval.rng import derive_stream
-from fusionval.sampling import srs_sample
+
+# every fraction in this window rounds to m = 1 500 of the 2 000 points
+WINDOW = (0.7499, 0.7501)
 
 
-def one_round(data, k, stream, weights):
-    sample = data.values[srs_sample(data, 1500, stream).indices]
-    plan = make_folds(len(sample), k, stream)
-    losses = kfold_losses(sample, plan)
-    return losses, weighted_kfold_loss(losses, weights)
+def one_round(data, k, stream):
+    """One round's fold losses, every draw from ``stream``."""
+    return sampled_kfold_trial(
+        data, k, stream, folds_stream=stream, fraction_stream=stream,
+        fraction_range=WINDOW,
+    ).fold_losses
 
 
 def main():
@@ -32,7 +34,7 @@ def main():
     skewed = LambdaWeights(np.array([3.0, 0.5, 0.5, 0.5, 0.5]))
 
     data = generate_dataset(2_000, 0.0, 1.0, derive_stream(77, 0, 0))
-    losses, _ = one_round(data, k, derive_stream(77, 1, 0), uniform)
+    losses = one_round(data, k, derive_stream(77, 1, 0))
     print("one cross-validation round")
     print(f"  fold losses:   {np.round(losses, 4)}")
     print(f"  plain average: {empirical_kfold_loss(losses):.6f}")
@@ -45,7 +47,7 @@ def main():
     results = {"uniform": [], "skewed": []}
     for r in range(rounds):
         stream = derive_stream(77, 100 + r, 0)
-        losses, _ = one_round(data, k, stream, uniform)
+        losses = one_round(data, k, stream)
         results["uniform"].append(weighted_kfold_loss(losses, uniform))
         results["skewed"].append(weighted_kfold_loss(losses, skewed))
 

@@ -2,9 +2,10 @@
 
 Each rule is stated once here, with its message: :func:`_number` what a
 number is, :func:`_count` what a count is and which counts must fit a
-float, :func:`_finite`, :func:`_positive` and :func:`_nonnegative` what
-a finite, a positive and a non-negative real are, :func:`_alpha` what
-a shrinkage factor is, :func:`_numbers` what a sequence of numbers or
+float, :func:`_passes` how many k-fold passes a call may batch,
+:func:`_finite`, :func:`_positive` and :func:`_nonnegative` what a
+finite, a positive and a non-negative real are, :func:`_alpha` what a
+shrinkage factor is, :func:`_numbers` what a sequence of numbers or
 counts is, :func:`_vector` what an array argument, a draw or a stored
 result's array is, and :func:`_summable` what values the pass kernel,
 the fit and the loss can sum. :func:`_shown` prints a refused value,
@@ -93,6 +94,13 @@ def _count(
     else:
         return value
     raise ValidationError(f"{name} must be {rule}, got {_shown(value)}")
+
+
+def _passes(name: str, value, k: int) -> int:
+    """``value`` as a count of passes, each of ``k`` folds, per
+    :func:`_count`: at least 1 and at most ``_MAX_ENTRIES // k``, as the
+    pass kernel holds passes x k fold losses."""
+    return _count(name, value, 1, _MAX_ENTRIES // k)
 
 
 def _shown(value) -> str:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import _alpha, _count, _mean, _vector
+from .errors import _MAX_ENTRIES, _alpha, _count, _mean, _passes, _vector
 from .kfold import _run_passes
 from .metrics import METRIC_FIELDS, TrialMetrics, metric_table
 from .rng import RngStream
@@ -78,10 +78,12 @@ class FsvConfig:
     ``fraction_range`` and subsamples m = round(f*n) points;
     :func:`fsv_run` checks, on its dataset, that every such m leaves
     every fold's training complement at least 2 points and leaves a
-    holdout. ``iterations`` (>= 1) and ``k`` (>= 2) must be integral
-    (5.0 is taken as 5, 5.5 is refused), ``alpha`` in (0, 1] (below 0.8
-    warns) and ``fraction_range`` a pair with 0 < low < high <= 1,
-    reals stored as floats.
+    holdout. ``k`` (>= 2) and ``iterations`` (>= 1) must be integral
+    (5.0 is taken as 5, 5.5 is refused), k at most
+    ``errors._MAX_ENTRIES`` and iterations at most ``_MAX_ENTRIES // k``,
+    as a run holds iterations x k fold losses; ``alpha`` in (0, 1]
+    (below 0.8 warns) and ``fraction_range`` a pair with
+    0 < low < high <= 1, reals stored as floats.
     """
 
     iterations: int
@@ -93,8 +95,8 @@ class FsvConfig:
         def normalise(name, value):
             object.__setattr__(self, name, value)
 
-        normalise("iterations", _count("iterations", self.iterations, 1))
-        normalise("k", _count("k", self.k, 2))
+        normalise("k", _count("k", self.k, 2, _MAX_ENTRIES))
+        normalise("iterations", _passes("iterations", self.iterations, self.k))
         normalise("alpha", _check_alpha(self.alpha))
         normalise("fraction_range", _fraction_window(self.fraction_range))
 

@@ -44,7 +44,7 @@ import numpy as np
 from .data import generate_dataset
 from .errors import (
     _MAX_ENTRIES, _SUM_LIMIT, ValidationError, _count, _finite,
-    _nonnegative, _numbers, _positive, _vector,
+    _nonnegative, _numbers, _passes, _positive, _vector,
 )
 from .fsv import (
     DEFAULT_ALPHA, _check_alpha, compound_measure, sampled_kfold_trial
@@ -90,7 +90,9 @@ class ExperimentConfig:
     ``sizes`` and ``trials`` are non-empty sequences of distinct counts
     >= 1 (5.0 is taken as 5), each at most ``errors._MAX_ENTRIES``, as
     each sizes arrays: a dataset, or a cell's tables and losses. ``k``
-    (>= 2), ``repetitions`` (>= 1) and ``seed`` (>= 0) are counts too.
+    (>= 2, at most ``_MAX_ENTRIES``), ``repetitions`` (>= 1, at most
+    ``_MAX_ENTRIES // k``, as a KFCV trial holds repetitions x k fold
+    losses) and ``seed`` (>= 0) are counts too.
     ``mu`` must be finite, ``sigma2`` finite and > 0, and ``alpha``
     follows :class:`~fusionval.FsvConfig`'s rule: in (0, 1], with a
     warning below 0.8. Every size must train k folds and leave a holdout
@@ -129,8 +131,10 @@ class ExperimentConfig:
                         f"got {value} more than once"
                     )
             normalise(name, values)
-        for name, least in (("k", 2), ("repetitions", 1), ("seed", 0)):
-            normalise(name, _count(name, getattr(self, name), least))
+        for name, least, most in (("k", 2, _MAX_ENTRIES), ("seed", 0, None)):
+            normalise(name, _count(name, getattr(self, name), least, most))
+        reps = _passes("repetitions", self.repetitions, self.k)
+        normalise("repetitions", reps)
         normalise("mu", _finite("mu", self.mu))
         normalise("sigma2", _positive("sigma2", self.sigma2))
         normalise("alpha", _check_alpha(self.alpha))

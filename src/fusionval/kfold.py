@@ -91,7 +91,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import (
-    _MAX_ENTRIES, ValidationError, _count, _mean, _summable, _vector,
+    _MAX_ENTRIES, ValidationError, _count, _mean, _passes, _summable, _vector,
 )
 from .rng import RngStream
 from .sampling import (
@@ -466,10 +466,11 @@ def repeated_kfcv(
     The returned estimates average over all repetitions and folds; the
     repetitions run as one batch of the pass kernel. k is ``weights.k``
     (>= 2), and ``repetitions`` (>= 1) must be integral (5.0 is taken
-    as 5). A call whose window can draw a size that cannot train fails
-    before any draw.
+    as 5) and at most ``errors._MAX_ENTRIES // k``, as the batch holds
+    repetitions x k fold losses. A call whose window can draw a size
+    that cannot train fails before any draw.
     """
-    repetitions = _count("repetitions", repetitions, 1)
+    repetitions = _passes("repetitions", repetitions, weights.k)
     passes = _run_passes(
         data, weights.k, repetitions, (stream,) * 3,
         fraction_range=fraction_range,

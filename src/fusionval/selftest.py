@@ -476,20 +476,21 @@ CHECKS = (
 )
 
 
-def run_selftest(echo=print) -> bool:
-    """Run every check; returns True when all pass. A check that raises
-    anything but a failed condition's AssertionError fails too, its
-    line naming the exception's type, and the checks after it still run."""
+def run_selftest() -> bool:
+    """Run every check, printing one line each; returns True when all
+    pass. A check that raises anything but a failed condition's
+    AssertionError fails too, its line naming the exception's type, and
+    the checks after it still run."""
     all_ok = True
     for name, check in CHECKS:
         try:
             detail = check()
         except AssertionError as exc:
             all_ok = False
-            echo(f"[FAIL] {name}: {exc}")
+            print(f"[FAIL] {name}: {exc}")
         except Exception as exc:
             all_ok = False
-            echo(f"[FAIL] {name}: {type(exc).__name__}: {exc}")
+            print(f"[FAIL] {name}: {type(exc).__name__}: {exc}")
         else:
-            echo(f"[PASS] {name}: {detail}")
+            print(f"[PASS] {name}: {detail}")
     return all_ok

@@ -468,7 +468,7 @@ class TestSelftestCommand:
         assert "[FAIL]" not in out
 
     def test_a_check_that_raises_fails_and_the_rest_still_run(
-        self, monkeypatch
+        self, monkeypatch, capsys
     ):
         # a broken kernel may raise numpy's ValueError, not a failed
         # condition's AssertionError: its check fails, and only it
@@ -476,8 +476,8 @@ class TestSelftestCommand:
             raise ValueError("operands could not be broadcast")
 
         monkeypatch.setattr(kfold, "_fold_moments", broken)
-        lines = []
-        assert selftest.run_selftest(echo=lines.append) is False
+        assert selftest.run_selftest() is False
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(selftest.CHECKS)
         for line, (name, _) in zip(lines, selftest.CHECKS):
             assert re.match(rf"\[(PASS|FAIL)\] {re.escape(name)}: ", line)
@@ -517,13 +517,13 @@ class TestSelftestCommand:
             "from fusionval import kfold, selftest\n"
             "print(sys.flags.optimize)\n"
             "selftest.CHECKS = (('kernel', selftest._check_pass_kernel),)\n"
-            "print(selftest.run_selftest(echo=lambda line: None))\n"
+            "print(selftest.run_selftest())\n"
             "combine = kfold._combine\n"
             "def doubled(*args, **kwargs):\n"
             "    stats = combine(*args, **kwargs)\n"
             "    return stats._replace(fold_losses=2 * stats.fold_losses)\n"
             "kfold._combine = doubled\n"
-            "print(selftest.run_selftest(echo=lambda line: None))\n"
+            "print(selftest.run_selftest())\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(
@@ -533,7 +533,10 @@ class TestSelftestCommand:
             text=True,
             check=True,
         )
-        assert done.stdout.splitlines() == ["1", "True", "False"]
+        optimize, passed, true, failed, false = done.stdout.splitlines()
+        assert (optimize, true, false) == ("1", "True", "False")
+        assert passed.startswith("[PASS] kernel: ")
+        assert failed.startswith("[FAIL] kernel: iteration 0 bias: ")
 
     def test_uniformity_cutoff_is_the_chi2_quantile(self):
         # the 0.999 quantile of chi2 with 9 degrees of freedom, for the

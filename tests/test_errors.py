@@ -416,6 +416,10 @@ _WINDOW = st.one_of(
     ]),
 )
 _PATTERN = np.sin(np.arange(24) * 2.0)
+# a pass count past _MAX_ENTRIES // k at every k from 2, for a call that
+# would allocate its passes: a count the call takes would size arrays
+# no machine holds
+_PAST_PASSES = st.just(_MAX_ENTRIES // 2 + 1)
 
 
 def _spread(centre, scale, n, true_var):
@@ -642,15 +646,17 @@ _DOMAIN = {
             fraction_range,
         ),
         dict(
-            data=(_TWENTY, _datasets(4, 24)), repetitions=(2, _near(1, 2)),
+            data=(_TWENTY, _datasets(4, 24)),
+            repetitions=(2, _near(1, 2) | _PAST_PASSES),
             k=(2, _near(2, 3)), fraction_range=((0.6, 0.9), _WINDOW),
         ),
     ),
     "FsvConfig": _Row(
         fusionval.FsvConfig,
         dict(
-            iterations=(3, _near(1, big=True)), alpha=(0.95, _REAL),
-            k=(2, _near(2, big=True)), fraction_range=((0.6, 0.9), _WINDOW),
+            iterations=(3, _near(1, _MAX_ENTRIES // 2, big=True)),
+            alpha=(0.95, _REAL), k=(2, _near(2, _MAX_ENTRIES, big=True)),
+            fraction_range=((0.6, 0.9), _WINDOW),
         ),
         warns=True,
     ),
@@ -684,7 +690,8 @@ _DOMAIN = {
             RngStream(1, 0),
         ),
         dict(
-            data=(_TWENTY, _datasets(4, 24)), iterations=(2, _near(1, 2)),
+            data=(_TWENTY, _datasets(4, 24)),
+            iterations=(2, _near(1, 2) | _PAST_PASSES),
             alpha=(0.95, _REAL), k=(2, _near(2, 3)),
             fraction_range=((0.6, 0.9), _WINDOW),
         ),
@@ -765,7 +772,8 @@ _DOMAIN = {
         dict(
             sizes=((20,), st.lists(_near(1, 20, big=True), max_size=2)),
             trials=((2,), st.lists(_near(1, big=True), max_size=2)),
-            k=(2, _near(2, big=True)), repetitions=(2, _near(1, big=True)),
+            k=(2, _near(2, _MAX_ENTRIES, big=True)),
+            repetitions=(2, _near(1, _MAX_ENTRIES // 2, big=True)),
             lambdas=(None, _reals(2, 2)), seed=(1, _near(0, big=True)),
             shared_streams=(False, st.booleans()), **_STUDY,
         ),
@@ -956,6 +964,15 @@ _FINDINGS = {
         "iterations must be at most the float maximum",
     ),
     "theory-huge-t": ("cli-theory", dict(n=10, population=20, t=_HUGE)),
+    # a repetition count past _MAX_ENTRIES // k (the test below) exits 2
+    # with one error: line, before the study runs
+    "cli-run-reps-entries": (
+        "cli-run",
+        dict(
+            sizes=[20], trials=[1], k=2, reps=_MAX_ENTRIES // 2 + 1,
+            mu=0.0, sigma2=1.0,
+        ),
+    ),
     # the per-site tests these rows replace checked the same refusals
     "srs_variance_component-sigma2-inf": (
         "srs_variance_component",
@@ -1098,6 +1115,46 @@ def test_every_public_call_keeps_to_its_domain(case, data):
     if args is None:
         args = data.draw(_arguments(row.params), label="args")
     _keeps_the_contract(row, args, *refusal)
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        (
+            "iterations",
+            lambda count, k, stream: fsv_run(
+                _TWENTY, FsvConfig(count, k=k), stream
+            ),
+        ),
+        (
+            "repetitions",
+            lambda count, k, stream: fusionval.repeated_kfcv(
+                _TWENTY, count, LambdaWeights.uniform(k), stream
+            ),
+        ),
+        (
+            "repetitions",
+            lambda count, k, stream: run_experiment(ExperimentConfig(
+                sizes=(20,), trials=(1,), k=k, repetitions=count,
+            )),
+        ),
+    ],
+    ids=["FsvConfig", "repeated_kfcv", "ExperimentConfig"],
+)
+def test_a_pass_count_past_the_entries_over_k_is_refused_before_any_draw(
+    field, call, k
+):
+    # each pass holds k fold losses, so a count of passes may size the
+    # kernel's arrays to at most _MAX_ENTRIES entries; uncapped, fsv_run
+    # escaped as numpy's bare "array is too big", and a study's trial
+    # died with it, naming its cell
+    stream = RngStream(1, 0)
+    before = stream.generator.bit_generator.state
+    most = _MAX_ENTRIES // k
+    with pytest.raises(ValidationError, match=f"^{field} must be <= {most},"):
+        call(most + 1, k, stream)
+    assert stream.generator.bit_generator.state == before
 
 
 # hand-written array checks compare one of these attributes
