@@ -30,7 +30,6 @@ fresh dataset each, through the same :func:`compound_measure`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,21 +54,6 @@ __all__ = [
 DEFAULT_ALPHA = 0.95
 
 
-def _check_alpha(alpha) -> float:
-    """``errors._alpha`` for :class:`FsvConfig` and the study's config,
-    which alone warn, from the constructor's caller, that an alpha below
-    0.8 will strongly shrink the compounded measure."""
-    alpha = _alpha(alpha)
-    if alpha < 0.8:
-        # this rule, __post_init__, __init__, then the caller
-        warnings.warn(
-            f"alpha={alpha} is far below 1; the compounded "
-            "measure will be strongly shrunk",
-            stacklevel=4,
-        )
-    return alpha
-
-
 @dataclass(frozen=True)
 class FsvConfig:
     """Run parameters.
@@ -81,9 +65,9 @@ class FsvConfig:
     holdout. ``k`` (>= 2) and ``iterations`` (>= 1) must be integral
     (5.0 is taken as 5, 5.5 is refused), k at most
     ``errors._MAX_ENTRIES`` and iterations at most ``_MAX_ENTRIES // k``,
-    as a run holds iterations x k fold losses; ``alpha`` in (0, 1]
-    (below 0.8 warns) and ``fraction_range`` a pair with
-    0 < low < high <= 1, reals stored as floats.
+    as a run holds iterations x k fold losses; ``alpha`` in (0, 1] and
+    ``fraction_range`` a pair with 0 < low < high <= 1, reals stored as
+    floats.
     """
 
     iterations: int
@@ -97,7 +81,7 @@ class FsvConfig:
 
         normalise("k", _count("k", self.k, 2, _MAX_ENTRIES))
         normalise("iterations", _passes("iterations", self.iterations, self.k))
-        normalise("alpha", _check_alpha(self.alpha))
+        normalise("alpha", _alpha(self.alpha))
         normalise("fraction_range", _fraction_window(self.fraction_range))
 
 

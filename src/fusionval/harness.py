@@ -33,7 +33,6 @@ import json
 import os
 import reprlib
 import time
-import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from itertools import accumulate, zip_longest
@@ -43,12 +42,10 @@ import numpy as np
 
 from .data import generate_dataset
 from .errors import (
-    _MAX_ENTRIES, _SUM_LIMIT, ValidationError, _count, _finite,
+    _MAX_ENTRIES, _SUM_LIMIT, ValidationError, _alpha, _count, _finite,
     _nonnegative, _numbers, _passes, _positive, _vector,
 )
-from .fsv import (
-    DEFAULT_ALPHA, _check_alpha, compound_measure, sampled_kfold_trial
-)
+from .fsv import DEFAULT_ALPHA, compound_measure, sampled_kfold_trial
 from .kfold import LambdaWeights, _subsample_range, repeated_kfcv
 from .metrics import METRIC_FIELDS, Aggregate, Method, metric_table, summarize
 from .rng import Purpose, derive_stream
@@ -94,9 +91,9 @@ class ExperimentConfig:
     ``_MAX_ENTRIES // k``, as a KFCV trial holds repetitions x k fold
     losses) and ``seed`` (>= 0) are counts too.
     ``mu`` must be finite, ``sigma2`` finite and > 0, and ``alpha``
-    follows :class:`~fusionval.FsvConfig`'s rule: in (0, 1], with a
-    warning below 0.8. Every size must train k folds and leave a holdout
-    at either end of ``fraction_range``, and sigma2 must be at most
+    follows :class:`~fusionval.FsvConfig`'s rule: in (0, 1]. Every size
+    must train k folds and leave a holdout at either end of
+    ``fraction_range``, and sigma2 must be at most
     ``errors._SUM_LIMIT / max(sizes)``, so that every dataset the study
     draws passes ``Dataset``'s span rule.
     Every real is kept as a float, so a config given integers hashes
@@ -137,7 +134,7 @@ class ExperimentConfig:
         normalise("repetitions", reps)
         normalise("mu", _finite("mu", self.mu))
         normalise("sigma2", _positive("sigma2", self.sigma2))
-        normalise("alpha", _check_alpha(self.alpha))
+        normalise("alpha", _alpha(self.alpha))
         if self.lambdas is not None:
             normalise("lambdas", _numbers("lambdas", self.lambdas))
         normalise("fraction_range", _fraction_window(self.fraction_range))
@@ -409,7 +406,9 @@ def run_experiment(
 
 
 def emit_markdown_table(report: ExperimentReport, n: int) -> str:
-    """Render one size's summary block: 18 rows, mean/min/max per T."""
+    """Render one size's summary block: 18 rows, mean/min/max per T.
+    ``n`` is a count (100.0 is taken as 100, "100" is refused)."""
+    n = _count("n", n, 1)
     cells = [c for c in report.cells if c.n == n]
     if not cells:
         raise ValidationError(f"n must be one of the report's sizes, got {n}")
@@ -562,9 +561,7 @@ def report_from_dict(d: dict) -> ExperimentReport:
     """
     where = "report"
     try:
-        with warnings.catch_warnings():  # a saved alpha warned at its run
-            warnings.simplefilter("ignore", UserWarning)
-            config = ExperimentConfig.from_dict(d["config"])
+        config = ExperimentConfig.from_dict(d["config"])
         wall_time_s = d["wall_time_s"]
         cells = []
         for i, cd in enumerate(d["cells"]):

@@ -155,13 +155,16 @@ _SAMPLES = {
 }
 
 
-def _flags(command):
-    parser = build_parser()
-    sub = next(
-        a for a in parser._actions
+def _commands():
+    """Each subcommand's parser, by name."""
+    return next(
+        a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
-    )
-    return {s for a in sub.choices[command]._actions for s in a.option_strings}
+    ).choices
+
+
+def _flags(command):
+    return {s for a in _commands()[command]._actions for s in a.option_strings}
 
 
 @pytest.fixture
@@ -201,6 +204,15 @@ class TestOptionTable:
         }
         assert _flags("run") == common | {"--sizes", "--trials"}
         assert _flags("cell") == common | {"--n", "--t"}
+
+    def test_every_flag_of_every_command_has_help(self):
+        bare = [
+            (command, a.option_strings[0])
+            for command, parser in _commands().items()
+            for a in parser._actions
+            if a.option_strings and not a.help
+        ]
+        assert bare == []
 
     def test_config_format_follows_the_flag_rule(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"

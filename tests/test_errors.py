@@ -366,9 +366,8 @@ def test_an_accepted_array_is_returned_as_given():
 # for a count or a window, over the values at and around its edges.
 # Every row meets one contract (_keeps_the_contract): a call is refused
 # with a ValidationError whose message starts with the name of a
-# parameter, or it returns only finite floats and warns nothing but a
-# config's low-alpha warning. A float-range finding is a row of
-# _FINDINGS, not a test of its own.
+# parameter, or it returns only finite floats, and warns nothing either
+# way. A float-range finding is a row of _FINDINGS, not a test of its own.
 _MAX = float(np.finfo(np.float64).max)
 _EDGES = [
     sign * value
@@ -383,7 +382,6 @@ _FINITE = st.one_of(
     st.sampled_from([e for e in _EDGES if math.isfinite(e)]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-_ALPHA_WARNING = re.compile(r"alpha=\S+ is far below 1")
 
 
 def _near(*edges, big=False):
@@ -450,9 +448,7 @@ def _datasets(least, most):
 def _report(alpha, table, losses, wall_time_s):
     """A one-cell report of n=20 and t=2 holding the given values, the
     12 entries of ``table`` for each method."""
-    with warnings.catch_warnings():  # an alpha below 0.8 warns
-        warnings.simplefilter("ignore", UserWarning)
-        config = ExperimentConfig(sizes=(20,), trials=(2,), alpha=alpha)
+    config = ExperimentConfig(sizes=(20,), trials=(2,), alpha=alpha)
     rows = np.reshape(table, (2, 1, 6))
     cell = CellResult(20, np.repeat(rows, 3, axis=1), np.array(losses))
     return ExperimentReport(config, [cell], wall_time_s)
@@ -503,7 +499,6 @@ class _Row(NamedTuple):
     # more names a refusal may start with: the fields of what it builds
     names: tuple = ()
     where: str = ""  # a location a refusal may open with
-    warns: bool = False  # it builds a config, which warns at low alpha
 
 
 def _study(command, mu, sigma2, **flags):
@@ -658,7 +653,6 @@ _DOMAIN = {
             alpha=(0.95, _REAL), k=(2, _near(2, _MAX_ENTRIES, big=True)),
             fraction_range=((0.6, 0.9), _WINDOW),
         ),
-        warns=True,
     ),
     "FsvResult": _Row(
         # the lists as drawn, the table as two rows of six
@@ -695,7 +689,6 @@ _DOMAIN = {
             alpha=(0.95, _REAL), k=(2, _near(2, 3)),
             fraction_range=((0.6, 0.9), _WINDOW),
         ),
-        warns=True,
     ),
     "VarianceBudget": _Row(
         fusionval.VarianceBudget,
@@ -777,7 +770,6 @@ _DOMAIN = {
             lambdas=(None, _reals(2, 2)), seed=(1, _near(0, big=True)),
             shared_streams=(False, st.booleans()), **_STUDY,
         ),
-        warns=True,
     ),
     "CellResult": _Row(
         # the list as drawn, nested as a caller would: two trials of
@@ -814,7 +806,6 @@ _DOMAIN = {
             jobs=(1, st.sampled_from([0, 1.0])), k=(2, _near(2, 3)),
             repetitions=(1, _near(1)), **_STUDY,
         ),
-        warns=True,
     ),
     "emit_markdown_table": _Row(
         fusionval.emit_markdown_table,
@@ -1045,9 +1036,10 @@ def _floats(value):
 
 def _keeps_the_contract(row, args, refusal=None):
     """The row's call on ``args`` is refused naming a parameter (starting
-    with ``refusal``, if given), or returns only finite floats, and, but
-    for a config's alpha warning, warns nothing. A command exits 0 and
-    prints no inf or nan, or exits 2 with one ``error:`` line."""
+    with ``refusal``, if given), or returns only finite floats, and
+    warns nothing either way. A command exits 0 and prints no inf or
+    nan, or exits 2 with one ``error:`` line; its ``warning:`` lines are
+    not errors."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -1057,10 +1049,7 @@ def _keeps_the_contract(row, args, refusal=None):
             start = re.escape(refusal) if refusal else f"({names})\\b"
             assert re.match(f"({row.where})?{start}", str(exc)), str(exc)
             got = None
-    warned = [str(w.message) for w in caught]
-    if row.warns:
-        warned = [w for w in warned if not _ALPHA_WARNING.match(w)]
-    assert warned == []
+    assert [str(w.message) for w in caught] == []
     if isinstance(got, _Exit):
         errors = [
             line for line in got.err.splitlines()

@@ -33,10 +33,6 @@ class TestFsvConfig:
             FsvConfig(iterations=5, alpha=1.01)
         FsvConfig(iterations=5, alpha=1.0)
 
-    def test_low_alpha_warns(self):
-        with pytest.warns(UserWarning):
-            FsvConfig(iterations=5, alpha=0.5)
-
     def test_rejects_bad_iterations_and_sizes(self):
         with pytest.raises(ValidationError):
             FsvConfig(iterations=0)

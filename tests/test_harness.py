@@ -31,7 +31,7 @@ from fusionval.harness import (
     run_experiment,
 )
 from fusionval.data import generate_dataset
-from fusionval.fsv import FsvConfig, compound_measure, sampled_kfold_trial
+from fusionval.fsv import compound_measure, sampled_kfold_trial
 from fusionval.metrics import METRIC_FIELDS, metric_table, summarize
 from fusionval.rng import Purpose, derive_stream
 
@@ -146,15 +146,6 @@ class TestExperimentConfig:
         )
         with pytest.raises(ValidationError, match=f"^{message}$"):
             ExperimentConfig(**{field_name: values})
-
-    def test_low_alpha_warns_as_fsv_config_does(self):
-        with pytest.warns(UserWarning) as study:
-            ExperimentConfig(alpha=0.5)
-        with pytest.warns(UserWarning) as fsv:
-            FsvConfig(1, alpha=0.5)
-        assert [
-            (w.category, str(w.message), w.filename) for w in study
-        ] == [(w.category, str(w.message), w.filename) for w in fsv]
 
     def test_integral_values_become_ints(self):
         config = ExperimentConfig(sizes=[100.0], trials=(2,), k=2.0)
@@ -446,10 +437,9 @@ class TestRunExperiment:
         assert np.array_equal(cell.trials["FSV"], 0.95 * cell.trials["SRS"])
 
     def test_trial_table_scales_the_fsv_pass_by_alpha(self):
-        with pytest.warns(UserWarning, match="far below 1"):
-            config = ExperimentConfig(
-                sizes=(100,), trials=(2,), k=2, repetitions=2, alpha=0.5
-            )
+        config = ExperimentConfig(
+            sizes=(100,), trials=(2,), k=2, repetitions=2, alpha=0.5
+        )
         table, raw_loss = harness._run_trial(config, 100, 2, 1)
         key = harness._trial_key(100, 2, 1)
 
@@ -647,8 +637,7 @@ class TestResultConstructors:
         self, small_report
     ):
         # a cell keeps no alpha, so the same cells take another config's
-        with pytest.warns(UserWarning, match="far below 1"):
-            config = dataclasses.replace(_SMALL, alpha=0.5)
+        config = dataclasses.replace(_SMALL, alpha=0.5)
         report = ExperimentReport(config, small_report.cells, 0.0)
         block = emit_markdown_table(report, 100)
         stored = report_to_dict(report)["cells"]
@@ -761,6 +750,17 @@ class TestMarkdownTable:
     def test_unknown_size_raises(self, small_report):
         with pytest.raises(ValidationError):
             emit_markdown_table(small_report, 12_345)
+
+    def test_size_is_taken_by_the_count_rule(self, small_report):
+        # an integral float is its int, as the CLI renders it; a string
+        # is refused as a mistyped count, not as a missing size
+        block = emit_markdown_table(small_report, 100.0)
+        assert block == emit_markdown_table(small_report, 100)
+        assert block.startswith("### N = 100\n")
+        with pytest.raises(
+            ValidationError, match=r"^n must be an integer, got '100'$"
+        ):
+            emit_markdown_table(small_report, "100")
 
     def test_empty_cell_raises(self, small_report):
         # a cell without trials cannot be built, so it never reaches a table

@@ -18,7 +18,6 @@ import dataclasses
 import json
 
 import numpy as np
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -77,10 +76,8 @@ def _cell_bytes(cell):
 
 
 _relation = settings(max_examples=20, deadline=None)
-_low_alpha = pytest.mark.filterwarnings("ignore:alpha=.*far below 1")
 
 
-@_low_alpha
 @_relation
 @given(small_configs())
 def test_each_cell_of_a_grid_equals_it_run_alone(config):
@@ -91,7 +88,6 @@ def test_each_cell_of_a_grid_equals_it_run_alone(config):
         assert _cell_bytes(only) == _cell_bytes(cell)
 
 
-@_low_alpha
 @_relation
 @given(small_configs())
 def test_explicit_uniform_lambdas_equal_the_default_weights(config):
@@ -103,7 +99,6 @@ def test_explicit_uniform_lambdas_equal_the_default_weights(config):
     )
 
 
-@_low_alpha
 @_relation
 @given(small_configs())
 def test_a_report_survives_its_dict_round_trip(config):
@@ -119,7 +114,6 @@ def test_a_report_survives_its_dict_round_trip(config):
     )
 
 
-@_low_alpha
 @_relation
 @given(small_configs(), st.data())
 def test_reordering_sizes_only_reorders_cells(config, data):
@@ -133,7 +127,6 @@ def test_reordering_sizes_only_reorders_cells(config, data):
     assert keyed(reordered) == keyed(config)
 
 
-@_low_alpha
 @_relation
 @given(small_configs())
 def test_shared_streams_fsv_table_is_alpha_times_srs(config):
@@ -143,7 +136,6 @@ def test_shared_streams_fsv_table_is_alpha_times_srs(config):
         assert cell.trials["FSV"].tobytes() == want.tobytes()
 
 
-@_low_alpha
 @_relation
 @given(small_configs(), st.data())
 def test_integer_reals_hash_like_their_float_twin(config, data):
@@ -160,7 +152,6 @@ def test_integer_reals_hash_like_their_float_twin(config, data):
     assert given_ints.config_hash() == twin.config_hash()
 
 
-@_low_alpha
 @settings(max_examples=3, deadline=None)  # each example spins up a pool
 @given(small_configs())
 # the pool runs the largest n first: a grid whose sizes it reorders
@@ -180,7 +171,6 @@ def test_two_workers_give_the_cells_of_one(config):
 _SCALE_POWERS = np.array([1, 2, 2, 2, 1, 2])
 
 
-@_low_alpha
 @_relation
 @given(small_configs(), st.integers(-2, 3))
 def test_scaling_the_data_scales_every_metric(config, power):
@@ -235,7 +225,6 @@ _LOCATION_ROUNDING = np.array([
 ]).T
 
 
-@_low_alpha
 @_relation
 @given(small_configs(), st.floats(-1e9, 1e9))
 def test_shifting_the_mean_moves_only_mean_est(config, c):
