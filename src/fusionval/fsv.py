@@ -89,17 +89,23 @@ class FsvConfig:
 class SampledTrial:
     """One subsample-then-cross-validate pass.
 
-    ``fraction`` is the drawn partition fraction and ``m`` the size it
-    gave, always under n. ``holdout_mse`` is the fitted model's loss on
-    the unsampled complement.
+    ``m`` is the size its drawn partition fraction gave, always under n.
+    ``holdout_mse`` is the fitted model's loss on the unsampled
+    complement. ``fold_losses`` is checked by ``errors._vector``'s rule,
+    kept as float64 (a float64 array as given, anything else as a copy)
+    and made read-only.
     """
 
-    fraction: float
     m: int
     sample_mean: float
     sample_var: float
     holdout_mse: float
     fold_losses: np.ndarray
+
+    def __post_init__(self) -> None:
+        losses = _vector("fold_losses", self.fold_losses)
+        losses.setflags(write=False)
+        object.__setattr__(self, "fold_losses", losses)
 
     @property
     def mean_fold_loss(self) -> float:
@@ -134,7 +140,6 @@ def sampled_kfold_trial(
         holdout=True,
     )
     return SampledTrial(
-        fraction=float(passes.fractions[0]),
         m=int(passes.m[0]),
         sample_mean=float(passes.sample_mean[0]),
         sample_var=float(passes.sample_var[0]),

@@ -15,13 +15,15 @@ byte-identical under any worker count. The trial key hashes the cell
 coordinates, which keeps cells independent of grid composition: running
 one cell alone reproduces its slice of the full grid.
 
-Results store only their inputs. A :class:`CellResult` holds n, one
-``(t x 3 x 6)`` table of its trials' metrics and its FSV iteration
-losses; t, the per-method views and the summaries derive from them. An
-:class:`ExperimentReport` holds the config, the cells and the wall time;
-its config hash and version derive from them, and each cell's L* from
-its losses and the config's one alpha. Each type has one constructor,
-which checks its inputs. A saved report loads by one rule: the report
+Results store only their inputs. An :class:`ExperimentReport` holds
+the config, one ``(trials x 3 x 6)`` table of every trial's metrics and
+every trial's FSV iteration loss, both in grid order, and the wall time;
+its config hash, version and cells derive from them, and each cell's L*
+from its losses and the config's one alpha. A :class:`CellResult` is a
+view: the report cuts n, the cell's rows of the table and its losses by
+the grid, and t, the per-method views and the summaries derive from
+them. Each type has one constructor, which checks its inputs, except a
+view, which checks nothing. A saved report loads by one rule: the report
 built from its inputs must dump back to exactly what was saved.
 """
 
@@ -35,7 +37,7 @@ import reprlib
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +71,7 @@ DEFAULT_SIZES = (10_000, 50_000, 100_000)
 DEFAULT_TRIALS = (10, 50, 100)
 
 _METHODS = tuple(m.value for m in Method)  # SRS, KFCV, FSV
+_ROW = (len(_METHODS), len(METRIC_FIELDS))  # a trial's metric table
 _METRIC_LABELS = {
     "mean_est": "Mean est.",
     "var_est": "Var est.",
@@ -269,36 +272,24 @@ def _run_trial_task(args: tuple) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True, eq=False)
 class CellResult:
-    """All trials of one (n, t) grid cell; t and the rest are derived.
+    """All trials of one (n, t) grid cell, a view its report cuts by the
+    grid: it checks nothing, and t and the rest are derived.
 
-    ``fsv_iteration_losses`` holds the FSV passes' t >= 1 raw mean fold
+    ``fsv_iteration_losses`` holds the FSV passes' t raw mean fold
     losses and ``table`` a ``(t x 3 x 6)`` table: per trial one row per
     method in ``_METHODS`` order (SRS, KFCV, FSV, the FSV row
-    alpha-scaled), columns in ``METRIC_FIELDS`` order. Each array is
-    checked by ``errors._vector``'s rule, losses first: finite reals,
-    kept as float64 (a float64 array as given, anything else as a copy)
-    and made read-only. ``trials[method]`` is a method's read-only
-    ``(t x 6)`` view of the table and ``summaries[method][metric]`` a
-    column's :class:`Aggregate`, computed on first read. A cell keeps
-    no alpha: its L* is ``compound_measure(fsv_iteration_losses,
-    alpha)`` with its study's ``config.alpha``.
+    alpha-scaled), columns in ``METRIC_FIELDS`` order; both are
+    read-only views of the report's arrays. ``trials[method]`` is a
+    method's read-only ``(t x 6)`` view of the table and
+    ``summaries[method][metric]`` a column's :class:`Aggregate`,
+    computed on first read. A cell keeps no alpha: its L* is
+    ``compound_measure(fsv_iteration_losses, alpha)`` with its study's
+    ``config.alpha``.
     """
 
     n: int
     table: np.ndarray
     fsv_iteration_losses: np.ndarray
-
-    def __post_init__(self) -> None:
-        name = f"cell (n={self.n!r}) fsv_iteration_losses"
-        losses = _vector(name, self.fsv_iteration_losses)
-        t, row = len(losses), (len(_METHODS), len(METRIC_FIELDS))
-        where = f"cell (n={self.n!r}, t={t})"
-        object.__setattr__(self, "n", _count(f"{where} n", self.n, 1))
-        table = _vector(f"{where} table", self.table, t, t, columns=row)
-        for array in (losses, table):
-            array.setflags(write=False)
-        object.__setattr__(self, "fsv_iteration_losses", losses)
-        object.__setattr__(self, "table", table)
 
     @property
     def t(self) -> int:
@@ -313,33 +304,36 @@ class CellResult:
         return {m: summarize(table) for m, table in self.trials.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """A run's cells, which must be ``config``'s grid of (n, t) in run
-    order; ``cells`` is kept as a tuple and ``wall_time_s`` (>= 0) as a
-    float. Each cell's L* compounds its losses with ``config.alpha``."""
+    """A run of ``config``'s grid, every trial in grid order: the cells
+    (n, t) for n in sizes and t in trials, each cell's t trials in
+    trial order, N = len(sizes) * sum(trials) rows in all.
+
+    ``table`` holds each trial's ``(3 x 6)`` metric table, as a
+    :class:`CellResult`'s rows, and ``fsv_iteration_losses`` its FSV
+    pass's raw mean fold loss. Each array is checked by
+    ``errors._vector``'s rule, losses first: N rows of finite reals,
+    kept as float64 (a float64 array as given, anything else as a copy)
+    and made read-only. ``wall_time_s`` (>= 0) is kept as a float.
+    ``cells`` cuts each cell's view from the arrays by the grid, on
+    first read. Each cell's L* compounds its losses with
+    ``config.alpha``.
+    """
 
     config: ExperimentConfig
-    cells: tuple[CellResult, ...]
+    table: np.ndarray
+    fsv_iteration_losses: np.ndarray
     wall_time_s: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(self.cells))
+        rows = len(self.config.sizes) * sum(self.config.trials)
+        for name, row in (("fsv_iteration_losses", None), ("table", _ROW)):
+            array = _vector(name, getattr(self, name), rows, rows, columns=row)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         wall = _nonnegative("wall_time_s", self.wall_time_s)
         object.__setattr__(self, "wall_time_s", wall)
-        # a name shows n and t exactly, so equal names, equal coordinates
-        name = "(n={}, t={})".format
-        found = [name(c.n, c.t) for c in self.cells]
-        grid = [name(n, t) for n, t in _grid(self.config)]
-        for i, (want, got) in enumerate(
-            zip_longest(grid, found, fillvalue="nothing")
-        ):
-            if want != got:
-                raise ValidationError(
-                    f"cells[{i}] holds {got} where the grid has {want}; the "
-                    f"grid is (n, t) for n in sizes {list(self.config.sizes)}"
-                    f" and t in trials {list(self.config.trials)}"
-                )
 
     @property
     def config_hash(self) -> str:
@@ -349,11 +343,23 @@ class ExperimentReport:
     def version(self) -> str:
         return REPORT_VERSION
 
+    @cached_property
+    def cells(self) -> tuple[CellResult, ...]:
+        grid = _grid(self.config)
+        table, losses = self.table, self.fsv_iteration_losses
+        return tuple(
+            CellResult(n, table[end - t:end], losses[end - t:end])
+            for (n, t), end in zip(grid, accumulate(t for _, t in grid))
+        )
+
     def cell(self, n: int, t: int) -> CellResult:
-        for c in self.cells:
-            if c.n == n and c.t == t:
-                return c
-        raise ValidationError(f"no cell (n={n}, t={t}) in report")
+        """The cell (n, t); both are counts (20.0 is taken as 20, "20"
+        and True are refused)."""
+        n, t = _count("n", n, 1), _count("t", t, 1)
+        grid = _grid(self.config)
+        if (n, t) not in grid:
+            raise ValidationError(f"no cell (n={n}, t={t}) in report")
+        return self.cells[grid.index((n, t))]
 
 
 def _usable_cores() -> int:
@@ -396,13 +402,10 @@ def run_experiment(
                 _run_trial_task, [tasks[i] for i in order], chunksize=chunk
             )
             outcomes = [outcome for _, outcome in sorted(zip(order, done))]
-    tables = np.stack([table for table, _ in outcomes])
+    table = np.stack([trial for trial, _ in outcomes])
     losses = np.array([raw_loss for _, raw_loss in outcomes])
-    cells = [
-        CellResult(n, tables[end - t:end], losses[end - t:end])
-        for (n, t), end in zip(grid, accumulate(t for _, t in grid))
-    ]
-    return ExperimentReport(config, cells, time.perf_counter() - started)
+    wall = time.perf_counter() - started
+    return ExperimentReport(config, table, losses, wall)
 
 
 def emit_markdown_table(report: ExperimentReport, n: int) -> str:
@@ -543,43 +546,53 @@ def _first_difference(want: dict, got: dict) -> str:
 def report_from_dict(d: dict) -> ExperimentReport:
     """Rebuild a report from :func:`report_to_dict` output.
 
-    Only the inputs are read: the config, each cell's ``n``, trial rows
-    and ``fsv_iteration_losses``, and ``wall_time_s``. A cell's rows are
+    Only the inputs are read: the config, each cell's trial rows and
+    ``fsv_iteration_losses``, and ``wall_time_s``. A cell's rows are
     read per method in ``_METHODS`` order and zipped trial by trial, so
     a missing method, or method row lists of unequal length, is refused
     naming the cell, and a method beyond the three is refused by the
-    dump-back rule below; no cell is truncated. The report is
-    built from them through the constructors, which check the grid and
-    each cell, and :func:`report_to_dict` of it must then equal ``d``
+    dump-back rule below; no cell is truncated. Each cell's losses, which
+    give its t, and then its rows pass ``errors._vector``'s rule under
+    the cell's name; the report is built from them, joined in stored
+    order, through its constructor, which checks that they hold the
+    grid's trials. :func:`report_to_dict` of it must then equal ``d``
     and dump to the same JSON text, so a ``true`` or ``100.0`` stored
     where the report has ``1`` or ``100`` is refused. So every derived
-    value (the config hash, the version, each cell's t, summaries and
-    ``fsv_compounded``) must be the one its inputs give, and no key may
-    be missing or extra; a report whose config was edited after the run
-    fails on its ``config_hash``. The error names the first path that
-    differs, or the cell whose inputs are missing or mistyped.
+    value (the config hash, the version, each cell's n, t, summaries
+    and ``fsv_compounded``) must be the one its inputs give, and no key
+    may be missing or extra; a report whose config was edited after the
+    run fails on its ``config_hash``, and cells that are not the grid in
+    run order on their first n or t that differs, or on the count of
+    trials. The error names the first path that differs, or the cell
+    whose inputs are missing or mistyped.
     """
     where = "report"
+    # empty, so that a report of no cells is refused by the constructor
+    tables, losses = [np.empty((0, *_ROW))], [np.empty(0)]
     try:
         config = ExperimentConfig.from_dict(d["config"])
         wall_time_s = d["wall_time_s"]
-        cells = []
         for i, cd in enumerate(d["cells"]):
             where = f"report['cells'][{i}]"
             methods = (cd["trials"][m] for m in _METHODS)
-            table = [
-                [[row[f] for f in METRIC_FIELDS] for row in rows]
-                for rows in zip(*methods, strict=True)
+            rows = [
+                [[row[f] for f in METRIC_FIELDS] for row in trial]
+                for trial in zip(*methods, strict=True)
             ]
-            losses = cd["fsv_iteration_losses"]
-            cells.append(CellResult(cd["n"], table, losses))
+            name = f"cell (n={cd['n']!r}) fsv_iteration_losses"
+            losses.append(_vector(name, cd["fsv_iteration_losses"]))
+            t = len(losses[-1])
+            name = f"cell (n={cd['n']!r}, t={t}) table"
+            tables.append(_vector(name, rows, t, t, columns=_ROW))
     except ValidationError:
         raise
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise ValidationError(
             f"{where}: an input is missing or mistyped: {exc!r}"
         ) from exc
-    report = ExperimentReport(config, cells, wall_time_s)
+    report = ExperimentReport(
+        config, np.concatenate(tables), np.concatenate(losses), wall_time_s
+    )
     want = report_to_dict(report)
     if not _same(want, d):
         raise ValidationError(_first_difference(want, d))

@@ -244,7 +244,6 @@ class _Passes(NamedTuple):
     sample_mean: np.ndarray  # (P,)
     sample_var: np.ndarray  # (P,), ddof=1
     holdout_mse: np.ndarray | None  # (P,)
-    fractions: np.ndarray | None = None  # (P,) drawn partition fractions
 
 
 def _complement(part_n, part_sum, part_m2, whole_n, whole_sum, whole_m2):
@@ -329,7 +328,6 @@ def _run_passes(
     values = data.values
     pilot = values[0]
     fraction_draws, draws, fold_draws = (s.generator for s in streams)
-    fractions = np.empty(passes)
     # per fold of every pass, pass after pass
     sums = np.empty(passes * k)
     m2s = np.empty(passes * k)
@@ -346,11 +344,9 @@ def _run_passes(
         )
         used, scored = 0, len(sizes)
 
-    for p in range(passes):
+    for _ in range(passes):
         # draw_partition_fraction's draw, less its window check
-        f = float(fraction_draws.uniform(low, high))
-        fractions[p] = f
-        m = int(round(f * n))
+        m = int(round(float(fraction_draws.uniform(low, high)) * n))
         if used + m > len(buffer):
             score()
         segment = buffer[used:used + m]
@@ -361,14 +357,13 @@ def _run_passes(
         sizes += _fold_sizes(m, k)
         used += m
     score()
-    stats = _combine(
+    return _combine(
         np.array(sizes, dtype=np.float64).reshape(passes, k),
         sums.reshape(passes, k),
         m2s.reshape(passes, k),
         pilot,
         data if holdout else None,
     )
-    return stats._replace(fractions=fractions)
 
 
 def kfold_losses(sample: np.ndarray, plan: FoldPlan) -> np.ndarray:

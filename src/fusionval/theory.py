@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import (
-    ValidationError, _count, _finite, _mean, _nonnegative, _positive
+    ValidationError, _count, _finite, _mean, _nonnegative, _numbers, _positive
 )
 
 __all__ = [
@@ -73,9 +73,10 @@ def srs_variance_component(sigma2: float, n: int, population_n: int) -> float:
 
 
 def kfcv_variance_component(fold_variances: Iterable[float]) -> float:
-    """Mean of the per-fold loss variances: (1/k) sum_i Var(L_i); each
-    entry must be finite and >= 0."""
-    vals = [_nonnegative("fold_variances entry", v) for v in fold_variances]
+    """Mean of the per-fold loss variances: (1/k) sum_i Var(L_i); a
+    sequence per ``errors._numbers``, each entry finite and >= 0."""
+    entries = _numbers("fold_variances", fold_variances)
+    vals = [_nonnegative("fold_variances entry", v) for v in entries]
     if not vals:
         raise ValidationError("fold_variances must be non-empty")
     return _mean(vals)

@@ -36,8 +36,7 @@ from fusionval.errors import (
 from fusionval.estimator import ModelParams, fit, loss
 from fusionval.fsv import FsvConfig, FsvResult, compound_measure, fsv_run
 from fusionval.harness import (
-    CellResult, ExperimentConfig, ExperimentReport, report_to_dict,
-    run_experiment,
+    ExperimentConfig, ExperimentReport, report_to_dict, run_experiment,
 )
 from fusionval.kfold import (
     FoldPlan, LambdaWeights, empirical_kfold_loss, kfold_losses,
@@ -138,8 +137,13 @@ class TestRefusedAtConstruction:
     def test_report_wall_time(self, wall):
         report = run_experiment(ExperimentConfig(**_SMALL, k=2), jobs=1)
         with pytest.raises(ValidationError, match="^wall_time_s must be"):
-            ExperimentReport(report.config, report.cells, wall)
-        again = ExperimentReport(report.config, report.cells, 2)
+            ExperimentReport(
+                report.config, report.table, report.fsv_iteration_losses,
+                wall,
+            )
+        again = ExperimentReport(
+            report.config, report.table, report.fsv_iteration_losses, 2
+        )
         assert type(again.wall_time_s) is float
 
 
@@ -176,14 +180,13 @@ class TestStoredAsFloats:
         config = ExperimentConfig(**_SMALL, k=2, alpha=Fraction(19, 20))
         report = run_experiment(config, jobs=1)
         (cell,) = report.cells
-        again = CellResult(
-            cell.n, cell.table.tolist(), cell.fsv_iteration_losses.tolist()
+        again = ExperimentReport(
+            report.config, report.table.tolist(),
+            report.fsv_iteration_losses.tolist(), 1.0,
         )
         assert again.table.dtype == np.float64
         # the cell's L* is compounded with the config's float alpha
-        (stored,) = report_to_dict(
-            ExperimentReport(report.config, [again], 1.0)
-        )["cells"]
+        (stored,) = report_to_dict(again)["cells"]
         lstar = compound_measure(cell.fsv_iteration_losses, 0.95)
         assert type(stored["fsv_compounded"]) is float
         assert stored["fsv_compounded"] == lstar
@@ -450,8 +453,9 @@ def _report(alpha, table, losses, wall_time_s):
     12 entries of ``table`` for each method."""
     config = ExperimentConfig(sizes=(20,), trials=(2,), alpha=alpha)
     rows = np.reshape(table, (2, 1, 6))
-    cell = CellResult(20, np.repeat(rows, 3, axis=1), np.array(losses))
-    return ExperimentReport(config, [cell], wall_time_s)
+    return ExperimentReport(
+        config, np.repeat(rows, 3, axis=1), np.array(losses), wall_time_s
+    )
 
 
 _REPORTS = st.builds(
@@ -771,31 +775,25 @@ _DOMAIN = {
             shared_streams=(False, st.booleans()), **_STUDY,
         ),
     ),
-    "CellResult": _Row(
-        # the list as drawn, nested as a caller would: two trials of
+    "ExperimentReport": _Row(
+        # the table as drawn, nested as a caller would: two trials of
         # three methods' rows of six
-        lambda n, table, fsv_iteration_losses: fusionval.CellResult(
-            n,
-            [
-                [table[at:at + 6] for at in range(trial, trial + 18, 6)]
-                for trial in (0, 18)
-            ],
-            fsv_iteration_losses,
+        lambda table, fsv_iteration_losses, wall_time_s: (
+            fusionval.ExperimentReport(
+                _ONE_CELL.config,
+                [
+                    [table[at:at + 6] for at in range(trial, trial + 18, 6)]
+                    for trial in (0, 18)
+                ],
+                fsv_iteration_losses,
+                wall_time_s,
+            )
         ),
         dict(
-            n=(20, _near(1, big=True)),
             table=([0.5] * 36, _reals(36, 36)),
             fsv_iteration_losses=([1.0, 2.0], _reals(0, 3)),
+            wall_time_s=(1.0, _REAL),
         ),
-        # a cell names its arrays after its location, t once its losses
-        # have given it
-        where=r"cell \(n=\S+(, t=\d+)?\) ",
-    ),
-    "ExperimentReport": _Row(
-        lambda wall_time_s: fusionval.ExperimentReport(
-            _ONE_CELL.config, _ONE_CELL.cells, wall_time_s
-        ),
-        dict(wall_time_s=(1.0, _REAL)),
     ),
     "run_experiment": _Row(
         lambda sizes, trials, jobs, **config: fusionval.run_experiment(
@@ -861,13 +859,14 @@ _DOMAIN = {
     ),
 }
 
-# the public names no row drives: records that hold what they are given,
-# enums, the exception type and constants
+# the public names no row drives: records that hold what they are given
+# (a report's cell views among them; a SampledTrial checks only its fold
+# losses), enums, the exception type and constants
 _NO_DOMAIN = {
     "__version__", "ValidationError", "MAX_PURPOSE", "Purpose",
     "FRACTION_RANGE", "ModelParams", "KfcvEstimate", "DEFAULT_ALPHA",
     "SampledTrial", "TailBound", "METRIC_FIELDS", "Method", "TrialMetrics",
-    "Aggregate",
+    "Aggregate", "CellResult",
 }
 
 # Calls found outside the contract, each the row it belongs to and its

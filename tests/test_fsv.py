@@ -12,6 +12,7 @@ from fusionval.errors import ValidationError
 from fusionval.fsv import (
     FsvConfig,
     FsvResult,
+    SampledTrial,
     compound_measure,
     fsv_run,
     sampled_kfold_trial,
@@ -139,39 +140,67 @@ class TestSampledTrial:
         trial = one_stream_trial(
             data, 5, derive_stream(11, 0, 1), fraction_range=window
         )
-        assert window[0] <= trial.fraction < window[1]
         assert trial.m == 600
         assert trial.fold_losses.shape == (5,)
         assert type(trial.holdout_mse) is float
 
     def test_fraction_trial_bounds(self):
         data = generate_dataset(1_000, 0.0, 1.0, derive_stream(11, 1, 0))
-        trial = one_stream_trial(data, 5, derive_stream(11, 1, 1))
-        assert 0.60 <= trial.fraction <= 0.90
-        assert trial.m == int(round(trial.fraction * 1_000))
+        fraction_stream = derive_stream(11, 1, 2)
+        trial = sampled_kfold_trial(
+            data, 5, derive_stream(11, 1, 1),
+            folds_stream=derive_stream(11, 1, 3),
+            fraction_stream=fraction_stream,
+        )
+        # the fraction stream gave one uniform draw on the window, and m
+        # is that fraction of n, rounded
+        replay = derive_stream(11, 1, 2).generator
+        fraction = replay.uniform(0.6, 0.9)
+        assert 600 <= trial.m <= 900
+        assert trial.m == int(round(fraction * 1_000))
+        assert (
+            fraction_stream.generator.bit_generator.state
+            == replay.bit_generator.state
+        )
 
     def test_split_streams_reproduce_single_draws(self):
         data = generate_dataset(500, 0.0, 1.0, derive_stream(11, 2, 0))
-        split = sampled_kfold_trial(
-            data,
-            5,
-            derive_stream(11, 2, 1),
-            folds_stream=derive_stream(11, 2, 2),
-            fraction_stream=derive_stream(11, 2, 3),
+        streams = [
+            [derive_stream(11, 2, i) for i in (1, 2, 3)] for _ in range(2)
+        ]
+        split, again = (
+            sampled_kfold_trial(
+                data, 5, subset, folds_stream=folds, fraction_stream=fraction
+            )
+            for subset, folds, fraction in streams
         )
-        again = sampled_kfold_trial(
-            data,
-            5,
-            derive_stream(11, 2, 1),
-            folds_stream=derive_stream(11, 2, 2),
-            fraction_stream=derive_stream(11, 2, 3),
-        )
-        assert split.fraction == again.fraction
+        # each stream ends where its twin does
+        for one, twin in zip(*streams):
+            assert (
+                one.generator.bit_generator.state
+                == twin.generator.bit_generator.state
+            )
         assert split.m == again.m
         assert split.sample_mean == again.sample_mean
         assert split.sample_var == again.sample_var
         assert split.holdout_mse == again.holdout_mse
         np.testing.assert_array_equal(split.fold_losses, again.fold_losses)
+
+    def test_fold_losses_are_stored_read_only(self):
+        data = generate_dataset(200, 0.0, 1.0, derive_stream(11, 4, 0))
+        trial = one_stream_trial(data, 5, derive_stream(11, 4, 1))
+        with pytest.raises(ValueError, match="read-only"):
+            trial.fold_losses[0] = 0.0
+        kept = SampledTrial(150, 0.0, 1.0, 1.0, [1, 2.5])
+        assert kept.fold_losses.dtype == np.float64
+        assert not kept.fold_losses.flags.writeable
+        assert kept.fold_losses.tolist() == [1.0, 2.5]
+        with pytest.raises(
+            ValidationError,
+            match=r"^fold_losses must be a vector of reals of length at "
+            r"least 1, got a bool entry$",
+        ):
+            SampledTrial(150, 0.0, 1.0, 1.0, [True, 1.0])
 
     def test_rejects_sample_smaller_than_k(self):
         data = generate_dataset(100, 0.0, 1.0, derive_stream(11, 3, 0))

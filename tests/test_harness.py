@@ -286,6 +286,24 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             small_report.cell(100, 99)
 
+    def test_cell_lookup_takes_counts(self, small_report):
+        # an integral float is its int; a string or a bool is refused as
+        # a mistyped count, not taken as 20 or as t = 1
+        cell = small_report.cell(100.0, 3.0)
+        assert cell is small_report.cells[1]
+        with pytest.raises(
+            ValidationError, match=r"^n must be an integer, got '100'$"
+        ):
+            small_report.cell("100", 2)
+        with pytest.raises(
+            ValidationError, match=r"^t must be an integer, got True$"
+        ):
+            small_report.cell(100, True)
+        with pytest.raises(
+            ValidationError, match=r"^no cell \(n=100, t=4\) in report$"
+        ):
+            small_report.cell(100, 4)
+
     def test_replay_is_deterministic(self, small_report):
         again = run_experiment(_SMALL, jobs=1)
         assert _payload_without_timing(again) == _payload_without_timing(
@@ -473,6 +491,15 @@ def _cell_inputs(cell):
     )
 
 
+def _report_inputs(report):
+    return dict(
+        config=report.config,
+        table=report.table,
+        fsv_iteration_losses=report.fsv_iteration_losses,
+        wall_time_s=report.wall_time_s,
+    )
+
+
 class TestResultConstructors:
     def test_cell_derives_t_summaries_and_compounded(self, small_report):
         cell = small_report.cell(100, 3)
@@ -485,8 +512,14 @@ class TestResultConstructors:
         # L* is the report's: the cell's losses with the config's alpha
         stored = report_to_dict(small_report)["cells"][1]["fsv_compounded"]
         assert stored == compound_measure(cell.fsv_iteration_losses, 0.95)
-        assert not cell.table.flags.writeable
-        assert not cell.fsv_iteration_losses.flags.writeable
+        # the cell is a view of the report's last three trials
+        for kept, whole in (
+            (cell.table, small_report.table),
+            (cell.fsv_iteration_losses, small_report.fsv_iteration_losses),
+        ):
+            assert not kept.flags.writeable
+            assert np.shares_memory(kept, whole)
+            assert np.array_equal(kept, whole[2:])
         for i, table in enumerate(cell.trials.values()):
             assert np.shares_memory(table, cell.table)
             assert not table.flags.writeable
@@ -506,42 +539,49 @@ class TestResultConstructors:
         "edit, match",
         [
             (
-                lambda d: d.update(table=d["table"][:, :2]),
-                r" table must be a \(trials x 3 x 6\) table of reals of "
-                r"length 3, got float64 of shape \(3, 2, 6\)$",
+                lambda c: c["trials"].pop("FSV"),
+                r"report\['cells'\]\[1\]: an input is missing or mistyped: "
+                r"KeyError\('FSV'\)$",
             ),
             (
-                lambda d: d.update(table=np.zeros((2, 3, 6))),
-                r" table must be a \(trials x 3 x 6\) table of reals of "
-                r"length 3, got float64 of shape \(2, 3, 6\)$",
+                lambda c: [rows.pop() for rows in c["trials"].values()],
+                r"cell \(n=100, t=3\) table must be a \(trials x 3 x 6\) "
+                r"table of reals of length 3, got float64 of shape "
+                r"\(2, 3, 6\)$",
             ),
-            (lambda d: d.update(n=100.5), r" n must be an integer"),
-            (lambda d: d.update(n=0), r" n must be >= 1, got 0$"),
-            (lambda d: d.update(n=-5), r" n must be >= 1, got -5$"),
-            # a table that is no array: nothing, a method's name, or the
-            # method-keyed dict a cell once took
             (
-                lambda d: d.update(
-                    n=20, table=None, fsv_iteration_losses=[1.0]
+                lambda c: c.update(n=100.5),
+                r"report\['cells'\]\[1\]\['n'\]: stored 100\.5, but the "
+                r"report's inputs give 100$",
+            ),
+            (
+                lambda c: c.update(n=0),
+                r"report\['cells'\]\[1\]\['n'\]: stored 0, but the "
+                r"report's inputs give 100$",
+            ),
+            (
+                lambda c: c.update(n=-5),
+                r"report\['cells'\]\[1\]\['n'\]: stored -5, but the "
+                r"report's inputs give 100$",
+            ),
+            # trials that are no method map: nothing, a method's name, or
+            # a map with a method missing
+            (
+                lambda c: c.update(trials=None),
+                r"report\['cells'\]\[1\]: an input is missing or mistyped: "
+                r"TypeError",
+            ),
+            (
+                lambda c: c.update(trials="SRS"),
+                r"report\['cells'\]\[1\]: an input is missing or mistyped: "
+                r"TypeError",
+            ),
+            (
+                lambda c: c.update(
+                    trials={m: c["trials"]["SRS"] for m in ("SRS", "KFCV", 0)}
                 ),
-                r" table must be a \(trials x 3 x 6\) table of reals of "
-                r"length 1, got object of shape \(\)$",
-            ),
-            (
-                lambda d: d.update(
-                    n=20, table="SRS", fsv_iteration_losses=[1.0]
-                ),
-                r" table must be a \(trials x 3 x 6\) table of reals of "
-                r"length 1, got <U3 of shape \(\)$",
-            ),
-            (
-                lambda d: d.update(
-                    n=20,
-                    table={m: np.zeros((1, 6)) for m in ("SRS", "KFCV", 0)},
-                    fsv_iteration_losses=[1.0],
-                ),
-                r" table must be a \(trials x 3 x 6\) table of reals of "
-                r"length 1, got object of shape \(\)$",
+                r"report\['cells'\]\[1\]: an input is missing or mistyped: "
+                r"KeyError\('FSV'\)$",
             ),
         ],
         ids=[
@@ -550,79 +590,90 @@ class TestResultConstructors:
         ],
     )
     def test_cell_refuses_a_wrong_input(self, small_report, edit, match):
-        inputs = _cell_inputs(small_report.cell(100, 3))
-        edit(inputs)
-        n = re.escape(repr(inputs["n"]))
-        t = len(inputs["fsv_iteration_losses"])
-        with pytest.raises(
-            ValidationError, match=rf"^cell \(n={n}, t={t}\){match}"
-        ):
-            CellResult(**inputs)
+        # a cell's inputs enter only by the loader, which names the cell
+        # whose inputs are broken, or the path of an edited n
+        d = report_to_dict(small_report)
+        edit(d["cells"][1])
+        with pytest.raises(ValidationError, match=f"^{match}"):
+            report_from_dict(d)
 
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda d: d.update(table=np.zeros((3, 3, 6), dtype=np.float32)),
+            lambda d: d.update(table=np.zeros((5, 3, 6), dtype=np.float32)),
             lambda d: d.update(table=d["table"].tolist()),
-            lambda d: d.update(fsv_iteration_losses=[1.0, 2.0, 3.0]),
+            lambda d: d.update(fsv_iteration_losses=[1.0, 2.0, 3.0, 4, 5]),
         ],
         ids=["float32", "list-table", "list-losses"],
     )
     def test_cell_stores_any_real_array_as_read_only_float64(
         self, small_report, edit
     ):
-        inputs = _cell_inputs(small_report.cell(100, 3))
+        inputs = _report_inputs(small_report)
         edit(inputs)
-        cell = CellResult(**inputs)
+        report = ExperimentReport(**inputs)
         given = [inputs["fsv_iteration_losses"], inputs["table"]]
-        stored = [cell.fsv_iteration_losses, cell.table]
+        stored = [report.fsv_iteration_losses, report.table]
         for array, kept in zip(given, stored):
             assert kept.dtype == np.float64 and not kept.flags.writeable
             assert np.array_equal(kept, array)
+        cell = report.cells[1]
+        assert np.array_equal(cell.table, np.asarray(inputs["table"])[2:])
+        assert not cell.table.flags.writeable
 
     def test_cell_stores_a_float64_array_as_given(self, small_report):
-        inputs = _cell_inputs(small_report.cell(100, 3))
+        inputs = _report_inputs(small_report)
         losses = inputs["fsv_iteration_losses"].copy()
         table = inputs["table"].copy()
-        cell = CellResult(inputs["n"], table, losses)
-        assert cell.fsv_iteration_losses is losses
-        assert cell.table is table
+        report = ExperimentReport(_SMALL, table, losses, 0.0)
+        assert report.fsv_iteration_losses is losses
+        assert report.table is table
         assert not losses.flags.writeable and not table.flags.writeable
+        for cell in report.cells:
+            assert cell.table.base is table
+            assert cell.fsv_iteration_losses.base is losses
 
     def test_cell_refuses_ragged_losses_by_name(self, small_report):
-        inputs = _cell_inputs(small_report.cell(100, 3))
-        inputs["fsv_iteration_losses"] = [[1.0], [1.0, 2.0]]
+        d = report_to_dict(small_report)
+        d["cells"][1]["fsv_iteration_losses"] = [[1.0], [1.0, 2.0]]
         with pytest.raises(
             ValidationError,
             match=r"^cell \(n=100\) fsv_iteration_losses must be a vector of "
             r"reals of length at least 1, got a ragged sequence$",
         ):
-            CellResult(**inputs)
+            report_from_dict(d)
+        inputs = _report_inputs(small_report)
+        inputs["fsv_iteration_losses"] = [[1.0], [1.0, 2.0]]
+        with pytest.raises(
+            ValidationError,
+            match=r"^fsv_iteration_losses must be a vector of reals of "
+            r"length 5, got a ragged sequence$",
+        ):
+            ExperimentReport(**inputs)
 
     def test_report_derives_hash_and_version(self, small_report):
         assert small_report.config_hash == _SMALL.config_hash()
         assert small_report.version == harness.REPORT_VERSION
         assert isinstance(small_report.cells, tuple)
+        assert small_report.cells is small_report.cells  # cut once
         with pytest.raises(TypeError):
-            ExperimentReport(_SMALL, small_report.cells, 0.0, config_hash="x")
+            ExperimentReport(
+                **_report_inputs(small_report), config_hash="x"
+            )
 
     @pytest.mark.parametrize(
         "pick, match",
         [
+            (lambda rows: rows[::-1], None),
             (
-                lambda cells: cells[::-1],
-                r"cells\[0\] holds \(n=100, t=3\) where "
-                r"the grid has \(n=100, t=2\)",
+                lambda rows: rows[:2],
+                r"fsv_iteration_losses must be a vector of reals of length "
+                r"5, got float64 of shape \(2,\)$",
             ),
             (
-                lambda cells: cells[:1],
-                r"cells\[1\] holds nothing where the grid has "
-                r"\(n=100, t=3\)",
-            ),
-            (
-                lambda cells: cells + cells[:1],
-                r"cells\[2\] holds \(n=100, t=2\) where "
-                r"the grid has nothing",
+                lambda rows: np.concatenate([rows, rows[:2]]),
+                r"fsv_iteration_losses must be a vector of reals of length "
+                r"5, got float64 of shape \(7,\)$",
             ),
         ],
         ids=["reordered", "dropped", "duplicated"],
@@ -630,15 +681,27 @@ class TestResultConstructors:
     def test_report_cells_must_be_the_config_grid(
         self, small_report, pick, match
     ):
-        with pytest.raises(ValidationError, match=rf"^{match}; "):
-            ExperimentReport(_SMALL, pick(small_report.cells), 0.0)
+        # the report holds the grid's trials, which its cells cut by the
+        # grid: reordered rows are cut all the same, and a count of rows
+        # that is not the grid's is refused
+        table = pick(small_report.table)
+        losses = pick(small_report.fsv_iteration_losses)
+        if match is not None:
+            with pytest.raises(ValidationError, match=f"^{match}"):
+                ExperimentReport(_SMALL, table, losses, 0.0)
+            return
+        report = ExperimentReport(_SMALL, table, losses, 0.0)
+        assert [(c.n, c.t) for c in report.cells] == harness._grid(_SMALL)
+        assert np.array_equal(report.cells[1].table, table[2:])
 
     def test_report_compounds_each_cell_with_the_config_alpha(
         self, small_report
     ):
-        # a cell keeps no alpha, so the same cells take another config's
+        # a cell keeps no alpha, so the same trials take another config's
         config = dataclasses.replace(_SMALL, alpha=0.5)
-        report = ExperimentReport(config, small_report.cells, 0.0)
+        report = ExperimentReport(
+            **{**_report_inputs(small_report), "config": config}
+        )
         block = emit_markdown_table(report, 100)
         stored = report_to_dict(report)["cells"]
         for cell, saved in zip(report.cells, stored, strict=True):
@@ -675,13 +738,22 @@ def _grid_edits(n):
 
 
 class TestGridRule:
-    """The report's cells must be the config's grid, in order: any edit
-    is refused at the first index it changes, by the constructor and by
-    the loader alike."""
+    """A report's cells are the config's grid, in order, cut from its
+    arrays; a saved report whose cells are edited is refused by the
+    loader at the first index it changes, or on its count of trials."""
 
     def test_the_unedited_cells_are_accepted(self, six_cell_report):
-        cells = six_cell_report.cells
-        assert ExperimentReport(_SIX, cells, 0.0).cells == cells
+        report = ExperimentReport(
+            _SIX, six_cell_report.table,
+            six_cell_report.fsv_iteration_losses, 0.0,
+        )
+        assert [(c.n, c.t) for c in report.cells] == harness._grid(_SIX)
+        for cell, ran in zip(report.cells, six_cell_report.cells):
+            assert np.shares_memory(cell.table, six_cell_report.table)
+            assert np.array_equal(cell.table, ran.table)
+            assert np.array_equal(
+                cell.fsv_iteration_losses, ran.fsv_iteration_losses
+            )
         loaded = report_from_dict(report_to_dict(six_cell_report))
         assert report_to_dict(loaded) == report_to_dict(six_cell_report)
 
@@ -700,11 +772,15 @@ class TestGridRule:
             i for i, (cell, edit) in enumerate(zip_longest(cells, edited))
             if cell is not edit
         )
-        with pytest.raises(ValidationError, match=rf"^cells\[{first}\] "):
-            ExperimentReport(_SIX, edited, 0.0)
+        rows = len(six_cell_report.fsv_iteration_losses)
+        if sum(c.t for c in edited) == rows:
+            match = rf"^report\['cells'\]\[{first}\]\['[nt]'\]: stored "
+        else:
+            match = rf"^fsv_iteration_losses must be a vector of reals of "
+            match += rf"length {rows}, got "
         d = report_to_dict(six_cell_report)
         d["cells"] = [harness._cell_to_dict(c, _SIX.alpha) for c in edited]
-        with pytest.raises(ValidationError, match=rf"^cells\[{first}\] "):
+        with pytest.raises(ValidationError, match=match):
             report_from_dict(d)
 
 
@@ -763,18 +839,28 @@ class TestMarkdownTable:
             emit_markdown_table(small_report, "100")
 
     def test_empty_cell_raises(self, small_report):
-        # a cell without trials cannot be built, so it never reaches a table
-        cell = small_report.cells[0]
+        # a report without a cell's trials cannot be built or loaded, so
+        # an empty cell never reaches a table
         with pytest.raises(
-            ValidationError, match=r"^cell \(n=100, t=2\) table"
+            ValidationError,
+            match=r"^fsv_iteration_losses must be a vector of reals of "
+            r"length 5, got float64 of shape \(3,\)$",
         ):
-            dataclasses.replace(cell, table=[])
+            ExperimentReport(
+                _SMALL, small_report.table[2:],
+                small_report.fsv_iteration_losses[2:], 0.0,
+            )
+        d = report_to_dict(small_report)
+        cell = d["cells"][0]
+        cell["fsv_iteration_losses"] = []
+        for rows in cell["trials"].values():
+            rows.clear()
         with pytest.raises(
             ValidationError,
             match=r"^cell \(n=100\) fsv_iteration_losses must be a vector of "
             r"reals of length at least 1, got float64 of shape \(0,\)$",
         ):
-            CellResult(100, np.zeros((0, 3, 6)), np.zeros(0))
+            report_from_dict(d)
 
 
 def _csv_rows(path):
@@ -957,15 +1043,11 @@ class TestJsonRoundTrip:
         self, small_report, field_name, path
     ):
         # JSON true equals 1.0, so only the type tells the two apart
-        inputs = _cell_inputs(small_report.cell(100, 3))
-        table = inputs["table"].copy()
-        table[1, 1, 2] = 1.0  # trial 1's KFCV mse
-        inputs["table"] = table
-        losses = inputs["fsv_iteration_losses"].copy()
-        losses[1] = 1.0
-        inputs["fsv_iteration_losses"] = losses
-        cells = [small_report.cells[0], CellResult(**inputs)]
-        d = report_to_dict(ExperimentReport(_SMALL, cells, 0.0))
+        table = small_report.table.copy()
+        table[3, 1, 2] = 1.0  # the (100, 3) cell's trial 1's KFCV mse
+        losses = small_report.fsv_iteration_losses.copy()
+        losses[3] = 1.0
+        d = report_to_dict(ExperimentReport(_SMALL, table, losses, 0.0))
         assert report_from_dict(d).cells[1].trials["KFCV"][1, 2] == 1.0
         cell = d["cells"][1]
         if field_name == "trials":
@@ -1119,31 +1201,33 @@ class TestJsonRoundTrip:
         [
             (
                 lambda cells: cells.pop(0),
-                r"cells\[0\] holds \(n=100, t=3\) where "
-                r"the grid has \(n=100, t=2\)",
+                r"fsv_iteration_losses must be a vector of reals of length "
+                r"5, got float64 of shape \(3,\)",
             ),
             (
                 lambda cells: cells.insert(1, cells[0]),
-                r"cells\[1\] holds \(n=100, t=2\) where "
-                r"the grid has \(n=100, t=3\)",
+                r"fsv_iteration_losses must be a vector of reals of length "
+                r"5, got float64 of shape \(7,\)",
             ),
             (
                 lambda cells: cells[1].update(n=999),
-                r"cells\[1\] holds \(n=999, t=3\) where "
-                r"the grid has \(n=100, t=3\)",
+                r"report\['cells'\]\[1\]\['n'\]: stored 999, but the "
+                r"report's inputs give 100",
             ),
             (
                 lambda cells: cells.reverse(),
-                r"cells\[0\] holds \(n=100, t=3\) where "
-                r"the grid has \(n=100, t=2\)",
+                r"report\['cells'\]\[0\]\['t'\]: stored 3, but the "
+                r"report's inputs give 2",
             ),
         ],
         ids=["dropped", "duplicated", "relabelled", "reordered"],
     )
     def test_cells_must_be_the_config_grid(self, small_report, edit, match):
+        # the trials must be the grid's, and the dump-back rule then
+        # holds each stored n and t to the grid's
         d = report_to_dict(small_report)
         edit(d["cells"])
-        with pytest.raises(ValidationError, match=rf"^{match}; "):
+        with pytest.raises(ValidationError, match=rf"^{match}$"):
             report_from_dict(d)
 
     def test_json_keys_are_sorted(self, small_report, tmp_path):
@@ -1175,6 +1259,17 @@ class TestGridOrderings:
             "0adb3c9b70a2b0c01982522682e1de67"
             "056815f7a44caa8e314bfc7fc5f77ab2"
         )
+
+    def test_default_grid_is_one_table(self, grid_report):
+        assert grid_report.table.shape == (480, 3, 6)
+        assert grid_report.fsv_iteration_losses.shape == (480,)
+        for array in (grid_report.table, grid_report.fsv_iteration_losses):
+            assert array.dtype == np.float64 and not array.flags.writeable
+        for cell in grid_report.cells:
+            assert np.shares_memory(cell.table, grid_report.table)
+            assert np.shares_memory(
+                cell.fsv_iteration_losses, grid_report.fsv_iteration_losses
+            )
 
     def test_default_grid_summary_row_count(self, grid_report, tmp_path):
         _, summary_path, _ = emit_csv(grid_report, tmp_path)

@@ -264,7 +264,6 @@ class TestSampledKfoldTrial:
             got, _ = _hold_to_exact_bound(
                 data, k, 1, lambda: _triple(seed, split_streams), window, True
             )
-            assert trial.fraction == got.fractions[0]
             assert trial.m == got.m[0] == m
             for name in ("sample_mean", "sample_var", "holdout_mse"):
                 assert getattr(trial, name) == getattr(got, name)[0], name
@@ -446,14 +445,14 @@ def test_holdout_from_totals_is_exact_at_large_mean():
 
 
 def _hold_passes(data, got, scores):
-    """The kernel's passes ``got`` against their exact ``scores``: the
-    same fraction and m, every statistic within its derived bound, and a
-    holdout's loss also within 64 ulps of itself plus 64 ulps of the
-    dataset's M2 over the holdout's size. The derived bound's terms for
-    a small holdout grow as n**2 / h and exceed that rule there."""
+    """The kernel's passes ``got`` against their exact ``scores``, whose
+    replayed streams ended where the kernel's did: the same m, every
+    statistic within its derived bound, and a holdout's loss also within
+    64 ulps of itself plus 64 ulps of the dataset's M2 over the
+    holdout's size. The derived bound's terms for a small holdout grow
+    as n**2 / h and exceed that rule there."""
     m2_ulp = _m2_ulp(data)
     for p, score in enumerate(scores):
-        assert got.fractions[p] == score["fraction"]
         assert got.m[p] == score["m"]
         for name in score.keys() & _STATISTICS:
             _held(f"pass {p} {name}", getattr(got, name)[p], score[name])
@@ -508,15 +507,13 @@ def _sorted_draw_passes(data, k, passes, streams, window, holdout):
     ``_fold_moments``, then all passes into ``_combine``."""
     values = data.values
     pilot = values[0]
-    fractions = np.empty(passes)
     counts, sums, m2s = (np.empty((passes, k)) for _ in range(3))
     for p in range(passes):
-        fractions[p], order = _replay_draw(data.n, streams, window)
+        _, order = _replay_draw(data.n, streams, window)
         sizes = [len(fold) for fold in np.array_split(order, k)]
         counts[p] = sizes
         _fold_moments(values[order], sizes, pilot, sums[p], m2s[p])
-    stats = _combine(counts, sums, m2s, pilot, data if holdout else None)
-    return stats._replace(fractions=fractions)
+    return _combine(counts, sums, m2s, pilot, data if holdout else None)
 
 
 def _compare_with_sorted_draw_path(

@@ -85,6 +85,25 @@ class TestKfcvComponent:
         with pytest.raises(ValidationError):
             kfcv_variance_component([0.1, -0.2])
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            kfcv_variance_component,
+            lambda v: hybrid_variance(1.0, 750, 1000, v, 2),
+        ],
+        ids=["component", "budget"],
+    )
+    def test_fold_variances_follow_the_sequence_rule(self, call):
+        # a count is no sequence, and a string is not read one
+        # character at a time
+        for value, shown in ((5, "5"), ("12", "'12'")):
+            with pytest.raises(
+                ValidationError,
+                match=rf"^fold_variances must be a sequence, got {shown}$",
+            ):
+                call(value)
+        assert call((0.1, 0.2)) == call(np.array([0.1, 0.2]))
+
 
 class TestHybridVariance:
     def test_single_iteration_is_plain_sum(self):
